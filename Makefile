@@ -5,16 +5,17 @@
 # experiment worker pool under the race detector), the sharded-update,
 # vectorized-collection, online-learning, and region-sharded-simulator
 # (rule 7) determinism suites under -race, the serving crash-recovery
-# smoke (serve-smoke), and a short benchmark smoke pass over the PPO hot
-# path.
+# smoke (serve-smoke), vet and race-enabled tests of the separate
+# benchmark module (bench-check), and a short benchmark smoke pass over
+# the PPO hot path.
 #
 # Benchmark regressions are gated by tools/benchdiff, which diffs two
 # recordings — BENCH_*.json snapshots or raw `go test -bench -benchmem`
 # output — and exits non-zero on >15 % ns/op growth or any allocs/op
 # increase. `make bench-compare` measures a fresh short pass of the hot
-# paths and diffs it against the latest snapshot (override BASE to pin an
-# older snapshot); to diff two arbitrary recordings run the tool
-# directly:
+# paths and diffs it against the latest snapshot, the highest-numbered
+# BENCH_prN.json (override BASE to pin an older snapshot); to diff two
+# arbitrary recordings run the tool directly:
 #
 #	make bench-compare
 #	make bench-compare BASE=BENCH_pr2.json
@@ -26,12 +27,13 @@
 
 GO ?= go
 
-# BASE is the snapshot bench-compare measures against.
-BASE ?= BENCH_pr9.json
+# BASE is the snapshot bench-compare and bench-multicore measure against:
+# the highest-numbered BENCH_prN.json, version-sorted so pr10 follows pr9.
+BASE ?= $(shell ls BENCH_pr*.json | sort -V | tail -n 1)
 # BENCH_HOT selects the hot-path benchmarks bench-compare re-measures.
 BENCH_HOT = PPOUpdate$$|PPOUpdateSharded|PPOSelectAction|MLPForward$$|Evaluate|SolveScratch|Collect|TrainerEpisode|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SimFleetSharded
 
-.PHONY: all vet fmt-check build test race race-sharded race-collect race-online race-resume race-shardsim serve-smoke bench-smoke bench bench-compare bench-multicore golden golden-drift ci
+.PHONY: all vet fmt-check build test race race-sharded race-collect race-online race-resume race-shardsim serve-smoke bench-check bench-smoke bench bench-compare bench-multicore golden golden-drift ci
 
 all: ci
 
@@ -116,6 +118,15 @@ serve-smoke:
 	$(GO) test -race -count=1 -run 'Serve|Journal|Quote|Loadgen|HTTP|Batch|Replica|Shutdown' ./internal/serve ./cmd/vtmig-serve ./cmd/vtmig-loadgen
 	$(GO) test -race -count=1 -run 'QuoteBatch|Frozen' ./internal/sim
 
+# bench-check vets and race-tests the benchmark program. bench/ is a
+# module of its own (bench/go.mod), so the root-module vet and race
+# targets never build it; this runs its smoke test over every workload
+# and its check that BENCHMARK.json names exactly the workloads and
+# metrics the program reports.
+bench-check:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test -race ./...
+
 # bench-smoke exercises the PPO hot-path benchmarks just enough to catch
 # gross regressions and allocation reintroductions. The checkpoint
 # encode/decode pair keeps the binary format's size and speed advantage
@@ -136,11 +147,13 @@ bench-compare:
 # bench-multicore records the hot-path benchmarks with parallelism
 # enabled (-cpu 2,4, i.e. GOMAXPROCS > 1) — an advisory recording for the
 # sharded/vectorized paths whose single-core numbers hide contention and
-# scheduling effects. CI runs it continue-on-error; benchdiff strips the
-# -N GOMAXPROCS suffix, so the recording diffs against any snapshot.
+# scheduling effects — and diffs it against BASE. CI runs it
+# continue-on-error; benchdiff strips the -N GOMAXPROCS suffix, so the
+# recording diffs against any snapshot.
 bench-multicore:
 	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -benchtime 100x -cpu 2,4 . > bench-multicore.txt
 	@cat bench-multicore.txt
+	$(GO) run ./tools/benchdiff -threshold 0.15 $(BASE) bench-multicore.txt
 
 # golden regenerates the fixed-seed golden files after an intentional
 # numeric change: the experiment figure pipelines, the per-pricer
@@ -158,4 +171,4 @@ golden:
 golden-drift: golden
 	git diff --exit-code -- '*_golden.txt' 'internal/experiments/testdata' 'internal/sim/testdata' 'internal/scenario/testdata'
 
-ci: vet fmt-check build race race-sharded race-collect race-online race-resume race-shardsim serve-smoke bench-smoke
+ci: vet fmt-check build race race-sharded race-collect race-online race-resume race-shardsim serve-smoke bench-check bench-smoke

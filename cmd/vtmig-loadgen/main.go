@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -224,17 +225,14 @@ func randRound(rng *rand.Rand) quoteRequest {
 }
 
 // percentileMs returns the q-quantile of the sorted latency slice in
-// milliseconds (nearest-rank).
+// milliseconds: the nearest-rank value, at rank ceil(q·n). Flooring the
+// rank instead understates every tail percentile whenever q·n is
+// fractional.
 func percentileMs(sorted []time.Duration, q float64) float64 {
-	if len(sorted) == 0 {
+	n := len(sorted)
+	if n == 0 {
 		return 0
 	}
-	idx := int(q*float64(len(sorted))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return float64(sorted[idx]) / float64(time.Millisecond)
+	rank := min(max(int(math.Ceil(q*float64(n))), 1), n)
+	return float64(sorted[rank-1]) / float64(time.Millisecond)
 }

@@ -7,10 +7,46 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"vtmig/internal/rl"
 	"vtmig/internal/serve"
 )
+
+// TestPercentileMsNearestRank pins the nearest rank ceil(q·n), including
+// the fractional-q·n cases a floored rank would read one value low.
+func TestPercentileMsNearestRank(t *testing.T) {
+	ms := func(n int) []time.Duration {
+		out := make([]time.Duration, n)
+		for i := range out {
+			out[i] = time.Duration(i+1) * time.Millisecond
+		}
+		return out
+	}
+	for _, c := range []struct {
+		n    int
+		q    float64
+		want float64
+	}{
+		{0, 0.5, 0},
+		{1, 0.99, 1},
+		{10, 0, 1},
+		{10, 0.05, 1},
+		{10, 0.11, 2},
+		{10, 0.5, 5},
+		{10, 0.95, 10},
+		{10, 1, 10},
+		{150, 0.5, 75},
+		{150, 0.95, 143},
+		{150, 0.99, 149},
+		{120, 0.99, 119},
+		{1000, 0.99, 990},
+	} {
+		if got := percentileMs(ms(c.n), c.q); got != c.want {
+			t.Errorf("percentileMs(1..%d ms, %v) = %v, want %v", c.n, c.q, got, c.want)
+		}
+	}
+}
 
 func TestLoadgenAgainstServeHandler(t *testing.T) {
 	ppo := rl.DefaultPPOConfig()

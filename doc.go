@@ -212,7 +212,13 @@
 // (handover collection, the Stackelberg pricing round, the bandwidth
 // pool) stays serial in global fleet order. That split is what makes
 // the shard count a pure throughput knob (determinism contract rule 7
-// below). Memory and allocations stay flat as the fleet grows: reports
+// below). The staged lookup is O(1) per vehicle on the grid world:
+// mobility.Grid.ServingRSU resolves the nearest RSU from the few
+// intersections of the vehicle's street, and during outages only the
+// vehicles whose nearest RSU is down fall back to the scan over every
+// RSU, so an outage re-homes those vehicles without slowing the rest.
+// Memory and allocations stay flat as the fleet grows: each vehicle's
+// turn-decision stream lives on the vehicle and leaves with it, reports
 // aggregate streamingly as migrations complete
 // (Config.DiscardMigrationRecords drops the per-migration records for
 // fleet-scale runs while leaving every aggregate untouched), sensing

@@ -24,8 +24,6 @@ type Grid struct {
 	RadiusM float64
 	// TurnSeed salts the per-vehicle turn-decision streams.
 	TurnSeed int64
-
-	turnRngs map[int]*rand.Rand
 }
 
 // NewGrid builds a Manhattan grid world.
@@ -43,7 +41,6 @@ func NewGrid(rows, cols int, spacingM, radiusM float64, turnSeed int64) (*Grid, 
 		Rows: rows, Cols: cols,
 		SpacingM: spacingM, RadiusM: radiusM,
 		TurnSeed: turnSeed,
-		turnRngs: make(map[int]*rand.Rand),
 	}, nil
 }
 
@@ -72,12 +69,13 @@ func (g *Grid) RSUDistance(a, b int) float64 {
 // street, heading in a random along-street direction. Three rng draws,
 // always.
 //
-// Place also pre-creates the vehicle's private turn-decision stream (no
-// draws from it), so the turnRngs map is never mutated during Advance —
-// the invariant that lets region shards advance their residents on
-// concurrent goroutines without a lock around the map.
+// Place also creates the vehicle's private turn-decision stream (no
+// draws from it) and stores it on the vehicle, so seeding it costs spawn
+// time rather than tick time. The stream is per-vehicle state: it leaves
+// with the vehicle, and region shards advancing their residents on
+// concurrent goroutines never share it.
 func (g *Grid) Place(v *Vehicle, rng *rand.Rand) {
-	g.turnRng(v.ID)
+	v.turn = g.newTurnStream(v.ID)
 	street := int(rng.Float64() * float64(g.Rows+g.Cols))
 	if street >= g.Rows+g.Cols {
 		street = g.Rows + g.Cols - 1 // Float64 can return values snapping to the bound
@@ -103,16 +101,11 @@ func (g *Grid) Place(v *Vehicle, rng *rand.Rand) {
 	}
 }
 
-// turnRng returns the vehicle's private turn-decision stream, derived
+// newTurnStream builds a vehicle's private turn-decision stream, derived
 // from (TurnSeed, id) with a splitmix64 scramble so adjacent ids do not
 // produce correlated stdlib streams.
-func (g *Grid) turnRng(id int) *rand.Rand {
-	if r, ok := g.turnRngs[id]; ok {
-		return r
-	}
-	r := rand.New(rand.NewSource(mathx.SplitMix64(g.TurnSeed, uint64(id))))
-	g.turnRngs[id] = r
-	return r
+func (g *Grid) newTurnStream(id int) *rand.Rand {
+	return rand.New(rand.NewSource(mathx.SplitMix64(g.TurnSeed, uint64(id))))
 }
 
 // Advance implements World: the vehicle moves SpeedMps·dt along its
@@ -178,9 +171,14 @@ func (g *Grid) snap(p, limit float64) float64 {
 
 // turnAt picks the vehicle's next heading at the intersection it is
 // standing on: uniform among in-bounds directions excluding the reverse,
-// falling back to the reverse at dead ends. One rng draw, always.
+// falling back to the reverse at dead ends. One rng draw, always, from
+// the vehicle's turn stream — created here for a vehicle built without
+// Place.
 func (g *Grid) turnAt(v *Vehicle) {
-	u := g.turnRng(v.ID).Float64()
+	if v.turn == nil {
+		v.turn = g.newTurnStream(v.ID)
+	}
+	u := v.turn.Float64()
 	type dir struct{ dx, dy int }
 	options := make([]dir, 0, 3)
 	for _, d := range [4]dir{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
@@ -208,20 +206,22 @@ func (g *Grid) turnAt(v *Vehicle) {
 // ServingRSU implements World: the nearest live intersection RSU by
 // Euclidean distance.
 //
-// With no outages the answer comes from an O(1) fast path instead of the
+// The answer usually comes from an O(1) fast path instead of the
 // O(Rows×Cols) scan: a vehicle always sits exactly on a street (Place and
 // snap keep the perpendicular coordinate an exact multiple of SpacingM),
 // so the nearest RSU is among the few intersections of that street around
 // the vehicle, and every off-street RSU is strictly farther whenever the
 // on-street minimum beats the adjacent parallel streets' perpendicular
 // offsets. The fast path replicates the scan's id-ascending strict-<
-// tie-breaking and falls back to the full scan whenever any of its
-// exactness or domination checks fail, so results are bit-identical.
+// tie-breaking, so it finds the scan's first global minimum. It applies
+// under any down mask whenever that RSU is live: every lower id is then
+// strictly farther and no RSU is nearer, so it is also the first minimum
+// among the live RSUs. The scan answers when the nearest RSU is down, the
+// vehicle is off-street, or an exactness or domination check fails, so
+// results are bit-identical.
 func (g *Grid) ServingRSU(v *Vehicle, down []bool) (int, bool) {
-	if len(down) == 0 {
-		if id, d, ok := g.nearestOnStreet(v); ok {
-			return id, d <= g.RadiusM
-		}
+	if id, d, ok := g.nearestOnStreet(v); ok && (id >= len(down) || !down[id]) {
+		return id, d <= g.RadiusM
 	}
 	best, bestDist := -1, math.Inf(1)
 	fallback, fallbackDist := -1, math.Inf(1)

@@ -79,7 +79,9 @@ func TestGridAdvanceStaysOnStreets(t *testing.T) {
 }
 
 // a vehicle's trajectory must depend only on (TurnSeed, id, spawn state),
-// never on which other vehicles share the grid (determinism rule 2).
+// never on which other vehicles share the grid (determinism rule 2). The
+// comparison covers the exported fields: each run's vehicle carries its
+// own turn stream.
 func TestGridTrajectoryIndependence(t *testing.T) {
 	run := func(ids []int, track int) []Vehicle {
 		g := mustGrid(t, 4, 4, 200, 150, 99)
@@ -108,10 +110,16 @@ func TestGridTrajectoryIndependence(t *testing.T) {
 	alone := run([]int{3}, 3)
 	crowded := run([]int{0, 1, 2, 3, 4, 5}, 3)
 	for i := range alone {
-		if alone[i] != crowded[i] {
-			t.Fatalf("step %d: trajectory differs with other vehicles present: alone %+v crowded %+v", i, alone[i], crowded[i])
+		if exported(alone[i]) != exported(crowded[i]) {
+			t.Fatalf("step %d: trajectory differs with other vehicles present: alone %+v crowded %+v", i, exported(alone[i]), exported(crowded[i]))
 		}
 	}
+}
+
+// exported strips a vehicle down to its exported fields, dropping the
+// turn stream pointer, which differs between any two vehicles.
+func exported(v Vehicle) Vehicle {
+	return Vehicle{ID: v.ID, PositionM: v.PositionM, SpeedMps: v.SpeedMps, X: v.X, Y: v.Y, DirX: v.DirX, DirY: v.DirY}
 }
 
 func TestGridPlaceDeterministic(t *testing.T) {
@@ -123,8 +131,8 @@ func TestGridPlaceDeterministic(t *testing.T) {
 		vb := &Vehicle{ID: i}
 		g.Place(va, a)
 		g.Place(vb, b)
-		if *va != *vb {
-			t.Fatalf("Place not deterministic: %+v vs %+v", va, vb)
+		if exported(*va) != exported(*vb) {
+			t.Fatalf("Place not deterministic: %+v vs %+v", exported(*va), exported(*vb))
 		}
 		onVert := math.Abs(va.X-math.Round(va.X/g.SpacingM)*g.SpacingM) < 1e-6
 		onHoriz := math.Abs(va.Y-math.Round(va.Y/g.SpacingM)*g.SpacingM) < 1e-6

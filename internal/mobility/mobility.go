@@ -154,6 +154,10 @@ type Vehicle struct {
 	// DirX and DirY are the unit travel direction, one of (±1,0) or
 	// (0,±1) (grid worlds only).
 	DirX, DirY int
+
+	// turn is the private turn-decision stream (grid worlds only), set by
+	// Grid.Place or on the vehicle's first turn.
+	turn *rand.Rand
 }
 
 // Advance moves the vehicle for dt seconds, wrapping at the highway

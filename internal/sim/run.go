@@ -71,13 +71,11 @@ type Simulator struct {
 	baseClass      resolvedClass
 
 	// down marks RSUs currently in outage (nil when no outages are
-	// scheduled); outageOn tracks per-window activity for trace edges.
-	// downNow aliases down while any window is active and is nil
-	// otherwise, so serving-RSU lookups take the no-outage fast path
-	// whenever possible (an all-false mask and a nil mask select
-	// identically).
+	// scheduled) and goes to every serving-RSU lookup as is: an all-false
+	// mask selects exactly like a nil one, and the grid's O(1) lookup
+	// holds under any mask for every vehicle whose nearest RSU is live.
+	// outageOn tracks per-window activity for trace edges.
 	down     []bool
-	downNow  []bool
 	outageOn []bool
 
 	// departedAoISum and departedAoICount accumulate the lifetime-average
@@ -259,7 +257,7 @@ func (s *Simulator) spawnVehicle(rng *rand.Rand) *vehState {
 		// Home the spawn into the region of its serving RSU. The lookup
 		// is pure (no rng draws), so sharded and serial runs consume
 		// identical random streams.
-		rsuID, _ := s.world.ServingRSU(v, s.downNow)
+		rsuID, _ := s.world.ServingRSU(v, s.down)
 		st.stagedRSU = rsuID
 		st.region = s.regionOf(rsuID)
 		s.shards[st.region].residents = append(s.shards[st.region].residents, st)
@@ -404,12 +402,10 @@ func (s *Simulator) applyOutages() {
 	for i := range s.down {
 		s.down[i] = false
 	}
-	anyDown := false
 	for wi, w := range s.cfg.Outages {
 		active := s.now >= w.StartS && s.now < w.EndS
 		if active {
 			s.down[w.RSU] = true
-			anyDown = true
 		}
 		if active != s.outageOn[wi] {
 			s.outageOn[wi] = active
@@ -419,12 +415,6 @@ func (s *Simulator) applyOutages() {
 			}
 			s.emit(trace.Event{TimeS: s.now, Kind: kind, Vehicle: -1, FromRSU: w.RSU, ToRSU: w.RSU})
 		}
-	}
-	// An all-false mask selects exactly like a nil one, and nil keeps the
-	// serving-RSU fast path live outside active windows.
-	s.downNow = nil
-	if anyDown {
-		s.downNow = s.down
 	}
 }
 
@@ -528,7 +518,7 @@ func (s *Simulator) moveDt(night bool) float64 {
 
 // stepVehicle advances one vehicle's per-tick independent state: its
 // kinematics, its sensing stream, and its staged serving RSU. Everything
-// here reads shared state (inFlight, downNow, the demand phase) without
+// here reads shared state (inFlight, down, the demand phase) without
 // writing it and draws randomness only from the vehicle's private turn
 // stream, so vehicles can be stepped in any order — or concurrently on
 // region shards — with bit-identical results. Sensing failures are
@@ -554,7 +544,7 @@ func (s *Simulator) stepVehicle(st *vehState, moveDt float64, night bool) error 
 		// Stage the serving RSU for the serial handover collection. The
 		// lookup is pure, so computing it here instead of inside
 		// collectHandovers changes nothing numerically.
-		st.stagedRSU, _ = s.world.ServingRSU(st.v, s.downNow)
+		st.stagedRSU, _ = s.world.ServingRSU(st.v, s.down)
 	}
 	return nil
 }
