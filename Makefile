@@ -130,9 +130,10 @@ bench-check:
 # bench-smoke exercises the PPO hot-path benchmarks just enough to catch
 # gross regressions and allocation reintroductions. The checkpoint
 # encode/decode pair keeps the binary format's size and speed advantage
-# over JSON visible in every smoke pass.
+# over JSON visible in every smoke pass, and SolveScratch covers the
+# equilibrium solver at the paper's 2 VMUs and at fleet size.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|MLPForward|MatMul|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote' -benchmem -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|MLPForward|MatMul|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SolveScratch' -benchmem -benchtime 100x .
 
 # bench is the full benchmark suite used to fill BENCH_pr*.json.
 bench:

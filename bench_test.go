@@ -15,6 +15,8 @@ import (
 	"testing"
 
 	"vtmig"
+	"vtmig/internal/aotm"
+	"vtmig/internal/channel"
 	"vtmig/internal/experiments"
 	"vtmig/internal/mat"
 	"vtmig/internal/nn"
@@ -540,6 +542,35 @@ func BenchmarkSolveScratch(b *testing.B) {
 		if eq := g.SolveInto(&s); eq.Price <= 0 {
 			b.Fatal("bad solve")
 		}
+	}
+}
+
+// BenchmarkSolveScratchFleet measures the scratch-backed solver on a
+// fleet-scale round: 5,800 followers shaped like a metro-10k pricing round
+// (α in [5, 20], 100–300 MB twins, 400 m RSU spacing), unconstrained
+// (BMax 0, what the simulator passes once its pool is exhausted) and
+// under admission control (BMax 0.5). 0 allocs/op in steady state.
+func BenchmarkSolveScratchFleet(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vmus := make([]stackelberg.VMU, 5800)
+	for i := range vmus {
+		vmus[i] = stackelberg.VMU{ID: i, Alpha: 5 + rng.Float64()*15, DataSize: aotm.FromMB(100 + rng.Float64()*200)}
+	}
+	ch := channel.DefaultParams()
+	ch.DistanceM = 400
+	for _, bmax := range []float64{0, 0.5} {
+		b.Run(fmt.Sprintf("bmax=%g", bmax), func(b *testing.B) {
+			g := &stackelberg.Game{VMUs: vmus, Channel: ch, Cost: 5, PMax: 50, BMax: bmax}
+			var s stackelberg.EvalScratch
+			g.SolveInto(&s)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if eq := g.SolveInto(&s); eq.Price <= 0 {
+					b.Fatal("bad solve")
+				}
+			}
+		})
 	}
 }
 

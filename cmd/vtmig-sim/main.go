@@ -52,6 +52,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -205,13 +206,22 @@ func run(args []string) error {
 		cfg.Shards.Regions = *shards
 	}
 
+	// The trace goes through a buffer: a fleet-scale run emits hundreds of
+	// thousands of events, one write(2) each on a bare file. The simulator
+	// stops tracing at its first write error and bufio keeps that error,
+	// so a sink that failed mid-run surfaces at the flush below.
+	var (
+		traceFile *os.File
+		traceBuf  *bufio.Writer
+	)
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			return fmt.Errorf("creating trace file: %w", err)
 		}
-		defer f.Close()
-		cfg.TraceWriter = f
+		defer f.Close() // early returns; the explicit Close below reports its error
+		traceFile, traceBuf = f, bufio.NewWriter(f)
+		cfg.TraceWriter = traceBuf
 	}
 
 	s, err := sim.New(cfg)
@@ -219,6 +229,14 @@ func run(args []string) error {
 		return err
 	}
 	rep := s.Run()
+	if traceBuf != nil {
+		if err := traceBuf.Flush(); err != nil {
+			return fmt.Errorf("writing trace file: %w", err)
+		}
+		if err := traceFile.Close(); err != nil {
+			return fmt.Errorf("closing trace file: %w", err)
+		}
+	}
 
 	fmt.Printf("Simulated %.0f s with %d vehicles over %d RSUs (pricer: %s)\n",
 		rep.SimulatedS, cfg.Vehicles, cfg.EffectiveRSUCount(), rep.PricerName)

@@ -219,6 +219,22 @@ func TestRunScenarioHostFlagsStillApply(t *testing.T) {
 	}
 }
 
+// A trace sink that rejects writes must fail the run instead of exiting
+// 0 with a report and a silently truncated trace: /dev/full answers every
+// write with ENOSPC.
+func TestRunTraceWriteErrorFails(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skipf("/dev/full unavailable: %v", err)
+	}
+	err := run([]string{"-duration", "60", "-trace", "/dev/full"})
+	if err == nil {
+		t.Fatal("run -trace /dev/full succeeded; the trace write error was lost")
+	}
+	if !strings.Contains(err.Error(), "trace file") {
+		t.Errorf("error should name the trace file, got %v", err)
+	}
+}
+
 func TestRunScenarioMissingFile(t *testing.T) {
 	if err := run([]string{"-scenario", "no-such-scenario.json"}); err == nil {
 		t.Fatal("missing scenario file accepted")

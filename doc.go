@@ -217,6 +217,16 @@
 // intersections of the vehicle's street, and during outages only the
 // vehicles whose nearest RSU is down fall back to the scan over every
 // RSU, so an outage re-homes those vehicles without slowing the rest.
+// The serial tail stays lean too. The pricing round is single-pass: each
+// of the solver's golden-section and bisection probes walks the
+// followers once, accumulating their floored best responses without
+// materializing a demand vector, and the equilibrium report evaluates
+// the channel's spectral efficiency once rather than once per follower
+// (aotm.ImmersionForRate). The per-vehicle bookkeeping lives on the
+// vehicle instead of in maps keyed by vehicle id: its serving RSU, its
+// in-flight flag, its slot in the pending queue, and the round stamp of
+// the duplicate-follower guard; departures leave the pending queue in one
+// pass per tick.
 // Memory and allocations stay flat as the fleet grows: each vehicle's
 // turn-decision stream lives on the vehicle and leaves with it, reports
 // aggregate streamingly as migrations complete

@@ -67,8 +67,20 @@ func Immersion(alpha, age float64) float64 {
 // ImmersionForBandwidth is the composed form G(b) = α·ln(1 + b·e/D) used
 // by the Stackelberg analysis, where e is the spectral efficiency.
 func ImmersionForBandwidth(alpha, dataSize, bandwidth float64, ch channel.Params) float64 {
+	return ImmersionForRate(alpha, dataSize, bandwidth, ch.SpectralEfficiency())
+}
+
+// ImmersionForRate is ImmersionForBandwidth at an already-evaluated
+// spectral efficiency e: the migration rate is γ = b·e, the same product
+// channel.Params.Rate forms, so a caller that hoists e out of a
+// per-follower loop gets bit-identical immersions. Zero bandwidth yields
+// zero immersion; negative bandwidth panics.
+func ImmersionForRate(alpha, dataSize, bandwidth, efficiency float64) float64 {
 	if bandwidth == 0 {
 		return 0
 	}
-	return Immersion(alpha, AoTMForBandwidth(dataSize, bandwidth, ch))
+	if bandwidth < 0 {
+		panic(fmt.Sprintf("aotm: negative bandwidth %g", bandwidth))
+	}
+	return Immersion(alpha, AoTM(dataSize, bandwidth*efficiency))
 }

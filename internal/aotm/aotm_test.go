@@ -116,6 +116,38 @@ func TestImmersionForBandwidthZero(t *testing.T) {
 	}
 }
 
+// ImmersionForRate at the channel's spectral efficiency must reproduce the
+// AoTM-then-immersion composition through channel.Params.Rate bit for bit:
+// the solver hoists e and relies on it.
+func TestImmersionForRateMatchesComposition(t *testing.T) {
+	ch := channel.DefaultParams()
+	f := func(a, d, b uint16, dist uint8) bool {
+		ch.DistanceM = 50 + float64(dist)*10
+		alpha := 0.5 + float64(a)/1000
+		size := 0.01 + float64(d)/10000
+		bw := float64(b) / 20000
+		want := 0.0
+		if bw != 0 {
+			want = Immersion(alpha, AoTMForBandwidth(size, bw, ch))
+		}
+		got := ImmersionForRate(alpha, size, bw, ch.SpectralEfficiency())
+		return math.Float64bits(got) == math.Float64bits(want) &&
+			math.Float64bits(ImmersionForBandwidth(alpha, size, bw, ch)) == math.Float64bits(want)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestImmersionForRateNegativeBandwidthPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative bandwidth did not panic")
+		}
+	}()
+	ImmersionForRate(5, 1, -0.1, channel.DefaultParams().SpectralEfficiency())
+}
+
 // Properties: immersion is increasing in bandwidth and decreasing in data
 // size — more bandwidth means fresher migration, bigger twins age more.
 func TestImmersionMonotoneProperties(t *testing.T) {

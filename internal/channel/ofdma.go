@@ -71,15 +71,19 @@ func (a *OFDMAAllocator) Allocate(owner int, bw float64) error {
 // the same admission checks. It exists for the simulator's pricing loop:
 // a fleet-scale round can defer thousands of grants per tick, and
 // building a rejection error for each dominated the round's allocations.
+// The headroom check runs before the grants lookup: every rejection
+// returns false with no side effect, so the order cannot change an
+// outcome, and once the pool is exhausted each deferral costs no map
+// probe.
 func (a *OFDMAAllocator) TryAllocate(owner int, bw float64) bool {
 	if bw <= 0 {
 		return false
 	}
-	if _, exists := a.grants[owner]; exists {
-		return false
-	}
 	const slack = 1e-12 // absorb float rounding in Σb ≤ Bmax checks
 	if a.used+bw > a.capacity+slack {
+		return false
+	}
+	if _, exists := a.grants[owner]; exists {
 		return false
 	}
 	a.grants[owner] = bw

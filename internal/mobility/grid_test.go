@@ -194,30 +194,3 @@ func TestHighwayServingRSUMatchesNearest(t *testing.T) {
 		t.Fatal("down RSU must never serve")
 	}
 }
-
-func TestTrackerObserveForget(t *testing.T) {
-	h, err := NewHighway(1000, 2, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := NewTracker(h)
-	ho, changed := tr.Observe(7, 1)
-	if !changed || ho.FromRSU != -1 || ho.ToRSU != 1 {
-		t.Fatalf("first observe = (%+v,%v)", ho, changed)
-	}
-	if _, changed := tr.Observe(7, 1); changed {
-		t.Fatal("same RSU should not be a handover")
-	}
-	ho, changed = tr.Observe(7, 0)
-	if !changed || ho.FromRSU != 1 || ho.ToRSU != 0 {
-		t.Fatalf("handover = (%+v,%v)", ho, changed)
-	}
-	tr.Forget(7)
-	if got := tr.Serving(7); got != -1 {
-		t.Fatalf("Serving after Forget = %d, want -1", got)
-	}
-	ho, _ = tr.Observe(7, 0)
-	if ho.FromRSU != -1 {
-		t.Fatalf("re-attach after Forget should look like a first attach, got from=%d", ho.FromRSU)
-	}
-}

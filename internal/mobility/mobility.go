@@ -1,7 +1,8 @@
 // Package mobility provides the vehicular substrate of the simulation:
 // road worlds (a circular highway and a Manhattan grid) with RSUs of
-// limited coverage, vehicles with simple kinematics, and handover
-// detection — the trigger for VT migrations in the paper's system model.
+// limited coverage, vehicles with simple kinematics, and the serving-RSU
+// lookup whose changes — handovers, detected by the simulator — trigger
+// VT migrations in the paper's system model.
 package mobility
 
 import (
@@ -170,74 +171,6 @@ func (v *Vehicle) Advance(dt, highwayLenM float64) {
 	if v.PositionM < 0 {
 		v.PositionM += highwayLenM
 	}
-}
-
-// Handover describes one serving-RSU change.
-type Handover struct {
-	VehicleID int
-	// FromRSU is the previous serving RSU (-1 on first attach).
-	FromRSU int
-	// ToRSU is the new serving RSU.
-	ToRSU int
-}
-
-// Tracker detects handovers by remembering each vehicle's serving RSU.
-// The zero value is not usable; construct with NewTracker.
-type Tracker struct {
-	highway *Highway
-	serving map[int]int
-}
-
-// NewTracker builds a handover tracker for a highway.
-func NewTracker(h *Highway) *Tracker {
-	return &Tracker{highway: h, serving: make(map[int]int)}
-}
-
-// NewObserveTracker builds a tracker fed purely through Observe — the
-// world-agnostic path where the caller computes serving RSUs itself
-// (World.ServingRSU). Update must not be called on it.
-func NewObserveTracker() *Tracker {
-	return &Tracker{serving: make(map[int]int)}
-}
-
-// Serving returns the vehicle's current serving RSU id, or -1 when the
-// vehicle has never attached.
-func (t *Tracker) Serving(vehicleID int) int {
-	if id, ok := t.serving[vehicleID]; ok {
-		return id
-	}
-	return -1
-}
-
-// Update re-evaluates the serving RSU for a vehicle and returns a
-// handover event if it changed. The first attach also reports a handover
-// with FromRSU = -1.
-func (t *Tracker) Update(v *Vehicle) (Handover, bool) {
-	rsu, _ := t.highway.NearestRSU(v.PositionM)
-	return t.Observe(v.ID, rsu.ID)
-}
-
-// Observe records an externally computed serving RSU (e.g. from
-// World.ServingRSU, which is outage-aware) and returns a handover event
-// if it changed. The first attach also reports a handover with
-// FromRSU = -1.
-func (t *Tracker) Observe(vehicleID, rsuID int) (Handover, bool) {
-	prev, attached := t.serving[vehicleID]
-	if attached && prev == rsuID {
-		return Handover{}, false
-	}
-	t.serving[vehicleID] = rsuID
-	from := -1
-	if attached {
-		from = prev
-	}
-	return Handover{VehicleID: vehicleID, FromRSU: from, ToRSU: rsuID}, true
-}
-
-// Forget drops a departed vehicle's serving state; a vehicle with the
-// same id spawning later attaches afresh.
-func (t *Tracker) Forget(vehicleID int) {
-	delete(t.serving, vehicleID)
 }
 
 // circularDistance returns the shortest distance between two positions on

@@ -115,41 +115,15 @@ func TestVehicleAdvanceNegativeDtPanics(t *testing.T) {
 	v.Advance(-1, 4000)
 }
 
-func TestTrackerFirstAttachIsHandover(t *testing.T) {
+// Driving around the loop must visit the RSUs in order without skips:
+// the changes of the nearest RSU are the handovers the simulator detects.
+func TestNearestRSUSequenceAroundTheLoop(t *testing.T) {
 	h := highway(t)
-	tr := NewTracker(h)
-	v := &Vehicle{ID: 7, PositionM: 100}
-	ho, changed := tr.Update(v)
-	if !changed {
-		t.Fatal("first attach must report a handover")
-	}
-	if ho.FromRSU != -1 || ho.ToRSU != 0 || ho.VehicleID != 7 {
-		t.Errorf("handover = %+v, want from=-1 to=0 vehicle=7", ho)
-	}
-	if tr.Serving(7) != 0 {
-		t.Errorf("Serving = %d, want 0", tr.Serving(7))
-	}
-}
-
-func TestTrackerNoHandoverWithinCell(t *testing.T) {
-	h := highway(t)
-	tr := NewTracker(h)
-	v := &Vehicle{ID: 1, PositionM: 100}
-	tr.Update(v)
-	v.PositionM = 300
-	if _, changed := tr.Update(v); changed {
-		t.Error("movement within the same cell must not hand over")
-	}
-}
-
-func TestTrackerHandoverSequenceAroundTheLoop(t *testing.T) {
-	h := highway(t)
-	tr := NewTracker(h)
 	v := &Vehicle{ID: 2, PositionM: 0, SpeedMps: 25}
 	var seq []int
 	for step := 0; step < 200; step++ {
-		if ho, changed := tr.Update(v); changed {
-			seq = append(seq, ho.ToRSU)
+		if r, _ := h.NearestRSU(v.PositionM); len(seq) == 0 || seq[len(seq)-1] != r.ID {
+			seq = append(seq, r.ID)
 		}
 		v.Advance(1, h.LengthM)
 	}
@@ -157,19 +131,12 @@ func TestTrackerHandoverSequenceAroundTheLoop(t *testing.T) {
 	// sequence must be 0,1,2,3,0,1 without skips.
 	want := []int{0, 1, 2, 3, 0, 1}
 	if len(seq) != len(want) {
-		t.Fatalf("handover sequence = %v, want %v", seq, want)
+		t.Fatalf("serving sequence = %v, want %v", seq, want)
 	}
 	for i := range want {
 		if seq[i] != want[i] {
-			t.Fatalf("handover sequence = %v, want %v", seq, want)
+			t.Fatalf("serving sequence = %v, want %v", seq, want)
 		}
-	}
-}
-
-func TestServingUnknownVehicle(t *testing.T) {
-	tr := NewTracker(highway(t))
-	if got := tr.Serving(99); got != -1 {
-		t.Errorf("Serving(unknown) = %d, want -1", got)
 	}
 }
 

@@ -18,8 +18,12 @@ import (
 )
 
 // vehState is one active vehicle's full simulation state: the kinematic
-// body, the VMU game profile, the sensing-AoI stream, and — under churn —
-// the lifetime window.
+// body, the VMU game profile, the sensing-AoI stream, under churn the
+// lifetime window, and the per-vehicle bookkeeping of handover
+// collection and pricing — serving RSU, in-flight flag, pending-queue
+// slot, round stamp — kept here rather than in maps keyed by vehicle id,
+// which fleet-scale ticks would otherwise probe tens of thousands of
+// times.
 type vehState struct {
 	v    *mobility.Vehicle
 	prof vmuProfile
@@ -44,6 +48,30 @@ type vehState struct {
 	// resides in (sharded runs only).
 	stagedRSU int
 	region    int
+
+	// serving is the RSU handover collection last observed serving the
+	// vehicle; attached is false until the first observation, which
+	// places the twin rather than counting a handover.
+	serving  int
+	attached bool
+
+	// inFlight marks a migration in progress, from launch to completion.
+	// The vehicle phase (shard goroutines included) only reads it; the
+	// serial launch and completion paths write it.
+	inFlight bool
+
+	// pendingAt is the vehicle's slot in Simulator.pending, valid only
+	// while pendingPass equals the simulator's handoverPass: each
+	// handover pass restamps the queued vehicles, so stale slots need no
+	// clearing.
+	pendingAt   int
+	pendingPass int
+
+	// roundStamp is the last pricing round whose game the vehicle joined
+	// (the duplicate-VMU guard); departed marks a vehicle retired this
+	// tick, whose queued migration processChurn drops.
+	roundStamp int
+	departed   bool
 }
 
 // Simulator owns the state of one run. Construct with New, then call Run.
@@ -51,8 +79,6 @@ type Simulator struct {
 	cfg      Config
 	world    mobility.World
 	vehicles []*vehState // active fleet in arrival order
-	byID     map[int]*vehState
-	tracker  *mobility.Tracker
 	alloc    *channel.OFDMAAllocator
 	cluster  *rsu.Cluster
 	tracer   *trace.Tracer
@@ -90,15 +116,15 @@ type Simulator struct {
 	shards []simShard
 
 	now         float64
-	inFlight    map[int]bool
 	pending     []pendingMigration
 	completions completionHeap
 	report      Report
 
-	// pendingIdx maps vehicle ids to their queued entry in pending, rebuilt
-	// each handover pass so repeat handovers of a deferred vehicle retarget
-	// the queued migration instead of duplicating it.
-	pendingIdx map[int]int
+	// handoverPass and pricingRound stamp the vehicles' pendingPass and
+	// roundStamp fields: one increment per handover collection and per
+	// built round game.
+	handoverPass int
+	pricingRound int
 
 	// aotmSum, aotmMax, and utilSum are the streaming migration
 	// aggregates, accumulated in completion order exactly like
@@ -108,14 +134,12 @@ type Simulator struct {
 	// demandScratch backs the per-round follower best responses; it is
 	// resized to each round's batch and reused across rounds. evalScratch
 	// carries the SoA follower mirror of the batched best-response
-	// kernels, and roundGame/vmuScratch/seenScratch back the reused
-	// per-round game so steady-state rounds allocate nothing that scales
-	// with fleet size.
+	// kernels, and roundGame/vmuScratch back the reused per-round game so
+	// steady-state rounds allocate nothing that scales with fleet size.
 	demandScratch []float64
 	evalScratch   stackelberg.EvalScratch
 	roundGame     stackelberg.Game
 	vmuScratch    []stackelberg.VMU
-	seenScratch   map[int]bool
 }
 
 // churnSeedFrom derives the default churn-stream seed from the main seed
@@ -152,13 +176,10 @@ func New(cfg Config) (*Simulator, error) {
 	s := &Simulator{
 		cfg:       cfg,
 		world:     world,
-		byID:      make(map[int]*vehState, cfg.Vehicles),
-		tracker:   mobility.NewObserveTracker(),
 		alloc:     channel.NewOFDMAAllocator(cfg.BMaxMHz),
 		tracer:    trace.NewTracer(cfg.TraceWriter),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		baseClass: VehicleClass{}.resolve(cfg),
-		inFlight:  make(map[int]bool, cfg.Vehicles),
 	}
 	if cfg.Churn.Enabled() {
 		seed := cfg.Churn.Seed
@@ -252,7 +273,6 @@ func (s *Simulator) spawnVehicle(rng *rand.Rand) *vehState {
 		st.departAt = s.now + s.churnRng.ExpFloat64()*s.cfg.Churn.MeanDwellS
 	}
 	s.vehicles = append(s.vehicles, st)
-	s.byID[v.ID] = st
 	if s.shards != nil {
 		// Home the spawn into the region of its serving RSU. The lookup
 		// is pure (no rng draws), so sharded and serial runs consume
@@ -367,7 +387,7 @@ func (s *Simulator) finish(c completion) {
 		// cannot continue meaningfully.
 		panic(fmt.Sprintf("sim: releasing grant for vehicle %d: %v", c.record.VehicleID, err))
 	}
-	delete(s.inFlight, c.record.VehicleID)
+	c.st.inFlight = false
 	if s.cluster.Locate(c.record.VehicleID) != c.record.ToRSU {
 		if err := s.cluster.MigrateTwin(c.record.VehicleID, c.record.ToRSU); err != nil {
 			// Destination edge server is full: the twin stays at the
@@ -452,19 +472,33 @@ func poissonDraw(rng *rand.Rand, lambda float64) int {
 // processChurn retires vehicles whose dwell expired and spawns Poisson
 // arrivals, all from the dedicated churn stream. Departures are deferred
 // while the vehicle's migration is in flight so accounting stays whole.
+// The departed vehicles' queued migrations leave pending in one
+// order-preserving pass after the retirements, which leaves the same
+// queue as filtering it once per departure would.
 func (s *Simulator) processChurn() {
 	if s.churnRng == nil {
 		return
 	}
 	kept := s.vehicles[:0]
+	anyDeparted := false
 	for _, st := range s.vehicles {
-		if st.departAt <= s.now && !s.inFlight[st.v.ID] {
+		if st.departAt <= s.now && !st.inFlight {
 			s.depart(st)
+			anyDeparted = true
 			continue
 		}
 		kept = append(kept, st)
 	}
 	s.vehicles = kept
+	if anyDeparted {
+		pending := s.pending[:0]
+		for _, pm := range s.pending {
+			if !pm.st.departed {
+				pending = append(pending, pm)
+			}
+		}
+		s.pending = pending
+	}
 	arrivals := poissonDraw(s.churnRng, s.cfg.Churn.ArrivalRatePerS*s.cfg.TimeStepS)
 	for i := 0; i < arrivals; i++ {
 		if s.cfg.Churn.MaxVehicles > 0 && len(s.vehicles) >= s.cfg.Churn.MaxVehicles {
@@ -476,9 +510,10 @@ func (s *Simulator) processChurn() {
 	}
 }
 
-// depart removes one vehicle: its twin is evicted, its serving state
-// forgotten, its queued migrations dropped, and its sensing stream's
-// lifetime average banked for the report.
+// depart removes one vehicle: its twin is evicted, it is marked departed
+// (processChurn then drops its queued migration), and its sensing
+// stream's lifetime average is banked for the report. Its serving state
+// lives on the vehState and leaves with it.
 func (s *Simulator) depart(st *vehState) {
 	id := st.v.ID
 	if s.cluster.Locate(id) >= 0 {
@@ -486,14 +521,7 @@ func (s *Simulator) depart(st *vehState) {
 			panic(fmt.Sprintf("sim: evicting twin of departing vehicle %d: %v", id, err))
 		}
 	}
-	s.tracker.Forget(id)
-	pending := s.pending[:0]
-	for _, pm := range s.pending {
-		if pm.vehicleID != id {
-			pending = append(pending, pm)
-		}
-	}
-	s.pending = pending
+	st.departed = true
 	if s.now > st.arrivedAt {
 		s.departedAoISum += st.sensing.AverageAge(s.now)
 		s.departedAoICount++
@@ -501,7 +529,6 @@ func (s *Simulator) depart(st *vehState) {
 	if s.shards != nil {
 		s.removeResident(st)
 	}
-	delete(s.byID, id)
 	s.report.Departures++
 	s.emit(trace.Event{TimeS: s.now, Kind: trace.KindDeparture, Vehicle: id})
 }
@@ -518,12 +545,12 @@ func (s *Simulator) moveDt(night bool) float64 {
 
 // stepVehicle advances one vehicle's per-tick independent state: its
 // kinematics, its sensing stream, and its staged serving RSU. Everything
-// here reads shared state (inFlight, down, the demand phase) without
-// writing it and draws randomness only from the vehicle's private turn
-// stream, so vehicles can be stepped in any order — or concurrently on
-// region shards — with bit-identical results. Sensing failures are
-// returned rather than panicked so shard workers can surface them on the
-// stepping goroutine.
+// here reads shared state (down, the demand phase) and the vehicle's
+// in-flight flag without writing them, and draws randomness only from
+// the vehicle's private turn stream, so vehicles can be stepped in any
+// order — or concurrently on region shards — with bit-identical results.
+// Sensing failures are returned rather than panicked so shard workers can
+// surface them on the stepping goroutine.
 func (s *Simulator) stepVehicle(st *vehState, moveDt float64, night bool) error {
 	s.world.Advance(st.v, moveDt)
 	for st.nextUpdate <= s.now {
@@ -540,7 +567,7 @@ func (s *Simulator) stepVehicle(st *vehState, moveDt float64, night bool) error 
 			return fmt.Errorf("sim: sensing delivery for vehicle %d: %v", st.v.ID, err)
 		}
 	}
-	if !s.inFlight[st.v.ID] {
+	if !st.inFlight {
 		// Stage the serving RSU for the serial handover collection. The
 		// lookup is pure, so computing it here instead of inside
 		// collectHandovers changes nothing numerically.
@@ -572,50 +599,50 @@ func (s *Simulator) stepVehiclesSerial() {
 // outgrow the pool. The queued migration is then retargeted to the new
 // destination instead of queueing a second entry: the twin is still at
 // the original source, and a duplicate would put the same VMU into one
-// Stackelberg round twice (which the game rejects).
+// Stackelberg round twice (which the game rejects). The pass first
+// stamps every queued vehicle with its slot in pending, so finding a
+// vehicle's entry is a field read.
 func (s *Simulator) collectHandovers() {
-	if s.pendingIdx == nil {
-		s.pendingIdx = make(map[int]int, len(s.pending))
-	}
-	clear(s.pendingIdx)
+	s.handoverPass++
 	for i, pm := range s.pending {
-		s.pendingIdx[pm.vehicleID] = i
+		pm.st.pendingAt, pm.st.pendingPass = i, s.handoverPass
 	}
 	for _, st := range s.vehicles {
-		v := st.v
-		if s.inFlight[v.ID] {
+		if st.inFlight {
 			continue // twin already moving; re-evaluate after completion
 		}
-		ho, changed := s.tracker.Observe(v.ID, st.stagedRSU)
-		if !changed {
+		to := st.stagedRSU
+		if st.attached && st.serving == to {
 			continue
 		}
-		if ho.FromRSU < 0 {
+		from := -1
+		if st.attached {
+			from = st.serving
+		}
+		st.serving, st.attached = to, true
+		id := st.v.ID
+		if from < 0 {
 			// First attach: deploy the twin on the serving RSU's edge
 			// server, falling back to the least-loaded server when full.
-			req := s.twinRequirement(v.ID)
+			req := s.twinRequirement(st)
 			// Try variants rather than the error-returning ones: outage
 			// recovery at fleet scale re-attaches thousands of vehicles
 			// per tick, and the rejection errors dominated allocations.
-			if !s.cluster.TryPlaceOn(v.ID, ho.ToRSU, req) {
-				if _, ok := s.cluster.TryPlace(v.ID, req); !ok {
+			if !s.cluster.TryPlaceOn(id, to, req) {
+				if _, ok := s.cluster.TryPlace(id, req); !ok {
 					s.report.PlacementFailures++
 				}
 			}
 			continue
 		}
 		s.report.Handovers++
-		s.emit(trace.Event{TimeS: s.now, Kind: trace.KindHandover, Vehicle: v.ID, FromRSU: ho.FromRSU, ToRSU: ho.ToRSU})
-		if i, ok := s.pendingIdx[v.ID]; ok {
-			s.pending[i].toRSU = ho.ToRSU
+		s.emit(trace.Event{TimeS: s.now, Kind: trace.KindHandover, Vehicle: id, FromRSU: from, ToRSU: to})
+		if st.pendingPass == s.handoverPass {
+			s.pending[st.pendingAt].toRSU = to
 			continue
 		}
-		s.pendingIdx[v.ID] = len(s.pending)
-		s.pending = append(s.pending, pendingMigration{
-			vehicleID: v.ID,
-			fromRSU:   ho.FromRSU,
-			toRSU:     ho.ToRSU,
-		})
+		st.pendingAt, st.pendingPass = len(s.pending), s.handoverPass
+		s.pending = append(s.pending, pendingMigration{st: st, fromRSU: from, toRSU: to})
 	}
 }
 
@@ -668,20 +695,20 @@ func (s *Simulator) runPricingRound() {
 			// like the other corrupted-accounting paths instead of letting
 			// Allocate absorb a NaN into the shared pool.
 			panic(fmt.Sprintf("sim: t=%.3fs: scaling %d demands into %g MHz produced %g for vehicle %d (scale %g)",
-				s.now, len(batch), avail, bw, pm.vehicleID, scale))
+				s.now, len(batch), avail, bw, pm.st.v.ID, scale))
 		}
 		if bw <= 0 {
 			s.report.OptedOut++
 			continue
 		}
-		if !s.alloc.TryAllocate(pm.vehicleID, bw) {
+		if !s.alloc.TryAllocate(pm.st.v.ID, bw) {
 			// Pool exhausted by earlier grants in this batch: retry later.
 			// (TryAllocate rather than Allocate: at fleet scale thousands
 			// of grants defer per tick, and the rejection errors were the
 			// round's dominant allocation.)
 			s.pending = append(s.pending, pm)
 			s.report.Deferred++
-			s.emit(trace.Event{TimeS: s.now, Kind: trace.KindDeferred, Vehicle: pm.vehicleID})
+			s.emit(trace.Event{TimeS: s.now, Kind: trace.KindDeferred, Vehicle: pm.st.v.ID})
 			continue
 		}
 		s.launchMigration(pm, game, i, price, bw)
@@ -697,10 +724,10 @@ func (s *Simulator) runPricingRound() {
 // actually fail here: per-VMU α and D are positive by construction (the
 // config ranges are validated at New), and Cost/PMax were checked there
 // too, leaving the channel parameters and the duplicate-id guard —
-// enforced with a reused set so the panic behavior matches the former
-// NewGame path exactly. No pricer retains the *Game past its PriceFor
-// call (they evaluate or solve it within the round), so handing every
-// round the same address is safe.
+// enforced with a per-round stamp on each vehicle so the panic behavior
+// matches the former NewGame path exactly. No pricer retains the *Game
+// past its PriceFor call (they evaluate or solve it within the round), so
+// handing every round the same address is safe.
 func (s *Simulator) buildGame(batch []pendingMigration) *stackelberg.Game {
 	ch := s.cfg.Channel
 	var dist float64
@@ -716,21 +743,18 @@ func (s *Simulator) buildGame(batch []pendingMigration) *stackelberg.Game {
 	if cap(s.vmuScratch) < len(batch) {
 		s.vmuScratch = make([]stackelberg.VMU, len(batch))
 	}
-	if s.seenScratch == nil {
-		s.seenScratch = make(map[int]bool, len(batch))
-	}
-	clear(s.seenScratch)
+	s.pricingRound++
 	vmus := s.vmuScratch[:len(batch)]
 	for i, pm := range batch {
-		if s.seenScratch[pm.vehicleID] {
-			panic(fmt.Sprintf("sim: building round game: stackelberg: duplicate VMU id %d", pm.vehicleID))
+		st := pm.st
+		if st.roundStamp == s.pricingRound {
+			panic(fmt.Sprintf("sim: building round game: stackelberg: duplicate VMU id %d", st.v.ID))
 		}
-		s.seenScratch[pm.vehicleID] = true
-		prof := s.byID[pm.vehicleID].prof
+		st.roundStamp = s.pricingRound
 		vmus[i] = stackelberg.VMU{
-			ID:       pm.vehicleID,
-			Alpha:    prof.alpha,
-			DataSize: aotm.FromMB(prof.vt.BaseSizeMB()),
+			ID:       st.v.ID,
+			Alpha:    st.prof.alpha,
+			DataSize: aotm.FromMB(st.prof.vt.BaseSizeMB()),
 		}
 	}
 	s.roundGame = stackelberg.Game{
@@ -746,17 +770,18 @@ func (s *Simulator) buildGame(batch []pendingMigration) *stackelberg.Game {
 
 // launchMigration runs the pre-copy model and schedules completion.
 func (s *Simulator) launchMigration(pm pendingMigration, game *stackelberg.Game, idx int, price, bw float64) {
-	st := s.byID[pm.vehicleID]
+	st := pm.st
+	id := st.v.ID
 	prof := st.prof
 	// Rate: γ = b·e is in model data units (100 MB) per second.
 	rateMBps := game.Channel.Rate(bw) * aotm.DataUnit100MB
 	res, err := migration.Simulate(prof.vt, rateMBps, migration.DefaultConfig())
 	if err != nil {
-		panic(fmt.Sprintf("sim: migrating vehicle %d: %v", pm.vehicleID, err))
+		panic(fmt.Sprintf("sim: migrating vehicle %d: %v", id, err))
 	}
 	age := aotm.AoTMForBandwidth(aotm.FromMB(prof.vt.BaseSizeMB()), bw, game.Channel)
 	rec := MigrationRecord{
-		VehicleID:        pm.vehicleID,
+		VehicleID:        id,
 		StartS:           s.now,
 		FromRSU:          pm.fromRSU,
 		ToRSU:            pm.toRSU,
@@ -770,22 +795,22 @@ func (s *Simulator) launchMigration(pm pendingMigration, game *stackelberg.Game,
 		MSPProfit:        (price - game.Cost) * bw,
 		PreCopyConverged: res.Converged,
 	}
-	s.inFlight[pm.vehicleID] = true
+	st.inFlight = true
 	s.emit(trace.Event{
-		TimeS: s.now, Kind: trace.KindMigrationStart, Vehicle: pm.vehicleID,
+		TimeS: s.now, Kind: trace.KindMigrationStart, Vehicle: id,
 		FromRSU: pm.fromRSU, ToRSU: pm.toRSU, Price: price, Bandwidth: bw, AoTM: age,
 	})
 	// Sensing updates are lost while the twin is paused (stop-and-copy).
 	st.pausedFrom = s.now + res.TotalTimeS - res.DowntimeS
 	st.pausedUntil = s.now + res.TotalTimeS
-	heap.Push(&s.completions, completion{at: s.now + res.TotalTimeS, record: rec})
+	heap.Push(&s.completions, completion{at: s.now + res.TotalTimeS, st: st, record: rec})
 	s.report.MSPRevenue += rec.MSPProfit
 }
 
 // twinRequirement derives a twin's edge-resource footprint from its
 // memory size: bigger twins need proportionally more of everything.
-func (s *Simulator) twinRequirement(vehicleID int) rsu.Resources {
-	memGB := s.byID[vehicleID].prof.vt.BaseSizeMB() / 1024
+func (s *Simulator) twinRequirement(st *vehState) rsu.Resources {
+	memGB := st.prof.vt.BaseSizeMB() / 1024
 	return rsu.Resources{
 		CPU:       1 + memGB,
 		GPU:       0.5,

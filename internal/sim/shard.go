@@ -67,7 +67,7 @@ func (s *Simulator) stepShards() {
 					}
 					continue
 				}
-				if s.inFlight[st.v.ID] {
+				if st.inFlight {
 					continue // staged RSU frozen while the twin moves
 				}
 				if s.regionOf(st.stagedRSU) != region {
@@ -123,20 +123,16 @@ func (s *Simulator) checkShardInvariants() error {
 	if s.shards == nil {
 		return nil
 	}
-	seen := make(map[int]int, len(s.vehicles))
+	seen := make(map[*vehState]int, len(s.vehicles))
 	total := 0
 	for region := range s.shards {
 		for _, st := range s.shards[region].residents {
-			id := st.v.ID
-			if prev, dup := seen[id]; dup {
-				return fmt.Errorf("vehicle %d resident in regions %d and %d", id, prev, region)
+			if prev, dup := seen[st]; dup {
+				return fmt.Errorf("vehicle %d resident in regions %d and %d", st.v.ID, prev, region)
 			}
-			seen[id] = region
+			seen[st] = region
 			if st.region != region {
-				return fmt.Errorf("vehicle %d in region %d list but tagged region %d", id, region, st.region)
-			}
-			if s.byID[id] != st {
-				return fmt.Errorf("vehicle %d resident state diverged from the fleet index", id)
+				return fmt.Errorf("vehicle %d in region %d list but tagged region %d", st.v.ID, region, st.region)
 			}
 			total++
 		}
@@ -145,7 +141,7 @@ func (s *Simulator) checkShardInvariants() error {
 		return fmt.Errorf("shards hold %d vehicles, fleet has %d", total, len(s.vehicles))
 	}
 	for _, st := range s.vehicles {
-		if _, ok := seen[st.v.ID]; !ok {
+		if _, ok := seen[st]; !ok {
 			return fmt.Errorf("vehicle %d active but resident in no region", st.v.ID)
 		}
 	}

@@ -534,9 +534,11 @@ type Report struct {
 	PricerName string
 }
 
-// completion is a scheduled migration-finished event.
+// completion is a scheduled migration-finished event; st is the
+// migrating vehicle, whose in-flight flag finish clears.
 type completion struct {
 	at     float64
+	st     *vehState
 	record MigrationRecord
 }
 
@@ -561,8 +563,9 @@ type vmuProfile struct {
 	vt    migration.VTSpec
 }
 
-// pendingMigration is a handover waiting for a pricing round.
+// pendingMigration is a handover of vehicle st waiting for a pricing
+// round.
 type pendingMigration struct {
-	vehicleID      int
+	st             *vehState
 	fromRSU, toRSU int
 }

@@ -1,17 +1,20 @@
 package stackelberg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"vtmig/internal/aotm"
 	"vtmig/internal/channel"
 	"vtmig/internal/mathx"
 )
 
 // solveSerialReference is a verbatim copy of the pre-batching SolveInto:
 // golden-section over the per-follower MSPUtilityAtPrice, per-follower
-// best responses and TotalDemand, same tolerances.
+// best responses and TotalDemand, same tolerances, and per-follower
+// utilities that re-derive the spectral efficiency on every call.
 func solveSerialReference(g *Game) Equilibrium {
 	lo, hi := g.Cost, g.PMax
 	price, _ := mathx.GoldenMax(g.MSPUtilityAtPrice, lo, hi, solverTol, solverIters)
@@ -50,8 +53,8 @@ func solveSerialReference(g *Game) Equilibrium {
 		}
 	}
 	utilities := make([]float64, g.N())
-	for n := range g.VMUs {
-		utilities[n] = g.VMUUtility(n, demands[n], price)
+	for n, v := range g.VMUs {
+		utilities[n] = aotm.ImmersionForBandwidth(v.Alpha, v.DataSize, demands[n], g.Channel) - price*demands[n]
 	}
 	return Equilibrium{
 		Price:          price,
@@ -141,29 +144,91 @@ func TestGatheredObjectivesBitIdentical(t *testing.T) {
 	}
 }
 
+// metroGame builds an unconstrained game whose followers are shaped like
+// a fleet-scale simulator round: α in [5, 20], twins of 100–300 MB, and
+// the channel at the grid world's 400 m RSU spacing.
+func metroGame(rng *rand.Rand, n int) *Game {
+	vmus := make([]VMU, n)
+	for i := range vmus {
+		vmus[i] = VMU{
+			ID:       i,
+			Alpha:    5 + rng.Float64()*15,
+			DataSize: aotm.FromMB(100 + rng.Float64()*200),
+		}
+	}
+	ch := channel.DefaultParams()
+	ch.DistanceM = 400
+	return &Game{VMUs: vmus, Channel: ch, Cost: 5, PMax: 50}
+}
+
+// requireSameEquilibrium fails unless got and want agree bit for bit in
+// every report field.
+func requireSameEquilibrium(t *testing.T, label string, got, want Equilibrium) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.Price, want.Price) {
+		t.Fatalf("%s: price %v, want %v", label, got.Price, want.Price)
+	}
+	if got.CapacityBound != want.CapacityBound {
+		t.Fatalf("%s: capacityBound %v, want %v", label, got.CapacityBound, want.CapacityBound)
+	}
+	if len(got.Demands) != len(want.Demands) || len(got.VMUUtilities) != len(want.VMUUtilities) {
+		t.Fatalf("%s: %d demands / %d utilities, want %d / %d", label,
+			len(got.Demands), len(got.VMUUtilities), len(want.Demands), len(want.VMUUtilities))
+	}
+	for n := range want.Demands {
+		if !same(got.Demands[n], want.Demands[n]) {
+			t.Fatalf("%s: demand[%d] %v, want %v", label, n, got.Demands[n], want.Demands[n])
+		}
+		if !same(got.VMUUtilities[n], want.VMUUtilities[n]) {
+			t.Fatalf("%s: VMU utility[%d] %v, want %v", label, n, got.VMUUtilities[n], want.VMUUtilities[n])
+		}
+	}
+	if !same(got.MSPUtility, want.MSPUtility) {
+		t.Fatalf("%s: msp utility %v, want %v", label, got.MSPUtility, want.MSPUtility)
+	}
+	if !same(got.TotalBandwidth, want.TotalBandwidth) {
+		t.Fatalf("%s: total bandwidth %v, want %v", label, got.TotalBandwidth, want.TotalBandwidth)
+	}
+}
+
 // TestSolveMatchesSerialReference re-solves randomized games with a
 // hand-rolled copy of the pre-batching SolveInto (per-follower forms
-// everywhere) and requires bit-identical equilibria.
+// everywhere) and requires bit-identical equilibria, VMU utilities and
+// total bandwidth included. The metro-shaped arms run a fleet-sized round
+// unconstrained (BMax = 0, what the simulator passes once its pool is
+// exhausted), with the bisection binding, and under admission control at
+// pmax.
 func TestSolveMatchesSerialReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
 		g := randomBatchGame(rng, 1+rng.Intn(32))
-		got := g.Solve()
-		want := solveSerialReference(g)
-		if math.Float64bits(got.Price) != math.Float64bits(want.Price) {
-			t.Fatalf("trial %d: price %v, want %v", trial, got.Price, want.Price)
+		requireSameEquilibrium(t, fmt.Sprintf("trial %d", trial), g.Solve(), solveSerialReference(g))
+	}
+
+	const fleet = 5800
+	base := metroGame(rand.New(rand.NewSource(11)), fleet)
+	atPMax := base.TotalDemand(base.PMax)
+	for _, tc := range []struct {
+		name  string
+		bmax  float64
+		bound bool
+	}{
+		{"unconstrained", 0, false},
+		{"bisection", 1.2 * atPMax, true},
+		{"admission", 0.5, true},
+	} {
+		g := *base
+		g.BMax = tc.bmax
+		var s EvalScratch
+		got := g.SolveInto(&s)
+		if got.CapacityBound != tc.bound {
+			t.Fatalf("metro %s: capacityBound %v, want %v", tc.name, got.CapacityBound, tc.bound)
 		}
-		if got.CapacityBound != want.CapacityBound {
-			t.Fatalf("trial %d: capacityBound %v, want %v", trial, got.CapacityBound, want.CapacityBound)
+		if tc.name == "bisection" && got.Price >= g.PMax {
+			t.Fatalf("metro bisection: price %v reached pmax; the arm must bind below it", got.Price)
 		}
-		for n := range want.Demands {
-			if math.Float64bits(got.Demands[n]) != math.Float64bits(want.Demands[n]) {
-				t.Fatalf("trial %d: demand[%d] %v, want %v", trial, n, got.Demands[n], want.Demands[n])
-			}
-		}
-		if math.Float64bits(got.MSPUtility) != math.Float64bits(want.MSPUtility) {
-			t.Fatalf("trial %d: msp utility %v, want %v", trial, got.MSPUtility, want.MSPUtility)
-		}
+		requireSameEquilibrium(t, "metro "+tc.name, got, solveSerialReference(&g))
 	}
 }
 

@@ -121,8 +121,14 @@ func (g *Game) SpectralEfficiency() float64 { return g.Channel.SpectralEfficienc
 // VMUUtility evaluates Eq. (2): U_n(b) = α_n·ln(1 + 1/A_n(b)) − p·b for
 // follower index n (zero-based position in VMUs, not ID).
 func (g *Game) VMUUtility(n int, bandwidth, price float64) float64 {
+	return g.vmuUtility(n, bandwidth, price, g.SpectralEfficiency())
+}
+
+// vmuUtility is VMUUtility at the already-evaluated spectral efficiency
+// e, for loops that hoist e out of the per-follower work.
+func (g *Game) vmuUtility(n int, bandwidth, price, e float64) float64 {
 	v := g.VMUs[n]
-	return aotm.ImmersionForBandwidth(v.Alpha, v.DataSize, bandwidth, g.Channel) - price*bandwidth
+	return aotm.ImmersionForRate(v.Alpha, v.DataSize, bandwidth, e) - price*bandwidth
 }
 
 // VMUMarginalUtility evaluates ∂U_n/∂b (Eq. 7, first line):

@@ -46,20 +46,18 @@ func (eq Equilibrium) Clone() Equilibrium {
 // between concurrent goroutines.
 //
 // Besides the result buffers, the scratch carries a structure-of-arrays
-// mirror of the followers (α_n and D_n/e) that the batched best-response
-// kernels read. The mirror is re-gathered from the game on every
-// SolveInto/EvaluateInto entry — never cached across calls — so a scratch
-// can serve games whose VMUs change between rounds.
+// mirror of the followers (α_n and D_n/e) that the best-response kernels
+// and the solver's single-pass objective probes read. The mirror is
+// re-gathered from the game on every SolveInto/EvaluateInto entry — never
+// cached across calls — so a scratch can serve games whose VMUs change
+// between rounds.
 type EvalScratch struct {
 	demands   []float64
 	utilities []float64
 
-	// alphas and dOverE are the SoA follower mirror; bbuf is the batch
-	// destination of the solver's inner objective evaluations, kept
-	// separate from demands so objective probes never clobber a result.
+	// alphas and dOverE are the SoA follower mirror.
 	alphas []float64
 	dOverE []float64
-	bbuf   []float64
 }
 
 // grow sizes every buffer to n followers, reusing capacity.
@@ -69,13 +67,11 @@ func (s *EvalScratch) grow(n int) {
 		s.utilities = make([]float64, n)
 		s.alphas = make([]float64, n)
 		s.dOverE = make([]float64, n)
-		s.bbuf = make([]float64, n)
 	}
 	s.demands = s.demands[:n]
 	s.utilities = s.utilities[:n]
 	s.alphas = s.alphas[:n]
 	s.dOverE = s.dOverE[:n]
-	s.bbuf = s.bbuf[:n]
 }
 
 // gather refreshes the SoA follower mirror from the game: alphas[i] = α_i
@@ -100,22 +96,40 @@ func (g *Game) bestResponsesGathered(s *EvalScratch, dst []float64, price float6
 	return mat.ClampMinInto(dst, dst, 0)
 }
 
-// mspUtilityGathered is MSPUtilityAtPrice over the gathered mirror: one
-// batched best-response pass, then the per-term (p−C)·b_n accumulation in
-// follower order — the exact summation order of the serial form.
+// flooredResponse is one follower's best response α/p − D/e from the
+// gathered mirror, with the branch-form zero floor of mat.ClampMinInto.
+func flooredResponse(alpha, price, dOverE float64) float64 {
+	b := alpha/price - dOverE
+	if b < 0 {
+		return 0
+	}
+	return b
+}
+
+// mspUtilityGathered is MSPUtilityAtPrice over the gathered mirror in one
+// pass: each follower's floored best response and its (p−C)·b_n term,
+// accumulated in follower order — the per-element expression and
+// summation order of the serial form, without materializing the demand
+// vector.
 func (g *Game) mspUtilityGathered(s *EvalScratch, price float64) float64 {
-	demands := g.bestResponsesGathered(s, s.bbuf, price)
+	dOverE := s.dOverE[:len(s.alphas)]
 	var u float64
-	for _, b := range demands {
-		u += (price - g.Cost) * b
+	for i, a := range s.alphas {
+		u += (price - g.Cost) * flooredResponse(a, price, dOverE[i])
 	}
 	return u
 }
 
-// totalDemandGathered is TotalDemand over the gathered mirror; mathx.Sum
-// accumulates in index order exactly like the serial loop.
+// totalDemandGathered is TotalDemand over the gathered mirror in one
+// pass, accumulating the floored best responses in follower order like
+// the serial loop.
 func (g *Game) totalDemandGathered(s *EvalScratch, price float64) float64 {
-	return mathx.Sum(g.bestResponsesGathered(s, s.bbuf, price))
+	dOverE := s.dOverE[:len(s.alphas)]
+	var total float64
+	for i, a := range s.alphas {
+		total += flooredResponse(a, price, dOverE[i])
+	}
+	return total
 }
 
 // UnconstrainedOptimalPrice evaluates the closed form of Theorem 2,
@@ -232,10 +246,14 @@ func (g *Game) EvaluateInto(s *EvalScratch, price float64) Equilibrium {
 }
 
 // equilibriumInto assembles the report struct over the scratch buffers
-// (s.demands already holds the admitted demand vector).
+// (s.demands already holds the admitted demand vector). The spectral
+// efficiency is evaluated once for the whole report rather than once per
+// follower utility; VMUUtility computes the same e, so the utilities are
+// bit-identical.
 func (g *Game) equilibriumInto(s *EvalScratch, price float64, bound bool) Equilibrium {
+	e := g.SpectralEfficiency()
 	for n := range g.VMUs {
-		s.utilities[n] = g.VMUUtility(n, s.demands[n], price)
+		s.utilities[n] = g.vmuUtility(n, s.demands[n], price, e)
 	}
 	return Equilibrium{
 		Price:          price,
