@@ -37,8 +37,11 @@ BENCH_HOT = PPOUpdate$$|PPOUpdateSharded|PPOSelectAction|MLPForward$$|Evaluate|S
 
 all: ci
 
+# vet also vets the kernel packages for arm64, so the scalar fallback that
+# replaces the amd64 assembly on other GOARCHes keeps compiling.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/nn
 
 # fmt-check fails when any file needs gofmt (CI cleanliness gate).
 fmt-check:
@@ -130,10 +133,11 @@ bench-check:
 # bench-smoke exercises the PPO hot-path benchmarks just enough to catch
 # gross regressions and allocation reintroductions. The checkpoint
 # encode/decode pair keeps the binary format's size and speed advantage
-# over JSON visible in every smoke pass, and SolveScratch covers the
-# equilibrium solver at the paper's 2 VMUs and at fleet size.
+# over JSON visible in every smoke pass, SolveScratch covers the
+# equilibrium solver at the paper's 2 VMUs and at fleet size, and MatMul
+# and AdamStep cover the kernels the PPO update spends its time in.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|MLPForward|MatMul|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SolveScratch' -benchmem -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|MLPForward|MatMul|AdamStep|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SolveScratch' -benchmem -benchtime 100x .
 
 # bench is the full benchmark suite used to fill BENCH_pr*.json.
 bench:

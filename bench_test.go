@@ -674,6 +674,30 @@ func BenchmarkMatMulATBAddTo(b *testing.B) {
 	}
 }
 
+// BenchmarkAdamStep measures one Adam step over the paper network's
+// parameters (the PPO actor-critic for the two-VMU game: 12 inputs, two
+// 64-unit tanh layers, mean and value heads, log-std), the optimizer half
+// of every PPO minibatch.
+func BenchmarkAdamStep(b *testing.B) {
+	env := newBenchEnv(b)
+	lo, hi := env.ActionBounds()
+	cfg := rl.DefaultPPOConfig()
+	params := rl.NewPPO(env.ObsDim(), env.ActDim(), lo, hi, cfg).Params()
+	rng := rand.New(rand.NewSource(3))
+	for _, p := range params {
+		for i := range p.Grad {
+			p.Grad[i] = rng.NormFloat64()
+		}
+	}
+	opt := nn.NewAdam(cfg.LR)
+	opt.Step(params) // warm-up: allocates the moment estimates
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opt.Step(params)
+	}
+}
+
 // BenchmarkStreamCollect measures the online-learning collection path in
 // isolation: one externally produced transition staged into the
 // StreamCollector per op, including the amortized cost of the PPO

@@ -49,10 +49,14 @@
 // MulATBAddTo) whose accumulation order is fixed per destination element,
 // internal/nn adds batched forward/backward passes that reuse per-layer
 // scratch across minibatches, and the PPO learner pushes every minibatch
-// through the network as one batched pass. PPO minibatches additionally
-// shard across workers (PPOConfig.Shards): each shard runs the per-row
-// forward/backward work on a clone of the network sharing the parameters,
-// and the cross-row gradient sums reduce serially in fixed shard order.
+// through the network as one batched pass. On amd64 CPUs with AVX2
+// (probed once from CPUID, with no flag or build tag) the GEMMs behind
+// the batched passes and the Adam step run as AVX2 assembly that gives
+// the same bits as the Go loops, which every other CPU runs instead.
+// PPO minibatches additionally shard across workers (PPOConfig.Shards):
+// each shard runs the per-row forward/backward work on a clone of the
+// network sharing the parameters, and the cross-row gradient sums reduce
+// serially in fixed shard order.
 // The Stackelberg evaluation is destination-passing as well
 // (Game.EvaluateInto / Game.SolveInto over an EvalScratch), which keeps
 // the per-round follower response inside the POMDP's Step free of report
@@ -256,6 +260,8 @@
 //  1. Batched kernels accumulate in exactly the order of the
 //     sample-at-a-time loops they replaced (k-ascending, one accumulator
 //     per destination element; row-ascending gradient accumulation).
+//     Vector lanes span only independent destination elements, and a
+//     multiply-add is a separate multiply and add, never fused.
 //  2. Parallel experiment tasks are independently seeded with results
 //     assembled in input order.
 //  3. Sharded gradient accumulation reduces per-worker buffers in fixed

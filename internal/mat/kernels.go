@@ -1,14 +1,17 @@
 package mat
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // This file holds the allocation-free GEMM kernel layer: every routine
 // writes into a caller-supplied destination, never allocates, and uses a
 // fixed per-element accumulation order (k ascending, one accumulator per
 // destination element) so results are bit-for-bit deterministic and
 // identical to the naive sample-at-a-time loops they replace. Throughput
-// comes from loop order and register blocking, not from reassociating
-// floating-point sums:
+// comes from loop order, register blocking and SIMD lanes, not from
+// reassociating floating-point sums:
 //
 //   - MulTo uses the cache-friendly i-k-j loop order (unit stride over both
 //     B and C) with row blocking.
@@ -18,6 +21,20 @@ import "fmt"
 //   - MulATBAddTo accumulates Aᵀ·B directly into dst, preserving the
 //     element-wise accumulation order of repeated rank-1 updates
 //     (AddOuterScaled), which gradient accumulation relies on.
+//
+// On amd64 CPUs with AVX2 (probed once from CPUID), MulAddTo, MulTo,
+// MulATBAddTo and AdamStep run the assembly in simd_amd64.s. Its vector
+// lanes span only independent destination elements, each still summed in
+// its own k-ascending accumulator, and each multiply-add is a separate
+// VMULPD and VADDPD. It never uses FMA: a fused multiply-add rounds once
+// where the Go loops round twice, so its bits would differ. The assembly
+// therefore reproduces the Go loops below bit for bit; they stay the
+// fallback on every other CPU and GOARCH and the reference the tests
+// compare against.
+
+// useAVX2 selects the AVX2 kernels. It is set once, from the CPU probe;
+// only tests change it, to run the Go loops on an AVX2 machine.
+var useAVX2 = haveAVX2
 
 // blockRows is the row-panel size for MulTo: 64 rows of C (and A) are
 // processed per panel so the panel of B stays hot in L1/L2 across the
@@ -47,11 +64,15 @@ func MulTo(dst, a, b *Matrix) *Matrix {
 // order as MulTo. Each dst element is updated k-ascending with a single
 // accumulator, so the result is bit-identical to accumulating k rank-1
 // updates in order; unrolling k by 4 keeps the accumulator in a register
-// across four fused updates instead of bouncing through memory.
+// across four updates instead of bouncing through memory.
 func MulAddTo(dst, a, b *Matrix) *Matrix {
 	checkShape("MulAddTo b", b.Rows, b.Cols, a.Cols, b.Cols)
 	checkShape("MulAddTo dst", dst.Rows, dst.Cols, a.Rows, b.Cols)
 	m, kk, n := a.Rows, a.Cols, b.Cols
+	if useAVX2 {
+		gemmAccSIMD(dst, a, b, m, kk, n, kk, 1)
+		return dst
+	}
 	for i0 := 0; i0 < m; i0 += blockRows {
 		i1 := i0 + blockRows
 		if i1 > m {
@@ -197,13 +218,17 @@ func mulABT(dst, a, b *Matrix, bias []float64) {
 // terms in ascending order — bit-identical to applying k scaled rank-1
 // updates (AddOuterScaled) one at a time, which is exactly how
 // sample-at-a-time gradient accumulation orders its sums. Unrolling k by
-// 4 keeps each dst element in a register across four fused updates.
+// 4 keeps each dst element in a register across four updates.
 func MulATBAddTo(dst, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulATBAddTo outer dims %d vs %d", a.Rows, b.Rows))
 	}
 	checkShape("MulATBAddTo dst", dst.Rows, dst.Cols, a.Cols, b.Cols)
 	kk, m, n := a.Rows, a.Cols, b.Cols
+	if useAVX2 {
+		gemmAccSIMD(dst, a, b, m, kk, n, 1, m)
+		return dst
+	}
 	k := 0
 	for ; k+4 <= kk; k += 4 {
 		a0 := a.Data[k*m : (k+1)*m]
@@ -237,6 +262,63 @@ func MulATBAddTo(dst, a, b *Matrix) *Matrix {
 		}
 	}
 	return dst
+}
+
+// gemmAccSIMD runs the AVX2 kernel shared by MulAddTo and MulATBAddTo:
+// c[i][j] += Σₖ a[i·ars+k·aks]·b[k][j] for the m×n destination, k
+// ascending in one accumulator per element — the loop both Go kernels
+// unroll by four over k. MulAddTo reads row i of a (ars = kk, aks = 1),
+// MulATBAddTo column i (ars = 1, aks = m). The length checks stand in for
+// the bounds checks the Go loops get from slicing.
+func gemmAccSIMD(c, a, b *Matrix, m, kk, n, ars, aks int) {
+	if m == 0 || kk == 0 || n == 0 {
+		return
+	}
+	if len(c.Data) < m*n || len(a.Data) < m*kk || len(b.Data) < kk*n {
+		panic(fmt.Sprintf("mat: matrix data shorter than its shape (%d, %d, %d elements for %dx%d += %dx%d · %dx%d)",
+			len(c.Data), len(a.Data), len(b.Data), m, n, m, kk, kk, n))
+	}
+	gemmAccAVX2(&c.Data[0], &a.Data[0], &b.Data[0], m, kk, n, ars, aks)
+}
+
+// TransposeTo writes aᵀ into dst, which must be a.Cols×a.Rows and must
+// not alias a. It returns dst.
+func TransposeTo(dst, a *Matrix) *Matrix {
+	checkShape("TransposeTo dst", dst.Rows, dst.Cols, a.Cols, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+			dst.Data[j*a.Rows+i] = v
+		}
+	}
+	return dst
+}
+
+// AdamStep applies one bias-corrected Adam update to the parameter
+// values p from the gradients g, updating the moment estimates m and v in
+// place. c1 and c2 are the bias corrections 1−β1ᵗ and 1−β2ᵗ. The four
+// slices must have equal length. Per element, in this order:
+//
+//	m = β1·m + (1−β1)·g
+//	v = β2·v + (1−β2)·g·g
+//	p −= lr·(m/c1) / (√(v/c2) + ε)
+func AdamStep(p, g, m, v []float64, beta1, beta2, lr, c1, c2, eps float64) {
+	n := len(p)
+	if len(g) != n || len(m) != n || len(v) != n {
+		panic(fmt.Sprintf("mat: AdamStep length mismatch p=%d g=%d m=%d v=%d", n, len(g), len(m), len(v)))
+	}
+	i := 0
+	if useAVX2 && n >= 4 {
+		i = n &^ 3
+		adamAVX2(&p[0], &g[0], &m[0], &v[0], i, beta1, 1-beta1, beta2, 1-beta2, lr, c1, c2, eps)
+	}
+	for ; i < n; i++ {
+		gi := g[i]
+		m[i] = beta1*m[i] + (1-beta1)*gi
+		v[i] = beta2*v[i] + (1-beta2)*gi*gi
+		mHat := m[i] / c1
+		vHat := v[i] / c2
+		p[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
+	}
 }
 
 // AddTo computes dst = a + b element-wise. Shapes must match; dst may

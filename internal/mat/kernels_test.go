@@ -1,6 +1,8 @@
 package mat
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -12,57 +14,114 @@ func randMat(rng *rand.Rand, rows, cols int) *Matrix {
 	return m
 }
 
-// naiveMul is the textbook triple loop with k-ascending dot products, the
-// reference accumulation order the kernels must reproduce bit for bit.
-func naiveMul(a, b *Matrix) *Matrix {
-	c := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < b.Cols; j++ {
-			var s float64
-			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
-			}
-			c.Set(i, j, s)
+// forEachKernelPath runs fn as one subtest per kernel implementation:
+// "scalar" with the SIMD path forced off, and "avx2" when the CPU has it.
+// The selector is restored afterwards.
+func forEachKernelPath(t *testing.T, fn func(t *testing.T)) {
+	t.Helper()
+	saved := useAVX2
+	defer func() { useAVX2 = saved }()
+	for _, simd := range []bool{false, true} {
+		name := "scalar"
+		if simd {
+			name = "avx2"
+		}
+		if simd && !haveAVX2 {
+			t.Run(name, func(t *testing.T) { t.Skip("CPU has no AVX2") })
+			continue
+		}
+		useAVX2 = simd
+		t.Run(name, fn)
+	}
+}
+
+// sameBits reports whether x and y are the same float64, bit for bit;
+// any two NaNs count as the same.
+func sameBits(x, y float64) bool {
+	if math.IsNaN(x) && math.IsNaN(y) {
+		return true
+	}
+	return math.Float64bits(x) == math.Float64bits(y)
+}
+
+// requireSameBits fails at the first element where got and want differ
+// in their bits (so −0 against +0 fails), comparing NaN only as NaN.
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range got {
+		if !sameBits(got[i], want[i]) {
+			t.Fatalf("%s: element %d = %v (%#016x), want %v (%#016x)",
+				what, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 		}
 	}
-	return c
+}
+
+// refGemmAcc is the textbook loop every GEMM kernel must reproduce:
+// c[i][j] += ai(i, k)·b[k][j], one k-term at a time, k ascending, with no
+// term skipped.
+func refGemmAcc(c []float64, ai func(i, k int) float64, b []float64, m, kk, n int) {
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			s := c[i*n+j]
+			for k := 0; k < kk; k++ {
+				s += ai(i, k) * b[k*n+j]
+			}
+			c[i*n+j] = s
+		}
+	}
+}
+
+// rowsOf reads a's element (i, k): the operand MulTo and MulAddTo take.
+func rowsOf(a *Matrix) func(i, k int) float64 {
+	return func(i, k int) float64 { return a.Data[i*a.Cols+k] }
 }
 
 func TestMulToMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, sz := range [][3]int{{1, 1, 1}, {3, 5, 4}, {20, 21, 64}, {65, 130, 67}} {
-		a := randMat(rng, sz[0], sz[1])
-		b := randMat(rng, sz[1], sz[2])
-		got := MulTo(New(sz[0], sz[2]), a, b)
-		want := naiveMul(a, b)
-		if !got.Equal(want) {
-			t.Errorf("MulTo %v: result differs from naive reference", sz)
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		for _, sz := range [][3]int{{1, 1, 1}, {3, 5, 4}, {20, 21, 64}, {65, 130, 67}} {
+			a := randMat(rng, sz[0], sz[1])
+			b := randMat(rng, sz[1], sz[2])
+			want := make([]float64, sz[0]*sz[2])
+			refGemmAcc(want, rowsOf(a), b.Data, sz[0], sz[1], sz[2])
+			requireSameBits(t, fmt.Sprintf("MulTo %v", sz), MulTo(New(sz[0], sz[2]), a, b).Data, want)
 		}
-	}
+	})
 }
 
+// TestMulAddToAccumulates checks dst += a·b against element-wise
+// accumulation one k-term at a time, k ascending, with no term skipped:
+// zeros in a meet infinities in b (0·Inf = NaN) and −0 starting values,
+// where a reference that skipped zero terms would disagree.
 func TestMulAddToAccumulates(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	a := randMat(rng, 7, 9)
-	b := randMat(rng, 9, 5)
-	dst := randMat(rng, 7, 5)
-	want := dst.Clone()
-	// Reference: replicate the kernel's exact accumulation order —
-	// element-wise dst += one k-term at a time, k ascending.
-	for i := 0; i < 7; i++ {
-		for k := 0; k < 9; k++ {
-			aik := a.At(i, k)
-			if aik == 0 {
-				continue
-			}
-			for j := 0; j < 5; j++ {
-				want.Set(i, j, want.At(i, j)+aik*b.At(k, j))
-			}
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(2))
+		a := randMat(rng, 7, 9)
+		b := randMat(rng, 9, 5)
+		dst := randMat(rng, 7, 5)
+		a.Set(0, 3, 0)
+		b.Set(3, 1, math.Inf(1))
+		a.Set(2, 4, 0)
+		for j := 0; j < 5; j++ {
+			dst.Set(4, j, math.Copysign(0, -1))
 		}
-	}
-	if got := MulAddTo(dst, a, b); !got.Equal(want) {
-		t.Error("MulAddTo differs from in-order accumulation reference")
-	}
+		for k := 0; k < 9; k++ {
+			a.Set(4, k, 0)
+		}
+		b.Set(0, 0, 1) // row 4's first term in column 0 is +0
+		want := CloneSlice(dst.Data)
+		refGemmAcc(want, rowsOf(a), b.Data, 7, 9, 5)
+		requireSameBits(t, "MulAddTo", MulAddTo(dst, a, b).Data, want)
+		if !math.IsNaN(dst.At(0, 1)) {
+			t.Errorf("0·Inf term was skipped: dst(0,1) = %v, want NaN", dst.At(0, 1))
+		}
+		if math.Signbit(dst.At(4, 0)) {
+			t.Errorf("−0 + (+0 terms) kept its sign: dst(4,0) = %v, want +0", dst.At(4, 0))
+		}
+	})
 }
 
 // TestMulABTToMatchesMulVec checks bit-exact agreement with the
@@ -78,11 +137,7 @@ func TestMulABTToMatchesMulVec(t *testing.T) {
 		dst := make([]float64, out)
 		for b := 0; b < batch; b++ {
 			w.MulVec(x.Row(b), dst)
-			for j, v := range dst {
-				if got.At(b, j) != v {
-					t.Fatalf("size %v: element (%d,%d) = %v, MulVec gives %v", sz, b, j, got.At(b, j), v)
-				}
-			}
+			requireSameBits(t, fmt.Sprintf("size %v row %d", sz, b), got.Row(b), dst)
 		}
 	}
 }
@@ -103,11 +158,9 @@ func TestMulABTBiasToMatchesForward(t *testing.T) {
 	for b := 0; b < batch; b++ {
 		w.MulVec(x.Row(b), dst)
 		for j := range dst {
-			want := dst[j] + bias[j]
-			if got.At(b, j) != want {
-				t.Fatalf("element (%d,%d) = %v, want %v", b, j, got.At(b, j), want)
-			}
+			dst[j] += bias[j]
 		}
+		requireSameBits(t, fmt.Sprintf("row %d", b), got.Row(b), dst)
 	}
 }
 
@@ -115,37 +168,35 @@ func TestMulABTBiasToMatchesForward(t *testing.T) {
 // gradient-accumulation path it replaces: one AddOuterScaled rank-1 update
 // per batch row, applied in row order.
 func TestMulATBAddToMatchesOuterUpdates(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	batch, out, in := 9, 6, 13
-	dy := randMat(rng, batch, out)
-	x := randMat(rng, batch, in)
-	got := randMat(rng, out, in)
-	want := got.Clone()
-	for b := 0; b < batch; b++ {
-		want.AddOuterScaled(dy.Row(b), x.Row(b), 1)
-	}
-	if MulATBAddTo(got, dy, x); !got.Equal(want) {
-		t.Error("MulATBAddTo differs from sequential AddOuterScaled updates")
-	}
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		batch, out, in := 9, 6, 13
+		dy := randMat(rng, batch, out)
+		x := randMat(rng, batch, in)
+		got := randMat(rng, out, in)
+		want := got.Clone()
+		for b := 0; b < batch; b++ {
+			want.AddOuterScaled(dy.Row(b), x.Row(b), 1)
+		}
+		requireSameBits(t, "MulATBAddTo", MulATBAddTo(got, dy, x).Data, want.Data)
+	})
 }
 
 // TestMulToMatchesMulVecT checks that dX = dY·W agrees bit for bit with
 // per-row MulVecT, the backward input-gradient path it replaces.
 func TestMulToMatchesMulVecT(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	batch, out, in := 8, 10, 12
-	dy := randMat(rng, batch, out)
-	w := randMat(rng, out, in)
-	got := MulTo(New(batch, in), dy, w)
-	dst := make([]float64, in)
-	for b := 0; b < batch; b++ {
-		w.MulVecT(dy.Row(b), dst)
-		for j, v := range dst {
-			if got.At(b, j) != v {
-				t.Fatalf("element (%d,%d) = %v, MulVecT gives %v", b, j, got.At(b, j), v)
-			}
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(6))
+		batch, out, in := 8, 10, 12
+		dy := randMat(rng, batch, out)
+		w := randMat(rng, out, in)
+		got := MulTo(New(batch, in), dy, w)
+		dst := make([]float64, in)
+		for b := 0; b < batch; b++ {
+			w.MulVecT(dy.Row(b), dst)
+			requireSameBits(t, fmt.Sprintf("row %d", b), got.Row(b), dst)
 		}
-	}
+	})
 }
 
 func TestAddToScaleToAddColSumTo(t *testing.T) {
@@ -169,22 +220,31 @@ func TestAddToScaleToAddColSumTo(t *testing.T) {
 func TestKernelShapePanics(t *testing.T) {
 	a := New(2, 3)
 	b := New(4, 5)
-	for name, fn := range map[string]func(){
-		"MulTo":       func() { MulTo(New(2, 5), a, b) },
-		"MulABTTo":    func() { MulABTTo(New(2, 4), a, b) },
-		"MulATBAddTo": func() { MulATBAddTo(New(3, 5), a, b) },
-		"AddTo":       func() { AddTo(New(2, 3), a, b) },
-		"Resize":      func() { New(1, 1).Resize(0, 2) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: shape mismatch did not panic", name)
-				}
-			}()
-			fn()
-		}()
+	short := &Matrix{Rows: 2, Cols: 3, Data: make([]float64, 5)}
+	two, three := make([]float64, 2), make([]float64, 3)
+	cases := map[string]func(){
+		"MulTo":             func() { MulTo(New(2, 5), a, b) },
+		"MulABTTo":          func() { MulABTTo(New(2, 4), a, b) },
+		"MulATBAddTo":       func() { MulATBAddTo(New(3, 5), a, b) },
+		"AddTo":             func() { AddTo(New(2, 3), a, b) },
+		"Resize":            func() { New(1, 1).Resize(0, 2) },
+		"TransposeTo":       func() { TransposeTo(New(2, 3), a) },
+		"AdamStep":          func() { AdamStep(two, three, two, two, 0.9, 0.999, 1, 1, 1, 1e-8) },
+		"MulAddTo/short":    func() { MulAddTo(New(2, 4), short, New(3, 4)) },
+		"MulATBAddTo/short": func() { MulATBAddTo(New(3, 4), short, New(2, 4)) },
 	}
+	forEachKernelPath(t, func(t *testing.T) {
+		for name, fn := range cases {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: bad shape did not panic", name)
+					}
+				}()
+				fn()
+			}()
+		}
+	})
 }
 
 func TestResizeReusesStorage(t *testing.T) {
@@ -203,49 +263,34 @@ func TestResizeReusesStorage(t *testing.T) {
 	}
 }
 
-func TestPoolRoundTrip(t *testing.T) {
-	var p Pool
-	m := p.GetMatrix(3, 4)
-	if m.Rows != 3 || m.Cols != 4 {
-		t.Fatalf("GetMatrix shape %dx%d", m.Rows, m.Cols)
-	}
-	p.PutMatrix(m)
-	m2 := p.GetMatrix(2, 2)
-	if m2.Rows != 2 || m2.Cols != 2 {
-		t.Fatalf("GetMatrix shape %dx%d", m2.Rows, m2.Cols)
-	}
-	v := p.GetVec(7)
-	if len(v) != 7 {
-		t.Fatalf("GetVec len %d", len(v))
-	}
-	p.PutVec(v)
-	if v2 := p.GetVec(3); len(v2) != 3 {
-		t.Fatalf("GetVec len %d", len(v2))
-	}
-}
-
 // TestKernelsAllocationFree locks in the zero-allocation contract of the
 // destination-passing kernels.
 func TestKernelsAllocationFree(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := randMat(rng, 20, 24)
-	w := randMat(rng, 64, 24)
-	b := randMat(rng, 24, 16)
-	dstABT := New(20, 64)
-	dstMul := New(20, 16)
-	dstATB := New(20, 16)
-	bias := make([]float64, 64)
-	cs := make([]float64, 24)
-	dy := randMat(rng, 24, 20)
-	for name, fn := range map[string]func(){
-		"MulTo":        func() { MulTo(dstMul, a, b) },
-		"MulABTTo":     func() { MulABTTo(dstABT, a, w) },
-		"MulABTBiasTo": func() { MulABTBiasTo(dstABT, a, w, bias) },
-		"MulATBAddTo":  func() { MulATBAddTo(dstATB, dy, b) },
-		"AddColSumTo":  func() { AddColSumTo(cs, a) },
-	} {
-		if n := testing.AllocsPerRun(10, fn); n != 0 {
-			t.Errorf("%s allocates %v times per call, want 0", name, n)
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		a := randMat(rng, 20, 24)
+		w := randMat(rng, 64, 24)
+		b := randMat(rng, 24, 16)
+		dstABT := New(20, 64)
+		dstMul := New(20, 16)
+		dstATB := New(20, 16)
+		dstT := New(24, 64)
+		bias := make([]float64, 64)
+		cs := make([]float64, 24)
+		dy := randMat(rng, 24, 20)
+		p, g, m, v := make([]float64, 30), make([]float64, 30), make([]float64, 30), make([]float64, 30)
+		for name, fn := range map[string]func(){
+			"MulTo":        func() { MulTo(dstMul, a, b) },
+			"MulABTTo":     func() { MulABTTo(dstABT, a, w) },
+			"MulABTBiasTo": func() { MulABTBiasTo(dstABT, a, w, bias) },
+			"MulATBAddTo":  func() { MulATBAddTo(dstATB, dy, b) },
+			"AddColSumTo":  func() { AddColSumTo(cs, a) },
+			"TransposeTo":  func() { TransposeTo(dstT, w) },
+			"AdamStep":     func() { AdamStep(p, g, m, v, 0.9, 0.999, 1e-3, 0.1, 0.001, 1e-8) },
+		} {
+			if n := testing.AllocsPerRun(10, fn); n != 0 {
+				t.Errorf("%s allocates %v times per call, want 0", name, n)
+			}
 		}
-	}
+	})
 }

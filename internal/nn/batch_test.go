@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -17,24 +18,62 @@ func cloneGrads(params []*Param) [][]float64 {
 }
 
 // TestForwardBatchMatchesForward checks that the batched path reproduces
-// the sample-at-a-time path bit for bit, row by row.
+// the sample-at-a-time path bit for bit, row by row, for batches on both
+// sides of the transposed-weights threshold. Every parameter, biases
+// included, is random, so the bias has to be added last on both paths.
 func TestForwardBatchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := NewMLP("t", []int{7, 64, 64, 3}, ActTanh, rng)
-	const batch = 9
-	x := mat.New(batch, 7)
-	x.Randomize(rng, 1)
-	y := m.ForwardBatch(x)
-	if y.Rows != batch || y.Cols != 3 {
-		t.Fatalf("batch output %dx%d, want %dx3", y.Rows, y.Cols, batch)
+	for _, p := range m.Params() {
+		for i := range p.Value {
+			p.Value[i] = rng.NormFloat64()
+		}
 	}
-	for b := 0; b < batch; b++ {
-		want := m.Forward(x.Row(b))
-		for j, v := range want {
-			if y.At(b, j) != v {
-				t.Fatalf("row %d col %d: batch %v != sequential %v", b, j, y.At(b, j), v)
+	for _, batch := range []int{1, 2, 3, transposedMinRows, 5, 9, 20} {
+		x := mat.New(batch, 7)
+		x.Randomize(rng, 1)
+		y := m.ForwardBatch(x)
+		if y.Rows != batch || y.Cols != 3 {
+			t.Fatalf("batch output %dx%d, want %dx3", y.Rows, y.Cols, batch)
+		}
+		requireRowsMatchForward(t, m, x, y)
+	}
+}
+
+// requireRowsMatchForward fails unless every row of y has the bits of
+// mod.Forward on the same row of x.
+func requireRowsMatchForward(t *testing.T, mod Module, x, y *mat.Matrix) {
+	t.Helper()
+	for b := 0; b < x.Rows; b++ {
+		for j, v := range mod.Forward(x.Row(b)) {
+			if got := y.At(b, j); math.Float64bits(got) != math.Float64bits(v) {
+				t.Fatalf("%d rows, row %d col %d: batch %v != sequential %v", x.Rows, b, j, got, v)
 			}
 		}
+	}
+}
+
+// TestForwardBatchTracksWeightChanges checks that the transposed weight
+// copy behind large batches is rebuilt on every call: after an optimizer
+// step and after a direct write to the weights, the batched output still
+// matches the sample-at-a-time path, on the layer and on a shard clone.
+func TestForwardBatchTracksWeightChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	l := NewLinear("t", 6, 5, rng)
+	clone := l.ShardClone()
+	x := mat.New(8, 6)
+	x.Randomize(rng, 1)
+	opt := NewAdam(0.1)
+	for round := 0; round < 3; round++ {
+		requireRowsMatchForward(t, l, x, l.ForwardBatch(x))
+		requireRowsMatchForward(t, l, x, clone.ForwardBatch(x))
+		for _, p := range l.Params() {
+			for i := range p.Grad {
+				p.Grad[i] = rng.NormFloat64()
+			}
+		}
+		opt.Step(l.Params())
+		l.w.Value[round] = math.Copysign(0, -1)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -195,6 +196,30 @@ func TestBinaryRejectsHostileLengths(t *testing.T) {
 	if !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("hostile length not stopped by the cap: %v", err)
 	}
+}
+
+// negativeSecondMomentFile returns a binary checkpoint, checksum intact,
+// whose Adam second moment "trunk.l0.W" element 5 is negative. SaveBinary
+// refuses to write one, so the value is written positive, its sign bit
+// flipped in the encoded bytes, and the checksum recomputed.
+func negativeSecondMomentFile(tb testing.TB) []byte {
+	tb.Helper()
+	const sentinel = 0.0078125
+	ck := fullCheckpoint(tb)
+	ck.Opt.V["trunk.l0.W"][5] = sentinel
+	var buf bytes.Buffer
+	if err := ck.SaveBinary(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	bin := buf.Bytes()
+	var pos, neg [8]byte
+	binary.LittleEndian.PutUint64(pos[:], math.Float64bits(sentinel))
+	binary.LittleEndian.PutUint64(neg[:], math.Float64bits(-sentinel))
+	if n := bytes.Count(bin, pos[:]); n != 1 {
+		tb.Fatalf("sentinel encoded %d times, want once", n)
+	}
+	body := bytes.Replace(bin[:len(bin)-4], pos[:], neg[:], 1)
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
 }
 
 // TestValidateVersionGates pins the version negotiation: version-2-only

@@ -338,7 +338,9 @@ func (p *PricerState) validate() error {
 
 // validate checks the optimizer section against the parameter table: the
 // moment maps must cover exactly the checkpointed parameters with
-// matching lengths and finite values.
+// matching lengths and finite values, and no second moment may be
+// negative — v is an average of squared gradients, and Adam takes its
+// square root.
 func (s *OptState) validate(params map[string][]float64) error {
 	if s.Algo != "adam" {
 		return fmt.Errorf("nn: checkpoint optimizer %q unknown (want adam)", s.Algo)
@@ -360,6 +362,13 @@ func (s *OptState) validate(params map[string][]float64) error {
 			}
 			if err := validateVector("optimizer "+label, name, mv); err != nil {
 				return err
+			}
+		}
+	}
+	for name, v := range s.V {
+		for i, x := range v {
+			if x < 0 {
+				return fmt.Errorf("nn: checkpoint optimizer v %q element %d is %v; a second moment cannot be negative", name, i, x)
 			}
 		}
 	}

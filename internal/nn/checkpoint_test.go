@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
@@ -244,6 +245,34 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointRejectsNegativeSecondMoment pins the sign check on
+// Adam's second moments. v is an average of squared gradients, so only a
+// corrupt or hostile file holds a negative entry, and Adam's square root
+// of it would turn the weights into NaN. Both encodings refuse it, the
+// binary one with its checksum intact, naming the parameter and element.
+func TestLoadCheckpointRejectsNegativeSecondMoment(t *testing.T) {
+	ck := fullCheckpoint(t)
+	ck.Opt.V["trunk.l0.W"][5] = -1
+	js, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, in := range map[string][]byte{"json": js, "binary": negativeSecondMomentFile(t)} {
+		_, err := LoadCheckpoint(bytes.NewReader(in))
+		if err == nil {
+			t.Fatalf("%s: checkpoint with a negative second moment loaded", name)
+		}
+		if !strings.Contains(err.Error(), `v "trunk.l0.W" element 5`) {
+			t.Fatalf("%s: error does not name the parameter and element: %v", name, err)
+		}
+	}
+	// −0 is not negative: √(−0) = −0, and the step stays finite.
+	ck.Opt.V["trunk.l0.W"][5] = math.Copysign(0, -1)
+	if err := ck.Validate(); err != nil {
+		t.Fatalf("−0 second moment rejected: %v", err)
+	}
+}
+
 // TestLegacyParamsOnlyCheckpointLoads keeps version-0 files (the
 // historical params-only JSON written before full checkpointing) loading
 // for weight-only warm starts.
@@ -290,6 +319,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(string(bin) + "tail")
 	f.Add(binaryMagic)
 	f.Add(binaryMagic + "\x02\x00P\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01Z")
+	// A negative Adam second moment, in JSON and checksum-intact binary.
+	f.Add(`{"version":1,"params":{"w":[1]},"opt":{"algo":"adam","step":3,"m":{"w":[0]},"v":{"w":[-1]}}}`)
+	f.Add(string(negativeSecondMomentFile(f)))
 	f.Fuzz(func(t *testing.T, in string) {
 		ck, err := LoadCheckpoint(strings.NewReader(in))
 		if err != nil {

@@ -26,6 +26,7 @@ type Linear struct {
 	xCache  mat.Matrix // batch×in copy of the last batched input
 	outMat  mat.Matrix // batch×out
 	gradMat mat.Matrix // batch×in
+	wT      mat.Matrix // in×out copy of Wᵀ, rebuilt by every large ForwardBatch
 
 	// pendingDY is the output-gradient matrix recorded by the last
 	// BackwardBatchDeferred, consumed by AccumulateDeferred. It aliases
@@ -77,15 +78,38 @@ func (l *Linear) Backward(grad []float64) []float64 {
 	return l.gradBuf
 }
 
+// transposedMinRows is the smallest batch ForwardBatch multiplies through
+// a transposed copy of W. Below it, copying W costs about as much as the
+// product itself.
+const transposedMinRows = 4
+
 // ForwardBatch computes Y = X·Wᵀ + b for a batch of rows. The returned
 // matrix is owned by the layer and overwritten by the next batched call;
 // its element (i, j) is bit-identical to Forward(X.Row(i))[j].
+//
+// Batches of transposedMinRows or more rows copy W into Wᵀ and run
+// Y = X·(Wᵀ) through MulTo, then add the bias. That is the order
+// MulABTBiasTo uses for smaller batches (zero start, k ascending, bias
+// last), so both routes give the same bits; MulTo's inner loop is the
+// one with a SIMD path.
 func (l *Linear) ForwardBatch(x *mat.Matrix) *mat.Matrix {
 	checkLen("Linear", "batch input width", x.Cols, l.in)
 	l.xCache.Resize(x.Rows, x.Cols)
 	copy(l.xCache.Data, x.Data)
 	l.outMat.Resize(x.Rows, l.out)
-	mat.MulABTBiasTo(&l.outMat, x, &l.wView, l.b.Value)
+	if x.Rows < transposedMinRows {
+		mat.MulABTBiasTo(&l.outMat, x, &l.wView, l.b.Value)
+		return &l.outMat
+	}
+	l.wT.Resize(l.in, l.out)
+	mat.TransposeTo(&l.wT, &l.wView)
+	mat.MulTo(&l.outMat, x, &l.wT)
+	for i := 0; i < x.Rows; i++ {
+		row := l.outMat.Row(i)
+		for j, bj := range l.b.Value {
+			row[j] += bj
+		}
+	}
 	return &l.outMat
 }
 

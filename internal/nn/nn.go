@@ -1,7 +1,7 @@
 // Package nn implements the small feed-forward neural-network substrate
 // used by the DRL incentive mechanism: linear layers, activations,
 // multi-layer perceptrons with manual backpropagation, gradient clipping,
-// optimizers (SGD, Adam), and checkpointing.
+// the Adam optimizer, and checkpointing.
 //
 // The package is sample-at-a-time: a call to Backward consumes the caches
 // written by the immediately preceding call to Forward on the same module.

@@ -202,46 +202,6 @@ func TestMLPInputGradCheck(t *testing.T) {
 	}
 }
 
-func TestSGDStep(t *testing.T) {
-	p := newParam("p", 2)
-	p.Value[0], p.Value[1] = 1, 2
-	p.Grad[0], p.Grad[1] = 0.5, -0.5
-	NewSGD(0.1, 0).Step([]*Param{p})
-	if !mathx.AlmostEqual(p.Value[0], 0.95, 1e-12) || !mathx.AlmostEqual(p.Value[1], 2.05, 1e-12) {
-		t.Errorf("SGD step = %v, want [0.95 2.05]", p.Value)
-	}
-}
-
-func TestSGDMomentumAccelerates(t *testing.T) {
-	p := newParam("p", 1)
-	s := NewSGD(0.1, 0.9)
-	p.Grad[0] = 1
-	s.Step([]*Param{p})
-	first := -p.Value[0] // first displacement = lr
-	p.Grad[0] = 1
-	prev := p.Value[0]
-	s.Step([]*Param{p})
-	second := prev - p.Value[0]
-	if second <= first {
-		t.Errorf("momentum should accelerate: first %v, second %v", first, second)
-	}
-}
-
-func TestSGDValidation(t *testing.T) {
-	for _, tc := range []struct {
-		lr, mom float64
-	}{{0, 0}, {-1, 0}, {0.1, 1}, {0.1, -0.1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewSGD(%v, %v) did not panic", tc.lr, tc.mom)
-				}
-			}()
-			NewSGD(tc.lr, tc.mom)
-		}()
-	}
-}
-
 func TestAdamDecreasesQuadratic(t *testing.T) {
 	// Minimize f(θ) = (θ-3)² starting from 0.
 	p := newParam("p", 1)

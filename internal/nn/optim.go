@@ -3,58 +3,9 @@ package nn
 import (
 	"fmt"
 	"math"
+
+	"vtmig/internal/mat"
 )
-
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update using the gradients currently stored in the
-	// parameters. It does not zero the gradients; call ZeroGrads after.
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	// LR is the learning rate. Must be positive.
-	LR float64
-	// Momentum in [0, 1). Zero disables momentum.
-	Momentum float64
-
-	velocity map[*Param][]float64
-}
-
-var _ Optimizer = (*SGD)(nil)
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	if lr <= 0 {
-		panic(fmt.Sprintf("nn: SGD learning rate must be positive, got %g", lr))
-	}
-	if momentum < 0 || momentum >= 1 {
-		panic(fmt.Sprintf("nn: SGD momentum must be in [0,1), got %g", momentum))
-	}
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param][]float64)}
-}
-
-// Step applies v = μv - lr·g; θ += v (or plain θ -= lr·g without momentum).
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if s.Momentum == 0 {
-			for i, g := range p.Grad {
-				p.Value[i] -= s.LR * g
-			}
-			continue
-		}
-		v, ok := s.velocity[p]
-		if !ok {
-			v = make([]float64, len(p.Value))
-			s.velocity[p] = v
-		}
-		for i, g := range p.Grad {
-			v[i] = s.Momentum*v[i] - s.LR*g
-			p.Value[i] += v[i]
-		}
-	}
-}
 
 // Adam implements the Adam optimizer (Kingma & Ba, 2015) with bias
 // correction, the optimizer used for the paper's PPO updates.
@@ -72,8 +23,6 @@ type Adam struct {
 	v map[*Param][]float64
 }
 
-var _ Optimizer = (*Adam)(nil)
-
 // NewAdam returns an Adam optimizer with the standard β₁=0.9, β₂=0.999,
 // ε=1e-8 defaults.
 func NewAdam(lr float64) *Adam {
@@ -90,7 +39,9 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step applies one Adam update to every parameter.
+// Step applies one Adam update to every parameter from the gradients
+// currently stored in it. It does not zero the gradients; call ZeroGrads
+// after.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -102,14 +53,7 @@ func (a *Adam) Step(params []*Param) {
 			a.m[p] = m
 			a.v[p] = make([]float64, len(p.Value))
 		}
-		v := a.v[p]
-		for i, g := range p.Grad {
-			m[i] = a.Beta1*m[i] + (1-a.Beta1)*g
-			v[i] = a.Beta2*v[i] + (1-a.Beta2)*g*g
-			mHat := m[i] / c1
-			vHat := v[i] / c2
-			p.Value[i] -= a.LR * mHat / (math.Sqrt(vHat) + a.Eps)
-		}
+		mat.AdamStep(p.Value, p.Grad, m, a.v[p], a.Beta1, a.Beta2, a.LR, c1, c2, a.Eps)
 	}
 }
 

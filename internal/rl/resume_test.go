@@ -316,6 +316,24 @@ func TestRestoreErrors(t *testing.T) {
 		}
 	})
 
+	t.Run("negative-second-moment", func(t *testing.T) {
+		// v averages squared gradients; a negative entry would reach Adam's
+		// square root and turn the weights into NaN on the next Update.
+		ck, err := agent.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.Opt.V["trunk.l0.W"][3] = -1
+		a2 := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
+		untouched := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
+		if err := a2.Restore(ck); err == nil {
+			t.Fatal("checkpoint with a negative second moment restored")
+		}
+		if diff, ok := paramsEqualBits(a2.Params(), untouched.Params()); !ok {
+			t.Fatalf("refused restore changed the weights: %s", diff)
+		}
+	})
+
 	t.Run("beyond-budget", func(t *testing.T) {
 		vec := newVecTestSlice(1, 6, 1, 10)
 		a2 := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
