@@ -101,9 +101,11 @@ race-resume:
 # FuzzShardPartition seed corpus. The tables pin region counts above the
 # RSU count and GOMAXPROCS above the host's core count, so a race or a
 # merge-order bug in the sharded vehicle phase fails here even on a
-# single-core CI box.
+# single-core CI box. TestSeededSourceConcurrentStreams covers the
+# seeding tables every vehicle's turn stream reads, which shard
+# goroutines build on first use and then share.
 race-shardsim:
-	$(GO) test -race -count=1 -run 'Shard|RegionOf|Rule7|DiscardMigration' ./internal/sim ./internal/scenario
+	$(GO) test -race -count=1 -run 'Shard|RegionOf|Rule7|DiscardMigration|TestSeededSourceConcurrentStreams' ./internal/sim ./internal/scenario ./internal/mathx
 
 # serve-smoke pins the serving layer's crash-recovery story under the
 # race detector: quote against a live daemon, kill it mid-run, reopen the
@@ -134,10 +136,11 @@ bench-check:
 # gross regressions and allocation reintroductions. The checkpoint
 # encode/decode pair keeps the binary format's size and speed advantage
 # over JSON visible in every smoke pass, SolveScratch covers the
-# equilibrium solver at the paper's 2 VMUs and at fleet size, and MatMul
-# and AdamStep cover the kernels the PPO update spends its time in.
+# equilibrium solver at the paper's 2 VMUs and at fleet size, MatMul
+# and AdamStep cover the kernels the PPO update spends its time in, and
+# SimNew prints the metro-10k set-up's time and bytes.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|MLPForward|MatMul|AdamStep|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SolveScratch' -benchmem -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|MLPForward|MatMul|AdamStep|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SolveScratch|SimNew' -benchmem -benchtime 100x .
 
 # bench is the full benchmark suite used to fill BENCH_pr*.json.
 bench:

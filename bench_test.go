@@ -920,10 +920,11 @@ func BenchmarkSimFleetSharded(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				// Warm-up into steady state: the attach storm, scratch
-				// growth, and sensing-history ramp (compaction starts at
-				// 64 breakpoints, ~130 simulated seconds in) all settle
-				// before the timed ticks.
+				// Warm-up into steady state: the attach storm, the
+				// scratch growth of the ever-larger early pricing
+				// rounds, and the sensing-history ramp (compaction
+				// starts at 8 breakpoints, ~18 simulated seconds in)
+				// all settle before the timed ticks.
 				sm.RunFor(200)
 				b.ReportAllocs()
 				b.ResetTimer()
@@ -931,6 +932,27 @@ func BenchmarkSimFleetSharded(b *testing.B) {
 					sm.Step()
 				}
 			})
+		}
+	}
+}
+
+// BenchmarkSimNew measures a metro-10k run's set-up: loading and
+// compiling the committed scenario and building its 10,000-vehicle
+// simulator (sim.New spawns and places the whole initial fleet). Its
+// bytes/op is the set-up memory that TestMetroRunBytesBounded gates.
+func BenchmarkSimNew(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		sc, err := scenario.Load("testdata/scenarios/metro-10k.json")
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg, err := sc.Compile(sim.PricerBuildOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sim.New(cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

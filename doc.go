@@ -232,20 +232,26 @@
 // the duplicate-follower guard; departures leave the pending queue in one
 // pass per tick.
 // Memory and allocations stay flat as the fleet grows: each vehicle's
-// turn-decision stream lives on the vehicle and leaves with it, reports
-// aggregate streamingly as migrations complete
-// (Config.DiscardMigrationRecords drops the per-migration records for
-// fleet-scale runs while leaving every aggregate untouched), sensing
-// histories compact behind aoi.NewBoundedProcess, the round game reuses
-// one scratch across pricing rounds, and the admission hot paths
-// (channel.OFDMAAllocator.TryAllocate, rsu.Cluster.TryPlaceOn/TryPlace)
-// reject without constructing errors. The committed
+// turn-decision stream lives on the vehicle and leaves with it, created
+// on its first turn over a mathx.SeededSource — the standard source's
+// stream bit for bit, but O(1) to create, where seeding a standard
+// source costs 1,841 Lehmer steps and a 4.9 KB lag table that a
+// vehicle turning a few times per run never needs. Reports aggregate
+// streamingly as migrations complete (Config.DiscardMigrationRecords
+// drops the per-migration records for fleet-scale runs while leaving
+// every aggregate untouched), sensing histories compact behind
+// aoi.NewBoundedProcess at 8 breakpoints, the round game and the oracle
+// pricer's solve reuse scratch across pricing rounds (grown by doubling,
+// not to each new round size), and the admission hot paths
+// (channel.OFDMAAllocator.TryAllocate, rsu.Cluster.TryPlaceOn/TryPlace,
+// and rsu.Cluster.TryMigrateTwin on migration completion) reject without
+// constructing errors. The committed
 // testdata/scenarios/metro-10k.json — a 12×16 RSU grid serving 10,000
 // vehicles under churn and generated outages — runs end to end in
 // seconds (vtmig-sim -scenario testdata/scenarios/metro-10k.json
 // -shards 8), is pinned by the scenario golden matrix like every other
 // committed scenario, and is measured by BenchmarkSimFleetSharded with
-// the steady-state allocation gate in
+// the steady-state allocation and byte gates in
 // internal/sim/steady_alloc_test.go. The rule-7 bit-identity tables
 // (`make race-shardsim`) compare sharded against serial runs across
 // region counts and GOMAXPROCS values at simulator, scenario, and

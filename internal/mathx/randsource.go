@@ -181,9 +181,10 @@ func (s *CountingSource) String() string {
 }
 
 // lfsrSource continues the standard generator's additive lagged-Fibonacci
-// recurrence from a rebuilt lag table. It exists only as the engine
-// behind NewCountingSourceFromState; a fresh stream always starts from
-// the standard source so seeding stays stdlib-defined.
+// recurrence from a rebuilt lag table. It is the engine behind
+// NewCountingSourceFromState, and behind a SeededSource once that stream
+// reaches the draw where it materializes its table; both rebuild the
+// table from stdlib-defined values, so seeding stays stdlib-defined.
 type lfsrSource struct {
 	vec       [rngLen]int64
 	tap, feed int
@@ -209,7 +210,8 @@ func (r *lfsrSource) Uint64() uint64 {
 // Int63 matches the standard source's derivation from Uint64.
 func (r *lfsrSource) Int63() int64 { return int64(r.Uint64() & rngMask) }
 
-// Seed is unreachable: CountingSource.Seed replaces the source wholesale.
+// Seed is unreachable: CountingSource.Seed and SeededSource.Seed replace
+// the source wholesale.
 func (r *lfsrSource) Seed(int64) {
-	panic("mathx: reseeding a state-restored source (CountingSource.Seed replaces the source)")
+	panic("mathx: reseeding a rebuilt lag table (the owning source's Seed replaces it)")
 }

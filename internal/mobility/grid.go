@@ -68,14 +68,7 @@ func (g *Grid) RSUDistance(a, b int) float64 {
 // Place implements World: the vehicle spawns uniformly on a random
 // street, heading in a random along-street direction. Three rng draws,
 // always.
-//
-// Place also creates the vehicle's private turn-decision stream (no
-// draws from it) and stores it on the vehicle, so seeding it costs spawn
-// time rather than tick time. The stream is per-vehicle state: it leaves
-// with the vehicle, and region shards advancing their residents on
-// concurrent goroutines never share it.
 func (g *Grid) Place(v *Vehicle, rng *rand.Rand) {
-	v.turn = g.newTurnStream(v.ID)
 	street := int(rng.Float64() * float64(g.Rows+g.Cols))
 	if street >= g.Rows+g.Cols {
 		street = g.Rows + g.Cols - 1 // Float64 can return values snapping to the bound
@@ -101,11 +94,14 @@ func (g *Grid) Place(v *Vehicle, rng *rand.Rand) {
 	}
 }
 
-// newTurnStream builds a vehicle's private turn-decision stream, derived
-// from (TurnSeed, id) with a splitmix64 scramble so adjacent ids do not
-// produce correlated stdlib streams.
+// newTurnStream builds a vehicle's private turn-decision stream: the
+// stdlib stream rand.NewSource(SplitMix64(TurnSeed, id)), where the
+// splitmix64 scramble keeps adjacent ids from producing correlated
+// streams. mathx.SeededSource yields that stream bit for bit at O(1)
+// creation cost, so a fleet of vehicles that each turn a few times never
+// pays for full lag tables.
 func (g *Grid) newTurnStream(id int) *rand.Rand {
-	return rand.New(rand.NewSource(mathx.SplitMix64(g.TurnSeed, uint64(id))))
+	return rand.New(mathx.NewSeededSource(mathx.SplitMix64(g.TurnSeed, uint64(id))))
 }
 
 // Advance implements World: the vehicle moves SpeedMps·dt along its
@@ -172,8 +168,10 @@ func (g *Grid) snap(p, limit float64) float64 {
 // turnAt picks the vehicle's next heading at the intersection it is
 // standing on: uniform among in-bounds directions excluding the reverse,
 // falling back to the reverse at dead ends. One rng draw, always, from
-// the vehicle's turn stream — created here for a vehicle built without
-// Place.
+// the vehicle's turn stream, which the vehicle's first turn creates. The
+// stream is per-vehicle state: it leaves with the vehicle, and region
+// shards advancing their residents on concurrent goroutines never share
+// it.
 func (g *Grid) turnAt(v *Vehicle) {
 	if v.turn == nil {
 		v.turn = g.newTurnStream(v.ID)

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"vtmig/internal/mathx"
 )
 
 // referenceServingRSU is the original O(Rows×Cols) scan, kept verbatim as
@@ -175,11 +177,17 @@ func TestServingRSUWithOutagesUsesScan(t *testing.T) {
 	}
 }
 
-// TestPlacePrewarmsTurnStream pins that Place stores the vehicle's turn
-// stream, seeded from (TurnSeed, id) and undrawn, so Advance never seeds
-// one during a tick; a vehicle built without Place gets the same stream
-// on its first turn.
-func TestPlacePrewarmsTurnStream(t *testing.T) {
+// stdlibTurnStream is the historical definition of a vehicle's turn
+// stream: the standard source seeded with SplitMix64(TurnSeed, id).
+func stdlibTurnStream(g *Grid, id int) *rand.Rand {
+	return rand.New(rand.NewSource(mathx.SplitMix64(g.TurnSeed, uint64(id))))
+}
+
+// TestTurnStreamMatchesStdlibSeeding pins that each vehicle turns exactly
+// as it would with its stream seeded by the standard source, over several
+// hundred turns (past the draw where the O(1) source builds its lag
+// table), and that a vehicle built without Place turns identically.
+func TestTurnStreamMatchesStdlibSeeding(t *testing.T) {
 	g, err := NewGrid(3, 3, 100, 120, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -188,20 +196,24 @@ func TestPlacePrewarmsTurnStream(t *testing.T) {
 	for id := 0; id < 10; id++ {
 		v := &Vehicle{ID: id, SpeedMps: 50}
 		g.Place(v, rng)
-		if v.turn == nil {
-			t.Fatalf("Place did not create the turn stream for vehicle %d", id)
+		ref := *v
+		ref.turn = stdlibTurnStream(g, id)
+		// 5 blocks per step on a 100 m grid: at least 300 turns.
+		for step := 0; step < 70; step++ {
+			g.Advance(v, 10)
+			g.Advance(&ref, 10)
+			if exported(*v) != exported(ref) {
+				t.Fatalf("vehicle %d step %d: at %+v, stdlib-seeded stream at %+v", id, step, exported(*v), exported(ref))
+			}
 		}
-		if got, want := v.turn.Float64(), g.newTurnStream(id).Float64(); got != want {
-			t.Fatalf("vehicle %d: placed turn stream drew %v first, want %v", id, got, want)
-		}
-		placed := v.turn
-		g.Advance(v, 10)
-		if v.turn != placed {
-			t.Fatalf("Advance replaced vehicle %d's placed turn stream", id)
+		for i := 0; i < 300; i++ {
+			if got, want := v.turn.Int63(), ref.turn.Int63(); got != want {
+				t.Fatalf("vehicle %d: turn stream draw %d after the drive is %d, want %d", id, i, got, want)
+			}
 		}
 	}
 	bare := &Vehicle{ID: 4, SpeedMps: 50, DirX: 1}
-	seeded := &Vehicle{ID: 4, SpeedMps: 50, DirX: 1, turn: g.newTurnStream(4)}
+	seeded := &Vehicle{ID: 4, SpeedMps: 50, DirX: 1, turn: stdlibTurnStream(g, 4)}
 	for step := 0; step < 20; step++ {
 		g.Advance(bare, 10)
 		g.Advance(seeded, 10)

@@ -156,8 +156,8 @@ type Vehicle struct {
 	// (0,±1) (grid worlds only).
 	DirX, DirY int
 
-	// turn is the private turn-decision stream (grid worlds only), set by
-	// Grid.Place or on the vehicle's first turn.
+	// turn is the private turn-decision stream (grid worlds only),
+	// created on the vehicle's first turn.
 	turn *rand.Rand
 }
 

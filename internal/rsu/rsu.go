@@ -337,6 +337,30 @@ func (c *Cluster) MigrateTwin(twinID, destServerID int) error {
 	return nil
 }
 
+// TryMigrateTwin is MigrateTwin without the error construction, under
+// exactly the same checks: it reports whether the twin moved. The
+// simulator's migration-completion path counts a failure and nothing
+// more, so formatting Deploy's rejection for every full destination
+// would be pure garbage.
+func (c *Cluster) TryMigrateTwin(twinID, destServerID int) bool {
+	srcID, ok := c.location[twinID]
+	if !ok || srcID == destServerID {
+		return false
+	}
+	src := c.serverByID(srcID)
+	dst := c.serverByID(destServerID)
+	if dst == nil || !dst.TryDeploy(twinID, src.twins[twinID]) {
+		return false
+	}
+	if src.Remove(twinID) != nil {
+		// Roll back the destination copy to keep accounting consistent.
+		_ = dst.Remove(twinID)
+		return false
+	}
+	c.location[twinID] = destServerID
+	return true
+}
+
 // Evict removes a twin from the cluster entirely.
 func (c *Cluster) Evict(twinID int) error {
 	srcID, ok := c.location[twinID]

@@ -1,6 +1,7 @@
 package rsu
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -291,6 +292,56 @@ func TestMigrateTwinErrors(t *testing.T) {
 	}
 	if c.Locate(7) != 0 || !a.Hosts(7) {
 		t.Error("failed migration corrupted placement")
+	}
+}
+
+// TestTryMigrateTwinMatchesMigrateTwin pins that the error-free variant
+// applies exactly MigrateTwin's checks: on every outcome both report the
+// same success and leave identical cluster state.
+func TestTryMigrateTwinMatchesMigrateTwin(t *testing.T) {
+	newCluster := func() *Cluster {
+		c, err := NewCluster([]*Server{
+			server(t, 0, res(4, 4, 64, 400)),
+			server(t, 1, res(1, 1, 1, 1)),
+			server(t, 2, res(4, 4, 64, 400)),
+		}, PlaceFirstFit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PlaceOn(7, 0, res(2, 2, 8, 40)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.PlaceOn(8, 2, res(1, 1, 4, 10)); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name       string
+		twin, dest int
+		wantOK     bool
+	}{
+		{"not placed", 9, 2, false},
+		{"already there", 7, 0, false},
+		{"unknown destination", 7, 99, false},
+		{"full destination", 7, 1, false},
+		{"success", 7, 2, true},
+	} {
+		viaErr, viaTry := newCluster(), newCluster()
+		err := viaErr.MigrateTwin(tc.twin, tc.dest)
+		ok := viaTry.TryMigrateTwin(tc.twin, tc.dest)
+		if (err == nil) != ok || ok != tc.wantOK {
+			t.Errorf("%s: MigrateTwin error %v, TryMigrateTwin %v, want success %v", tc.name, err, ok, tc.wantOK)
+		}
+		if !reflect.DeepEqual(viaErr.location, viaTry.location) {
+			t.Errorf("%s: placements %v vs %v", tc.name, viaErr.location, viaTry.location)
+		}
+		for i, srv := range viaErr.Servers() {
+			other := viaTry.Servers()[i]
+			if srv.Used() != other.Used() || !reflect.DeepEqual(srv.twins, other.twins) {
+				t.Errorf("%s: server %d holds %v using %+v vs %v using %+v", tc.name, srv.ID, srv.twins, srv.Used(), other.twins, other.Used())
+			}
+		}
 	}
 }
 

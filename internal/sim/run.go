@@ -132,7 +132,10 @@ type Simulator struct {
 	aotmSum, aotmMax, utilSum float64
 
 	// demandScratch backs the per-round follower best responses; it is
-	// resized to each round's batch and reused across rounds. evalScratch
+	// resliced to each round's batch, reused across rounds, and at least
+	// doubles when a round outgrows it, so a fleet whose rounds creep
+	// upward regrows it a few times rather than once per new maximum
+	// (vmuScratch and evalScratch grow the same way). evalScratch
 	// carries the SoA follower mirror of the batched best-response
 	// kernels, and roundGame/vmuScratch back the reused per-round game so
 	// steady-state rounds allocate nothing that scales with fleet size.
@@ -259,11 +262,12 @@ func (s *Simulator) spawnVehicle(rng *rand.Rand) *vehState {
 				DirtyRateMBps: s.cfg.DirtyRateMBps,
 			},
 		},
-		// Bounded: a vehicle's sensing history compacts past 64
-		// breakpoints, keeping fleet memory flat in simulated time.
-		// Bit-identical to the unbounded process because the sim only
-		// queries AverageAge at the monotone sim clock.
-		sensing:        aoi.NewBoundedProcess(s.now, 64),
+		// Bounded: a vehicle's sensing history compacts past 8
+		// breakpoints, so its buffer stops growing after the first few
+		// deliveries and fleet memory stays flat in simulated time.
+		// Bit-identical to the unbounded process (at any bound) because
+		// the sim only queries AverageAge at the monotone sim clock.
+		sensing:        aoi.NewBoundedProcess(s.now, 8),
 		nextUpdate:     s.now + cls.sensingPeriodS,
 		sensingPeriodS: cls.sensingPeriodS,
 		arrivedAt:      s.now,
@@ -389,7 +393,7 @@ func (s *Simulator) finish(c completion) {
 	}
 	c.st.inFlight = false
 	if s.cluster.Locate(c.record.VehicleID) != c.record.ToRSU {
-		if err := s.cluster.MigrateTwin(c.record.VehicleID, c.record.ToRSU); err != nil {
+		if !s.cluster.TryMigrateTwin(c.record.VehicleID, c.record.ToRSU) {
 			// Destination edge server is full: the twin stays at the
 			// source and keeps being served remotely.
 			s.report.PlacementFailures++
@@ -678,7 +682,7 @@ func (s *Simulator) runPricingRound() {
 	// the whole round instead of a per-vehicle loop (bit-identical to the
 	// loop form); the remaining pool bounds this round.
 	if cap(s.demandScratch) < game.N() {
-		s.demandScratch = make([]float64, game.N())
+		s.demandScratch = make([]float64, max(game.N(), 2*cap(s.demandScratch)))
 	}
 	demands := game.BestResponsesBatchInto(&s.evalScratch, s.demandScratch[:game.N()], price)
 	avail := s.alloc.Available()
@@ -741,7 +745,7 @@ func (s *Simulator) buildGame(batch []pendingMigration) *stackelberg.Game {
 		panic(fmt.Sprintf("sim: building round game: %v", err))
 	}
 	if cap(s.vmuScratch) < len(batch) {
-		s.vmuScratch = make([]stackelberg.VMU, len(batch))
+		s.vmuScratch = make([]stackelberg.VMU, max(len(batch), 2*cap(s.vmuScratch)))
 	}
 	s.pricingRound++
 	vmus := s.vmuScratch[:len(batch)]

@@ -15,6 +15,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"sync"
 
 	"vtmig/internal/channel"
 	"vtmig/internal/migration"
@@ -30,15 +31,27 @@ type Pricer interface {
 	PriceFor(g *stackelberg.Game) float64
 }
 
-// oraclePricer plays the closed-form Stackelberg equilibrium each round.
-type oraclePricer struct{}
+// oraclePricer plays the closed-form Stackelberg equilibrium each round,
+// solving in a scratch it keeps across rounds, so a fleet-scale run does
+// not allocate four follower-sized slices per round. Every copy of a
+// config shares its pricer and those copies may run concurrently, so a
+// solve that finds the scratch in use takes a fresh one; both solves
+// return the same bits.
+type oraclePricer struct {
+	mu      sync.Mutex
+	scratch stackelberg.EvalScratch
+}
 
 // NewOraclePricer returns the complete-information equilibrium pricer.
-func NewOraclePricer() Pricer { return oraclePricer{} }
+func NewOraclePricer() Pricer { return &oraclePricer{} }
 
-func (oraclePricer) Name() string { return "stackelberg-oracle" }
-func (oraclePricer) PriceFor(g *stackelberg.Game) float64 {
-	return g.Solve().Price
+func (*oraclePricer) Name() string { return "stackelberg-oracle" }
+func (o *oraclePricer) PriceFor(g *stackelberg.Game) float64 {
+	if !o.mu.TryLock() {
+		return g.Solve().Price
+	}
+	defer o.mu.Unlock()
+	return g.SolveInto(&o.scratch).Price
 }
 
 // fixedPricer posts a constant price.

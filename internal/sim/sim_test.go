@@ -2,6 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"vtmig/internal/rsu"
@@ -171,6 +174,38 @@ func TestPricerComparisonOracleBeatsRandom(t *testing.T) {
 	if oracle <= random {
 		t.Errorf("oracle revenue %v must beat random %v", oracle, random)
 	}
+}
+
+// TestOraclePricerSharedAcrossGoroutines prices rounds of changing size
+// through one oracle pricer from several goroutines at once, as copies of
+// one config do when their simulators run concurrently: every price must
+// equal a fresh Solve's bit for bit, whichever solve got the kept scratch.
+func TestOraclePricerSharedAcrossGoroutines(t *testing.T) {
+	p := NewOraclePricer()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			base := stackelberg.DefaultGame()
+			for round := 0; round < 200; round++ {
+				g := *base
+				g.VMUs = make([]stackelberg.VMU, 1+rng.Intn(60))
+				for i := range g.VMUs {
+					g.VMUs[i] = stackelberg.VMU{ID: i, Alpha: 5 + 15*rng.Float64(), DataSize: 1 + 2*rng.Float64()}
+				}
+				if round%3 == 0 {
+					g.BMax = 0
+				}
+				if got, want := p.PriceFor(&g), g.Solve().Price; math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("worker %d round %d (%d VMUs): price %v, want %v", w, round, g.N(), got, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestFixedPricerName(t *testing.T) {

@@ -60,13 +60,17 @@ type EvalScratch struct {
 	dOverE []float64
 }
 
-// grow sizes every buffer to n followers, reusing capacity.
+// grow sizes every buffer to n followers, reusing capacity. A scratch
+// that must grow at least doubles, so a caller whose games creep upward
+// in size (the simulator's pricing rounds) reallocates a logarithmic
+// number of times rather than at every new maximum.
 func (s *EvalScratch) grow(n int) {
 	if cap(s.demands) < n {
-		s.demands = make([]float64, n)
-		s.utilities = make([]float64, n)
-		s.alphas = make([]float64, n)
-		s.dOverE = make([]float64, n)
+		m := max(n, 2*cap(s.demands))
+		s.demands = make([]float64, m)
+		s.utilities = make([]float64, m)
+		s.alphas = make([]float64, m)
+		s.dOverE = make([]float64, m)
 	}
 	s.demands = s.demands[:n]
 	s.utilities = s.utilities[:n]
