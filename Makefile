@@ -3,37 +3,19 @@
 # request (.github/workflows/ci.yml, with Go build/module caching): vet,
 # gofmt cleanliness, build, race-enabled tests (which exercise the
 # experiment worker pool under the race detector), the sharded-update,
-# vectorized-collection, online-learning, and region-sharded-simulator
-# (rule 7) determinism suites under -race, the serving crash-recovery
-# smoke (serve-smoke), vet and race-enabled tests of the separate
-# benchmark module (bench-check), and a short benchmark smoke pass over
-# the PPO hot path.
+# vectorized-collection, online-learning and resume determinism suites
+# under -race, the serving crash-recovery smoke (serve-smoke), vet and
+# race-enabled tests of the separate benchmark module (bench-check), and
+# a short benchmark smoke pass over the hot paths.
 #
-# Benchmark regressions are gated by tools/benchdiff, which diffs two
-# recordings — BENCH_*.json snapshots or raw `go test -bench -benchmem`
-# output — and exits non-zero on >15 % ns/op growth or any allocs/op
-# increase. `make bench-compare` measures a fresh short pass of the hot
-# paths and diffs it against the latest snapshot, the highest-numbered
-# BENCH_prN.json (override BASE to pin an older snapshot); to diff two
-# arbitrary recordings run the tool directly:
-#
-#	make bench-compare
-#	make bench-compare BASE=BENCH_pr2.json
-#	go run ./tools/benchdiff BENCH_pr2.json BENCH_pr3.json
-#
-# CI runs bench-compare as an advisory job; shared-runner timing noise
-# makes the ns/op gate informative rather than blocking there, while the
-# allocs/op gate is exact everywhere.
+# Performance is measured end to end by the benchmark module in bench/
+# (`bash bench/run.sh`, see BENCHMARK.json). Here bench-smoke only keeps
+# the microbenchmarks running; the AllocsPerRun tests are the exact
+# allocation gates.
 
 GO ?= go
 
-# BASE is the snapshot bench-compare and bench-multicore measure against:
-# the highest-numbered BENCH_prN.json, version-sorted so pr10 follows pr9.
-BASE ?= $(shell ls BENCH_pr*.json | sort -V | tail -n 1)
-# BENCH_HOT selects the hot-path benchmarks bench-compare re-measures.
-BENCH_HOT = PPOUpdate$$|PPOUpdateSharded|PPOSelectAction|MLPForward$$|Evaluate|SolveScratch|Collect|TrainerEpisode|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SimFleetSharded
-
-.PHONY: all vet fmt-check build test race race-sharded race-collect race-online race-resume race-shardsim serve-smoke bench-check bench-smoke bench bench-compare bench-multicore golden golden-drift ci
+.PHONY: all vet fmt-check build test race race-sharded race-collect race-online race-resume serve-smoke bench-check bench-smoke golden golden-drift ci
 
 all: ci
 
@@ -94,19 +76,6 @@ race-online:
 race-resume:
 	$(GO) test -race -count=2 -run 'Resume|Snapshot|Checkpoint|Clone|CountingSource' ./internal/rl ./internal/nn ./internal/pomdp ./internal/mathx ./internal/sim
 
-# race-shardsim re-runs the region-sharded simulator determinism layer
-# under the race detector: the rule-7 shard-count × GOMAXPROCS
-# bit-identity tables (sim- and scenario-level, online pricer included),
-# the per-step shard invariants under churn and outages, and the
-# FuzzShardPartition seed corpus. The tables pin region counts above the
-# RSU count and GOMAXPROCS above the host's core count, so a race or a
-# merge-order bug in the sharded vehicle phase fails here even on a
-# single-core CI box. TestSeededSourceConcurrentStreams covers the
-# seeding tables every vehicle's turn stream reads, which shard
-# goroutines build on first use and then share.
-race-shardsim:
-	$(GO) test -race -count=1 -run 'Shard|RegionOf|Rule7|DiscardMigration|TestSeededSourceConcurrentStreams' ./internal/sim ./internal/scenario ./internal/mathx
-
 # serve-smoke pins the serving layer's crash-recovery story under the
 # race detector: quote against a live daemon, kill it mid-run, reopen the
 # state directory (checkpoint restore + journal replay), and assert the
@@ -142,27 +111,6 @@ bench-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|MLPForward|MatMul|AdamStep|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SolveScratch|SimNew' -benchmem -benchtime 100x .
 
-# bench is the full benchmark suite used to fill BENCH_pr*.json.
-bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 2s .
-
-# bench-compare measures a fresh short pass of the hot paths and diffs
-# it against the latest snapshot (see header).
-bench-compare:
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -benchtime 1s . > bench-current.txt
-	$(GO) run ./tools/benchdiff -threshold 0.15 $(BASE) bench-current.txt
-
-# bench-multicore records the hot-path benchmarks with parallelism
-# enabled (-cpu 2,4, i.e. GOMAXPROCS > 1) — an advisory recording for the
-# sharded/vectorized paths whose single-core numbers hide contention and
-# scheduling effects — and diffs it against BASE. CI runs it
-# continue-on-error; benchdiff strips the -N GOMAXPROCS suffix, so the
-# recording diffs against any snapshot.
-bench-multicore:
-	$(GO) test -run '^$$' -bench '$(BENCH_HOT)' -benchmem -benchtime 100x -cpu 2,4 . > bench-multicore.txt
-	@cat bench-multicore.txt
-	$(GO) run ./tools/benchdiff -threshold 0.15 $(BASE) bench-multicore.txt
-
 # golden regenerates the fixed-seed golden files after an intentional
 # numeric change: the experiment figure pipelines, the per-pricer
 # simulator reports, and the scenario-matrix reports.
@@ -179,4 +127,4 @@ golden:
 golden-drift: golden
 	git diff --exit-code -- '*_golden.txt' 'internal/experiments/testdata' 'internal/sim/testdata' 'internal/scenario/testdata'
 
-ci: vet fmt-check build race race-sharded race-collect race-online race-resume race-shardsim serve-smoke bench-check bench-smoke
+ci: vet fmt-check build race race-sharded race-collect race-online race-resume serve-smoke bench-check bench-smoke

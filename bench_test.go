@@ -878,61 +878,53 @@ func BenchmarkScenarioSim(b *testing.B) {
 	}
 }
 
-// BenchmarkSimFleetSharded measures the steady-state per-tick cost of the
-// committed metro-scale scenario across fleet sizes and region counts.
-// shards=0 is the serial simulator; rule 7 makes every region count
-// bit-identical to it, so the axis is purely about throughput (on a
-// single-core host the sharded rows just price the goroutine fan-out).
-// Migration records are discarded by the scenario, so allocs/op reports
-// the streaming-aggregation steady state, which must stay flat in fleet
-// size.
-func BenchmarkSimFleetSharded(b *testing.B) {
+// BenchmarkSimFleet measures the steady-state per-tick cost of the
+// committed metro-scale scenario at two fleet sizes. Migration records
+// are discarded by the scenario, so allocs/op reports the
+// streaming-aggregation steady state, which must stay flat in fleet size.
+func BenchmarkSimFleet(b *testing.B) {
 	base, err := scenario.Load("testdata/scenarios/metro-10k.json")
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, fleet := range []int{1000, 10000} {
-		for _, regions := range []int{0, 4, 8} {
-			b.Run(fmt.Sprintf("fleet=%d/shards=%d", fleet, regions), func(b *testing.B) {
-				sc := *base
-				sc.Vehicles = fleet
-				sc.Shards = regions
-				// Churn off: the timed window steps b.N simulated
-				// seconds past warm-up, and with arrivals enabled the
-				// population (and so the per-tick cost) would drift
-				// with b.N, making recordings incomparable across
-				// -benchtime values. Fixing the fleet pins the regime
-				// the row claims to measure.
-				sc.Churn = nil
-				cfg, err := sc.CompileConfig()
-				if err != nil {
-					b.Fatal(err)
-				}
-				pricer, err := sim.NewPricerFromSpec(
-					sim.PricerSpec{Name: "random"},
-					sim.PricerBuildOptions{DefaultSeed: sc.Seed},
-				)
-				if err != nil {
-					b.Fatal(err)
-				}
-				cfg.Pricer = pricer
-				sm, err := sim.New(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Warm-up into steady state: the attach storm, the
-				// scratch growth of the ever-larger early pricing
-				// rounds, and the sensing-history ramp (compaction
-				// starts at 8 breakpoints, ~18 simulated seconds in)
-				// all settle before the timed ticks.
-				sm.RunFor(200)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sm.Step()
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("fleet=%d", fleet), func(b *testing.B) {
+			sc := *base
+			sc.Vehicles = fleet
+			// Churn off: the timed window steps b.N simulated seconds
+			// past warm-up, and with arrivals enabled the population
+			// (and so the per-tick cost) would drift with b.N, making
+			// recordings incomparable across -benchtime values. Fixing
+			// the fleet pins the regime the row claims to measure.
+			sc.Churn = nil
+			cfg, err := sc.CompileConfig()
+			if err != nil {
+				b.Fatal(err)
+			}
+			pricer, err := sim.NewPricerFromSpec(
+				sim.PricerSpec{Name: "random"},
+				sim.PricerBuildOptions{DefaultSeed: sc.Seed},
+			)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg.Pricer = pricer
+			sm, err := sim.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Warm-up into steady state: the attach storm, the scratch
+			// growth of the ever-larger early pricing rounds, and the
+			// sensing-history ramp (compaction starts at 8 breakpoints,
+			// ~18 simulated seconds in) all settle before the timed
+			// ticks.
+			sm.RunFor(200)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sm.Step()
+			}
+		})
 	}
 }
 

@@ -32,17 +32,14 @@
 // scenario file (JSON or TOML, see internal/scenario): road world,
 // fleet, churn, outages, demand cycle, and the pricer all come from the
 // file, and passing a workload or pricer flag alongside -scenario is an
-// explicit conflict error. Host-side flags (-verbose, -trace, -shards,
-// -snapshot-every, -snapshot-out) still apply — -shards selects the
-// region count for parallel stepping, which determinism contract rule 7
-// guarantees is bit-identical at any value, so it composes freely with
-// scenario files:
+// explicit conflict error. Host-side flags (-verbose, -trace,
+// -snapshot-every, -snapshot-out) still apply:
 //
-//	vtmig-sim -scenario testdata/scenarios/metro-10k.json -shards 8
+//	vtmig-sim -scenario testdata/scenarios/metro-10k.json -trace metro.jsonl
 //
 // Usage:
 //
-//	vtmig-sim [-scenario city.json] [-shards N]
+//	vtmig-sim [-scenario city.json]
 //	          [-vehicles 6] [-rsus 8] [-duration 600]
 //	          [-pricer oracle|random|fixed|drl|online] [-price 25]
 //	          [-train-episodes 30] [-update-every 20] [-warm-start]
@@ -101,7 +98,6 @@ func run(args []string) error {
 		snapOut     = fs.String("snapshot-out", "", "file the mid-run resume checkpoints go to (binary when the name ends in .bin; required with -snapshot-every)")
 		failure     = fs.Float64("failure", 0, "pricing-round failure probability in [0, 1)")
 		seed        = fs.Int64("seed", 1, "random seed")
-		shards      = fs.Int("shards", -1, "region count for sharded parallel stepping (0: serial; -1: adopt the scenario's; bit-identical either way)")
 		verbose     = fs.Bool("verbose", false, "print every migration record")
 		traceOut    = fs.String("trace", "", "write a JSONL event trace to this file")
 	)
@@ -197,13 +193,6 @@ func run(args []string) error {
 			return err
 		}
 		cfg.Pricer = p
-	}
-
-	// -shards is a host-side knob like -trace, deliberately NOT a scenario
-	// conflict: rule 7 guarantees any region count is bit-identical to the
-	// scenario's own setting, so overriding it never changes results.
-	if *shards >= 0 {
-		cfg.Shards.Regions = *shards
 	}
 
 	// The trace goes through a buffer: a fleet-scale run emits hundreds of

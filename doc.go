@@ -202,35 +202,26 @@
 // Scenario.Compile, and vtmig-sim -scenario (workload flags conflict
 // explicitly; -verbose, -trace, and the snapshot flags still apply).
 //
-// # Fleet-scale sharding
+// # Fleet scale
 //
-// The simulator scales to metropolitan fleets by sharding the vehicle
-// phase across regions (sim.Config.Shards / sim.ShardConfig): the RSU
-// lattice splits into ShardConfig.Regions contiguous, balanced index
-// blocks, every vehicle is resident in the region of its serving RSU,
-// and each tick steps the regions' residents on one goroutine per
-// region. The parallel phase covers exactly the per-vehicle work —
-// kinematics, sensing delivery, staged serving-RSU lookup — while
-// vehicles that cross a region boundary stage into per-shard outboxes
-// that drain in fixed shard-index order, and everything stateful
-// (handover collection, the Stackelberg pricing round, the bandwidth
-// pool) stays serial in global fleet order. That split is what makes
-// the shard count a pure throughput knob (determinism contract rule 7
-// below). The staged lookup is O(1) per vehicle on the grid world:
+// The simulator scales to metropolitan fleets on one goroutine. Each
+// tick's vehicle phase steps every vehicle in fleet order — kinematics,
+// sensing delivery, and a staged serving-RSU lookup on per-vehicle
+// state — and handover collection then consumes the staged lookups. The
+// lookup is O(1) per vehicle on the grid world:
 // mobility.Grid.ServingRSU resolves the nearest RSU from the few
 // intersections of the vehicle's street, and during outages only the
 // vehicles whose nearest RSU is down fall back to the scan over every
 // RSU, so an outage re-homes those vehicles without slowing the rest.
-// The serial tail stays lean too. The pricing round is single-pass: each
-// of the solver's golden-section and bisection probes walks the
-// followers once, accumulating their floored best responses without
-// materializing a demand vector, and the equilibrium report evaluates
-// the channel's spectral efficiency once rather than once per follower
-// (aotm.ImmersionForRate). The per-vehicle bookkeeping lives on the
-// vehicle instead of in maps keyed by vehicle id: its serving RSU, its
-// in-flight flag, its slot in the pending queue, and the round stamp of
-// the duplicate-follower guard; departures leave the pending queue in one
-// pass per tick.
+// The pricing round is single-pass: each of the solver's golden-section
+// and bisection probes walks the followers once, accumulating their
+// floored best responses without materializing a demand vector, and the
+// equilibrium report evaluates the channel's spectral efficiency once
+// rather than once per follower (aotm.ImmersionForRate). The
+// per-vehicle bookkeeping lives on the vehicle instead of in maps keyed
+// by vehicle id: its serving RSU, its in-flight flag, its slot in the
+// pending queue, and the round stamp of the duplicate-follower guard;
+// departures leave the pending queue in one pass per tick.
 // Memory and allocations stay flat as the fleet grows: each vehicle's
 // turn-decision stream lives on the vehicle and leaves with it, created
 // on its first turn over a mathx.SeededSource — the standard source's
@@ -248,20 +239,17 @@
 // constructing errors. The committed
 // testdata/scenarios/metro-10k.json — a 12×16 RSU grid serving 10,000
 // vehicles under churn and generated outages — runs end to end in
-// seconds (vtmig-sim -scenario testdata/scenarios/metro-10k.json
-// -shards 8), is pinned by the scenario golden matrix like every other
-// committed scenario, and is measured by BenchmarkSimFleetSharded with
-// the steady-state allocation and byte gates in
-// internal/sim/steady_alloc_test.go. The rule-7 bit-identity tables
-// (`make race-shardsim`) compare sharded against serial runs across
-// region counts and GOMAXPROCS values at simulator, scenario, and
-// online-learning level, and FuzzShardPartition stresses the partition
-// invariants under randomized grids, churn, and outages.
+// seconds (vtmig-sim -scenario testdata/scenarios/metro-10k.json), is
+// pinned by the scenario golden matrix like every other committed
+// scenario, and is measured by BenchmarkSimFleet with the steady-state
+// allocation and byte gates in internal/sim/steady_alloc_test.go.
+// FuzzGridSimSteps steps randomized grids under churn and outages,
+// checking fleet conservation and the bandwidth pool after every tick.
 //
 // # Determinism contract
 //
-// The same seed yields the same figures, bit for bit. Eight rules
-// enforce it:
+// The same seed yields the same figures, bit for bit. Seven rules
+// enforce it, numbered 1–8 with 7 retired:
 //
 //  1. Batched kernels accumulate in exactly the order of the
 //     sample-at-a-time loops they replaced (k-ascending, one accumulator
@@ -316,19 +304,8 @@
 //     (the pre-PR-5 params-only restore did exactly that for the Adam
 //     moments and the policy RNG, and the pre-PR-6 online snapshot
 //     dropped the pricer-side state the same way).
-//  7. Region-sharded simulation is a throughput knob, not a workload
-//     dimension: with sim.ShardConfig the RSU lattice splits into
-//     contiguous regions and each region's resident vehicles step on
-//     their own goroutine, but the vehicle phase touches only
-//     per-vehicle state and per-vehicle RNG streams, cross-region
-//     handoffs apply in fixed shard-index order, and handover
-//     collection and pricing stay serial in global fleet order — so any
-//     region count (zero, one, more regions than RSUs) under any
-//     GOMAXPROCS yields a bit-identical sim.Report, event trace, and
-//     (for an online pricer) final network weights. The shard count
-//     therefore composes freely with everything above: scenario files
-//     may suggest one (Scenario.Shards) and vtmig-sim -shards may
-//     override it without touching results.
+//  7. Retired with region-sharded simulation; the number stays so that
+//     rule 8 keeps its name.
 //  8. Serving batch size is a pure throughput knob, not a semantic one:
 //     the intake loop may cut the arrival-ordered request stream into
 //     batches of any size (Config.BatchMax) and fan the pure per-request
@@ -376,6 +353,7 @@
 //
 //	go test -run '^$' -bench . -benchmem
 //
-// BENCH_seed.json records the frozen seed baseline and BENCH_pr*.json the
-// measured state after each performance PR.
+// The repository's end-to-end benchmark is the separate module in bench/
+// (`bash bench/run.sh`, declared by BENCHMARK.json). BENCH_seed.json and
+// BENCH_pr*.json are earlier microbenchmark recordings, kept as history.
 package vtmig

@@ -128,8 +128,9 @@ func TestOFDMAAllocateRelease(t *testing.T) {
 // Allocate slack admits grants whose float sum exceeds capacity by one
 // ulp (the fixture is a real ScaleToFit output for a 0.5 MHz pool whose
 // scaled demands sum to 0.5 + 2⁻⁵³), and Available must report that full
-// pool as 0, not as a negative residue. Found by FuzzShardPartition —
-// the simulator treats negative availability as corrupted accounting.
+// pool as 0, not as a negative residue. Found by FuzzGridSimSteps, whose
+// corpus keeps the input; the simulator treats negative availability as
+// corrupted accounting.
 func TestOFDMAAvailableNeverNegative(t *testing.T) {
 	a := NewOFDMAAllocator(0.5)
 	grants := []float64{

@@ -119,10 +119,10 @@ func TestSeededSourceAllocs(t *testing.T) {
 }
 
 // TestSeededSourceConcurrentStreams creates and draws from sources on
-// several goroutines at once, as the simulator's region shards do when
-// vehicles take their first turns: the shared tables are built on first
-// use by whichever goroutine gets there, then only read. Run it under
-// -race (make race-shardsim) to check the sharing.
+// several goroutines at once, as parallel experiment tasks do when each
+// runs its own simulator (rule 2): the shared tables are built on first
+// use by whichever goroutine gets there, then only read. `make race`
+// runs it under -race to check the sharing.
 func TestSeededSourceConcurrentStreams(t *testing.T) {
 	const workers = 8
 	var wg sync.WaitGroup

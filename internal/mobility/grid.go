@@ -169,9 +169,8 @@ func (g *Grid) snap(p, limit float64) float64 {
 // standing on: uniform among in-bounds directions excluding the reverse,
 // falling back to the reverse at dead ends. One rng draw, always, from
 // the vehicle's turn stream, which the vehicle's first turn creates. The
-// stream is per-vehicle state: it leaves with the vehicle, and region
-// shards advancing their residents on concurrent goroutines never share
-// it.
+// stream is per-vehicle state: it leaves with the vehicle, and no other
+// vehicle's turns draw from it.
 func (g *Grid) turnAt(v *Vehicle) {
 	if v.turn == nil {
 		v.turn = g.newTurnStream(v.ID)

@@ -149,11 +149,12 @@ type Scenario struct {
 	OutageGen *OutageGen `json:"outage_gen,omitempty"`
 	// Demand enables the day/night demand cycle.
 	Demand *Demand `json:"demand,omitempty"`
-	// Shards enables region-sharded parallel stepping with the given
-	// region count (determinism contract rule 7: any value here is
-	// bit-identical to 0, the serial path — it is a throughput knob, not a
-	// workload dimension, and hosts may override it freely).
-	Shards int `json:"shards,omitempty"`
+	// Shards is not part of the schema: a document carrying "shards"
+	// fails to load as an unknown field.
+	//
+	// Deprecated: nothing in the simulator reads it. bench/simmetro.go is
+	// its only writer; the field goes once that hook does.
+	Shards int `json:"-"`
 	// DiscardMigrationRecords drops the per-migration records from the
 	// report, keeping only the streaming aggregates — the fleet-scale mode
 	// whose report memory stays flat in migration count.
@@ -284,7 +285,6 @@ func (s *Scenario) CompileConfig() (sim.Config, error) {
 			cfg.Demand.NightSensingFactor = 1
 		}
 	}
-	cfg.Shards.Regions = s.Shards
 	cfg.DiscardMigrationRecords = s.DiscardMigrationRecords
 
 	// Validate through a probe with a placeholder pricer: the caller

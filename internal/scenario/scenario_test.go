@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -190,6 +191,79 @@ func TestCompileConfigOverrides(t *testing.T) {
 	// An unset night sensing factor must compile to the identity.
 	if cfg.Demand.NightSpeedFactor != 0.5 || cfg.Demand.NightSensingFactor != 1 {
 		t.Errorf("demand mapping wrong: %+v", cfg.Demand)
+	}
+}
+
+// TestScenarioShardsFieldCompiles pins the schema plumbing that survives
+// region sharding: discard_migration_records reaches the compiled
+// sim.Config, and the deprecated Shards field, which bench/simmetro.go
+// still writes, compiles without error and without any effect, whatever
+// its value.
+func TestScenarioShardsFieldCompiles(t *testing.T) {
+	base := &Scenario{Name: "t", DiscardMigrationRecords: true}
+	want, err := base.CompileConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !want.DiscardMigrationRecords {
+		t.Error("DiscardMigrationRecords not compiled")
+	}
+	for _, shards := range []int{4, -1} {
+		s := *base
+		s.Shards = shards
+		got, err := s.CompileConfig()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d changed the compiled config:\n got %+v\nwant %+v", shards, got, want)
+		}
+	}
+}
+
+// writeScenarios writes each name → document pair into a fresh directory
+// and returns the paths, so the tests below go through Load's
+// extension-based format dispatch.
+func writeScenarios(t *testing.T, docs map[string]string) []string {
+	t.Helper()
+	dir := t.TempDir()
+	var paths []string
+	for name, src := range docs {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+	}
+	return paths
+}
+
+func TestLoadDiscardMigrationRecords(t *testing.T) {
+	for _, path := range writeScenarios(t, map[string]string{
+		"a.json": `{"name": "a", "discard_migration_records": true}`,
+		"b.toml": "name = \"b\"\ndiscard_migration_records = true\n",
+	}) {
+		s, err := Load(path)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if !s.DiscardMigrationRecords {
+			t.Errorf("%s: discard_migration_records not loaded", path)
+		}
+	}
+}
+
+// TestLoadRejectsShardsKey pins that "shards" left the schema along with
+// region-sharded stepping: a document still carrying it fails loudly in
+// both formats instead of being ignored.
+func TestLoadRejectsShardsKey(t *testing.T) {
+	for _, path := range writeScenarios(t, map[string]string{
+		"a.json": `{"name": "a", "shards": 3}`,
+		"b.toml": "name = \"b\"\nshards = 3\n",
+	}) {
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
+			t.Errorf("%s: want an unknown-field error naming shards, got %v", path, err)
+		}
 	}
 }
 

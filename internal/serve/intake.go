@@ -57,7 +57,8 @@ func (s *Server) intake() {
 // Quote prices one round. It blocks until the intake goroutine reaches
 // the request (or ctx is done; a request already enqueued is still
 // journaled and learned from even if the caller gives up — the round
-// entered the stream the moment it was accepted).
+// entered the stream the moment it was accepted). A caller whose ctx is
+// already done is never enqueued.
 func (s *Server) Quote(ctx context.Context, req QuoteRequest) (QuoteResponse, error) {
 	s.mu.Lock()
 	if s.closed {
@@ -67,6 +68,12 @@ func (s *Server) Quote(ctx context.Context, req QuoteRequest) (QuoteResponse, er
 	s.inflight.Add(1)
 	s.mu.Unlock()
 	defer s.inflight.Done()
+	// Checked before the send below: select picks uniformly among ready
+	// cases, so with room in the queue a canceled caller would otherwise
+	// be enqueued half the time.
+	if err := ctx.Err(); err != nil {
+		return QuoteResponse{}, err
+	}
 	job := quoteJob{req: req, reply: make(chan quoteReply, 1)}
 	select {
 	case s.jobs <- job:

@@ -452,6 +452,28 @@ func TestServeQuoteAfterCloseAndContextCancel(t *testing.T) {
 	}
 }
 
+// TestServeCanceledQuoteNeverEnqueued pins that a caller whose context
+// is already done never enters the stream: fifty pre-canceled quotes
+// and one live one leave exactly one round and one journal entry.
+func TestServeCanceledQuoteNeverEnqueued(t *testing.T) {
+	s := mustOpen(t, testConfig(t.TempDir()))
+	defer s.Close()
+	req := reqStream(1)[0]
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < 50; i++ {
+		if _, err := s.Quote(ctx, req); !errors.Is(err, context.Canceled) {
+			t.Fatalf("pre-canceled quote %d: err = %v, want context.Canceled", i, err)
+		}
+	}
+	if _, err := s.Quote(context.Background(), req); err != nil {
+		t.Fatalf("live quote: %v", err)
+	}
+	if st := s.Stats(); st.Rounds != 1 || st.JournalEntries != 1 {
+		t.Fatalf("rounds = %d, journal entries = %d; want 1 and 1", st.Rounds, st.JournalEntries)
+	}
+}
+
 // TestServeConcurrentQuotes drives many goroutines through the intake
 // queue under the race detector: rounds all land, in some serial order.
 func TestServeConcurrentQuotes(t *testing.T) {

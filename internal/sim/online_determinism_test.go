@@ -23,9 +23,8 @@ import (
 
 // onlineSimRun trains a warm-start agent with the given collection worker
 // count, deploys it online with the given shard count, runs a fixed-seed
-// simulation with the given simulator region count (0 = serial stepping),
-// and returns the report plus the final weights.
-func onlineSimRun(t *testing.T, collectWorkers, shards, regions int) (Report, [][]float64) {
+// simulation, and returns the report plus the final weights.
+func onlineSimRun(t *testing.T, collectWorkers, shards int) (Report, [][]float64) {
 	t.Helper()
 	game := stackelberg.DefaultGame()
 	envCfg := pomdp.Config{
@@ -66,7 +65,6 @@ func onlineSimRun(t *testing.T, collectWorkers, shards, regions int) (Report, []
 	cfg.DurationS = 240
 	cfg.Seed = 11
 	cfg.Pricer = pricer
-	cfg.Shards.Regions = regions
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +99,7 @@ func TestOnlineSimBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online determinism table skipped in -short mode")
 	}
-	refRep, refW := onlineSimRun(t, 1, 1, 0)
+	refRep, refW := onlineSimRun(t, 1, 1)
 	if refRep.PricingRounds == 0 || len(refRep.Migrations) == 0 {
 		t.Fatalf("reference run is trivial: %+v", refRep)
 	}
@@ -115,7 +113,7 @@ func TestOnlineSimBitIdentical(t *testing.T) {
 				t.Run(name, func(t *testing.T) {
 					prev := runtime.GOMAXPROCS(gmp)
 					defer runtime.GOMAXPROCS(prev)
-					rep, w := onlineSimRun(t, workers, shards, 0)
+					rep, w := onlineSimRun(t, workers, shards)
 					if !reflect.DeepEqual(refRep, rep) {
 						t.Fatalf("report diverged from serial reference:\nserial: %+v\ngot:    %+v", refRep, rep)
 					}
@@ -134,8 +132,8 @@ func TestOnlineSimReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online training test skipped in -short mode")
 	}
-	repA, wA := onlineSimRun(t, 2, 2, 0)
-	repB, wB := onlineSimRun(t, 2, 2, 0)
+	repA, wA := onlineSimRun(t, 2, 2)
+	repB, wB := onlineSimRun(t, 2, 2)
 	if !reflect.DeepEqual(repA, repB) {
 		t.Fatalf("reports differ:\n%+v\n%+v", repA, repB)
 	}

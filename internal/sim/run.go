@@ -43,11 +43,8 @@ type vehState struct {
 	departAt  float64
 
 	// stagedRSU is the serving RSU computed during the per-tick vehicle
-	// phase (serial or sharded) and consumed by the serial handover
-	// collection; region is the index of the shard the vehicle currently
-	// resides in (sharded runs only).
+	// phase and consumed by the handover collection that follows it.
 	stagedRSU int
-	region    int
 
 	// serving is the RSU handover collection last observed serving the
 	// vehicle; attached is false until the first observation, which
@@ -56,8 +53,8 @@ type vehState struct {
 	attached bool
 
 	// inFlight marks a migration in progress, from launch to completion.
-	// The vehicle phase (shard goroutines included) only reads it; the
-	// serial launch and completion paths write it.
+	// The vehicle phase only reads it; the launch and completion paths
+	// write it.
 	inFlight bool
 
 	// pendingAt is the vehicle's slot in Simulator.pending, valid only
@@ -110,10 +107,6 @@ type Simulator struct {
 	// churn-heavy fleets cost no per-departure memory.
 	departedAoISum   float64
 	departedAoICount int
-
-	// shards are the region-sharded stepping state; nil on the serial
-	// path (Config.Shards.Regions == 0).
-	shards []simShard
 
 	now         float64
 	pending     []pendingMigration
@@ -200,9 +193,6 @@ func New(cfg Config) (*Simulator, error) {
 		s.down = make([]bool, world.RSUCount())
 		s.outageOn = make([]bool, len(cfg.Outages))
 	}
-	if cfg.Shards.Enabled() {
-		s.shards = make([]simShard, cfg.Shards.Regions)
-	}
 	servers := make([]*rsu.Server, world.RSUCount())
 	for i := range servers {
 		srv, err := rsu.NewServer(i, cfg.RSUCapacity)
@@ -277,15 +267,6 @@ func (s *Simulator) spawnVehicle(rng *rand.Rand) *vehState {
 		st.departAt = s.now + s.churnRng.ExpFloat64()*s.cfg.Churn.MeanDwellS
 	}
 	s.vehicles = append(s.vehicles, st)
-	if s.shards != nil {
-		// Home the spawn into the region of its serving RSU. The lookup
-		// is pure (no rng draws), so sharded and serial runs consume
-		// identical random streams.
-		rsuID, _ := s.world.ServingRSU(v, s.down)
-		st.stagedRSU = rsuID
-		st.region = s.regionOf(rsuID)
-		s.shards[st.region].residents = append(s.shards[st.region].residents, st)
-	}
 	return st
 }
 
@@ -301,23 +282,12 @@ func (s *Simulator) Run() Report {
 // Step advances the simulation by one time step: completions drain,
 // outages toggle, churn arrives and departs, vehicles move, sensing
 // updates deliver, handovers queue, and at most one pricing round runs.
-//
-// The vehicle phase (kinematics, sensing delivery, staged serving-RSU
-// lookup) is the only part that parallelizes under region sharding;
-// everything before and after it is serial in both modes, and the phase
-// itself touches only per-vehicle state and per-vehicle RNG streams, so
-// the sharded and serial simulators are bit-identical (rule 7).
 func (s *Simulator) Step() {
 	s.now += s.cfg.TimeStepS
 	s.drainCompletions()
 	s.applyOutages()
 	s.processChurn()
-	if s.shards != nil {
-		s.stepShards()
-		s.applyHandoffs()
-	} else {
-		s.stepVehiclesSerial()
-	}
+	s.stepVehicles()
 	s.collectHandovers()
 	s.runPricingRound()
 }
@@ -530,9 +500,6 @@ func (s *Simulator) depart(st *vehState) {
 		s.departedAoISum += st.sensing.AverageAge(s.now)
 		s.departedAoICount++
 	}
-	if s.shards != nil {
-		s.removeResident(st)
-	}
 	s.report.Departures++
 	s.emit(trace.Event{TimeS: s.now, Kind: trace.KindDeparture, Vehicle: id})
 }
@@ -547,15 +514,21 @@ func (s *Simulator) moveDt(night bool) float64 {
 	return dt
 }
 
+// stepVehicles is the vehicle phase: every vehicle in fleet order.
+func (s *Simulator) stepVehicles() {
+	night := s.night()
+	dt := s.moveDt(night)
+	for _, st := range s.vehicles {
+		s.stepVehicle(st, dt, night)
+	}
+}
+
 // stepVehicle advances one vehicle's per-tick independent state: its
 // kinematics, its sensing stream, and its staged serving RSU. Everything
 // here reads shared state (down, the demand phase) and the vehicle's
 // in-flight flag without writing them, and draws randomness only from
-// the vehicle's private turn stream, so vehicles can be stepped in any
-// order — or concurrently on region shards — with bit-identical results.
-// Sensing failures are returned rather than panicked so shard workers can
-// surface them on the stepping goroutine.
-func (s *Simulator) stepVehicle(st *vehState, moveDt float64, night bool) error {
+// the vehicle's private turn stream.
+func (s *Simulator) stepVehicle(st *vehState, moveDt float64, night bool) {
 	s.world.Advance(st.v, moveDt)
 	for st.nextUpdate <= s.now {
 		gen := st.nextUpdate
@@ -568,35 +541,20 @@ func (s *Simulator) stepVehicle(st *vehState, moveDt float64, night bool) error 
 			continue // twin paused: update lost
 		}
 		if err := st.sensing.Deliver(gen, gen+s.cfg.SensingDelayS); err != nil {
-			return fmt.Errorf("sim: sensing delivery for vehicle %d: %v", st.v.ID, err)
+			panic(fmt.Sprintf("sim: sensing delivery for vehicle %d: %v", st.v.ID, err))
 		}
 	}
 	if !st.inFlight {
-		// Stage the serving RSU for the serial handover collection. The
-		// lookup is pure, so computing it here instead of inside
+		// Stage the serving RSU for the handover collection. The lookup
+		// is pure, so computing it here instead of inside
 		// collectHandovers changes nothing numerically.
 		st.stagedRSU, _ = s.world.ServingRSU(st.v, s.down)
-	}
-	return nil
-}
-
-// stepVehiclesSerial is the unsharded vehicle phase: every vehicle in
-// fleet order on the stepping goroutine.
-func (s *Simulator) stepVehiclesSerial() {
-	night := s.night()
-	dt := s.moveDt(night)
-	for _, st := range s.vehicles {
-		if err := s.stepVehicle(st, dt, night); err != nil {
-			panic(err.Error())
-		}
 	}
 }
 
 // collectHandovers queues a pending migration for every handover of a
-// vehicle that is not already migrating. It runs serially over the fleet
-// in global vehicle order, consuming the serving RSUs staged by the
-// vehicle phase — the fixed-order merge that keeps sharded runs
-// bit-identical to serial ones (rule 7's analogue of rule 3).
+// vehicle that is not already migrating. It walks the fleet in arrival
+// order, consuming the serving RSUs staged by the vehicle phase.
 //
 // A vehicle can hand over again while an earlier migration of its sits
 // deferred (bandwidth exhausted or a failed round) — common once fleets

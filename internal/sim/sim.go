@@ -102,29 +102,6 @@ const (
 	MobilityGrid = "grid"
 )
 
-// ShardConfig turns on region-sharded stepping: the RSU lattice is split
-// into Regions contiguous id-blocks (row bands on the grid world,
-// highway arcs on the circular world), each region's resident vehicles
-// are stepped on their own goroutine into per-vehicle staging state, and
-// cross-region handoffs travel through per-shard outboxes applied in
-// fixed shard-index order at each tick boundary.
-//
-// Sharding is pure work partitioning — determinism contract rule 7: any
-// region count × GOMAXPROCS produces a bit-identical sim.Report, trace,
-// and online-pricer weights to the serial simulator. Everything
-// order-sensitive (completions, outages, churn, handover observation,
-// pricing, trace emission) stays serial; the parallel phase touches only
-// per-vehicle-independent state (kinematics, sensing streams, staged
-// serving-RSU lookups) that consumes no shared RNG draws.
-type ShardConfig struct {
-	// Regions is the number of contiguous RSU regions stepped in
-	// parallel; 0 (the default) keeps the serial stepping path.
-	Regions int
-}
-
-// Enabled reports whether region sharding is active.
-func (sc ShardConfig) Enabled() bool { return sc.Regions > 0 }
-
 // GridConfig parameterizes the Manhattan grid world (Config.Mobility ==
 // MobilityGrid): Rows×Cols intersections spaced SpacingM apart, one RSU
 // per intersection with coverage radius Config.RSURadiusM.
@@ -275,10 +252,6 @@ type Config struct {
 	Outages []OutageWindow
 	// Demand configures the day/night demand cycle.
 	Demand DemandConfig
-
-	// Shards configures region-sharded parallel stepping (contract
-	// rule 7); the zero value keeps the serial path.
-	Shards ShardConfig
 
 	// DiscardMigrationRecords drops the per-migration records from the
 	// report, keeping only the streaming aggregates (counts, revenue,
@@ -463,9 +436,6 @@ func (c Config) Validate() error {
 		if !(w.StartS >= 0) || !(w.EndS > w.StartS) {
 			return fmt.Errorf("sim: Config.Outages[%d] window [%g, %g) invalid (need 0 <= start < end)", i, w.StartS, w.EndS)
 		}
-	}
-	if c.Shards.Regions < 0 {
-		return fmt.Errorf("sim: Config.Shards.Regions must not be negative, got %d", c.Shards.Regions)
 	}
 	if !(c.Demand.PeriodS >= 0) || math.IsInf(c.Demand.PeriodS, 0) {
 		return fmt.Errorf("sim: Config.Demand.PeriodS must be finite and non-negative, got %g", c.Demand.PeriodS)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestFleetSteadyStateAllocsFlat is the allocation regression gate behind
-// BenchmarkSimFleetSharded: once the metro workload reaches steady state
+// BenchmarkSimFleet: once the metro workload reaches steady state
 // (history buffers compacted, scratch grown, attach storm over), the
 // per-tick allocation count must be small and essentially independent of
 // the fleet size — a 10x larger fleet may not cost 10x the allocations.
@@ -28,7 +28,6 @@ func TestFleetSteadyStateAllocsFlat(t *testing.T) {
 	for _, fleet := range []int{1000, 10000} {
 		sc := *base
 		sc.Vehicles = fleet
-		sc.Shards = 0
 		cfg, err := sc.CompileConfig()
 		if err != nil {
 			t.Fatal(err)

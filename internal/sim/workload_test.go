@@ -176,6 +176,58 @@ func TestCombinedNonstationaryRun(t *testing.T) {
 	}
 }
 
+// mixedWorkloadConfig stacks every order-sensitive subsystem in one
+// fixture: the grid world with per-vehicle turn streams, heterogeneous
+// classes, churn, RSU outages, the day/night demand cycle, and injected
+// pricing failures.
+func mixedWorkloadConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Mobility = MobilityGrid
+	cfg.RSUCount = 0
+	cfg.Grid = GridConfig{Rows: 5, Cols: 6, SpacingM: 400}
+	cfg.RSURadiusM = 320
+	cfg.Vehicles = 36
+	cfg.TimeStepS = 0.5
+	cfg.DurationS = 300
+	cfg.Seed = 13
+	cfg.Classes = []VehicleClass{
+		{Name: "commuter", Weight: 3},
+		{Name: "freight", Weight: 1, SpeedMinMps: 8, SpeedMaxMps: 14, VTMemoryMinMB: 220, VTMemoryMaxMB: 300},
+	}
+	cfg.Churn = ChurnConfig{ArrivalRatePerS: 0.2, MeanDwellS: 120, MaxVehicles: 60}
+	cfg.Outages = []OutageWindow{
+		{RSU: 7, StartS: 40, EndS: 90},
+		{RSU: 22, StartS: 120, EndS: 200},
+	}
+	cfg.Demand = DemandConfig{PeriodS: 100, DayFraction: 0.6, NightSpeedFactor: 0.5, NightSensingFactor: 2}
+	cfg.PricingFailureRate = 0.02
+	return cfg
+}
+
+// TestDiscardMigrationRecordsKeepsAggregates pins the streaming report:
+// discarding per-migration records must change nothing but the record
+// slice itself.
+func TestDiscardMigrationRecordsKeepsAggregates(t *testing.T) {
+	fullRep := runReport(t, mixedWorkloadConfig())
+	if fullRep.Completed == 0 || fullRep.Arrivals == 0 || fullRep.FailedRounds == 0 {
+		t.Fatalf("workload is trivial: %+v", fullRep)
+	}
+	cfg := mixedWorkloadConfig()
+	cfg.DiscardMigrationRecords = true
+	leanRep := runReport(t, cfg)
+
+	if leanRep.Migrations != nil {
+		t.Fatalf("discard mode kept %d records", len(leanRep.Migrations))
+	}
+	if leanRep.Completed != len(fullRep.Migrations) {
+		t.Fatalf("Completed = %d, want %d", leanRep.Completed, len(fullRep.Migrations))
+	}
+	fullRep.Migrations = nil
+	if !reflect.DeepEqual(fullRep, leanRep) {
+		t.Fatalf("aggregates diverged:\nfull: %+v\nlean: %+v", fullRep, leanRep)
+	}
+}
+
 // TestValidateNamedFieldErrors pins that every rejected field names
 // itself in the error (the PR 6 convention).
 func TestValidateNamedFieldErrors(t *testing.T) {
