@@ -2,11 +2,11 @@
 # run before merging — GitHub Actions runs it on every push and pull
 # request (.github/workflows/ci.yml, with Go build/module caching): vet,
 # gofmt cleanliness, build, race-enabled tests (which exercise the
-# experiment worker pool under the race detector), the sharded-update,
-# vectorized-collection, online-learning and resume determinism suites
-# under -race, the serving crash-recovery smoke (serve-smoke), vet and
-# race-enabled tests of the separate benchmark module (bench-check), and
-# a short benchmark smoke pass over the hot paths.
+# experiment worker pool under the race detector), the online-learning
+# and resume determinism suites under -race, the serving crash-recovery
+# smoke (serve-smoke), vet and race-enabled tests of the separate
+# benchmark module (bench-check), and a short benchmark smoke pass over
+# the hot paths.
 #
 # Performance is measured end to end by the benchmark module in bench/
 # (`bash bench/run.sh`, see BENCHMARK.json). Here bench-smoke only keeps
@@ -15,7 +15,7 @@
 
 GO ?= go
 
-.PHONY: all vet fmt-check build test race race-sharded race-collect race-online race-resume serve-smoke bench-check bench-smoke golden golden-drift ci
+.PHONY: all vet fmt-check build test race race-online race-resume serve-smoke bench-check bench-smoke golden golden-drift ci
 
 all: ci
 
@@ -43,36 +43,20 @@ test:
 race:
 	$(GO) test -race ./...
 
-# race-sharded re-runs the sharded-update determinism and allocation
-# tests under the race detector with a high iteration count. The tests
-# themselves pin shard-count × GOMAXPROCS combinations (including values
-# above the host's core count), so a race or a reduction-order bug in the
-# sharded gradient path fails here even on a single-core CI box.
-race-sharded:
-	$(GO) test -race -count=2 -run 'Sharded|AutoShards|ShardDeferred|ShardClone' ./internal/rl ./internal/pomdp ./internal/nn
-
-# race-collect re-runs the vectorized-collection determinism and
-# allocation tests under the race detector. The worker×GOMAXPROCS tables
-# pin worker counts above the host's core count, so a race or a
-# merge-order bug in the parallel collection path fails here even on a
-# single-core CI box.
-race-collect:
-	$(GO) test -race -count=2 -run 'VecCollect|VecAuto|VecMerge|VecGAE|VecTrainer|VecEnv|SingleEnvTrainer|SelectActionBatch' ./internal/rl ./internal/pomdp
-
 # race-online re-runs the online continual-learning determinism and
 # stream-collector tests under the race detector. The rule-5 tables pin
-# CollectWorkers x shard x GOMAXPROCS combinations above the host's core
-# count, so a race or an ordering bug anywhere in the online training
-# path fails here even on a single-core CI box.
+# GOMAXPROCS values above the host's core count, so a race or an
+# ordering bug anywhere in the online training path fails here even on
+# a single-core CI box.
 race-online:
 	$(GO) test -race -count=2 -run 'Online|Stream' ./internal/rl ./internal/sim
 
 # race-resume re-runs the checkpoint/resume determinism tests under the
 # race detector. The rule-6 resume-equality tables pin snapshot-at-K-
-# then-train-K against train-2K across CollectWorkers x shards x
-# GOMAXPROCS (with knobs that differ between the legs), so a race or a
-# missing piece of checkpointed state anywhere in the snapshot/restore
-# path fails here even on a single-core CI box.
+# then-train-K against train-2K across env counts, split points and
+# GOMAXPROCS (which may differ between the legs), so a race or a missing
+# piece of checkpointed state anywhere in the snapshot/restore path
+# fails here even on a single-core CI box.
 race-resume:
 	$(GO) test -race -count=2 -run 'Resume|Snapshot|Checkpoint|Clone|CountingSource' ./internal/rl ./internal/nn ./internal/pomdp ./internal/mathx ./internal/sim
 
@@ -83,11 +67,11 @@ race-resume:
 # uninterrupted run — plus the journal edge cases (torn trailing line,
 # rotated-away checkpoint, mid-file corruption, the FuzzJournalRecover
 # seed corpus) and the daemon-level restart-resume flow. The Batch,
-# Replica, and Shutdown arms pin contract rule 8 (batch size × prework
-# workers bit-identical to serial intake; replica byte-identical to the
-# primary at the same snapshot; batched crash recovery) and the graceful
-# shutdown-under-load accounting, with the prework fan-out goroutines
-# exercised under -race.
+# Replica, and Shutdown arms pin contract rule 8 (every batch size
+# bit-identical to serial intake; replica byte-identical to the primary
+# at the same snapshot; batched crash recovery) and the graceful
+# shutdown-under-load accounting, with concurrent quoters exercising the
+# intake queue under -race.
 serve-smoke:
 	$(GO) test -race -count=1 -run 'Serve|Journal|Quote|Loadgen|HTTP|Batch|Replica|Shutdown' ./internal/serve ./cmd/vtmig-serve ./cmd/vtmig-loadgen
 	$(GO) test -race -count=1 -run 'QuoteBatch|Frozen' ./internal/sim
@@ -127,4 +111,4 @@ golden:
 golden-drift: golden
 	git diff --exit-code -- '*_golden.txt' 'internal/experiments/testdata' 'internal/sim/testdata' 'internal/scenario/testdata'
 
-ci: vet fmt-check build race race-sharded race-collect race-online race-resume serve-smoke bench-check bench-smoke
+ci: vet fmt-check build race race-online race-resume serve-smoke bench-check bench-smoke

@@ -241,43 +241,6 @@ func BenchmarkPPOUpdate(b *testing.B) {
 	}
 }
 
-// BenchmarkPPOUpdateSharded measures one optimization phase with sharded
-// gradient accumulation over a 400-step buffer and 100-row minibatches —
-// the workload where per-shard GEMMs are large enough to amortize the
-// fan-out. shards=1 is the serial reference; every shard count produces
-// bit-identical weights (see the determinism contract), so the comparison
-// is purely about throughput.
-func BenchmarkPPOUpdateSharded(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			env := newBenchEnv(b)
-			cfg := rl.DefaultPPOConfig()
-			cfg.MiniBatch = 100
-			cfg.Shards = shards
-			lo, hi := env.ActionBounds()
-			agent := rl.NewPPO(env.ObsDim(), env.ActDim(), lo, hi, cfg)
-			buf := rl.NewRollout(400)
-			obs := env.Reset()
-			for k := 0; k < 400; k++ {
-				raw, envAct, logP, value := agent.SelectAction(obs)
-				next, reward, done := env.Step(envAct)
-				buf.Add(obs, raw, logP, reward, value, done)
-				obs = next
-				if done {
-					obs = env.Reset()
-				}
-			}
-			buf.ComputeGAE(0.95, 0.95, 0)
-			agent.Update(buf) // warm-up: grows worker and minibatch scratch
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agent.Update(buf)
-			}
-		})
-	}
-}
-
 // newBenchVecEnv builds n independently seeded copies of the paper's
 // POMDP for collection benchmarks.
 func newBenchVecEnv(b *testing.B, n int) *rl.EnvSlice {
@@ -300,9 +263,7 @@ func newBenchVecEnv(b *testing.B, n int) *rl.EnvSlice {
 // classic per-step SelectAction/Step/Add sequence; the envs=W cases run
 // the VecCollector, whose per-round policy evaluation is one batched pass
 // over all live envs. Note the per-op work scales with the env count
-// (envs=4 collects 400 transitions per op, so compare ns/op ÷ envs);
-// every worker count produces bit-identical rollouts (determinism
-// contract rule 4), so the worker axis is purely about throughput.
+// (envs=4 collects 400 transitions per op, so compare ns/op ÷ envs).
 func BenchmarkCollect(b *testing.B) {
 	b.Run("serial-loop", func(b *testing.B) {
 		env := newBenchEnv(b)
@@ -330,22 +291,22 @@ func BenchmarkCollect(b *testing.B) {
 			op()
 		}
 	})
-	for _, tc := range []struct{ envs, workers int }{{1, 1}, {4, 1}, {4, 4}} {
-		b.Run(fmt.Sprintf("envs=%d/workers=%d", tc.envs, tc.workers), func(b *testing.B) {
-			vec := newBenchVecEnv(b, tc.envs)
+	for _, envs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("envs=%d", envs), func(b *testing.B) {
+			vec := newBenchVecEnv(b, envs)
 			lo, hi := vec.ActionBounds()
 			agent := rl.NewPPO(vec.ObsDim(), vec.ActDim(), lo, hi, rl.DefaultPPOConfig())
-			col := rl.NewVecCollector(vec, agent, tc.workers)
-			buf := rl.NewRollout(100 * tc.envs)
+			col := rl.NewVecCollector(vec, agent)
+			buf := rl.NewRollout(100 * envs)
 			op := func() {
 				buf.Reset()
-				col.Begin(tc.envs)
+				col.Begin(envs)
 				for k := 0; k < 100 && col.Live() > 0; k++ {
 					col.Step(k == 99)
 				}
 				col.Merge(buf)
 			}
-			op() // warm-up grows staging buffers, matrices, workers
+			op() // warm-up grows staging buffers and matrices
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -360,16 +321,15 @@ func BenchmarkCollect(b *testing.B) {
 // Trainer. envs=1 is the paper's serial loop; envs=4 trains four episodes
 // per op in lockstep (compare ns/op ÷ envs for per-episode cost).
 func BenchmarkTrainerEpisode(b *testing.B) {
-	for _, tc := range []struct{ envs, workers int }{{1, 1}, {4, 1}, {4, 4}} {
-		b.Run(fmt.Sprintf("envs=%d/workers=%d", tc.envs, tc.workers), func(b *testing.B) {
-			vec := newBenchVecEnv(b, tc.envs)
+	for _, envs := range []int{1, 4} {
+		b.Run(fmt.Sprintf("envs=%d", envs), func(b *testing.B) {
+			vec := newBenchVecEnv(b, envs)
 			lo, hi := vec.ActionBounds()
 			agent := rl.NewPPO(vec.ObsDim(), vec.ActDim(), lo, hi, rl.DefaultPPOConfig())
 			trainer := rl.NewVecTrainer(vec, agent, rl.TrainerConfig{
-				Episodes:         tc.envs, // exactly one lockstep block per Run
+				Episodes:         envs, // exactly one lockstep block per Run
 				RoundsPerEpisode: 100,
 				UpdateEvery:      20,
-				CollectWorkers:   tc.workers,
 			})
 			trainer.Run() // warm-up
 			b.ReportAllocs()
@@ -1008,8 +968,8 @@ func BenchmarkServeQuote(b *testing.B) {
 
 // BenchmarkServeQuoteBatched measures the same serving path under
 // concurrent clients, so the intake loop actually coalesces batches:
-// the per-request game prework fans out across workers, the journal is
-// flushed once per batch, and the learning core stays serial — contract
+// the journal is flushed once per batch and the per-request prework and
+// the learning core stay serial — contract
 // rule 8 makes the batch size a pure throughput knob, so this benchmark
 // prices exactly the same work as BenchmarkServeQuote, just cut
 // differently.

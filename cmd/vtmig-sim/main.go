@@ -7,8 +7,8 @@
 // `-pricer drl` trains one offline on the paper's benchmark game and
 // deploys it frozen; `-pricer online` keeps it learning from the live
 // pricing rounds (warm-started from the same offline training, or from
-// scratch with `-warm-start=false`), running a sharded PPO optimization
-// phase every `-update-every` rounds.
+// scratch with `-warm-start=false`), running a PPO optimization phase
+// every `-update-every` rounds.
 //
 // Instead of training in-process, `-warm-start-file ck.json` warm-starts
 // the online pricer from a checkpoint written by vtmig-train -checkpoint
@@ -53,7 +53,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	// Registers the "drl" and "online" pricer builders with the sim
 	// pricer registry.
@@ -119,7 +118,7 @@ func run(args []string) error {
 		out := *snapOut
 		opts.SnapshotEvery = *snapEvery
 		opts.OnSnapshot = func(ck *nn.Checkpoint) {
-			if err := writeCheckpointFile(out, ck); err != nil {
+			if err := ck.WriteFile(out); err != nil {
 				fmt.Fprintf(os.Stderr, "vtmig-sim: writing resume checkpoint: %v\n", err)
 			}
 		}
@@ -254,28 +253,4 @@ func run(args []string) error {
 		}
 	}
 	return nil
-}
-
-// writeCheckpointFile writes a checkpoint atomically (temp file + rename)
-// so a crash mid-write never leaves a truncated checkpoint behind, in the
-// compact binary encoding when the name ends in .bin and JSON otherwise.
-func writeCheckpointFile(path string, ck *nn.Checkpoint) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".bin") {
-		err = ck.SaveBinary(f)
-	} else {
-		err = ck.Save(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }

@@ -7,13 +7,11 @@
 //
 //	vtmig-train [-episodes 500] [-rounds 100] [-history 4] [-lr 3e-4]
 //	            [-reward binary|shaped] [-seed 1] [-checkpoint out.json]
-//	            [-resume ck.json] [-collect-envs 1] [-collect-workers 0]
+//	            [-resume ck.json] [-collect-envs 1]
 //
 // -collect-envs W ≥ 2 enables vectorized collection: episodes run in
 // lockstep blocks of W independently seeded environments with the policy
 // evaluated for all of them in one batched pass per round.
-// -collect-workers sets the environment-stepping goroutine count
-// (0 = automatic); any worker count produces bit-identical results.
 //
 // -checkpoint writes a FULL training checkpoint — weights, Adam state,
 // RNG stream positions, environment streams, episode count — and -resume
@@ -57,8 +55,7 @@ func run(args []string) error {
 		checkpoint = fs.String("checkpoint", "", "write the full training checkpoint (weights, optimizer, RNG, env streams) to this file — compact binary when the name ends in .bin, JSON otherwise")
 		resume     = fs.String("resume", "", "resume training from this full checkpoint (either encoding; -episodes is the TOTAL episode budget)")
 
-		collectEnvs    = fs.Int("collect-envs", 1, "parallel training environments for vectorized collection (≥2 enables lockstep episode blocks)")
-		collectWorkers = fs.Int("collect-workers", 0, "environment-stepping goroutines during collection; 0 = auto, any value is bit-identical")
+		collectEnvs = fs.Int("collect-envs", 1, "parallel training environments for vectorized collection (≥2 enables lockstep episode blocks)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -73,11 +70,7 @@ func run(args []string) error {
 	if *collectEnvs < 1 {
 		return fmt.Errorf("collect-envs must be at least 1, got %d", *collectEnvs)
 	}
-	if *collectWorkers < 0 {
-		return fmt.Errorf("collect-workers must be non-negative, got %d", *collectWorkers)
-	}
 	cfg.CollectEnvs = *collectEnvs
-	cfg.CollectWorkers = *collectWorkers
 	switch *reward {
 	case "binary":
 		cfg.Reward = pomdp.RewardBinary
@@ -91,8 +84,7 @@ func run(args []string) error {
 	fmt.Printf("Training PPO agent: E=%d K=%d L=%d |I|=%d M=%d lr=%g reward=%s\n",
 		cfg.Episodes, cfg.Rounds, cfg.HistoryLen, cfg.UpdateEvery, cfg.PPO.Epochs, cfg.PPO.LR, *reward)
 	if cfg.CollectEnvs > 1 {
-		fmt.Printf("Vectorized collection: %d envs per episode block, collect-workers=%d (0 = auto)\n",
-			cfg.CollectEnvs, cfg.CollectWorkers)
+		fmt.Printf("Vectorized collection: %d envs per episode block\n", cfg.CollectEnvs)
 	}
 	var res *experiments.TrainResult
 	var err error
@@ -146,17 +138,12 @@ func run(args []string) error {
 	}
 
 	if *checkpoint != "" {
-		f, err := os.Create(*checkpoint)
-		if err != nil {
-			return fmt.Errorf("creating checkpoint: %w", err)
+		if err := res.Checkpoint.WriteFile(*checkpoint); err != nil {
+			return fmt.Errorf("writing checkpoint: %w", err)
 		}
-		defer f.Close()
-		save, encoding := res.Checkpoint.Save, "JSON"
+		encoding := "JSON"
 		if strings.HasSuffix(*checkpoint, ".bin") {
-			save, encoding = res.Checkpoint.SaveBinary, "binary"
-		}
-		if err := save(f); err != nil {
-			return err
+			encoding = "binary"
 		}
 		fmt.Printf("Full training checkpoint written to %s (%s, episode %d; resume with -resume)\n",
 			*checkpoint, encoding, res.Checkpoint.Meta.Episodes)

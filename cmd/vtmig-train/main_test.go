@@ -19,7 +19,7 @@ func TestRunShapedReward(t *testing.T) {
 }
 
 func TestRunVectorizedCollection(t *testing.T) {
-	if err := run([]string{"-episodes", "4", "-rounds", "20", "-collect-envs", "2", "-collect-workers", "3"}); err != nil {
+	if err := run([]string{"-episodes", "4", "-rounds", "20", "-collect-envs", "2"}); err != nil {
 		t.Fatalf("run vectorized: %v", err)
 	}
 }
@@ -27,9 +27,6 @@ func TestRunVectorizedCollection(t *testing.T) {
 func TestRunBadCollectFlags(t *testing.T) {
 	if err := run([]string{"-collect-envs", "0"}); err == nil {
 		t.Fatal("collect-envs=0 accepted")
-	}
-	if err := run([]string{"-collect-workers", "-1"}); err == nil {
-		t.Fatal("collect-workers=-1 accepted")
 	}
 }
 

@@ -53,10 +53,6 @@
 // (probed once from CPUID, with no flag or build tag) the GEMMs behind
 // the batched passes and the Adam step run as AVX2 assembly that gives
 // the same bits as the Go loops, which every other CPU runs instead.
-// PPO minibatches additionally shard across workers (PPOConfig.Shards):
-// each shard runs the per-row forward/backward work on a clone of the
-// network sharing the parameters, and the cross-row gradient sums reduce
-// serially in fixed shard order.
 // The Stackelberg evaluation is destination-passing as well
 // (Game.EvaluateInto / Game.SolveInto over an EvalScratch), which keeps
 // the per-round follower response inside the POMDP's Step free of report
@@ -64,15 +60,14 @@
 // (rl.VecEnv / rl.VecCollector / rl.NewVecTrainer): episode blocks step
 // W independently seeded environment instances in lockstep, the policy
 // is evaluated for every live env in one batched pass per round, and the
-// env stepping fans out across collection workers. The online-learning
-// path reuses the same machinery: rl.StreamCollector accumulates
-// externally produced transitions (the simulator's pricing rounds) into
-// the arena-backed rollout and triggers the same sharded optimization
-// phases, so continual learning inside the simulator stays
-// allocation-free in steady state too. Experiment fan-outs (restarts,
-// seed studies, sweep points, ablation cells, online-study arms) run
-// through a shared bounded, context-cancellable worker pool in
-// internal/experiments.
+// envs then step serially in env order. The online-learning path reuses
+// the same machinery: rl.StreamCollector accumulates externally produced
+// transitions (the simulator's pricing rounds) into the arena-backed
+// rollout and triggers the same optimization phases, so continual
+// learning inside the simulator stays allocation-free in steady state
+// too. Experiment fan-outs (restarts, seed studies, sweep points,
+// ablation cells, online-study arms) run through a shared bounded,
+// context-cancellable worker pool in internal/experiments.
 //
 // # Checkpointing
 //
@@ -131,11 +126,11 @@
 //   - Engine: a pure pricing core that maps (state, ordered batch) to
 //     (state, responses, journal entries). Per-request validation, game
 //     construction, and the shaped-reward oracle solve (which consume no
-//     RNG) fan out across worker goroutines in arrival-order slots, while
-//     the policy/belief/learning pass stays strictly serial — the belief
-//     window chains each round's observation through the previous round's
-//     outcome, so the serial core is what makes any batch size
-//     bit-identical to one-at-a-time intake (contract rule 8 below).
+//     RNG) run first for the whole batch, then the policy/belief/learning
+//     pass runs strictly serially — the belief window chains each round's
+//     observation through the previous round's outcome, so the serial
+//     core is what makes any batch size bit-identical to one-at-a-time
+//     intake (contract rule 8 below).
 //   - Persistence: every accepted round is staged to a JSONL write-ahead
 //     journal and the whole batch is flushed in one write before any of
 //     its quotes is acknowledged (acknowledged ⇒ durable), while the
@@ -167,7 +162,7 @@
 // The HTTP front end (serve.NewHTTPServer) bounds header reads and idle
 // connections, and both primary and replica serve the same /v1/quote,
 // /v1/stats, /healthz surface. `make serve-smoke` pins the batched
-// crash-recovery bit-identity, the rule-8 batch×workers tables, and the
+// crash-recovery bit-identity, the rule-8 batch-size tables, and the
 // replica identity under the race detector; cmd/vtmig-loadgen records
 // serving throughput and latency percentiles — per target, across a
 // primary and its replicas — into the BENCH_pr*.json files.
@@ -248,8 +243,8 @@
 //
 // # Determinism contract
 //
-// The same seed yields the same figures, bit for bit. Seven rules
-// enforce it, numbered 1–8 with 7 retired:
+// The same seed yields the same figures, bit for bit. Six rules enforce
+// it, numbered 1–8 with 3 and 7 retired:
 //
 //  1. Batched kernels accumulate in exactly the order of the
 //     sample-at-a-time loops they replaced (k-ascending, one accumulator
@@ -258,30 +253,22 @@
 //     multiply-add is a separate multiply and add, never fused.
 //  2. Parallel experiment tasks are independently seeded with results
 //     assembled in input order.
-//  3. Sharded gradient accumulation reduces per-worker buffers in fixed
-//     shard order: shards are contiguous row ranges, workers perform only
-//     per-row computation, and every cross-row sum runs in the serial
-//     reduction with the same row-ascending kernels as the serial pass —
-//     so any shard count yields bit-identical weights regardless of
-//     GOMAXPROCS.
+//  3. Retired with sharded PPO updates; the number stays so that later
+//     rules keep their names.
 //  4. Vectorized collection merges independently seeded per-env streams
 //     in fixed env-index order: the per-round policy evaluation is one
 //     batched pass over the live envs ascending, action sampling consumes
-//     the single policy RNG serially in that same order, collection
-//     workers perform only per-env stepping into per-env staging buffers,
-//     and the merge replays the staged transitions env-ascending with
-//     per-env GAE segments — so any worker count yields rollouts (and
-//     training runs) bit-identical to serial collection regardless of
-//     GOMAXPROCS, and a single-env vectorized trainer is bit-identical to
-//     the classic serial collect loop.
+//     the single policy RNG serially in that same order, the envs step in
+//     that same order into per-env staging buffers, and the merge replays
+//     the staged transitions env-ascending with per-env GAE segments — so
+//     a single-env vectorized trainer is bit-identical to the classic
+//     serial collect loop.
 //  5. Online continual learning adds no ordering of its own: externally
 //     produced transitions enter the rollout strictly in
 //     simulator-round order (the producing loop is serial and the
-//     rl.StreamCollector consumes no RNG), and every online optimization
-//     phase runs through the rule-3 sharded reduction — so a fixed
-//     simulator seed yields a bit-identical sim.Report and bit-identical
-//     final network weights regardless of CollectWorkers (of the
-//     warm-start training), the learner's shard count, and GOMAXPROCS.
+//     rl.StreamCollector consumes no RNG) — so a fixed simulator seed
+//     yields a bit-identical sim.Report and bit-identical final network
+//     weights regardless of GOMAXPROCS.
 //  6. Checkpoint/resume carries the COMPLETE training state — parameter
 //     values, per-parameter Adam moments and step count, the policy RNG
 //     stream position, and every environment stream's RNG position and
@@ -290,10 +277,9 @@
 //     replaying a counted source to its recorded position). Training K
 //     episodes, snapshotting at an episode-block boundary, restoring
 //     into freshly built environments and learner, and training K more
-//     is then bit-identical to training 2K straight; the throughput
-//     knobs (CollectWorkers, shard count, GOMAXPROCS) may even change
-//     between the legs. The same holds at simulator level: an online
-//     pricer snapshot additionally carries the encoder belief window,
+//     is then bit-identical to training 2K straight, even when GOMAXPROCS
+//     changes between the legs. At simulator level the same holds: an
+//     online pricer snapshot also carries the encoder belief window,
 //     current observation, best tracker, and stream counters, so running
 //     a simulation to an update boundary, snapshotting, restoring with
 //     NewOnlinePricerFromCheckpoint, and finishing the run is
@@ -308,20 +294,17 @@
 //     rule 8 keeps its name.
 //  8. Serving batch size is a pure throughput knob, not a semantic one:
 //     the intake loop may cut the arrival-ordered request stream into
-//     batches of any size (Config.BatchMax) and fan the pure per-request
-//     prework — validation, game construction, the shaped-reward oracle
-//     solve, none of which consume RNG — across any number of workers in
-//     arrival-order slots, but journal entries are staged in arrival
-//     order and flushed once per batch before any acknowledgement, and
-//     the policy/belief/learning core runs strictly serially in that
-//     same order — so any batch size under any GOMAXPROCS yields
-//     bit-identical responses, journal bytes, and learner weights to
-//     one-at-a-time intake. Read replicas are the same rule across
-//     processes: a replica frozen at snapshot ordinal k answers with
-//     exactly the price the primary posts for its first round after
-//     rotation k — same float bits — because the frozen readout is the
-//     deterministic mean of the checkpointed belief state, which the
-//     request cannot perturb.
+//     batches of any size (Config.BatchMax), but journal entries are
+//     staged in arrival order and flushed once per batch before any
+//     acknowledgement, and the policy/belief/learning core runs strictly
+//     serially in that same order — so any batch size under any
+//     GOMAXPROCS yields bit-identical responses, journal bytes, and
+//     learner weights to one-at-a-time intake. Read replicas are the same
+//     rule across processes: a replica frozen at snapshot ordinal k
+//     answers with exactly the price the primary posts for its first
+//     round after rotation k — same float bits — because the frozen
+//     readout is the deterministic mean of the checkpointed belief state,
+//     which the request cannot perturb.
 //
 // The golden-file tests under internal/experiments/testdata pin the exact
 // fixed-seed outputs of every figure pipeline, those under
@@ -334,7 +317,7 @@
 // internal/pomdp/resume_test.go, internal/experiments/resume_test.go,
 // and — at simulator level — internal/sim/online_resume_test.go;
 // `make race-resume` runs them under the race detector; rule 8 by the
-// batch×workers bit-identity tables and the replica byte-identity tests
+// batch-size bit-identity tables and the replica byte-identity tests
 // in internal/serve and the chunked-quote tables in
 // internal/sim/frozen_test.go, all under `make serve-smoke`'s race
 // pass). Regenerate the golden files after an

@@ -36,12 +36,11 @@ type DRLConfig struct {
 	// blocks of W independently seeded environments (env i uses
 	// pomdp.VecSeed(Seed, i)): the training trajectory changes (each
 	// optimization phase sees W envs' transitions) but stays
-	// bit-reproducible for a fixed seed and independent of CollectWorkers.
+	// bit-reproducible for a fixed seed.
 	CollectEnvs int
-	// CollectWorkers is the number of goroutines stepping environments
-	// during collection: 0 selects automatically, 1 steps serially. Any
-	// value produces bit-identical results (determinism contract rule 4) —
-	// it is purely a throughput knob.
+	// Deprecated: collection steps its envs serially, so the value is
+	// ignored. bench/train.go is its only reader; the field goes when
+	// that file stops passing it on.
 	CollectWorkers int
 	// Seed drives environment and learner randomness (restart r uses
 	// Seed + r).
@@ -69,9 +68,9 @@ func DefaultDRLConfig() DRLConfig {
 // Fingerprint pins everything that determines the training stream bit
 // for bit — the game (followers, channel, price interval, bandwidth
 // cap), the episode schedule inputs (K, L, |I|, reward, CollectEnvs),
-// and the PPO hyper-parameters — while excluding the pure throughput
-// knobs (CollectWorkers, PPO.Shards, Restarts), the seed (carried by the
-// checkpoint's RNG states), and the episode budget (the resume point).
+// and the PPO hyper-parameters — while excluding the restart count, the
+// seed (carried by the checkpoint's RNG states), and the episode budget
+// (the resume point).
 // Training checkpoints embed it; ResumeAgent refuses a checkpoint whose
 // fingerprint does not match the requested game and configuration, so a
 // stream can never silently continue on a different game that happens to
@@ -215,11 +214,11 @@ func trainOnce(ctx context.Context, game *stackelberg.Game, cfg DRLConfig, resum
 // vtmig-train -checkpoint), cfg describes the SAME training configured
 // with the TOTAL episode budget, and the returned result is bit-identical
 // to a run that never stopped — same final weights, same evaluation —
-// regardless of CollectWorkers, PPO.Shards, and GOMAXPROCS (determinism
-// contract rule 6). The configuration fingerprint is checked before
-// anything runs; cfg.Seed and cfg.Restarts are ignored (the checkpoint
-// pins the stream's seed, and a checkpoint always belongs to exactly one
-// training stream). Episodes of the result cover only the resumed leg.
+// under any GOMAXPROCS (determinism contract rule 6). The configuration
+// fingerprint is checked before anything runs; cfg.Seed and cfg.Restarts
+// are ignored (the checkpoint pins the stream's seed, and a checkpoint
+// always belongs to exactly one training stream). Episodes of the result
+// cover only the resumed leg.
 func ResumeAgent(game *stackelberg.Game, cfg DRLConfig, ck *nn.Checkpoint) (*TrainResult, error) {
 	return ResumeAgentCtx(context.Background(), game, cfg, ck)
 }
@@ -255,7 +254,6 @@ func newTrainer(env *pomdp.GameEnv, agent *rl.PPO, cfg DRLConfig) (*rl.Trainer, 
 		Episodes:         cfg.Episodes,
 		RoundsPerEpisode: cfg.Rounds,
 		UpdateEvery:      cfg.UpdateEvery,
-		CollectWorkers:   cfg.CollectWorkers,
 	}
 	if cfg.CollectEnvs < 2 {
 		return rl.NewTrainer(env, agent, tcfg), nil

@@ -26,20 +26,18 @@ func resumeDRLCfg() DRLConfig {
 // pin: train half the budget, persist the checkpoint through JSON, resume
 // to the full budget, and compare against an uninterrupted run — final
 // weights, evaluation price, and per-episode stats must match bit for
-// bit, under serial and vectorized collection and across differing
-// throughput knobs between the legs.
+// bit, under serial and vectorized collection.
 func TestResumeAgentMatchesStraightTraining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
 	game := stackelberg.DefaultGame()
 	for _, tc := range []struct {
-		name                     string
-		collectEnvs              int
-		firstWorkers, restShards int
+		name        string
+		collectEnvs int
 	}{
-		{name: "serial", collectEnvs: 1, firstWorkers: 1, restShards: 2},
-		{name: "vec", collectEnvs: 2, firstWorkers: 3, restShards: 1},
+		{name: "serial", collectEnvs: 1},
+		{name: "vec", collectEnvs: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := resumeDRLCfg()
@@ -52,7 +50,6 @@ func TestResumeAgentMatchesStraightTraining(t *testing.T) {
 
 			half := cfg
 			half.Episodes = cfg.Episodes / 2
-			half.CollectWorkers = tc.firstWorkers
 			first, err := TrainAgent(game, half)
 			if err != nil {
 				t.Fatal(err)
@@ -75,7 +72,6 @@ func TestResumeAgentMatchesStraightTraining(t *testing.T) {
 			}
 
 			rest := cfg
-			rest.PPO.Shards = tc.restShards
 			rest.Seed = 999 // ignored: the checkpoint pins the stream seed
 			resumed, err := ResumeAgent(game, rest, loaded)
 			if err != nil {
@@ -153,11 +149,9 @@ func TestResumeAgentRejectsMismatch(t *testing.T) {
 	})
 	t.Run("throughput-knobs-excluded", func(t *testing.T) {
 		knobs := cfg
-		knobs.CollectWorkers = 7
-		knobs.PPO.Shards = 3
 		knobs.Restarts = 5
 		if knobs.Fingerprint(game) != cfg.Fingerprint(game) {
-			t.Fatal("throughput knobs changed the fingerprint")
+			t.Fatal("Restarts changed the fingerprint")
 		}
 		eps := cfg
 		eps.Episodes = 100

@@ -53,8 +53,6 @@ type activationLayer struct {
 	gradMat mat.Matrix
 }
 
-var _ ShardModule = (*activationLayer)(nil)
-
 // NewActivation returns an activation module of the given kind and width.
 func NewActivation(kind Activation, dim int) BatchModule {
 	switch kind {
@@ -112,22 +110,6 @@ func (a *activationLayer) BackwardBatch(grad *mat.Matrix) *mat.Matrix {
 	}
 	return &a.gradMat
 }
-
-// ShardClone returns a fresh activation layer of the same kind and width.
-// The layer has no parameters, so the clone shares nothing but the
-// configuration.
-func (a *activationLayer) ShardClone() ShardModule {
-	return NewActivation(a.kind, a.dim).(ShardModule)
-}
-
-// BackwardBatchDeferred is BackwardBatch: the layer has no parameters, so
-// its backward pass is already strictly per-row.
-func (a *activationLayer) BackwardBatchDeferred(grad *mat.Matrix) *mat.Matrix {
-	return a.BackwardBatch(grad)
-}
-
-// AccumulateDeferred is a no-op: there are no parameter gradients.
-func (a *activationLayer) AccumulateDeferred() {}
 
 func (a *activationLayer) Params() []*Param { return nil }
 func (a *activationLayer) InDim() int       { return a.dim }

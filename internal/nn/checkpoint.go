@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sort"
+	"strings"
 
 	"vtmig/internal/mathx"
 )
@@ -401,6 +403,36 @@ func (c *Checkpoint) Save(w io.Writer) error {
 		return fmt.Errorf("nn: encoding checkpoint: %w", err)
 	}
 	return nil
+}
+
+// WriteFile writes the checkpoint to path atomically, in the binary
+// encoding when the name ends in .bin and JSON otherwise. It encodes into
+// path+".tmp" and renames that over path only once the encode and the
+// close have succeeded, so a failed or interrupted write never truncates
+// an existing checkpoint at path; on any failure the temp file is
+// removed. Nothing is synced: the rename is atomic against a process
+// crash, not a machine crash.
+func (c *Checkpoint) WriteFile(path string) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	save := c.Save
+	if strings.HasSuffix(path, ".bin") {
+		save = c.SaveBinary
+	}
+	err = save(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp) // best effort: the write error is the one to report
+	}
+	return err
 }
 
 // LoadCheckpoint reads and validates a checkpoint in either encoding,

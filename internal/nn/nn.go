@@ -62,40 +62,6 @@ type BatchModule interface {
 	BackwardBatch(grad *mat.Matrix) *mat.Matrix
 }
 
-// ShardModule is a BatchModule that supports sharded minibatch
-// parallelism by splitting the batched backward pass into a per-row part
-// and a deferred cross-row gradient reduction:
-//
-//   - ShardClone returns a worker view that shares the module's
-//     parameters (values AND gradient storage) but owns private forward/
-//     backward caches, so several clones can process disjoint row shards
-//     of one minibatch concurrently without touching shared state.
-//   - BackwardBatchDeferred computes only the input gradients (a strictly
-//     per-row operation) and records what the gradient reduction needs;
-//     it must not write any parameter gradient.
-//   - AccumulateDeferred folds the recorded shard into the shared
-//     parameter gradients. Callers invoke it serially, one clone at a
-//     time in fixed shard order; because every accumulation kernel sums
-//     rows ascending with a single running accumulator per element,
-//     reducing contiguous shards in order is bit-identical to one
-//     full-batch BackwardBatch.
-type ShardModule interface {
-	BatchModule
-	// ShardClone returns a worker view sharing parameters with the
-	// receiver but owning private caches.
-	ShardClone() ShardModule
-	// BackwardBatchDeferred returns dLoss/dInput rows for the rows of the
-	// immediately preceding ForwardBatch on this clone, deferring all
-	// parameter-gradient accumulation to AccumulateDeferred. The returned
-	// matrix is owned by the module.
-	BackwardBatchDeferred(grad *mat.Matrix) *mat.Matrix
-	// AccumulateDeferred adds the gradient contribution recorded by the
-	// last BackwardBatchDeferred to the shared parameter gradients and
-	// clears the record. It must not run concurrently with any other
-	// accumulation or backward on a module sharing the same parameters.
-	AccumulateDeferred()
-}
-
 // Module is a differentiable computation with learnable parameters.
 type Module interface {
 	// Forward computes the module output for input x and caches whatever

@@ -1,6 +1,7 @@
 package pomdp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -36,9 +37,8 @@ func randomGame(t *testing.T, rng *rand.Rand) *stackelberg.Game {
 }
 
 // trainBriefly runs a short end-to-end training (environment, trainer,
-// PPO with the given shard count) and returns the agent and per-episode
-// returns.
-func trainBriefly(t *testing.T, game *stackelberg.Game, seed int64, shards int) (*rl.PPO, []float64) {
+// PPO) and returns the agent and per-episode returns.
+func trainBriefly(t *testing.T, game *stackelberg.Game, seed int64) (*rl.PPO, []float64) {
 	t.Helper()
 	env, err := NewGameEnv(Config{
 		Game:       game,
@@ -52,7 +52,6 @@ func trainBriefly(t *testing.T, game *stackelberg.Game, seed int64, shards int) 
 	}
 	cfg := rl.DefaultPPOConfig()
 	cfg.Seed = seed
-	cfg.Shards = shards
 	cfg.MiniBatch = 10
 	lo, hi := env.ActionBounds()
 	agent := rl.NewPPO(env.ObsDim(), env.ActDim(), lo, hi, cfg)
@@ -69,34 +68,36 @@ func trainBriefly(t *testing.T, game *stackelberg.Game, seed int64, shards int) 
 	return agent, returns
 }
 
-// TestShardedTrainingBitIdenticalOnRandomGames extends the unit-level
-// shard determinism tests to the real POMDP: on randomized games, a full
-// (short) training run with sharded PPO updates must reproduce the serial
-// run's weights and episode returns bit for bit.
-func TestShardedTrainingBitIdenticalOnRandomGames(t *testing.T) {
+// requireSameTraining fails unless two training runs produced the same
+// episode returns and final weights, bit for bit.
+func requireSameTraining(t *testing.T, label string, a *rl.PPO, aRet []float64, b *rl.PPO, bRet []float64) {
+	t.Helper()
+	for i := range aRet {
+		if math.Float64bits(aRet[i]) != math.Float64bits(bRet[i]) {
+			t.Fatalf("%s: episode %d return %v vs %v", label, i, aRet[i], bRet[i])
+		}
+	}
+	ap, bp := a.Params(), b.Params()
+	for i := range ap {
+		for j := range ap[i].Value {
+			if math.Float64bits(ap[i].Value[j]) != math.Float64bits(bp[i].Value[j]) {
+				t.Fatalf("%s: param %q element %d: %v vs %v", label, ap[i].Name, j, ap[i].Value[j], bp[i].Value[j])
+			}
+		}
+	}
+}
+
+// TestTrainingBitIdenticalOnRandomGames pins same-seed reproducibility
+// on the real POMDP: on randomized games, a full (short) training run
+// repeated with the same seed reproduces its weights and episode returns
+// bit for bit.
+func TestTrainingBitIdenticalOnRandomGames(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 5; trial++ {
 		game := randomGame(t, rng)
 		seed := int64(1000 + trial)
-		shards := []int{2, 4, 7}[trial%3]
-
-		serial, serialRet := trainBriefly(t, game, seed, 1)
-		sharded, shardedRet := trainBriefly(t, game, seed, shards)
-
-		for i := range serialRet {
-			if math.Float64bits(serialRet[i]) != math.Float64bits(shardedRet[i]) {
-				t.Fatalf("trial %d (N=%d, shards=%d): episode %d return %v vs %v",
-					trial, game.N(), shards, i, serialRet[i], shardedRet[i])
-			}
-		}
-		sp, pp := serial.Params(), sharded.Params()
-		for i := range sp {
-			for j := range sp[i].Value {
-				if math.Float64bits(sp[i].Value[j]) != math.Float64bits(pp[i].Value[j]) {
-					t.Fatalf("trial %d (N=%d, shards=%d): param %q element %d: %v vs %v",
-						trial, game.N(), shards, sp[i].Name, j, sp[i].Value[j], pp[i].Value[j])
-				}
-			}
-		}
+		a, aRet := trainBriefly(t, game, seed)
+		b, bRet := trainBriefly(t, game, seed)
+		requireSameTraining(t, fmt.Sprintf("trial %d (N=%d)", trial, game.N()), a, aRet, b, bRet)
 	}
 }

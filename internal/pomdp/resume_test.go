@@ -109,7 +109,7 @@ func TestGameEnvTrainerResumeBitIdentity(t *testing.T) {
 	for _, envs := range []int{1, 2} {
 		t.Run(map[int]string{1: "serial", 2: "vec"}[envs], func(t *testing.T) {
 			const seed = 11
-			tcfg := rl.TrainerConfig{Episodes: 4, RoundsPerEpisode: 20, UpdateEvery: 10, CollectWorkers: 1}
+			tcfg := rl.TrainerConfig{Episodes: 4, RoundsPerEpisode: 20, UpdateEvery: 10}
 			pcfg := rl.DefaultPPOConfig()
 			pcfg.Seed = seed
 			pcfg.MiniBatch = 10

@@ -4,36 +4,17 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
+	"vtmig/internal/mat"
 	"vtmig/internal/nn"
 )
 
-// The tests in this file pin the third rule of the determinism contract:
-// sharded PPO updates produce weights bit-identical to the serial pass
-// for every shard count, regardless of GOMAXPROCS. "Bit-identical" is
-// meant literally — comparisons go through math.Float64bits, not a
-// tolerance.
-
-// collectRollout fills buf with one episode of experience from env using
-// agent's stochastic policy, then computes advantages. Both agents under
-// comparison run this with identically seeded RNGs, so any weight
-// divergence compounds into diverging rollouts and is caught.
-func collectRollout(agent *PPO, env *allocEnv, buf *Rollout, rounds int) {
-	buf.Reset()
-	obs := env.Reset()
-	for k := 0; k < rounds; k++ {
-		raw, envAct, logP, value := agent.SelectAction(obs)
-		next, reward, done := env.Step(envAct)
-		buf.Add(obs, raw, logP, reward, value, done)
-		obs = next
-		if done {
-			obs = env.Reset()
-		}
-	}
-	buf.ComputeGAE(agent.cfg.Gamma, agent.cfg.Lambda, 0)
-}
+// The tests in this file pin the first rule of the determinism contract
+// at the actor–critic level: the batched pass a minibatch update runs
+// accumulates gradients bit-identically to per-row Forward/Backward calls
+// in row order. "Bit-identical" is meant literally — comparisons go
+// through math.Float64bits, not a tolerance.
 
 // paramsEqualBits reports the first parameter element where a and b
 // differ bitwise, or ok.
@@ -54,132 +35,60 @@ func paramsEqualBits(a, b []*nn.Param) (string, bool) {
 	return "", true
 }
 
-// runTraining builds an agent with the given shard count and runs cycles
-// of collect+update on a fresh deterministic environment, returning the
-// agent and the accumulated update statistics.
-func runTraining(cfg PPOConfig, obsDim, cycles, rounds int) (*PPO, []UpdateStats) {
-	env := newAllocEnv(obsDim)
-	agent := NewPPO(obsDim, 1, []float64{0}, []float64{1}, cfg)
-	buf := NewRollout(rounds)
-	stats := make([]UpdateStats, 0, cycles)
-	for c := 0; c < cycles; c++ {
-		collectRollout(agent, env, buf, rounds)
-		stats = append(stats, agent.Update(buf))
-	}
-	return agent, stats
-}
-
-// TestShardedUpdateBitIdentical pins shard-count × GOMAXPROCS
-// combinations: every cell must reproduce the serial reference weights
-// and statistics exactly.
-func TestShardedUpdateBitIdentical(t *testing.T) {
-	const (
-		obsDim = 12
-		cycles = 3
-		rounds = 60
-	)
-	baseCfg := DefaultPPOConfig()
-	baseCfg.Seed = 7
-	baseCfg.Shards = 1
-	serial, serialStats := runTraining(baseCfg, obsDim, cycles, rounds)
-
-	for _, gmp := range []int{1, 2, 4} {
-		for _, shards := range []int{1, 2, 4, 7} {
-			t.Run(fmt.Sprintf("gomaxprocs=%d/shards=%d", gmp, shards), func(t *testing.T) {
-				prev := runtime.GOMAXPROCS(gmp)
-				defer runtime.GOMAXPROCS(prev)
-
-				cfg := baseCfg
-				cfg.Shards = shards
-				agent, stats := runTraining(cfg, obsDim, cycles, rounds)
-				if diff, ok := paramsEqualBits(serial.Params(), agent.Params()); !ok {
-					t.Fatalf("weights diverged from serial pass: %s", diff)
-				}
-				for c := range stats {
-					if stats[c] != serialStats[c] {
-						t.Fatalf("cycle %d stats diverged: serial %+v, sharded %+v",
-							c, serialStats[c], stats[c])
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestShardedUpdateBitIdenticalRandomizedNetworks is the property form:
-// random network shapes, minibatch sizes, epoch modes, and shard counts
-// must all reproduce the serial weights bitwise.
-func TestShardedUpdateBitIdenticalRandomizedNetworks(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 12; trial++ {
-		obsDim := 3 + rng.Intn(10)
+// TestActorCriticBackwardBatchMatchesBackward is the rule-1 property at
+// the network the PPO update trains: over random shapes, activations and
+// batch sizes on both sides of nn's transposed-weights threshold, with
+// occasional −0 value gradients, ForwardBatch + BackwardBatch leaves
+// every parameter gradient bit-identical to per-row Forward/Backward in
+// row order.
+func TestActorCriticBackwardBatchMatchesBackward(t *testing.T) {
+	acts := []nn.Activation{nn.ActIdentity, nn.ActTanh, nn.ActReLU, nn.ActSigmoid, nn.ActSoftplus}
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 200; trial++ {
+		obsDim, actDim := 1+rng.Intn(12), 1+rng.Intn(3)
 		hidden := make([]int, 1+rng.Intn(2))
 		for i := range hidden {
-			hidden[i] = 8 + rng.Intn(25)
+			hidden[i] = 1 + rng.Intn(40)
 		}
-		cfg := DefaultPPOConfig()
-		cfg.Hidden = hidden
-		cfg.Epochs = 2 + rng.Intn(3)
-		cfg.MiniBatch = 5 + rng.Intn(60)
-		cfg.FullEpochs = rng.Intn(2) == 0
-		cfg.Seed = int64(100 + trial)
-		rounds := 20 + rng.Intn(60)
-		shards := 2 + rng.Intn(7)
-
-		cfg.Shards = 1
-		serial, _ := runTraining(cfg, obsDim, 2, rounds)
-		cfg.Shards = shards
-		sharded, _ := runTraining(cfg, obsDim, 2, rounds)
-
-		if diff, ok := paramsEqualBits(serial.Params(), sharded.Params()); !ok {
-			t.Fatalf("trial %d (obs=%d hidden=%v minibatch=%d full=%v rounds=%d shards=%d): %s",
-				trial, obsDim, hidden, cfg.MiniBatch, cfg.FullEpochs, rounds, shards, diff)
+		act := acts[rng.Intn(len(acts))]
+		rows := 1 + rng.Intn(70)
+		seed := rng.Int63()
+		build := func() *ActorCritic {
+			return NewActorCritic(obsDim, actDim, hidden, act, -0.5, rand.New(rand.NewSource(seed)))
 		}
-	}
-}
 
-// TestAutoShardsBitIdentical checks the automatic mode (Shards = 0)
-// against the serial reference: whatever shard count auto resolves to on
-// the current GOMAXPROCS, the weights must not change.
-func TestAutoShardsBitIdentical(t *testing.T) {
-	const obsDim = 8
-	cfg := DefaultPPOConfig()
-	cfg.Seed = 11
-	cfg.MiniBatch = 64 // above autoShardMinRows so auto mode actually shards
-	cfg.Shards = 1
-	serial, _ := runTraining(cfg, obsDim, 2, 80)
+		obs, dMean, dLogStd := mat.New(rows, obsDim), mat.New(rows, actDim), mat.New(rows, actDim)
+		obs.Randomize(rng, 2)
+		dMean.Randomize(rng, 1)
+		dLogStd.Randomize(rng, 1)
+		dValue := make([]float64, rows)
+		for r := range dValue {
+			dValue[r] = rng.NormFloat64()
+			if rng.Intn(5) == 0 {
+				dValue[r] = math.Copysign(0, -1)
+			}
+		}
 
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	cfg.Shards = 0
-	auto, _ := runTraining(cfg, obsDim, 2, 80)
-	if diff, ok := paramsEqualBits(serial.Params(), auto.Params()); !ok {
-		t.Fatalf("auto-shard weights diverged from serial pass: %s", diff)
-	}
-}
+		seq := build()
+		nn.ZeroGrads(seq.Params())
+		for r := 0; r < rows; r++ {
+			seq.Forward(obs.Row(r))
+			seq.Backward(dMean.Row(r), dLogStd.Row(r), dValue[r])
+		}
+		bat := build()
+		nn.ZeroGrads(bat.Params())
+		bat.ForwardBatch(obs)
+		bat.BackwardBatch(dMean, dLogStd, dValue)
 
-// TestEffectiveShards pins the shard-resolution rules.
-func TestEffectiveShards(t *testing.T) {
-	mk := func(shards int) *PPO {
-		cfg := DefaultPPOConfig()
-		cfg.Shards = shards
-		return NewPPO(4, 1, []float64{0}, []float64{1}, cfg)
-	}
-	if got := mk(1).effectiveShards(100); got != 1 {
-		t.Errorf("explicit serial: got %d shards, want 1", got)
-	}
-	if got := mk(7).effectiveShards(100); got != 7 {
-		t.Errorf("explicit 7: got %d shards, want 7", got)
-	}
-	if got := mk(7).effectiveShards(3); got != 3 {
-		t.Errorf("7 shards over 3 rows: got %d, want 3 (non-empty shards)", got)
-	}
-	prev := runtime.GOMAXPROCS(8)
-	defer runtime.GOMAXPROCS(prev)
-	if got := mk(0).effectiveShards(autoShardMinRows - 1); got != 1 {
-		t.Errorf("auto below min rows: got %d shards, want 1", got)
-	}
-	if got := mk(0).effectiveShards(100); got != autoShardCap {
-		t.Errorf("auto with GOMAXPROCS=8: got %d shards, want cap %d", got, autoShardCap)
+		for i, p := range bat.Params() {
+			want := seq.Params()[i]
+			for j, g := range p.Grad {
+				if math.Float64bits(g) != math.Float64bits(want.Grad[j]) {
+					t.Fatalf("trial %d (obs=%d act=%d hidden=%v %v rows=%d): %s grad[%d] batch %x != per-row %x",
+						trial, obsDim, actDim, hidden, act, rows, p.Name, j,
+						math.Float64bits(g), math.Float64bits(want.Grad[j]))
+				}
+			}
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
 
 	"vtmig/internal/mat"
 	"vtmig/internal/mathx"
@@ -54,17 +53,6 @@ type PPOConfig struct {
 	// MinLogStd floors the log-scale so exploration never collapses to
 	// exactly zero during training.
 	MinLogStd float64
-	// Shards is the number of minibatch shards used for parallel gradient
-	// accumulation during Update. Each shard runs the per-row forward/
-	// backward work on its own worker over a contiguous row range; the
-	// cross-row gradient sums are then reduced serially in fixed shard
-	// order, so every shard count produces weights bit-identical to the
-	// serial pass regardless of GOMAXPROCS (the third rule of the
-	// determinism contract). 0 (the default) selects automatically:
-	// min(GOMAXPROCS, 4) shards, falling back to serial when the
-	// minibatch is too small to amortize the fan-out. 1 forces the serial
-	// path.
-	Shards int
 	// Seed drives weight initialization and action sampling.
 	Seed int64
 }
@@ -92,16 +80,20 @@ func DefaultPPOConfig() PPOConfig {
 }
 
 // Fingerprint pins the learner hyper-parameters that determine the
-// training stream bit for bit, normalizing the pure throughput knob
-// (Shards) and the seed (checkpoints carry the seed separately in their
-// RNG states). PPO.Snapshot embeds it in the checkpoint metadata and
-// every full Restore checks it, so a checkpoint cannot silently continue
-// under different hyper-parameters (e.g. another learning rate applied
-// to restored Adam moments).
+// training stream bit for bit, normalizing the seed (checkpoints carry
+// the seed separately in their RNG states). PPO.Snapshot embeds it in the
+// checkpoint metadata and every full Restore checks it, so a checkpoint
+// cannot silently continue under different hyper-parameters (e.g.
+// another learning rate applied to restored Adam moments).
 func (c PPOConfig) Fingerprint() string {
-	c.Shards = 0
 	c.Seed = 0
-	return fmt.Sprintf("ppo-v1|%+v", c)
+	// Until sharded updates were deleted, PPOConfig carried a Shards
+	// throughput knob just before Seed, always zeroed here. Every
+	// checkpoint written then embeds " Shards:0 Seed:0}", so splice it
+	// back in: Seed is the last field and zeroed, so the printed config
+	// always ends in " Seed:0}", and those checkpoints keep restoring.
+	fp := fmt.Sprintf("ppo-v1|%+v", c)
+	return strings.TrimSuffix(fp, " Seed:0}") + " Shards:0 Seed:0}"
 }
 
 // LRFromFingerprint extracts the Adam learning rate recorded in a
@@ -137,9 +129,6 @@ func (c PPOConfig) validate() {
 	}
 	if c.LR <= 0 {
 		panic(fmt.Sprintf("rl: PPO LR=%g must be positive", c.LR))
-	}
-	if c.Shards < 0 {
-		panic(fmt.Sprintf("rl: PPO Shards=%d must be non-negative", c.Shards))
 	}
 }
 
@@ -178,17 +167,6 @@ type PPO struct {
 	dMeanB     mat.Matrix // minibatch×actDim
 	dLogStdB   mat.Matrix
 	dValueB    []float64
-
-	// sharded-update machinery (see shard.go): per-shard workers created
-	// lazily on the first sharded minibatch and reused across updates,
-	// plus per-row loss slots the master reduces row-ascending so sharded
-	// statistics match the serial pass bit for bit.
-	workers       []*ppoWorker
-	shardWG       sync.WaitGroup
-	rowPolicyLoss []float64
-	rowValueLoss  []float64
-	rowEntropy    []float64
-	rowClipped    []float64
 }
 
 // NewPPO builds a PPO learner for an environment with the given
@@ -373,8 +351,7 @@ func (p *PPO) SelectActionWithMean(obs []float64) (raw, env []float64, logP, val
 // the forward pass goes through the batched kernels (whose rows reproduce
 // the sample-at-a-time pass bitwise, contract rule 1) and the sampler
 // consumes the learner's RNG strictly row-ascending, so the stream
-// matches the per-row call sequence exactly regardless of how callers
-// later fan the sampled actions out across workers (contract rule 4).
+// matches the per-row call sequence exactly (contract rule 4).
 //
 // raw and envAct are resized to obs.Rows×ActDim; logP and values must
 // have length obs.Rows.
@@ -513,13 +490,8 @@ func (p *PPO) Update(buf *Rollout) UpdateStats {
 // network as one batched forward/backward pass — the policy is evaluated
 // for every selected rollout step at once — with gradient accumulation
 // ordered so the result is bit-identical to the sample-at-a-time loop it
-// replaced. With more than one effective shard the per-row work fans out
-// across workers (see shard.go) and produces the same bits.
+// replaced.
 func (p *PPO) updateMiniBatch(steps []Transition, batch []int, stats *UpdateStats) {
-	if shards := p.effectiveShards(len(batch)); shards > 1 {
-		p.updateMiniBatchSharded(steps, batch, stats, shards)
-		return
-	}
 	params := p.net.Params()
 	nn.ZeroGrads(params)
 	scale := 1 / float64(len(batch))
@@ -560,8 +532,7 @@ func (p *PPO) updateMiniBatch(steps []Transition, batch []int, stats *UpdateStat
 // rowLoss computes one rollout sample's contribution to the minibatch
 // loss: it fills the scaled, sign-flipped gradient rows dMean and dLogStd
 // and returns the scaled value-head gradient plus the per-row statistics
-// terms. The serial and sharded update paths share it verbatim, which is
-// what makes their numbers bit-identical.
+// terms.
 func (p *PPO) rowLoss(tr *Transition, mean, logStd []float64, value float64, dMean, dLogStd []float64, scale float64) (dValue, policyLoss, valueLoss float64, clipped bool) {
 	newLogP := gaussianLogProb(tr.Action, mean, logStd)
 	ratio := math.Exp(newLogP - tr.LogProb)

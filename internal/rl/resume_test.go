@@ -2,7 +2,6 @@ package rl
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -16,7 +15,7 @@ import (
 // environment stream states + episode count) restores training
 // bit-identically — train K episodes, snapshot, restore into freshly
 // constructed envs/agent, train K more is the same run as training 2K
-// straight, for any shard count, CollectWorkers, and GOMAXPROCS.
+// straight, under any GOMAXPROCS.
 
 // trainStraight trains a fresh agent for cfg.Episodes and returns it with
 // its stats.
@@ -28,16 +27,14 @@ func trainStraight(envs int, tcfg TrainerConfig, pcfg PPOConfig) (*PPO, []Episod
 
 // trainSplit trains to splitAt episodes, snapshots, round-trips the
 // checkpoint through JSON, restores into freshly built envs and agent,
-// and trains to the full budget. The two legs may use different worker
-// and shard counts (tcfg/firstP vs resumeCfg/resumeP) — pure throughput
-// knobs under the contract. It returns the resumed agent and the
+// and trains to the full budget. It returns the resumed agent and the
 // second-leg stats.
-func trainSplit(t *testing.T, envs, splitAt int, tcfg, resumeCfg TrainerConfig, firstP, resumeP PPOConfig) (*PPO, []EpisodeStats) {
+func trainSplit(t *testing.T, envs, splitAt int, tcfg TrainerConfig, pcfg PPOConfig) (*PPO, []EpisodeStats) {
 	t.Helper()
 	firstCfg := tcfg
 	firstCfg.Episodes = splitAt
 	vec1 := newVecTestSlice(envs, 6, 17, tcfg.RoundsPerEpisode+3)
-	agent1 := NewPPO(6, 1, []float64{0}, []float64{1}, firstP)
+	agent1 := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
 	tr1 := NewVecTrainer(vec1, agent1, firstCfg)
 	tr1.Fingerprint = "resume-test"
 	tr1.Run()
@@ -56,8 +53,8 @@ func trainSplit(t *testing.T, envs, splitAt int, tcfg, resumeCfg TrainerConfig, 
 	}
 
 	vec2 := newVecTestSlice(envs, 6, 17, tcfg.RoundsPerEpisode+3)
-	agent2 := NewPPO(6, 1, []float64{0}, []float64{1}, resumeP)
-	tr2, err := ResumeTrainer(vec2, agent2, resumeCfg, loaded)
+	agent2 := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
+	tr2, err := ResumeTrainer(vec2, agent2, tcfg, loaded)
 	if err != nil {
 		t.Fatalf("ResumeTrainer: %v", err)
 	}
@@ -70,22 +67,18 @@ func trainSplit(t *testing.T, envs, splitAt int, tcfg, resumeCfg TrainerConfig, 
 
 // TestResumeBitIdentity is the resume-equality table: snapshot-at-K-then-
 // train-K must equal train-2K for every combination of environment count,
-// collection workers, shard count, and GOMAXPROCS — including worker and
-// shard counts that differ between the snapshot and the resume leg.
+// split point, and GOMAXPROCS.
 func TestResumeBitIdentity(t *testing.T) {
 	const rounds, updateEvery = 20, 10
 	cells := []struct {
-		name                        string
-		envs, splitAt, total        int
-		firstWorkers, resumeWorkers int
-		firstShards, resumeShards   int
-		gomaxprocs                  int
+		name                 string
+		envs, splitAt, total int
+		gomaxprocs           int
 	}{
-		{name: "serial", envs: 1, splitAt: 3, total: 6, firstWorkers: 1, resumeWorkers: 1, firstShards: 1, resumeShards: 1, gomaxprocs: 1},
-		{name: "odd-split", envs: 1, splitAt: 2, total: 7, firstWorkers: 1, resumeWorkers: 1, firstShards: 1, resumeShards: 1, gomaxprocs: 2},
-		{name: "sharded-resume", envs: 1, splitAt: 3, total: 6, firstWorkers: 1, resumeWorkers: 1, firstShards: 1, resumeShards: 3, gomaxprocs: 4},
-		{name: "vec", envs: 2, splitAt: 2, total: 6, firstWorkers: 2, resumeWorkers: 1, firstShards: 2, resumeShards: 1, gomaxprocs: 2},
-		{name: "vec-workers-differ", envs: 3, splitAt: 3, total: 6, firstWorkers: 1, resumeWorkers: 4, firstShards: 0, resumeShards: 2, gomaxprocs: 4},
+		{name: "serial", envs: 1, splitAt: 3, total: 6, gomaxprocs: 1},
+		{name: "odd-split", envs: 1, splitAt: 2, total: 7, gomaxprocs: 2},
+		{name: "vec", envs: 2, splitAt: 2, total: 6, gomaxprocs: 2},
+		{name: "vec-3env", envs: 3, splitAt: 3, total: 6, gomaxprocs: 4},
 	}
 	for _, tc := range cells {
 		t.Run(tc.name, func(t *testing.T) {
@@ -94,22 +87,9 @@ func TestResumeBitIdentity(t *testing.T) {
 
 			pcfg := DefaultPPOConfig()
 			pcfg.Seed = 23
-
-			straightCfg := TrainerConfig{Episodes: tc.total, RoundsPerEpisode: rounds,
-				UpdateEvery: updateEvery, CollectWorkers: 1}
-			straightP := pcfg
-			straightP.Shards = 1
-			ref, refStats := trainStraight(tc.envs, straightCfg, straightP)
-
-			firstP := pcfg
-			firstP.Shards = tc.firstShards
-			firstCfg := straightCfg
-			firstCfg.CollectWorkers = tc.firstWorkers
-			resumeP := pcfg
-			resumeP.Shards = tc.resumeShards
-			resumeCfg := straightCfg
-			resumeCfg.CollectWorkers = tc.resumeWorkers
-			resumed, tail := trainSplit(t, tc.envs, tc.splitAt, firstCfg, resumeCfg, firstP, resumeP)
+			tcfg := TrainerConfig{Episodes: tc.total, RoundsPerEpisode: rounds, UpdateEvery: updateEvery}
+			ref, refStats := trainStraight(tc.envs, tcfg, pcfg)
+			resumed, tail := trainSplit(t, tc.envs, tc.splitAt, tcfg, pcfg)
 
 			if diff, ok := paramsEqualBits(ref.Params(), resumed.Params()); !ok {
 				t.Fatalf("resumed weights diverged from straight training: %s", diff)
@@ -137,30 +117,6 @@ func TestResumeBitIdentity(t *testing.T) {
 	}
 }
 
-// TestResumeShardedAgentBitIdentity pins that the RESUMED leg may change
-// the shard count mid-stream: resuming a serial-trained checkpoint into a
-// sharded learner (and vice versa) stays on the reference trajectory.
-// (Covered by the table above for selected cells; this test sweeps shard
-// counts densely on the serial env.)
-func TestResumeShardedAgentBitIdentity(t *testing.T) {
-	tcfg := TrainerConfig{Episodes: 6, RoundsPerEpisode: 20, UpdateEvery: 10, CollectWorkers: 1}
-	pcfg := DefaultPPOConfig()
-	pcfg.Seed = 31
-	pcfg.Shards = 1
-	ref, _ := trainStraight(1, tcfg, pcfg)
-
-	for _, shards := range []int{1, 2, 3, 5} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			resumeP := pcfg
-			resumeP.Shards = shards
-			resumed, _ := trainSplit(t, 1, 3, tcfg, tcfg, pcfg, resumeP)
-			if diff, ok := paramsEqualBits(ref.Params(), resumed.Params()); !ok {
-				t.Fatalf("resumed weights diverged: %s", diff)
-			}
-		})
-	}
-}
-
 // TestAgentSnapshotRoundTripValueIdentical is the agent-level round-trip
 // property: Snapshot → Save → Load → Restore reproduces weights, moments,
 // and the RNG position value-identically, and the restored agent's next
@@ -168,7 +124,7 @@ func TestResumeShardedAgentBitIdentity(t *testing.T) {
 func TestAgentSnapshotRoundTripValueIdentical(t *testing.T) {
 	pcfg := DefaultPPOConfig()
 	pcfg.Seed = 9
-	agent, _ := trainStraight(1, TrainerConfig{Episodes: 2, RoundsPerEpisode: 15, UpdateEvery: 5, CollectWorkers: 1}, pcfg)
+	agent, _ := trainStraight(1, TrainerConfig{Episodes: 2, RoundsPerEpisode: 15, UpdateEvery: 5}, pcfg)
 
 	ck, err := agent.Snapshot()
 	if err != nil {
@@ -204,7 +160,7 @@ func TestAgentSnapshotRoundTripValueIdentical(t *testing.T) {
 func TestAgentClone(t *testing.T) {
 	pcfg := DefaultPPOConfig()
 	pcfg.Seed = 4
-	agent, _ := trainStraight(1, TrainerConfig{Episodes: 2, RoundsPerEpisode: 15, UpdateEvery: 5, CollectWorkers: 1}, pcfg)
+	agent, _ := trainStraight(1, TrainerConfig{Episodes: 2, RoundsPerEpisode: 15, UpdateEvery: 5}, pcfg)
 	before, err := agent.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +174,7 @@ func TestAgentClone(t *testing.T) {
 	}
 	// Train the clone further; the original must be untouched.
 	vec := newVecTestSlice(1, 6, 99, 20)
-	NewVecTrainer(vec, clone, TrainerConfig{Episodes: 1, RoundsPerEpisode: 10, UpdateEvery: 5, CollectWorkers: 1}).Run()
+	NewVecTrainer(vec, clone, TrainerConfig{Episodes: 1, RoundsPerEpisode: 10, UpdateEvery: 5}).Run()
 	after, err := agent.Snapshot()
 	if err != nil {
 		t.Fatal(err)
@@ -269,13 +225,11 @@ func TestRestoreErrors(t *testing.T) {
 		if err := other.Restore(full); err == nil {
 			t.Fatal("checkpoint restored into a learner with a different learning rate")
 		}
-		// Throughput knobs and seed are normalized out of the learner
-		// fingerprint.
-		sharded := pcfg
-		sharded.Shards = 3
-		sharded.Seed = 99
-		if sharded.Fingerprint() != pcfg.Fingerprint() {
-			t.Fatal("Shards/Seed changed the learner fingerprint")
+		// The seed is normalized out of the learner fingerprint.
+		reseeded := pcfg
+		reseeded.Seed = 99
+		if reseeded.Fingerprint() != pcfg.Fingerprint() {
+			t.Fatal("Seed changed the learner fingerprint")
 		}
 	})
 
@@ -382,7 +336,7 @@ func TestTrainingAllocationFreeAfterSnapshotRestore(t *testing.T) {
 	pcfg.Seed = 12
 	vec := newVecTestSlice(2, 6, 5, 200)
 	agent := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
-	col := NewVecCollector(vec, agent, 2)
+	col := NewVecCollector(vec, agent)
 	buf := NewRollout(0)
 
 	block := func() {
@@ -407,5 +361,26 @@ func TestTrainingAllocationFreeAfterSnapshotRestore(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(10, block); n != 0 {
 		t.Errorf("training block allocates %v times after Snapshot/Restore, want 0", n)
+	}
+}
+
+// TestPPOFingerprintStable pins PPOConfig.Fingerprint byte for byte.
+// Every full checkpoint embeds it twice and every restore compares it, so
+// a field reorder, addition or removal that changes the string would make
+// existing checkpoints unrestorable. The literals were printed by the
+// config that still had a Shards field; see Fingerprint.
+func TestPPOFingerprintStable(t *testing.T) {
+	const def = "ppo-v1|{Gamma:0.95 Lambda:0.95 ClipEps:0.2 ValueCoef:0.5 EntropyCoef:0 LR:0.0003 MaxGradNorm:0.5 Epochs:10 MiniBatch:20 NormalizeAdv:true FullEpochs:false Hidden:[64 64] Activation:tanh InitLogStd:-0.5 MinLogStd:-4 Shards:0 Seed:0}"
+	if got := DefaultPPOConfig().Fingerprint(); got != def {
+		t.Errorf("default fingerprint\n  got:  %s\n  want: %s", got, def)
+	}
+	cfg := DefaultPPOConfig()
+	cfg.Hidden = []int{8}
+	cfg.FullEpochs = true
+	cfg.LR = 1e-3
+	cfg.Seed = 9
+	const custom = "ppo-v1|{Gamma:0.95 Lambda:0.95 ClipEps:0.2 ValueCoef:0.5 EntropyCoef:0 LR:0.001 MaxGradNorm:0.5 Epochs:10 MiniBatch:20 NormalizeAdv:true FullEpochs:true Hidden:[8] Activation:tanh InitLogStd:-0.5 MinLogStd:-4 Shards:0 Seed:0}"
+	if got := cfg.Fingerprint(); got != custom {
+		t.Errorf("custom fingerprint\n  got:  %s\n  want: %s", got, custom)
 	}
 }

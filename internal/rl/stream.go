@@ -12,15 +12,13 @@ import "fmt"
 // collector computes the segment's GAE (bootstrapping the value of the
 // observation following the last transition, zero when that transition
 // was terminal) and runs one agent Update — the paper's optimization
-// phase, including its sharded gradient reduction (determinism contract
-// rule 3) when the agent is configured with shards.
+// phase.
 //
 // Determinism (rule 5 of the contract): the collector adds no ordering of
 // its own — callers feed transitions serially in stream order, every
-// cross-row sum inside Update happens in the rule-1/rule-3 fixed-order
-// kernels, and the collector consumes no RNG. A fixed transition stream
-// therefore produces bit-identical weights for any shard count and any
-// GOMAXPROCS.
+// cross-row sum inside Update happens in the rule-1 fixed-order kernels,
+// and the collector consumes no RNG. A fixed transition stream therefore
+// produces bit-identical weights under any GOMAXPROCS.
 //
 // The collector is not safe for concurrent use; the producing loop owns
 // it.

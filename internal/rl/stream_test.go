@@ -1,16 +1,9 @@
 package rl
 
-import (
-	"fmt"
-	"math"
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // streamTransition is one precomputed external transition for the
-// StreamCollector tests: the same fixed stream is replayed into
-// differently configured learners, so any weight divergence is the
-// learner's, not the stream's.
+// StreamCollector tests.
 type streamTransition struct {
 	obs, raw            []float64
 	logP, reward, value float64
@@ -55,52 +48,6 @@ func makeStream(t *testing.T, n int) []streamTransition {
 		}
 	}
 	return stream
-}
-
-// feedStream replays a fixed stream into a fresh learner with the given
-// shard count and returns the final network weights.
-func feedStream(t *testing.T, stream []streamTransition, shards int) [][]float64 {
-	t.Helper()
-	cfg := streamPPOCfg(3)
-	cfg.Shards = shards
-	agent := NewPPO(len(stream[0].obs), len(stream[0].raw), []float64{0}, []float64{1}, cfg)
-	col := NewStreamCollector(agent, 8)
-	for _, tr := range stream {
-		col.Add(tr.obs, tr.raw, tr.logP, tr.reward, tr.value, tr.done, tr.next)
-	}
-	last := stream[len(stream)-1]
-	col.Flush(last.done, last.next)
-	var weights [][]float64
-	for _, p := range agent.Params() {
-		weights = append(weights, append([]float64(nil), p.Value...))
-	}
-	return weights
-}
-
-// TestStreamCollectorShardBitIdentical pins determinism contract rule 5
-// at the collector level: a fixed external transition stream produces
-// bit-identical weights for every shard count × GOMAXPROCS combination,
-// because the collector adds no ordering of its own and the update reuses
-// the rule-3 sharded reduction.
-func TestStreamCollectorShardBitIdentical(t *testing.T) {
-	stream := makeStream(t, 40)
-	ref := feedStream(t, stream, 1)
-	for _, shards := range []int{2, 3, 5} {
-		for _, gmp := range []int{1, 2, 4} {
-			t.Run(fmt.Sprintf("shards=%d/gomaxprocs=%d", shards, gmp), func(t *testing.T) {
-				prev := runtime.GOMAXPROCS(gmp)
-				defer runtime.GOMAXPROCS(prev)
-				got := feedStream(t, stream, shards)
-				for pi := range ref {
-					for i := range ref[pi] {
-						if math.Float64bits(ref[pi][i]) != math.Float64bits(got[pi][i]) {
-							t.Fatalf("param %d[%d]: %v != serial %v", pi, i, got[pi][i], ref[pi][i])
-						}
-					}
-				}
-			})
-		}
-	}
 }
 
 // TestStreamCollectorUpdateCadence pins the |I|-round update schedule and

@@ -15,17 +15,15 @@ type TrainerConfig struct {
 	// UpdateEvery is |I|: an optimization phase runs whenever this many
 	// new transitions have been collected (and at episode end).
 	UpdateEvery int
-	// CollectWorkers is the number of goroutines stepping environments
-	// during vectorized collection: 0 selects automatically
-	// (min(GOMAXPROCS, env count, a small cap)), 1 steps serially. Any
-	// value produces bit-identical training runs (the fourth rule of the
-	// determinism contract) — it is purely a throughput knob.
+	// Deprecated: collection steps its envs serially, so the value is
+	// ignored. bench/train.go is its only writer; the field goes when
+	// that file stops setting it.
 	CollectWorkers int
 }
 
 // validate panics on invalid settings.
 func (c TrainerConfig) validate() {
-	if c.Episodes <= 0 || c.RoundsPerEpisode <= 0 || c.UpdateEvery <= 0 || c.CollectWorkers < 0 {
+	if c.Episodes <= 0 || c.RoundsPerEpisode <= 0 || c.UpdateEvery <= 0 {
 		panic(fmt.Sprintf("rl: invalid TrainerConfig %+v", c))
 	}
 }
@@ -52,12 +50,11 @@ type EpisodeStats struct {
 // With a multi-env VecEnv (NewVecTrainer), episodes run in lockstep
 // blocks of up to NumEnvs independently seeded environments: each round
 // evaluates the policy for every live env in one batched pass and steps
-// the envs across CollectWorkers goroutines, and an optimization phase
-// runs whenever the block has staged |I| new transitions (and at block
-// end). The block's transitions merge into the shared rollout in fixed
-// env-index order, so the run is bit-reproducible for a fixed seed and
-// independent of the worker count. A single-env trainer is bit-identical
-// to the classic serial collect loop.
+// the envs in ascending order, and an optimization phase runs whenever
+// the block has staged |I| new transitions (and at block end). The
+// block's transitions merge into the shared rollout in fixed env-index
+// order, so the run is bit-reproducible for a fixed seed. A single-env
+// trainer is bit-identical to the classic serial collect loop.
 type Trainer struct {
 	cfg   TrainerConfig
 	vec   VecEnv
@@ -104,7 +101,7 @@ func NewVecTrainer(vec VecEnv, agent *PPO, cfg TrainerConfig) *Trainer {
 		vec:   vec,
 		agent: agent,
 		buf:   NewRollout(cfg.RoundsPerEpisode * vec.NumEnvs()),
-		col:   NewVecCollector(vec, agent, cfg.CollectWorkers),
+		col:   NewVecCollector(vec, agent),
 	}
 }
 
@@ -241,8 +238,8 @@ func (t *Trainer) Restore(ck *nn.Checkpoint) error {
 // architecture), cfg.Episodes is the TOTAL episode budget, and ck is a
 // full training checkpoint from Trainer.Snapshot. The returned trainer's
 // Run picks the stream up at the checkpointed episode and is bit-identical
-// to an uninterrupted run for any CollectWorkers, shard count, and
-// GOMAXPROCS (determinism contract rule 6).
+// to an uninterrupted run under any GOMAXPROCS (determinism contract
+// rule 6).
 func ResumeTrainer(vec VecEnv, agent *PPO, cfg TrainerConfig, ck *nn.Checkpoint) (*Trainer, error) {
 	t := NewVecTrainer(vec, agent, cfg)
 	if err := t.Restore(ck); err != nil {

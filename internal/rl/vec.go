@@ -2,49 +2,34 @@ package rl
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"vtmig/internal/mat"
 )
 
 // This file implements vectorized rollout collection: a VecCollector
-// steps W independently seeded environment instances in lockstep, batches
-// the policy evaluation of every live environment through the batched
-// nn/mat kernels, and fans only the environment stepping — strictly
-// per-env work — out across workers. Per-env transitions are staged in
-// per-env buffers and merged into the shared Rollout in fixed env-index
-// order, each env's segment receiving its own GAE pass and bootstrap.
+// steps W independently seeded environment instances in lockstep and
+// batches the policy evaluation of every live environment through the
+// batched nn/mat kernels. Per-env transitions are staged in per-env
+// buffers and merged into the shared Rollout in fixed env-index order,
+// each env's segment receiving its own GAE pass and bootstrap.
 //
 // Determinism (rule 4 of the contract, see doc.go): the policy forward
 // pass is one batched call over the live envs in ascending env order (its
 // rows are bit-identical to per-row serial calls, rule 1); action sampling
 // consumes the single learner RNG serially, env-ascending; environment
-// streams are independently seeded and each instance is touched by exactly
-// one goroutine per round, with results written to per-env slots; and the
-// merge replays the staged transitions env-ascending. No cross-env value
-// is ever reduced in worker order, so ANY worker count — and any
-// GOMAXPROCS — produces a rollout, and therefore a training run,
-// bit-identical to serial (workers=1) collection. With a single
-// environment the collector reproduces the serial collect loop
-// (SelectAction / pre-step-obs Add / Step) bit for bit.
-
-const (
-	// autoCollectWorkerCap bounds the automatic worker count: environment
-	// stepping is medium-grained (one Stackelberg evaluation per env per
-	// round in the paper's POMDP), so a handful of workers saturates the
-	// fan-out before scheduling overhead dominates.
-	autoCollectWorkerCap = 8
-)
+// streams are independently seeded and stepped env-ascending, each into
+// its own staging buffer; and the merge replays the staged transitions
+// env-ascending. With a single environment the collector reproduces the
+// serial collect loop (SelectAction / pre-step-obs Add / Step) bit for
+// bit.
 
 // VecCollector drives lockstep episode collection over a VecEnv with a
 // shared PPO policy. It is created by the Trainer (or directly, for
 // benchmarks) and reused across episode blocks; steady-state collection is
 // allocation-free after the first block has grown the scratch.
 type VecCollector struct {
-	vec     VecEnv
-	agent   *PPO
-	workers int
+	vec   VecEnv
+	agent *PPO
 
 	// per-env state, sized to NumEnvs.
 	//
@@ -60,7 +45,6 @@ type VecCollector struct {
 	obs     [][]float64
 	staged  []*Rollout // per-env staging buffers, merged env-ascending
 	returns []float64  // per-env accumulated episode return
-	done    []bool     // per-env episode-finished flag
 
 	active int   // envs participating in the current block
 	live   []int // ascending indices of envs still running
@@ -68,45 +52,16 @@ type VecCollector struct {
 	// lockstep-round scratch: row r of each matrix belongs to live[r]
 	obsB, rawB, envActB mat.Matrix
 	logP, values        []float64
-	forceTerminal       bool
 
 	// bootstrap scratch for Merge
 	bootObs  mat.Matrix
 	bootVals []float64
 	bootEnvs []int
-
-	// step fan-out machinery, mirroring the sharded-update workers:
-	// pre-bound goroutine bodies so the per-round spawn allocates nothing.
-	stepWorkers []*stepWorker
-	stepWG      sync.WaitGroup
-}
-
-// stepWorker steps a contiguous range of the live slice.
-type stepWorker struct {
-	c      *VecCollector
-	spawn  func()
-	lo, hi int // range [lo, hi) into c.live for the current round
-}
-
-// newStepWorker builds a worker bound to the collector.
-func newStepWorker(c *VecCollector) *stepWorker {
-	w := &stepWorker{c: c}
-	w.spawn = func() {
-		defer c.stepWG.Done()
-		w.work()
-	}
-	return w
 }
 
 // NewVecCollector wires a vectorized environment and a PPO learner
-// together. workers is the number of goroutines stepping environments per
-// lockstep round: 0 selects automatically (min(GOMAXPROCS, NumEnvs,
-// a small cap)), 1 steps serially, and any value produces bit-identical
-// results.
-func NewVecCollector(vec VecEnv, agent *PPO, workers int) *VecCollector {
-	if workers < 0 {
-		panic(fmt.Sprintf("rl: VecCollector workers=%d must be non-negative", workers))
-	}
+// together.
+func NewVecCollector(vec VecEnv, agent *PPO) *VecCollector {
 	if vec.ObsDim() != agent.net.ObsDim() || vec.ActDim() != agent.net.ActDim() {
 		panic(fmt.Sprintf("rl: VecCollector env dims (%d, %d) do not match agent (%d, %d)",
 			vec.ObsDim(), vec.ActDim(), agent.net.ObsDim(), agent.net.ActDim()))
@@ -115,11 +70,9 @@ func NewVecCollector(vec VecEnv, agent *PPO, workers int) *VecCollector {
 	c := &VecCollector{
 		vec:     vec,
 		agent:   agent,
-		workers: workers,
 		obs:     make([][]float64, n),
 		staged:  make([]*Rollout, n),
 		returns: make([]float64, n),
-		done:    make([]bool, n),
 		live:    make([]int, 0, n),
 		logP:    make([]float64, n),
 		values:  make([]float64, n),
@@ -150,7 +103,6 @@ func (c *VecCollector) Begin(active int) {
 		c.obs[e] = c.vec.EnvAt(e).Reset()
 		c.staged[e].Reset()
 		c.returns[e] = 0
-		c.done[e] = false
 		c.live = append(c.live, e)
 	}
 }
@@ -164,33 +116,20 @@ func (c *VecCollector) Live() int { return len(c.live) }
 // entries are meaningful). The slice is collector-owned.
 func (c *VecCollector) Returns() []float64 { return c.returns }
 
-// effectiveWorkers resolves the worker count for a round over the given
-// number of live envs. The result never exceeds live, so every worker has
-// at least one env.
-func (c *VecCollector) effectiveWorkers(live int) int {
-	w := c.workers
-	if w == 0 {
-		w = runtime.GOMAXPROCS(0)
-		if w > autoCollectWorkerCap {
-			w = autoCollectWorkerCap
-		}
-	}
-	if w > live {
-		w = live
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // Step advances every live environment by one lockstep round: one batched
 // policy evaluation over the live observations (env-ascending), serial
-// env-ascending action sampling from the learner's RNG, and a parallel
-// env-stepping fan-out. Transitions are staged per env. forceTerminal
-// marks every staged transition terminal (the trainer sets it on the last
-// round of an episode, matching the serial loop's done || k == K-1).
-// It returns the number of transitions staged this round.
+// env-ascending action sampling from the learner's RNG, then one
+// env-ascending stepping loop. Transitions are staged per env.
+// forceTerminal marks every staged transition terminal (the trainer sets
+// it on the last round of an episode, matching the serial loop's
+// done || k == K-1). It returns the number of transitions staged this
+// round.
+//
+// Each env applies its sampled action, stages the transition in its own
+// buffer, and takes over the returned observation slice. The Add records
+// the pre-step observation copy from obsB — the observation the action
+// was selected at — so the stored s_t is correct even for environments
+// that rewrite their observation slice in place during Step.
 func (c *VecCollector) Step(forceTerminal bool) int {
 	live := len(c.live)
 	if live == 0 {
@@ -203,67 +142,18 @@ func (c *VecCollector) Step(forceTerminal bool) int {
 	}
 	c.agent.SelectActionBatch(&c.obsB, &c.rawB, &c.envActB, c.logP[:live], c.values[:live])
 
-	// Fan the strictly per-env stepping out across workers over a fixed
-	// contiguous partition of the live slice. Each env writes only its own
-	// slots, so the result is independent of the partition, the worker
-	// count, and scheduling.
-	c.forceTerminal = forceTerminal
-	workers := c.effectiveWorkers(live)
-	if workers == 1 {
-		w := c.workerAt(0)
-		w.lo, w.hi = 0, live
-		w.work()
-	} else {
-		for s := 0; s < workers; s++ {
-			w := c.workerAt(s)
-			w.lo, w.hi = s*live/workers, (s+1)*live/workers
-		}
-		c.stepWG.Add(workers - 1)
-		for s := 1; s < workers; s++ {
-			go c.stepWorkers[s].spawn()
-		}
-		c.stepWorkers[0].work()
-		c.stepWG.Wait()
-	}
-
-	// Compact the live slice in ascending order, dropping finished envs.
 	kept := c.live[:0]
-	for _, e := range c.live {
-		if !c.done[e] {
+	for r, e := range c.live {
+		next, reward, done := c.vec.EnvAt(e).Step(c.envActB.Row(r))
+		c.staged[e].Add(c.obsB.Row(r), c.rawB.Row(r), c.logP[r], reward, c.values[r], done || forceTerminal)
+		c.returns[e] += reward
+		c.obs[e] = next
+		if !done {
 			kept = append(kept, e)
 		}
 	}
 	c.live = kept
 	return live
-}
-
-// workerAt returns step worker s, growing the pool on first use.
-func (c *VecCollector) workerAt(s int) *stepWorker {
-	for len(c.stepWorkers) <= s {
-		c.stepWorkers = append(c.stepWorkers, newStepWorker(c))
-	}
-	return c.stepWorkers[s]
-}
-
-// work steps the worker's env range for the current round: apply the
-// sampled action, stage the transition in the env's private buffer, and
-// take over the returned observation slice. Strictly per-env state is
-// touched, so workers never contend (obsB is only read during the
-// fan-out, and each staged buffer belongs to one env). The Add records
-// the pre-step observation copy from obsB — the observation the action
-// was selected at — so the stored s_t is correct even for environments
-// that rewrite their observation slice in place during Step.
-func (w *stepWorker) work() {
-	c := w.c
-	for r := w.lo; r < w.hi; r++ {
-		e := c.live[r]
-		next, reward, done := c.vec.EnvAt(e).Step(c.envActB.Row(r))
-		terminal := done || c.forceTerminal
-		c.staged[e].Add(c.obsB.Row(r), c.rawB.Row(r), c.logP[r], reward, c.values[r], terminal)
-		c.returns[e] += reward
-		c.done[e] = done
-		c.obs[e] = next
-	}
 }
 
 // Merge flushes every staged per-env segment into buf in fixed env-index

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"vtmig/internal/mat"
@@ -14,9 +13,8 @@ import (
 
 // The tests in this file pin the fourth rule of the determinism contract:
 // vectorized collection merges independently seeded per-env streams in
-// fixed env-index order, so any worker count (and any GOMAXPROCS) is
-// bit-identical to serial collection — and a single-env vectorized
-// trainer is bit-identical to the classic serial collect loop.
+// fixed env-index order, and a single-env vectorized trainer is
+// bit-identical to the classic serial collect loop.
 
 // vecTestEnv is a seeded deterministic environment that mutates its
 // observation buffer in place (like the paper's POMDP) and terminates
@@ -70,8 +68,8 @@ func (e *vecTestEnv) ActDim() int                      { return 1 }
 func (e *vecTestEnv) ActionBounds() (lo, hi []float64) { return []float64{0}, []float64{1} }
 
 // newVecTestSlice builds n envs with staggered horizons so some episodes
-// terminate before the trainer's round bound — the live-set compaction
-// path runs under every worker count.
+// terminate before the trainer's round bound and the live-set compaction
+// path runs.
 func newVecTestSlice(n, obsDim int, seed int64, horizon int) *EnvSlice {
 	envs := make([]Env, n)
 	for i := range envs {
@@ -85,16 +83,6 @@ func newVecTestSlice(n, obsDim int, seed int64, horizon int) *EnvSlice {
 		envs[i] = newVecTestEnv(obsDim, seed+int64(i), h)
 	}
 	return NewEnvSlice(envs...)
-}
-
-// runVecTraining runs a short vectorized training and returns the agent
-// and its per-episode returns.
-func runVecTraining(envs, workers int, tcfg TrainerConfig, pcfg PPOConfig) (*PPO, []EpisodeStats) {
-	vec := newVecTestSlice(envs, 6, 17, tcfg.RoundsPerEpisode+3)
-	agent := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
-	tcfg.CollectWorkers = workers
-	trainer := NewVecTrainer(vec, agent, tcfg)
-	return agent, trainer.Run()
 }
 
 // statsEqualBits reports the first diverging episode between two runs.
@@ -111,55 +99,6 @@ func statsEqualBits(a, b []EpisodeStats) (string, bool) {
 		}
 	}
 	return "", true
-}
-
-// TestVecCollectWorkerBitIdentical pins the worker-count × GOMAXPROCS
-// table: every cell must reproduce the workers=1 (serial collection)
-// reference weights and statistics exactly, including with worker counts
-// above the host core count.
-func TestVecCollectWorkerBitIdentical(t *testing.T) {
-	tcfg := TrainerConfig{Episodes: 7, RoundsPerEpisode: 30, UpdateEvery: 10}
-	pcfg := DefaultPPOConfig()
-	pcfg.Seed = 13
-
-	serial, serialStats := runVecTraining(3, 1, tcfg, pcfg)
-
-	for _, gmp := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 2, 3, 7, 16} {
-			t.Run(fmt.Sprintf("gomaxprocs=%d/workers=%d", gmp, workers), func(t *testing.T) {
-				prev := runtime.GOMAXPROCS(gmp)
-				defer runtime.GOMAXPROCS(prev)
-
-				agent, stats := runVecTraining(3, workers, tcfg, pcfg)
-				if diff, ok := paramsEqualBits(serial.Params(), agent.Params()); !ok {
-					t.Fatalf("weights diverged from serial collection: %s", diff)
-				}
-				if diff, ok := statsEqualBits(serialStats, stats); !ok {
-					t.Fatalf("stats diverged from serial collection: %s", diff)
-				}
-			})
-		}
-	}
-}
-
-// TestVecAutoWorkersBitIdentical checks the automatic mode (CollectWorkers
-// = 0) against the serial reference on an elevated GOMAXPROCS.
-func TestVecAutoWorkersBitIdentical(t *testing.T) {
-	tcfg := TrainerConfig{Episodes: 4, RoundsPerEpisode: 25, UpdateEvery: 10}
-	pcfg := DefaultPPOConfig()
-	pcfg.Seed = 3
-
-	serial, serialStats := runVecTraining(4, 1, tcfg, pcfg)
-
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	auto, autoStats := runVecTraining(4, 0, tcfg, pcfg)
-	if diff, ok := paramsEqualBits(serial.Params(), auto.Params()); !ok {
-		t.Fatalf("auto-worker weights diverged from serial collection: %s", diff)
-	}
-	if diff, ok := statsEqualBits(serialStats, autoStats); !ok {
-		t.Fatalf("auto-worker stats diverged: %s", diff)
-	}
 }
 
 // serialLoop replays the classic serial trainer body (Algorithm 1, lines
@@ -274,7 +213,7 @@ func TestVecMergeEnvOrder(t *testing.T) {
 		es[i] = &idEnv{id: float64(i + 1), obs: make([]float64, 1)}
 	}
 	agent := NewPPO(1, 1, []float64{0}, []float64{1}, DefaultPPOConfig())
-	col := NewVecCollector(NewEnvSlice(es...), agent, 2)
+	col := NewVecCollector(NewEnvSlice(es...), agent)
 	buf := NewRollout(0)
 
 	col.Begin(envs)
@@ -325,7 +264,7 @@ func TestVecGAEBoundaries(t *testing.T) {
 	pcfg.Seed = 29
 	vec := newVecTestSlice(envs, 4, 31, K+5)
 	agent := NewPPO(4, 1, []float64{0}, []float64{1}, pcfg)
-	col := NewVecCollector(vec, agent, 2)
+	col := NewVecCollector(vec, agent)
 	buf := NewRollout(0)
 
 	col.Begin(envs)
@@ -394,31 +333,27 @@ func TestVecGAEBoundaries(t *testing.T) {
 
 // TestVecCollectAllocationFree locks in the zero-allocation steady state
 // of vectorized collection: after a warm-up block has grown the staging
-// buffers, matrices, and worker pool, a full collect block (Begin, steps,
-// merges) must not touch the heap — under serial and parallel stepping.
+// buffers and matrices, a full collect block (Begin, steps, merges) must
+// not touch the heap.
 func TestVecCollectAllocationFree(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			vec := newVecTestSlice(3, 6, 43, 200)
-			agent := NewPPO(6, 1, []float64{0}, []float64{1}, DefaultPPOConfig())
-			col := NewVecCollector(vec, agent, workers)
-			buf := NewRollout(0)
+	vec := newVecTestSlice(3, 6, 43, 200)
+	agent := NewPPO(6, 1, []float64{0}, []float64{1}, DefaultPPOConfig())
+	col := NewVecCollector(vec, agent)
+	buf := NewRollout(0)
 
-			block := func() {
-				buf.Reset()
-				col.Begin(3)
-				for k := 0; k < 20; k++ {
-					col.Step(k == 19)
-					if (k+1)%5 == 0 {
-						col.Merge(buf)
-					}
-				}
+	block := func() {
+		buf.Reset()
+		col.Begin(3)
+		for k := 0; k < 20; k++ {
+			col.Step(k == 19)
+			if (k+1)%5 == 0 {
+				col.Merge(buf)
 			}
-			block() // warm-up grows scratch
-			if n := testing.AllocsPerRun(10, block); n != 0 {
-				t.Errorf("vectorized collection allocates %v times per block, want 0 in steady state", n)
-			}
-		})
+		}
+	}
+	block() // warm-up grows scratch
+	if n := testing.AllocsPerRun(10, block); n != 0 {
+		t.Errorf("vectorized collection allocates %v times per block, want 0 in steady state", n)
 	}
 }
 

@@ -52,14 +52,13 @@ type batchRun struct {
 
 // runBatchTable runs the fixed 200-request stream (with a few invalid
 // requests mixed in at fixed positions) through one server, cut into
-// batches of size batch with the prework fan-out pinned to workers.
-func runBatchTable(t *testing.T, batch, workers int) batchRun {
+// batches of size batch.
+func runBatchTable(t *testing.T, batch int) batchRun {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := testConfig(dir)
 	cfg.BatchMax = batch
 	s := mustOpen(t, cfg)
-	s.SetPreworkWorkers(workers)
 
 	reqs := reqStream(200)
 	for i := range reqs {
@@ -100,35 +99,29 @@ func runBatchTable(t *testing.T, batch, workers int) batchRun {
 }
 
 // TestBatchIntakeBitIdentityTable pins contract rule 8 end to end: every
-// batch size × prework fan-out width (the GOMAXPROCS knob) produces
-// responses, final journal bytes, and final learner weights bit-identical
-// to strictly serial intake. Run under -race by the serve-smoke target,
-// which also exercises the prework goroutines for data races.
+// batch size produces responses, final journal bytes, and final learner
+// weights bit-identical to strictly serial intake. The serve-smoke target
+// runs it under -race.
 func TestBatchIntakeBitIdentityTable(t *testing.T) {
-	ref := runBatchTable(t, 1, 1)
+	ref := runBatchTable(t, 1)
 	if len(ref.resps) != 200 {
 		t.Fatalf("reference run answered %d of 200 requests", len(ref.resps))
 	}
-	for _, batch := range []int{1, 4, 16} {
-		for _, workers := range []int{1, 4} {
-			if batch == 1 && workers == 1 {
-				continue
+	for _, batch := range []int{4, 16} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			got := runBatchTable(t, batch)
+			for i := range ref.resps {
+				if got.resps[i] != ref.resps[i] {
+					t.Fatalf("response %d diverged from serial intake:\n  serial:  %s\n  batched: %s", i, ref.resps[i], got.resps[i])
+				}
 			}
-			t.Run(fmt.Sprintf("batch=%d/workers=%d", batch, workers), func(t *testing.T) {
-				got := runBatchTable(t, batch, workers)
-				for i := range ref.resps {
-					if got.resps[i] != ref.resps[i] {
-						t.Fatalf("response %d diverged from serial intake:\n  serial:  %s\n  batched: %s", i, ref.resps[i], got.resps[i])
-					}
-				}
-				if string(got.journal) != string(ref.journal) {
-					t.Error("journal bytes diverged from serial intake")
-				}
-				if string(got.learner) != string(ref.learner) {
-					t.Error("final learner state diverged from serial intake")
-				}
-			})
-		}
+			if string(got.journal) != string(ref.journal) {
+				t.Error("journal bytes diverged from serial intake")
+			}
+			if string(got.learner) != string(ref.learner) {
+				t.Error("final learner state diverged from serial intake")
+			}
+		})
 	}
 }
 

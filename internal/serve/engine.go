@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"vtmig/internal/aotm"
 	"vtmig/internal/mathx"
@@ -17,71 +16,44 @@ import (
 // through the store interface; it never touches the network, the queue,
 // or the clock. Batching is a pure throughput knob (contract rule 8):
 // the per-round prework — request validation, game construction, and the
-// shaped-reward oracle solve — is a pure function of the request, so the
-// engine fans it across workers with results landing in arrival-order
-// slots (rule 2), while the policy/belief/learning core consumes them
-// strictly serially in arrival order (rule 5; the belief window chains
-// each round's observation through the previous round's outcome, so it
-// can never legally batch). Any cut of the same request stream into
-// batches therefore yields bit-identical responses, journal bytes, and
-// learner weights.
+// shaped-reward oracle solve — is a pure function of the request, and the
+// policy/belief/learning core consumes the prepped rounds strictly
+// serially in arrival order (rule 5; the belief window chains each
+// round's observation through the previous round's outcome, so it can
+// never legally batch). Any cut of the same request stream into batches
+// therefore yields bit-identical responses, journal bytes, and learner
+// weights.
 type engine struct {
-	game    *stackelberg.Game
-	pricer  *sim.OnlinePricer
-	store   store
-	workers int
+	game   *stackelberg.Game
+	pricer *sim.OnlinePricer
+	store  store
+	// scratch is the prework's evaluation scratch, reused across rounds
+	// and batches; a QuotePrep never aliases it.
+	scratch stackelberg.EvalScratch
 }
 
-// prepped is one batch slot after the parallel prework: the round's
-// validated game and pure pricing prework, or the validation error.
+// prepped is one batch slot after the prework: the round's validated game
+// and pure pricing prework, or the validation error.
 type prepped struct {
 	g    *stackelberg.Game
 	prep sim.QuotePrep
 	err  error
 }
 
-// prework fills slots[i] from reqs[i], fanning the pure per-round work
-// across e.workers goroutines in strided arrival-order slots with one
-// evaluation scratch per worker. Slot assignment is positional, so the
-// fan-out width never changes what lands where.
+// prework fills slots[i] from reqs[i]: it validates and builds each
+// round's game and runs the pure pricing prework on it.
 func (e *engine) prework(reqs []QuoteRequest, slots []prepped) {
-	n := len(reqs)
-	w := e.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		var scratch stackelberg.EvalScratch
-		for i := range reqs {
-			slots[i] = e.prepOne(reqs[i], &scratch)
+	for i, req := range reqs {
+		g, err := buildQuoteGame(e.game, req)
+		if err != nil {
+			slots[i] = prepped{err: &RequestError{err}}
+			continue
 		}
-		return
+		slots[i] = prepped{g: g, prep: e.pricer.PrepQuote(g, &e.scratch)}
 	}
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			var scratch stackelberg.EvalScratch
-			for i := k; i < n; i += w {
-				slots[i] = e.prepOne(reqs[i], &scratch)
-			}
-		}(k)
-	}
-	wg.Wait()
 }
 
-// prepOne validates and builds one round's game and runs the pure
-// pricing prework on it.
-func (e *engine) prepOne(req QuoteRequest, scratch *stackelberg.EvalScratch) prepped {
-	g, err := buildQuoteGame(e.game, req)
-	if err != nil {
-		return prepped{err: &RequestError{err}}
-	}
-	return prepped{g: g, prep: e.pricer.PrepQuote(g, scratch)}
-}
-
-// processBatch applies one arrival-ordered batch: parallel prework, then
+// processBatch applies one arrival-ordered batch: the prework, then
 // the strictly serial core — stage the round's journal entry
 // (write-ahead), price it through the learner (which may rotate a
 // checkpoint), and record the response — and finally one flush that
@@ -125,8 +97,7 @@ func (e *engine) processBatch(reqs []QuoteRequest) []quoteReply {
 
 // buildQuoteGame assembles a round's game from a request over the
 // reference game — a pure function of (request, reference), which is
-// what makes a journaled request replayable and the prework fan-out
-// order-free.
+// what makes a journaled request replayable.
 func buildQuoteGame(ref *stackelberg.Game, req QuoteRequest) (*stackelberg.Game, error) {
 	if len(req.VMUs) == 0 {
 		return nil, fmt.Errorf("serve: quote request has no VMUs")

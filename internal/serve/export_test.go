@@ -44,8 +44,3 @@ func (s *Server) ProcessBatch(reqs []QuoteRequest) ([]QuoteResponse, []error) {
 	}
 	return resps, errs
 }
-
-// SetPreworkWorkers pins the engine's prework fan-out width — the knob
-// GOMAXPROCS feeds at Open — so the bit-identity table can sweep it
-// without re-execing the test binary.
-func (s *Server) SetPreworkWorkers(n int) { s.eng.workers = n }

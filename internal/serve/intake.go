@@ -8,8 +8,8 @@ import "context"
 // when the previous batch finishes, capped at Config.BatchMax, never
 // waiting for more traffic. Batch boundaries carry no meaning (contract
 // rule 8): the engine makes any cut of the stream bit-identical to
-// serial intake, so batching only amortizes prework and journal writes
-// under load while an idle server still answers every quote alone.
+// serial intake, so batching only amortizes journal writes under load
+// while an idle server still answers every quote alone.
 
 type quoteJob struct {
 	req   QuoteRequest

@@ -6,11 +6,10 @@
 //   - The intake layer (intake.go) assigns arrival order and forms
 //     batches at the natural queue boundary.
 //   - The engine (engine.go) is the pure core — (state, orderedBatch) →
-//     (state, responses, journal entries). It fans the pure per-round
-//     prework across workers in arrival-order slots and applies the
-//     policy/belief/learning core strictly serially in arrival order, so
-//     any batch size is bit-identical to one-at-a-time (contract rule 8,
-//     with rule 5 intact at the process boundary).
+//     (state, responses, journal entries). It runs the pure per-round
+//     prework and the policy/belief/learning core strictly serially in
+//     arrival order, so any batch size is bit-identical to one-at-a-time
+//     (contract rule 8, with rule 5 intact at the process boundary).
 //   - The persistence layer (persist.go, journal.go, checkpoint.go)
 //     stages write-ahead journal entries, flushes them before anything
 //     is acknowledged, and rotates full resume checkpoints at
@@ -34,7 +33,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -268,11 +266,9 @@ func (s *Server) newStore(journal *journalWriter) *diskStore {
 	}
 }
 
-// newEngine assembles the engine layer over the pricer and store, with
-// the prework fan-out sized to the machine (the width is invisible in
-// every output — contract rule 8).
+// newEngine assembles the engine layer over the pricer and store.
 func (s *Server) newEngine() *engine {
-	return &engine{game: s.game, pricer: s.pricer, store: s.st, workers: runtime.GOMAXPROCS(0)}
+	return &engine{game: s.game, pricer: s.pricer, store: s.st}
 }
 
 // boot builds a fresh pricer and persists the boot checkpoint + empty

@@ -41,8 +41,9 @@ func quoteGameStream(t *testing.T, n int) []*stackelberg.Game {
 
 // TestQuoteBatchMatchesSerial pins contract rule 8 at the pricer layer:
 // cutting the same game stream into batches of any size — with the pure
-// prework computed separately per batch, worker-style — yields
-// bit-identical prices and bit-identical final learner state to pricing
+// prework computed ahead of each batch, as the serving engine does —
+// yields bit-identical prices and bit-identical final learner state to
+// pricing
 // every game one at a time.
 func TestQuoteBatchMatchesSerial(t *testing.T) {
 	const n = 40 // multiple of UpdateEvery(10): ends on a phase boundary
@@ -62,6 +63,7 @@ func TestQuoteBatchMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := make([]float64, n)
+	var scratch stackelberg.EvalScratch
 	sizes := []int{1, 4, 16, 3, 16}
 	for i, si := 0, 0; i < n; si++ {
 		size := sizes[si%len(sizes)]
@@ -69,21 +71,12 @@ func TestQuoteBatchMatchesSerial(t *testing.T) {
 			size = n - i
 		}
 		chunk := games[i : i+size]
-		// Prework fanned out like the engine does it: per-worker scratch,
-		// results landing in arrival-order slots.
+		// Prework as the engine runs it: one scratch reused across every
+		// batch, results in arrival-order slots.
 		preps := make([]QuotePrep, size)
-		var wg sync.WaitGroup
-		for w := 0; w < 2; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var scratch stackelberg.EvalScratch
-				for j := w; j < size; j += 2 {
-					preps[j] = batched.PrepQuote(chunk[j], &scratch)
-				}
-			}(w)
+		for j, g := range chunk {
+			preps[j] = batched.PrepQuote(g, &scratch)
 		}
-		wg.Wait()
 		batched.QuoteBatch(chunk, preps, got[i:i+size])
 		i += size
 	}

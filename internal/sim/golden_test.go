@@ -14,7 +14,7 @@ import (
 // The golden tests pin the exact numeric sim.Report of every built-in
 // pricer at a fixed seed — the simulator-level arm of the determinism
 // contract: the same seed yields the same report, bit for bit, regardless
-// of kernel batching, collection workers, shard counts, or GOMAXPROCS.
+// of kernel batching or GOMAXPROCS.
 // Regenerate after an intentional numeric change with
 //
 //	go test ./internal/sim -run Golden -update

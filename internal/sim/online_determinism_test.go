@@ -15,16 +15,14 @@ import (
 // This file pins rule 5 of the determinism contract: with a fixed
 // simulator seed (and a fixed offline-training seed for the warm start),
 // an online-pricer simulation produces a bit-identical sim.Report and
-// bit-identical final network weights regardless of the offline
-// CollectWorkers, the learner's shard count, and GOMAXPROCS. Transitions
-// enter the rollout in simulator-round order and every optimization phase
-// reuses the rule-3 sharded reduction, so no knob can reorder a single
-// floating-point accumulation.
+// bit-identical final network weights regardless of GOMAXPROCS.
+// Transitions enter the rollout in simulator-round order and every
+// optimization phase runs the rule-1 fixed-order kernels, so scheduling
+// cannot reorder a single floating-point accumulation.
 
-// onlineSimRun trains a warm-start agent with the given collection worker
-// count, deploys it online with the given shard count, runs a fixed-seed
-// simulation, and returns the report plus the final weights.
-func onlineSimRun(t *testing.T, collectWorkers, shards int) (Report, [][]float64) {
+// onlineSimRun trains a warm-start agent, deploys it online, runs a
+// fixed-seed simulation, and returns the report plus the final weights.
+func onlineSimRun(t *testing.T) (Report, [][]float64) {
 	t.Helper()
 	game := stackelberg.DefaultGame()
 	envCfg := pomdp.Config{
@@ -41,14 +39,12 @@ func onlineSimRun(t *testing.T, collectWorkers, shards int) (Report, [][]float64
 	pcfg := rl.DefaultPPOConfig()
 	pcfg.Seed = 4
 	pcfg.MiniBatch = 10
-	pcfg.Shards = shards
 	lo, hi := vec.ActionBounds()
 	agent := rl.NewPPO(vec.ObsDim(), vec.ActDim(), lo, hi, pcfg)
 	rl.NewVecTrainer(vec, agent, rl.TrainerConfig{
 		Episodes:         4,
 		RoundsPerEpisode: 20,
 		UpdateEvery:      10,
-		CollectWorkers:   collectWorkers,
 	}).Run()
 
 	pricer, err := NewOnlinePricer(OnlinePricerConfig{
@@ -93,34 +89,27 @@ func sameBits(t *testing.T, label string, ref, got [][]float64) {
 	}
 }
 
-// TestOnlineSimBitIdentical is the rule-5 table: CollectWorkers × shards
-// × GOMAXPROCS, every cell bit-identical to the all-serial reference.
+// TestOnlineSimBitIdentical is the rule-5 table: every GOMAXPROCS cell
+// is bit-identical to the reference run.
 func TestOnlineSimBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online determinism table skipped in -short mode")
 	}
-	refRep, refW := onlineSimRun(t, 1, 1)
+	refRep, refW := onlineSimRun(t)
 	if refRep.PricingRounds == 0 || len(refRep.Migrations) == 0 {
 		t.Fatalf("reference run is trivial: %+v", refRep)
 	}
-	for _, workers := range []int{1, 2, 3} {
-		for _, shards := range []int{1, 2, 3} {
-			for _, gmp := range []int{1, 2, 4} {
-				if workers == 1 && shards == 1 && gmp == runtime.GOMAXPROCS(0) {
-					continue
-				}
-				name := fmt.Sprintf("workers=%d/shards=%d/gomaxprocs=%d", workers, shards, gmp)
-				t.Run(name, func(t *testing.T) {
-					prev := runtime.GOMAXPROCS(gmp)
-					defer runtime.GOMAXPROCS(prev)
-					rep, w := onlineSimRun(t, workers, shards)
-					if !reflect.DeepEqual(refRep, rep) {
-						t.Fatalf("report diverged from serial reference:\nserial: %+v\ngot:    %+v", refRep, rep)
-					}
-					sameBits(t, name, refW, w)
-				})
+	for _, gmp := range []int{1, 2, 4} {
+		name := fmt.Sprintf("gomaxprocs=%d", gmp)
+		t.Run(name, func(t *testing.T) {
+			prev := runtime.GOMAXPROCS(gmp)
+			defer runtime.GOMAXPROCS(prev)
+			rep, w := onlineSimRun(t)
+			if !reflect.DeepEqual(refRep, rep) {
+				t.Fatalf("report diverged from the reference:\nref: %+v\ngot: %+v", refRep, rep)
 			}
-		}
+			sameBits(t, name, refW, w)
+		})
 	}
 }
 
@@ -132,8 +121,8 @@ func TestOnlineSimReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online training test skipped in -short mode")
 	}
-	repA, wA := onlineSimRun(t, 2, 2)
-	repB, wB := onlineSimRun(t, 2, 2)
+	repA, wA := onlineSimRun(t)
+	repB, wB := onlineSimRun(t)
 	if !reflect.DeepEqual(repA, repB) {
 		t.Fatalf("reports differ:\n%+v\n%+v", repA, repB)
 	}

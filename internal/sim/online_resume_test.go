@@ -18,24 +18,22 @@ import (
 // boundary, snapshotting the pricer, rebuilding it from the checkpoint
 // (persisted through the binary encoding), and swapping it into the same
 // simulation is bit-identical — sim.Report and final weights — to never
-// having stopped, even when the learner's shard count and GOMAXPROCS
-// differ between the two legs.
+// having stopped, even when GOMAXPROCS differs between the two legs.
 
 // resumePPOConfig is the learner configuration shared by every run in
-// this file; the checkpoint fingerprint pins it across the swap (Seed and
-// Shards are excluded from the fingerprint by design — rules 2/3 make
-// them bit-transparent).
-func resumePPOConfig(shards int) rl.PPOConfig {
+// this file; the checkpoint fingerprint pins it across the swap (Seed is
+// excluded from the fingerprint by design: the checkpoint carries the
+// RNG state itself).
+func resumePPOConfig() rl.PPOConfig {
 	cfg := rl.DefaultPPOConfig()
 	cfg.Seed = 4
 	cfg.MiniBatch = 10
-	cfg.Shards = shards
 	return cfg
 }
 
 // resumeWarmAgent trains the warm-start agent exactly as onlineSimRun
-// does, with the given offline collection workers and shard count.
-func resumeWarmAgent(t *testing.T, collectWorkers, shards int) *rl.PPO {
+// does.
+func resumeWarmAgent(t *testing.T) *rl.PPO {
 	t.Helper()
 	game := stackelberg.DefaultGame()
 	vec, err := pomdp.NewVecEnv(pomdp.Config{
@@ -49,12 +47,11 @@ func resumeWarmAgent(t *testing.T, collectWorkers, shards int) *rl.PPO {
 		t.Fatal(err)
 	}
 	lo, hi := vec.ActionBounds()
-	agent := rl.NewPPO(vec.ObsDim(), vec.ActDim(), lo, hi, resumePPOConfig(shards))
+	agent := rl.NewPPO(vec.ObsDim(), vec.ActDim(), lo, hi, resumePPOConfig())
 	rl.NewVecTrainer(vec, agent, rl.TrainerConfig{
 		Episodes:         4,
 		RoundsPerEpisode: 20,
 		UpdateEvery:      10,
-		CollectWorkers:   collectWorkers,
 	}).Run()
 	return agent
 }
@@ -84,12 +81,12 @@ func weightsOf(agent *rl.PPO) [][]float64 {
 }
 
 // uninterruptedRun is the reference: one simulation straight through.
-func uninterruptedRun(t *testing.T, workers, shards int) (Report, [][]float64, *OnlinePricer) {
+func uninterruptedRun(t *testing.T) (Report, [][]float64, *OnlinePricer) {
 	t.Helper()
 	pricer, err := NewOnlinePricer(OnlinePricerConfig{
 		Game:        stackelberg.DefaultGame(),
 		HistoryLen:  3,
-		Agent:       resumeWarmAgent(t, workers, shards),
+		Agent:       resumeWarmAgent(t),
 		UpdateEvery: 10,
 		Seed:        7,
 	})
@@ -104,9 +101,9 @@ func uninterruptedRun(t *testing.T, workers, shards int) (Report, [][]float64, *
 // splitRun runs the same simulation but pauses at the first
 // optimization-phase boundary in the second half, snapshots the pricer,
 // persists the checkpoint through the binary encoding, rebuilds the
-// pricer from it under a different shard count and GOMAXPROCS, swaps it
-// in, and finishes the run.
-func splitRun(t *testing.T, workers, shards1, shards2, gmp1, gmp2 int) (Report, [][]float64, *OnlinePricer) {
+// pricer from it under GOMAXPROCS gmp2, swaps it in, and finishes the
+// run.
+func splitRun(t *testing.T, gmp1, gmp2 int) (Report, [][]float64, *OnlinePricer) {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(gmp1)
 	defer runtime.GOMAXPROCS(prev)
@@ -115,7 +112,7 @@ func splitRun(t *testing.T, workers, shards1, shards2, gmp1, gmp2 int) (Report, 
 	pricer1, err := NewOnlinePricer(OnlinePricerConfig{
 		Game:        game,
 		HistoryLen:  3,
-		Agent:       resumeWarmAgent(t, workers, shards1),
+		Agent:       resumeWarmAgent(t),
 		UpdateEvery: 10,
 		Seed:        7,
 	})
@@ -154,7 +151,7 @@ func splitRun(t *testing.T, workers, shards1, shards2, gmp1, gmp2 int) (Report, 
 		runtime.GOMAXPROCS(gmp2)
 		resumed, err := NewOnlinePricerFromCheckpoint(OnlinePricerConfig{
 			Game: game,
-			PPO:  resumePPOConfig(shards2),
+			PPO:  resumePPOConfig(),
 		}, loaded)
 		if err != nil {
 			t.Fatalf("resuming pricer: %v", err)
@@ -174,28 +171,24 @@ func splitRun(t *testing.T, workers, shards1, shards2, gmp1, gmp2 int) (Report, 
 
 // TestOnlineSimResumeBitIdentical is the sim-level resume table: the
 // split run must be bit-identical to the uninterrupted reference while
-// offline collection workers, the shard count of either leg, and
-// GOMAXPROCS of either leg all vary.
+// GOMAXPROCS of either leg varies.
 func TestOnlineSimResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("online resume table skipped in -short mode")
 	}
-	refRep, refW, refPricer := uninterruptedRun(t, 1, 1)
+	refRep, refW, refPricer := uninterruptedRun(t)
 	if refRep.PricingRounds == 0 || refPricer.Updates() == 0 {
 		t.Fatalf("reference run is trivial: %+v", refRep)
 	}
-	for _, tc := range []struct {
-		workers, shards1, shards2, gmp1, gmp2 int
-	}{
-		{1, 1, 2, 1, 4},
-		{2, 2, 1, 4, 1},
-		{3, 1, 3, 2, 2},
-		{2, 3, 2, 1, 2},
+	for _, tc := range []struct{ gmp1, gmp2 int }{
+		{1, 4},
+		{4, 1},
+		{2, 2},
+		{1, 2},
 	} {
-		name := fmt.Sprintf("workers=%d/shards=%d-%d/gomaxprocs=%d-%d",
-			tc.workers, tc.shards1, tc.shards2, tc.gmp1, tc.gmp2)
+		name := fmt.Sprintf("gomaxprocs=%d-%d", tc.gmp1, tc.gmp2)
 		t.Run(name, func(t *testing.T) {
-			rep, w, pricer := splitRun(t, tc.workers, tc.shards1, tc.shards2, tc.gmp1, tc.gmp2)
+			rep, w, pricer := splitRun(t, tc.gmp1, tc.gmp2)
 			if !reflect.DeepEqual(refRep, rep) {
 				t.Fatalf("report diverged from uninterrupted reference:\nref: %+v\ngot: %+v", refRep, rep)
 			}

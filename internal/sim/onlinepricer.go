@@ -135,18 +135,18 @@ func (c OnlinePricerConfig) Validate() error {
 // actual game is evaluated at that sampled price (the followers'
 // best-response demands and the resulting leader utility), the outcome is
 // scored into a reward and recorded into the observation window, and the
-// transition enters a rl.StreamCollector, which runs a sharded PPO
-// optimization phase every UpdateEvery rounds. The stochastic sample
+// transition enters a rl.StreamCollector, which runs a PPO optimization
+// phase every UpdateEvery rounds. The stochastic sample
 // drives the belief window — exactly like the frozen pricer's readout —
 // so the observation stream stays on the policy's own distribution while
 // the posted price remains the deterministic mean.
 //
 // Determinism (contract rule 5): the simulator feeds rounds serially, the
 // pricer consumes the learner RNG in round order, and every update runs
-// through the rule-1/rule-3 fixed-order kernels — so a fixed simulator
-// seed (plus a warm-start agent from a fixed training seed) yields a
-// bit-identical sim.Report and bit-identical final weights for any
-// CollectWorkers, shard count, and GOMAXPROCS.
+// through the rule-1 fixed-order kernels — so a fixed simulator seed
+// (plus a warm-start agent from a fixed training seed) yields a
+// bit-identical sim.Report and bit-identical final weights under any
+// GOMAXPROCS.
 type OnlinePricer struct {
 	agent       *rl.PPO
 	col         *rl.StreamCollector
@@ -360,9 +360,8 @@ type QuotePrep struct {
 // PrepQuote computes the prework for pricing g: everything
 // PriceForPrepped needs that is a pure function of the round's game. It
 // never touches the pricer's mutable state and consumes no RNG, so a
-// batching front end may fan PrepQuote calls out across goroutines — one
-// scratch per worker, results landing in arrival-order slots (contract
-// rule 2) — while the serial core consumes them in arrival order.
+// batching front end may run it for a whole batch, reusing one scratch,
+// before the serial core consumes the results in arrival order.
 func (p *OnlinePricer) PrepQuote(g *stackelberg.Game, scratch *stackelberg.EvalScratch) QuotePrep {
 	if p.reward != pomdp.RewardShaped {
 		return QuotePrep{}
