@@ -71,9 +71,13 @@ race-resume:
 # bit-identical to serial intake; replica byte-identical to the primary
 # at the same snapshot; batched crash recovery) and the graceful
 # shutdown-under-load accounting, with concurrent quoters exercising the
-# intake queue under -race.
+# intake queue under -race. The Rotation tests reach state the serial
+# core shares with the persistence goroutine (the crash-window table,
+# the failed-rotation path, a replica refreshing while batches cross
+# rotation boundaries), so they run ten times over.
 serve-smoke:
 	$(GO) test -race -count=1 -run 'Serve|Journal|Quote|Loadgen|HTTP|Batch|Replica|Shutdown' ./internal/serve ./cmd/vtmig-serve ./cmd/vtmig-loadgen
+	$(GO) test -race -count=10 -run 'Rotation' ./internal/serve
 	$(GO) test -race -count=1 -run 'QuoteBatch|Frozen' ./internal/sim
 
 # bench-check vets and race-tests the benchmark program. bench/ is a

@@ -423,6 +423,18 @@ func BenchmarkCheckpointJSON(b *testing.B) {
 			}
 		}
 	})
+	// append is the serving path: encoding into a buffer reused across
+	// rotations.
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var enc []byte
+		for i := 0; i < b.N; i++ {
+			var err error
+			if enc, err = ck.AppendBinary(enc[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -449,6 +461,18 @@ func BenchmarkCheckpointBinary(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			buf.Reset()
 			if err := ck.SaveBinary(&buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// append is the serving path: encoding into a buffer reused across
+	// rotations.
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		var enc []byte
+		for i := 0; i < b.N; i++ {
+			var err error
+			if enc, err = ck.AppendBinary(enc[:0]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -12,10 +12,12 @@
 // ones fails loudly instead of silently continuing a different learner.
 //
 // With -replica-of the daemon instead serves quote-only read traffic
-// from another daemon's state directory: it freezes the latest rotated
+// from another daemon's state directory: it freezes the latest published
 // checkpoint, answers each quote with exactly the price the primary
-// posts for its first round after that snapshot (contract rule 8), and
-// re-freezes on the -refresh cadence as the primary rotates. Replicas
+// posted for its first round after that snapshot (contract rule 8), and
+// re-freezes on the -refresh cadence as the primary rotates. The primary
+// publishes each checkpoint one rotation after taking it, so a replica
+// trails the primary's latest rotation by one. Replicas
 // never write to the state directory.
 //
 // Usage:

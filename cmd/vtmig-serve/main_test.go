@@ -110,7 +110,7 @@ func TestServeDaemonRequiresDir(t *testing.T) {
 
 // TestServeDaemonReplica runs a primary and a -replica-of daemon over one
 // state directory and pins the serving contract end to end: the replica
-// answers with exactly the price the primary posts for its first round
+// answers with exactly the price the primary posted for its first round
 // after the shared snapshot, and its /v1/stats carries the replica shape.
 func TestServeDaemonReplica(t *testing.T) {
 	dir := t.TempDir()
@@ -118,9 +118,11 @@ func TestServeDaemonReplica(t *testing.T) {
 
 	const round = `{"vmus":[{"id":0,"alpha":6,"data_mb":180},{"id":1,"alpha":14,"data_mb":120}],"distance_m":450}`
 	// Four quotes with UpdateEvery=2, SnapshotEvery=1 → rotations at
-	// rounds 2 and 4; the latest checkpoint freezes the round-4 state.
+	// rounds 2 and 4. A checkpoint is published one rotation after it is
+	// taken, so the latest published one freezes the round-2 state.
+	var prices []float64
 	for i := 0; i < 4; i++ {
-		postQuote(t, base, round)
+		prices = append(prices, postQuote(t, base, round).Price)
 	}
 
 	rbase, rshutdown := startDaemon(t, "-replica-of", dir, "-refresh", "0")
@@ -133,17 +135,16 @@ func TestServeDaemonReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if !rst.Replica || rst.Rounds != 4 || rst.Snapshots != 2 {
-		t.Fatalf("replica daemon stats %+v, want replica at snapshot 2 / 4 rounds", rst)
+	if !rst.Replica || rst.Rounds != 2 || rst.Snapshots != 1 {
+		t.Fatalf("replica daemon stats %+v, want replica at snapshot 1 / 2 rounds", rst)
 	}
 
 	fromReplica := postQuote(t, rbase, round)
-	fromPrimary := postQuote(t, base, round) // primary's round 5: first after the snapshot
-	if fromReplica.Price != fromPrimary.Price {
-		t.Fatalf("replica daemon price %v, primary %v", fromReplica.Price, fromPrimary.Price)
+	if fromReplica.Price != prices[2] { // primary's round 3: first after the snapshot
+		t.Fatalf("replica daemon price %v, primary %v", fromReplica.Price, prices[2])
 	}
-	if fromReplica.Round != 4 {
-		t.Fatalf("replica reports round %d, want the frozen 4", fromReplica.Round)
+	if fromReplica.Round != 2 {
+		t.Fatalf("replica reports round %d, want the frozen 2", fromReplica.Round)
 	}
 
 	if err := rshutdown(); err != nil {

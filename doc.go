@@ -133,15 +133,31 @@
 //     intake (contract rule 8 below).
 //   - Persistence: every accepted round is staged to a JSONL write-ahead
 //     journal and the whole batch is flushed in one write before any of
-//     its quotes is acknowledged (acknowledged ⇒ durable), while the
-//     pricer's SnapshotEvery hook rotates full binary checkpoints at
-//     optimization-phase boundaries, truncating the journal to extend the
-//     new checkpoint. The journal header binds its checkpoint by snapshot
+//     its quotes is acknowledged (acknowledged ⇒ durable). That guarantee
+//     holds against a process crash only: the flush is a write(2) with
+//     no fsync, and no rename syncs the state directory, so a machine
+//     crash can lose acknowledged rounds (checkpoint files and journal
+//     headers are fsynced before their renames). The pricer's
+//     SnapshotEvery hook rotates full binary checkpoints at
+//     optimization-phase boundaries, and the rotation stays off the
+//     serial path: at rotation k's boundary the serial core only hands
+//     checkpoint k to a persistence goroutine, which encodes it, writes
+//     and fsyncs its temp file and prepares the next journal's header;
+//     at rotation k+1's boundary the serial core publishes checkpoint k
+//     (renames it into place, where replicas can see it), carries the
+//     rounds since boundary k into the prepared journal, switches the
+//     journal to it and prunes. So the journal extends the checkpoint one
+//     rotation back, and both the switch and a checkpoint's publication
+//     fall on a round fixed by the request stream, never on goroutine
+//     timing. A failed rotation is counted in Stats.RotateErrors at the
+//     next boundary, and the journal keeps extending the checkpoint it
+//     binds. The journal header binds its checkpoint by snapshot
 //     ordinal and file CRC-32 plus a fingerprint of the reference game,
 //     so recovery is rule 6's strictly-or-not-at-all: reopening the state
 //     directory restores the bound checkpoint and replays the journaled
-//     rounds through the identical engine path — same quotes, same
-//     learner weights, bit for bit — while a journal whose checkpoint is
+//     rounds through the identical engine path, rotation pipeline
+//     included (run synchronously) — same quotes, same learner weights,
+//     same journal, bit for bit — while a journal whose checkpoint is
 //     missing, mismatched, or corrupt refuses loudly instead of
 //     cold-starting (FuzzJournalRecover drives hostile journal bytes
 //     through the full recovery path). The only tolerated irregularity is
@@ -149,21 +165,25 @@
 //     never acknowledged, so dropping it reconstructs exactly the state
 //     every answered quote saw.
 //   - Read replicas: serve.OpenReplica (vtmig-serve -replica-of) scales
-//     quote reads horizontally by freezing the primary's latest rotated
+//     quote reads horizontally by freezing the primary's latest published
 //     checkpoint into a sim.FrozenPricer — the deterministic mean-price
 //     readout of the checkpointed belief state, clamped per round, with
 //     no RNG and no learning — and re-freezing on a refresh cadence as
 //     the primary rotates. A replica's answer is byte-identical to the
-//     price the primary posts for its first round after the same
-//     snapshot, and /v1/stats reports the replica's staleness
+//     price the primary posted for its first round after the same
+//     snapshot — checkpoint k, published at rotation k+1's boundary, so
+//     a current replica trails the primary by one rotation — and
+//     /v1/stats reports the replica's staleness
 //     (checkpoint age plus the frozen round/update ordinals). Replicas
 //     never write to the state directory.
 //
 // The HTTP front end (serve.NewHTTPServer) bounds header reads and idle
 // connections, and both primary and replica serve the same /v1/quote,
-// /v1/stats, /healthz surface. `make serve-smoke` pins the batched
-// crash-recovery bit-identity, the rule-8 batch-size tables, and the
-// replica identity under the race detector; cmd/vtmig-loadgen records
+// /v1/stats, /healthz surface; a quote body must be exactly one JSON
+// object. `make serve-smoke` pins the batched crash-recovery
+// bit-identity, the rule-8 batch-size tables, the replica identity, and
+// — ten times over — the rotation pipeline's crash-window table and
+// failure path under the race detector; cmd/vtmig-loadgen records
 // serving throughput and latency percentiles — per target, across a
 // primary and its replicas — into the BENCH_pr*.json files.
 //
@@ -299,12 +319,17 @@
 //     acknowledgement, and the policy/belief/learning core runs strictly
 //     serially in that same order — so any batch size under any
 //     GOMAXPROCS yields bit-identical responses, journal bytes, and
-//     learner weights to one-at-a-time intake. Read replicas are the same
-//     rule across processes: a replica frozen at snapshot ordinal k
-//     answers with exactly the price the primary posts for its first
-//     round after rotation k — same float bits — because the frozen
-//     readout is the deterministic mean of the checkpointed belief state,
-//     which the request cannot perturb.
+//     learner weights to one-at-a-time intake — and, after every round,
+//     the same journal bytes and the same published checkpoints, because
+//     the journal switches to checkpoint k, and checkpoint k is
+//     published, exactly at rotation k+1's boundary, whenever the
+//     persistence goroutine finished writing it. Read replicas are the
+//     same rule across processes: a replica frozen at snapshot ordinal k
+//     (published at rotation k+1's boundary) answers with exactly the
+//     price the primary posted for its first round after rotation k —
+//     same float bits — because the frozen readout is the deterministic
+//     mean of the checkpointed belief state, which the request cannot
+//     perturb.
 //
 // The golden-file tests under internal/experiments/testdata pin the exact
 // fixed-seed outputs of every figure pipeline, those under

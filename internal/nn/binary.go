@@ -1,12 +1,12 @@
 package nn
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -60,16 +60,39 @@ const (
 // the format comment above). LoadCheckpoint auto-detects it by the
 // leading magic.
 func (c *Checkpoint) SaveBinary(w io.Writer) error {
-	if err := c.Validate(); err != nil {
+	data, err := c.AppendBinary(nil)
+	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	e := binWriter{buf: &buf}
-	buf.WriteString(binaryMagic)
-	var ver [2]byte
-	binary.LittleEndian.PutUint16(ver[:], uint16(c.Version))
-	buf.Write(ver[:])
+	if _, err := w.Write(data); err != nil {
+		return fmt.Errorf("nn: writing binary checkpoint: %w", err)
+	}
+	return nil
+}
 
+// AppendBinary appends the checkpoint's binary encoding — the bytes
+// SaveBinary writes — to b and returns the extended slice (it implements
+// encoding.BinaryAppender). It validates the checkpoint first and grows b
+// once, by exactly the encoding's size, so a caller that hands the
+// previous result back as b[:0] encodes on a cadence without allocating a
+// buffer.
+func (c *Checkpoint) AppendBinary(b []byte) ([]byte, error) {
+	if err := c.Validate(); err != nil {
+		return b, err
+	}
+	size := binWriter{sizing: true}
+	size.sections(c)
+	start := len(b)
+	e := binWriter{b: slices.Grow(b, len(binaryMagic)+2+size.n+4)}
+	e.b = append(e.b, binaryMagic...)
+	e.b = binary.LittleEndian.AppendUint16(e.b, uint16(c.Version))
+	e.sections(c)
+	return binary.LittleEndian.AppendUint32(e.b, crc32.ChecksumIEEE(e.b[start:])), nil
+}
+
+// sections writes every section of c, in the format's fixed order, from
+// the 'P' tag through the 'Z' terminator.
+func (e *binWriter) sections(c *Checkpoint) {
 	e.tag('P')
 	e.paramTable(c.Params)
 	if c.Opt != nil {
@@ -120,14 +143,6 @@ func (c *Checkpoint) SaveBinary(w io.Writer) error {
 		e.f64(p.BestTolFrac)
 	}
 	e.tag('Z')
-
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.ChecksumIEEE(buf.Bytes()))
-	buf.Write(sum[:])
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("nn: writing binary checkpoint: %w", err)
-	}
-	return nil
 }
 
 // loadBinaryCheckpoint decodes a binary checkpoint (the magic has been
@@ -232,44 +247,73 @@ func loadBinaryCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return c, nil
 }
 
-// binWriter appends the format's primitives to a buffer. Buffer writes
-// cannot fail, so the encoder carries no error state.
+// binWriter appends the format's primitives to b. A sizing writer
+// appends nothing: it only adds each primitive's length to n, which is
+// how AppendBinary sizes its buffer with one walk over the sections.
 type binWriter struct {
-	buf     *bytes.Buffer
-	scratch [binary.MaxVarintLen64]byte
+	b      []byte
+	sizing bool
+	n      int
 }
 
-func (e *binWriter) tag(t byte) { e.buf.WriteByte(t) }
+func (e *binWriter) tag(t byte) {
+	if e.sizing {
+		e.n++
+		return
+	}
+	e.b = append(e.b, t)
+}
 
 func (e *binWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(e.scratch[:], v)
-	e.buf.Write(e.scratch[:n])
+	if e.sizing {
+		e.n++
+		for ; v >= 0x80; v >>= 7 {
+			e.n++
+		}
+		return
+	}
+	e.b = binary.AppendUvarint(e.b, v)
 }
 
 func (e *binWriter) u64(v uint64) {
-	binary.LittleEndian.PutUint64(e.scratch[:8], v)
-	e.buf.Write(e.scratch[:8])
+	if e.sizing {
+		e.n += 8
+		return
+	}
+	e.b = binary.LittleEndian.AppendUint64(e.b, v)
 }
 
 func (e *binWriter) f64(v float64) { e.u64(math.Float64bits(v)) }
 
 func (e *binWriter) bool(v bool) {
 	if v {
-		e.buf.WriteByte(1)
+		e.tag(1)
 	} else {
-		e.buf.WriteByte(0)
+		e.tag(0)
 	}
 }
 
 func (e *binWriter) str(s string) {
 	e.uvarint(uint64(len(s)))
-	e.buf.WriteString(s)
+	if e.sizing {
+		e.n += len(s)
+		return
+	}
+	e.b = append(e.b, s...)
 }
 
+// vec writes the words of v in place after one length check, the
+// encoder's hot loop: a checkpoint is almost entirely float vectors.
 func (e *binWriter) vec(v []float64) {
 	e.uvarint(uint64(len(v)))
-	for _, x := range v {
-		e.f64(x)
+	if e.sizing {
+		e.n += 8 * len(v)
+		return
+	}
+	at := len(e.b)
+	e.b = slices.Grow(e.b, 8*len(v))[:at+8*len(v)]
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(e.b[at+8*i:], math.Float64bits(x))
 	}
 }
 

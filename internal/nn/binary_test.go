@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -56,6 +58,82 @@ func fullCheckpoint(t testing.TB) *Checkpoint {
 		BestTolFrac: 0.01,
 	}
 	return ck
+}
+
+// largeCheckpoint builds a deterministic checkpoint whose vectors and
+// tables are long enough for multi-byte length prefixes (a 20,000-word
+// vector, a 300-word one, a 200-byte name).
+func largeCheckpoint(t testing.TB) *Checkpoint {
+	t.Helper()
+	rng := rand.New(rand.NewSource(23))
+	long := strings.Repeat("n", 200)
+	params := randomParams(rng, map[string]int{"big": 20000, "mid": 300, long: 3})
+	opt := NewAdam(1e-3)
+	for _, p := range params {
+		for i := range p.Grad {
+			p.Grad[i] = rng.NormFloat64()
+		}
+	}
+	opt.Step(params)
+	ck, err := Snapshot(params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Opt, err = opt.StateSnapshot(params); err != nil {
+		t.Fatal(err)
+	}
+	ck.RNG = &RNGState{Seed: -3, Calls: 1 << 40}
+	return ck
+}
+
+// TestBinaryEncodingBytesPinned pins the binary encoding byte for byte.
+// The digests were computed with the bytes.Buffer encoder that
+// AppendBinary replaced; SaveBinary and AppendBinary — onto an empty
+// slice, onto a non-empty prefix, and into a reused buffer — must all
+// still produce exactly those bytes.
+func TestBinaryEncodingBytesPinned(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		ck     *Checkpoint
+		size   int
+		digest string
+	}{
+		{"full", fullCheckpoint(t), 6006, "a7f29a41661e627d6b1ad720a0ca0f1162116968442a97154758e15b73493baa"},
+		{"large", largeCheckpoint(t), 487960, "9ab6ec88b6d06fe84c7dfdac38d7e9810f61943fe1fdc2f02b21700861f762e3"},
+		{"v0-params-only", &Checkpoint{Version: 0, Params: map[string][]float64{"w": {0.5, -1}}}, 32, "fc47a02b279f34091d25dcabc5d35917459e83600d4b290a12b9201882903762"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			check := func(how string, data []byte) {
+				t.Helper()
+				if sum := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != c.size || sum != c.digest {
+					t.Errorf("%s: %d bytes, sha256 %s; want %d bytes, sha256 %s", how, len(data), sum, c.size, c.digest)
+				}
+			}
+			var buf bytes.Buffer
+			if err := c.ck.SaveBinary(&buf); err != nil {
+				t.Fatal(err)
+			}
+			check("SaveBinary", buf.Bytes())
+			fresh, err := c.ck.AppendBinary(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("AppendBinary(nil)", fresh)
+			prefixed, err := c.ck.AppendBinary([]byte("prefix"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(prefixed[:6]) != "prefix" {
+				t.Errorf("AppendBinary overwrote the prefix: %q", prefixed[:6])
+			}
+			check("AppendBinary(prefix)", prefixed[6:])
+			reused, err := c.ck.AppendBinary(prefixed[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("AppendBinary(reused)", reused)
+		})
+	}
 }
 
 // TestBinaryRoundTripBitIdentical is the binary round-trip property test:

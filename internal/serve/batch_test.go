@@ -2,11 +2,13 @@ package serve_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -42,12 +44,40 @@ func quoteConcurrently(t *testing.T, s *serve.Server, reqs []serve.QuoteRequest)
 }
 
 // batchRun is one cell of the rule-8 table: every response (or error
-// string) in stream order, the final on-disk journal bytes, and the
-// final learner checkpoint (weights, Adam moments, RNG position).
+// string) in stream order, the final on-disk journal bytes, the final
+// learner checkpoint (weights, Adam moments, RNG position), and the state
+// directory after every batch, keyed by the requests processed so far.
 type batchRun struct {
 	resps   []string
 	journal []byte
 	learner []byte
+	disk    map[int]string
+}
+
+// diskState describes what a reader of dir can see: the live journal's
+// bytes and each published checkpoint's name and bytes. Temp files are
+// left out — when the persistence goroutine writes them is timing, and
+// no reader opens them.
+func diskState(t *testing.T, dir string) string {
+	t.Helper()
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := fmt.Sprintf("journal %x", sha256.Sum256(journal))
+	cks, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(cks)
+	for _, ck := range cks {
+		data, err := os.ReadFile(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		state += fmt.Sprintf("\n%s %x", filepath.Base(ck), sha256.Sum256(data))
+	}
+	return state
 }
 
 // runBatchTable runs the fixed 200-request stream (with a few invalid
@@ -66,7 +96,7 @@ func runBatchTable(t *testing.T, batch int) batchRun {
 			reqs[i] = serve.QuoteRequest{} // invalid: no VMUs
 		}
 	}
-	var run batchRun
+	run := batchRun{disk: map[int]string{}}
 	for i := 0; i < len(reqs); i += batch {
 		end := i + batch
 		if end > len(reqs) {
@@ -81,6 +111,7 @@ func runBatchTable(t *testing.T, batch int) batchRun {
 			run.resps = append(run.resps, fmt.Sprintf("price=%016x round=%d updates=%d",
 				math.Float64bits(resps[j].Price), resps[j].Round, resps[j].Updates))
 		}
+		run.disk[end] = diskState(t, dir)
 	}
 	ck, err := s.AgentCheckpoint()
 	if err != nil {
@@ -100,8 +131,12 @@ func runBatchTable(t *testing.T, batch int) batchRun {
 
 // TestBatchIntakeBitIdentityTable pins contract rule 8 end to end: every
 // batch size produces responses, final journal bytes, and final learner
-// weights bit-identical to strictly serial intake. The serve-smoke target
-// runs it under -race.
+// weights bit-identical to strictly serial intake — and after every
+// batch, the same journal bytes and the same published checkpoints as
+// serial intake after the same round, so neither the journal switch nor
+// a checkpoint's publication depends on where batches are cut or on when
+// the persistence goroutine finishes. The serve-smoke target runs it
+// under -race.
 func TestBatchIntakeBitIdentityTable(t *testing.T) {
 	ref := runBatchTable(t, 1)
 	if len(ref.resps) != 200 {
@@ -120,6 +155,11 @@ func TestBatchIntakeBitIdentityTable(t *testing.T) {
 			}
 			if string(got.learner) != string(ref.learner) {
 				t.Error("final learner state diverged from serial intake")
+			}
+			for n, state := range got.disk {
+				if state != ref.disk[n] {
+					t.Fatalf("state dir after %d requests diverged from serial intake:\n  serial:\n%s\n  batched:\n%s", n, ref.disk[n], state)
+				}
 			}
 		})
 	}

@@ -12,7 +12,9 @@ import (
 
 // Checkpoint files are named by the pricer's snapshot ordinal —
 // checkpoint-000000.bin is the boot snapshot, checkpoint-000001.bin the
-// first rotation, and so on — in the compact binary encoding. The journal
+// first rotation, and so on — in the compact binary encoding. Until a
+// rotation's checkpoint is published it lives at the same name plus
+// ".tmp", which neither recovery nor replicas ever open. The journal
 // header names the ordinal it extends, so recovery never guesses which
 // checkpoint a journal belongs to.
 const checkpointPattern = "checkpoint-%06d.bin"
@@ -22,31 +24,43 @@ func checkpointPath(dir string, snapshots int) string {
 	return filepath.Join(dir, fmt.Sprintf(checkpointPattern, snapshots))
 }
 
-// writeCheckpoint atomically persists ck at path (temp file + fsync +
-// rename) and returns the CRC-32 of the file bytes — the value the
-// journal header binds to. When a file already exists at path — a replay
-// re-reaching a rotation the crashed process already persisted — the
-// rewrite must be byte-identical: replay is deterministic, so a
-// difference means the on-disk state and the journal diverged, and the
-// write refuses instead of papering over it.
+// writeCheckpoint durably publishes ck at path in one synchronous step —
+// stage, then publish — and returns the CRC-32 of the file bytes, the
+// value the journal header binds to. Only the boot checkpoint takes this
+// path; rotations stage on the persistence goroutine and publish one
+// rotation later (see diskStore).
 func writeCheckpoint(path string, ck *nn.Checkpoint) (uint32, error) {
-	var buf bytes.Buffer
-	if err := ck.SaveBinary(&buf); err != nil {
+	data, err := ck.AppendBinary(nil)
+	if err != nil {
 		return 0, fmt.Errorf("serve: encoding checkpoint: %w", err)
 	}
-	crc := crc32.ChecksumIEEE(buf.Bytes())
+	published, err := stageCheckpoint(path, data)
+	if err == nil && !published {
+		err = publishCheckpoint(path)
+	}
+	return crc32.ChecksumIEEE(data), err
+}
+
+// stageCheckpoint makes data durable at path's temp name (create, write,
+// fsync, close) for publishCheckpoint to rename into place later. When
+// path itself already exists — a replay re-reaching a rotation the
+// crashed process already published — the bytes must be identical:
+// replay is deterministic, so a difference means the on-disk state and
+// the journal diverged, and the stage refuses instead of papering over
+// it. Then nothing is written and published reports true.
+func stageCheckpoint(path string, data []byte) (published bool, err error) {
 	if old, err := os.ReadFile(path); err == nil {
-		if !bytes.Equal(old, buf.Bytes()) {
-			return 0, fmt.Errorf("serve: replayed checkpoint %s differs from the one on disk — journal and checkpoints no longer describe the same run", path)
+		if !bytes.Equal(old, data) {
+			return false, fmt.Errorf("serve: replayed checkpoint %s differs from the one on disk — journal and checkpoints no longer describe the same run", path)
 		}
-		return crc, nil
+		return true, nil
 	}
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
-		return 0, fmt.Errorf("serve: creating checkpoint: %w", err)
+		return false, fmt.Errorf("serve: creating checkpoint: %w", err)
 	}
-	_, err = f.Write(buf.Bytes())
+	_, err = f.Write(data)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -55,13 +69,18 @@ func writeCheckpoint(path string, ck *nn.Checkpoint) (uint32, error) {
 	}
 	if err != nil {
 		os.Remove(tmp)
-		return 0, fmt.Errorf("serve: writing checkpoint: %w", err)
+		return false, fmt.Errorf("serve: writing checkpoint: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("serve: committing checkpoint: %w", err)
+	return false, nil
+}
+
+// publishCheckpoint renames a staged checkpoint into place at path, where
+// recovery and read replicas find it.
+func publishCheckpoint(path string) error {
+	if err := os.Rename(path+".tmp", path); err != nil {
+		return fmt.Errorf("serve: publishing checkpoint: %w", err)
 	}
-	return crc, nil
+	return nil
 }
 
 // loadCheckpoint reads the checkpoint at path, returning the decoded

@@ -55,16 +55,16 @@ func (e *engine) prework(reqs []QuoteRequest, slots []prepped) {
 
 // processBatch applies one arrival-ordered batch: the prework, then
 // the strictly serial core — stage the round's journal entry
-// (write-ahead), price it through the learner (which may rotate a
-// checkpoint), and record the response — and finally one flush that
-// makes the batch's staged entries durable before anything is
-// acknowledged. Invalid requests are answered with a RequestError and
-// consume neither a sequence number nor learner state. If the flush
-// fails, every response whose journal entry is neither flushed nor
-// superseded by a checkpoint rotation is replaced with the flush error:
-// those rounds are in the learner but not durable, and acknowledging
-// them would break the recovery invariant (the writer refuses further
-// work until a restart replays the journal).
+// (write-ahead), price it through the learner (which may reach a
+// rotation boundary and switch the journal), and record the response —
+// and finally one flush that makes the batch's staged entries durable
+// before anything is acknowledged. Invalid requests are answered with a
+// RequestError and consume neither a sequence number nor learner state.
+// If the flush fails, every response whose journal entry is neither
+// flushed nor written out by a journal switch is replaced with the flush
+// error: those rounds are in the learner but not durable, and
+// acknowledging them would break the recovery invariant (the writer
+// refuses further work until a restart replays the journal).
 func (e *engine) processBatch(reqs []QuoteRequest) []quoteReply {
 	slots := make([]prepped, len(reqs))
 	e.prework(reqs, slots)
@@ -76,7 +76,7 @@ func (e *engine) processBatch(reqs []QuoteRequest) []quoteReply {
 			replies[i] = quoteReply{err: p.err}
 			continue
 		}
-		if err := e.store.stage(journalEntry{Seq: e.store.nextSeq(), Req: reqs[i]}); err != nil {
+		if err := e.store.stage(reqs[i]); err != nil {
 			replies[i] = quoteReply{err: err}
 			continue
 		}

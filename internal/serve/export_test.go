@@ -7,7 +7,8 @@ import "vtmig/internal/nn"
 // flush. Every acknowledged quote's entry was flushed before its batch
 // was acknowledged (and any still-staged entries were never acked), so
 // the on-disk state is exactly what a kill -9 after the last
-// acknowledged quote would leave.
+// acknowledged quote would leave once the persistence goroutine, which
+// Abandon waits for, finished its job.
 func (s *Server) Abandon() {
 	s.mu.Lock()
 	s.closed = true
@@ -15,6 +16,7 @@ func (s *Server) Abandon() {
 	s.inflight.Wait()
 	close(s.jobs)
 	<-s.done
+	s.st.stop()
 }
 
 // AgentCheckpoint exposes the learner's full training state (weights,

@@ -39,7 +39,9 @@ type quoter interface {
 //	GET  /v1/stats  — point-in-time Stats
 //	GET  /healthz   — liveness probe
 //
-// Malformed or invalid requests get 400, a shut-down server 503; quotes
+// Malformed or invalid requests get 400 — a body must hold exactly one
+// JSON object, with nothing but white space after it — a shut-down
+// server 503; quotes
 // themselves honor the request context, so client disconnects stop the
 // wait (not the learning — an accepted round is journaled regardless).
 func (s *Server) Handler() http.Handler {
@@ -72,9 +74,7 @@ func newQuoteMux(q quoter, stats func() any) http.Handler {
 func handleQuote(q quoter) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req QuoteRequest
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxQuoteBody))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxQuoteBody), &req); err != nil {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding quote request: " + err.Error()})
 			return
 		}

@@ -82,6 +82,19 @@ func TestHTTPQuoteErrors(t *testing.T) {
 	if code := post(`{"vmus":[{"id":0,"alpha":-7,"data_mb":150}]}`); code != http.StatusBadRequest {
 		t.Fatalf("invalid game status = %d", code)
 	}
+	if code := post(`{"vmus":[{"id":0,"alpha":7,"data_mb":150}]} trailing-garbage`); code != http.StatusBadRequest {
+		t.Fatalf("trailing bytes status = %d", code)
+	}
+	if code := post(`{"vmus":[{"id":0,"alpha":7,"data_mb":150}]}{"vmus":[{"id":1,"alpha":9,"data_mb":120}]}`); code != http.StatusBadRequest {
+		t.Fatalf("two concatenated requests status = %d", code)
+	}
+	if code := post(`{"vmus":[{"id":0,"alpha":7,"data_mb":150}]} }`); code != http.StatusBadRequest {
+		t.Fatalf("stray closing brace status = %d", code)
+	}
+	// None of the rejected bodies may have reached the learner.
+	if st := s.Stats(); st.Rounds != 0 {
+		t.Fatalf("rejected bodies advanced the learner to %d rounds", st.Rounds)
+	}
 
 	// GET on the quote route is not part of the API.
 	resp, err := http.Get(ts.URL + "/v1/quote")

@@ -1,11 +1,12 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"strconv"
 )
 
 // Journal file layout: JSON Lines. The first line is the header binding
@@ -46,6 +47,17 @@ type journalEntry struct {
 	Req QuoteRequest `json:"req"`
 }
 
+// appendEntry appends the journal line of entry (seq, req), where req is
+// the request's JSON encoding: exactly json.Marshal(journalEntry{seq,
+// req}) plus a newline.
+func appendEntry(dst []byte, seq int, req []byte) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendInt(dst, int64(seq), 10)
+	dst = append(dst, `,"req":`...)
+	dst = append(dst, req...)
+	return append(dst, "}\n"...)
+}
+
 // journalWriter stages entries in memory and flushes them to the live
 // journal in one write per batch. The durability invariant is
 // "acknowledged ⇒ durable", not "staged ⇒ durable": the intake layer
@@ -54,16 +66,49 @@ type journalEntry struct {
 // exactly the state a serial, unbuffered writer would leave. Batching
 // the appends this way coalesces a batch's write-ahead records into one
 // syscall without changing a single on-disk byte relative to writing
-// them one at a time. The writer is owned by the intake goroutine and
-// needs no locking.
+// them one at a time. The writer also keeps every entry's encoded request
+// since its header, which a journal switch carries into the next journal
+// (see carry). It is owned by the intake goroutine and needs no locking.
 type journalWriter struct {
 	f       *os.File
 	path    string
-	buf     []byte // staged entries, encoded, not yet durable
-	seq     int
-	entries int // entries flushed to disk since the last rotation
-	staged  int // entries in buf awaiting flush
+	buf     []byte // staged entry lines, not yet written
+	reqs    []byte // every entry's encoded request since the header
+	ends    []int  // ends[i]: where entry i+1's request ends in reqs
+	flushed int    // entries written to the file
 	failed  bool
+}
+
+// prepareJournal creates a journal file at path holding only the header
+// h, synced, and returns it open for appending. On error nothing is left
+// at path.
+func prepareJournal(path string, h journalHeader) (*os.File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, fmt.Errorf("serve: creating journal: %w", err)
+	}
+	line, err := json.Marshal(h)
+	if err == nil {
+		_, err = f.Write(append(line, '\n'))
+	}
+	if err != nil {
+		discardJournal(f, path)
+		return nil, fmt.Errorf("serve: writing journal header: %w", err)
+	}
+	if err := f.Sync(); err != nil {
+		discardJournal(f, path)
+		return nil, fmt.Errorf("serve: syncing journal header: %w", err)
+	}
+	return f, nil
+}
+
+// discardJournal closes and removes a prepared journal file that will
+// never be committed; f may be nil.
+func discardJournal(f *os.File, path string) {
+	if f != nil {
+		f.Close()
+		os.Remove(path)
+	}
 }
 
 // newJournal atomically creates a journal at path containing only the
@@ -72,49 +117,33 @@ type journalWriter struct {
 // never a torn header.
 func newJournal(path string, h journalHeader) (*journalWriter, error) {
 	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := prepareJournal(tmp, h)
 	if err != nil {
-		return nil, fmt.Errorf("serve: creating journal: %w", err)
-	}
-	w := &journalWriter{f: f, path: path}
-	line, err := json.Marshal(h)
-	if err == nil {
-		_, err = f.Write(append(line, '\n'))
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, fmt.Errorf("serve: writing journal header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return nil, fmt.Errorf("serve: syncing journal header: %w", err)
+		return nil, err
 	}
 	if err := os.Rename(tmp, path); err != nil {
-		f.Close()
-		os.Remove(tmp)
+		discardJournal(f, tmp)
 		return nil, fmt.Errorf("serve: committing journal: %w", err)
 	}
-	return w, nil
+	return &journalWriter{f: f, path: path}, nil
 }
 
-// stage encodes one entry into the in-memory batch buffer. Nothing
-// touches the file, so a failed stage never corrupts the journal; the
-// entry becomes durable at the next flush (or is superseded by a
-// checkpoint rotation before then — see rotate).
-func (w *journalWriter) stage(e journalEntry) error {
+// stage encodes one request as the next entry into the in-memory batch
+// buffer. Nothing touches the file, so a failed stage never corrupts the
+// journal; the entry becomes durable at the next flush (or a journal
+// switch before then — see carry).
+func (w *journalWriter) stage(req QuoteRequest) error {
 	if w.failed {
 		return fmt.Errorf("serve: journal writer failed earlier; refusing further appends (restart the server to recover)")
 	}
-	line, err := json.Marshal(e)
+	seq := len(w.ends) + 1
+	enc, err := json.Marshal(req)
 	if err != nil {
-		return fmt.Errorf("serve: encoding journal entry %d: %w", e.Seq, err)
+		return fmt.Errorf("serve: encoding journal entry %d: %w", seq, err)
 	}
-	w.buf = append(w.buf, line...)
-	w.buf = append(w.buf, '\n')
-	w.seq = e.Seq
-	w.staged++
+	w.reqs = append(w.reqs, enc...)
+	w.ends = append(w.ends, len(w.reqs))
+	w.buf = appendEntry(w.buf, seq, enc)
 	return nil
 }
 
@@ -123,7 +152,8 @@ func (w *journalWriter) stage(e journalEntry) error {
 // sit mid-file, and writing past it would corrupt the journal beyond the
 // torn-trailing-line case recovery knows how to handle.
 func (w *journalWriter) flush() error {
-	if w.staged == 0 {
+	staged := len(w.ends) - w.flushed
+	if staged == 0 {
 		return nil
 	}
 	if w.failed {
@@ -131,38 +161,50 @@ func (w *journalWriter) flush() error {
 	}
 	if _, err := w.f.Write(w.buf); err != nil {
 		w.failed = true
-		return fmt.Errorf("serve: flushing %d staged journal entries: %w", w.staged, err)
+		return fmt.Errorf("serve: flushing %d staged journal entries: %w", staged, err)
 	}
-	w.entries += w.staged
-	w.staged = 0
+	w.flushed = len(w.ends)
 	w.buf = w.buf[:0]
 	return nil
 }
 
-// nextSeq returns the sequence number the next entry must carry.
-func (w *journalWriter) nextSeq() int { return w.seq + 1 }
+// count returns how many entries the journal holds, flushed and staged.
+func (w *journalWriter) count() int { return len(w.ends) }
 
-// rotate atomically replaces the journal with a fresh one containing only
-// h — the truncation step of a checkpoint rotation. Entries still staged
-// in memory are discarded, not flushed: a rotation only ever fires after
-// the learner absorbed those rounds, so the checkpoint this header binds
-// to already covers them, and flushing them first would leave bytes a
-// serial writer's rotation would have truncated anyway. The old file
-// handle is closed only after the new journal is committed; on any error
-// the old journal (still binding the previous checkpoint, with all
-// entries since it staged or flushed) remains the live one, so the state
-// stays recoverable.
-func (w *journalWriter) rotate(h journalHeader) error {
+// carry switches to a new journal: it writes the entries past the first
+// cut — flushed or still staged — renumbered from seq 1 into next, a
+// prepared journal file at nextPath holding only its header, and renames
+// that over w's path, returning the writer for the new journal. Entries
+// up to cut are dropped: the checkpoint next's header binds covers them.
+// The carried entries are written, so the new journal needs no flush for
+// them, and the bytes match what a writer created at that checkpoint
+// would hold after staging and flushing the same rounds. The old file is
+// closed only after the rename; on error w stays the live journal,
+// unchanged, and the caller discards next.
+func (w *journalWriter) carry(next *os.File, nextPath string, cut int) (*journalWriter, error) {
 	if w.failed {
-		return fmt.Errorf("serve: journal writer failed earlier; refusing rotation")
+		return nil, fmt.Errorf("serve: journal writer failed earlier; refusing the journal switch")
 	}
-	nw, err := newJournal(w.path, h)
-	if err != nil {
-		return err
+	nw := &journalWriter{f: next, path: w.path}
+	start := 0
+	if cut > 0 {
+		start = w.ends[cut-1]
+	}
+	for _, end := range w.ends[cut:] {
+		req := w.reqs[start:end]
+		nw.reqs = append(nw.reqs, req...)
+		nw.ends = append(nw.ends, len(nw.reqs))
+		nw.buf = appendEntry(nw.buf, len(nw.ends), req)
+		start = end
+	}
+	if err := nw.flush(); err != nil {
+		return nil, err
+	}
+	if err := os.Rename(nextPath, w.path); err != nil {
+		return nil, fmt.Errorf("serve: committing journal: %w", err)
 	}
 	w.f.Close()
-	*w = *nw
-	return nil
+	return nw, nil
 }
 
 // Close flushes staged entries and releases the file handle, syncing as
@@ -205,7 +247,7 @@ func readJournal(path string) (journalHeader, []journalEntry, int, error) {
 	if len(lines[last]) == 0 {
 		lines = lines[:last]
 	}
-	if err := decodeStrict(lines[0], &h); err != nil {
+	if err := decodeStrict(bytes.NewReader(lines[0]), &h); err != nil {
 		return h, nil, 0, fmt.Errorf("serve: journal %s header: %w", path, err)
 	}
 	if h.Magic != journalMagic {
@@ -218,7 +260,7 @@ func readJournal(path string) (journalHeader, []journalEntry, int, error) {
 	torn := 0
 	for i, line := range lines[1:] {
 		var e journalEntry
-		if err := decodeStrict(line, &e); err != nil {
+		if err := decodeStrict(bytes.NewReader(line), &e); err != nil {
 			if i == len(lines)-2 { // final line: torn by a crash mid-append
 				torn = 1
 				break
@@ -233,15 +275,16 @@ func readJournal(path string) (journalHeader, []journalEntry, int, error) {
 	return h, entries, torn, nil
 }
 
-// decodeStrict unmarshals one JSON line rejecting unknown fields and
-// trailing garbage.
-func decodeStrict(line []byte, v any) error {
-	dec := json.NewDecoder(bufio.NewReader(bytes.NewReader(line)))
+// decodeStrict decodes exactly one JSON value from r into v, rejecting
+// unknown fields and anything but white space after the value — a
+// second value included.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}
-	if dec.More() {
+	if _, err := dec.Token(); err != io.EOF {
 		return fmt.Errorf("trailing data after JSON value")
 	}
 	return nil

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -63,7 +64,7 @@ type ReplicaStats struct {
 }
 
 // Replica is a checkpoint-fed read replica: it freezes the primary's
-// latest rotated checkpoint into a learner-free pricer
+// latest published checkpoint into a learner-free pricer
 // (sim.FrozenPricer) and answers quote-only traffic from it — no
 // journal, no learning, no serialization point, so replicas scale
 // horizontally and one Replica serves any number of concurrent quotes.
@@ -132,9 +133,11 @@ func OpenReplica(cfg ReplicaConfig) (*Replica, error) {
 	return r, nil
 }
 
-// Refresh scans the primary's directory for the latest rotated
+// Refresh scans the primary's directory for the latest published
 // checkpoint and, if it is newer than the loaded one, freezes and swaps
-// it in atomically; in-flight quotes keep answering from the state they
+// it in atomically. The primary publishes checkpoint k at rotation k+1's
+// boundary, so a current replica trails the primary's latest rotation by
+// one; in-flight quotes keep answering from the state they
 // started with. On error the previous state keeps serving (recorded in
 // Stats); returns nil when already current.
 func (r *Replica) Refresh() error {
@@ -292,7 +295,7 @@ func readJournalHeader(path string) (journalHeader, error) {
 	if !sc.Scan() {
 		return h, fmt.Errorf("serve: journal %s is empty — not even a header; the state directory is corrupt", path)
 	}
-	if err := decodeStrict(sc.Bytes(), &h); err != nil {
+	if err := decodeStrict(bytes.NewReader(sc.Bytes()), &h); err != nil {
 		return h, fmt.Errorf("serve: journal %s header: %w", path, err)
 	}
 	if h.Magic != journalMagic {

@@ -24,23 +24,33 @@ func replicaConfig(dir string) serve.ReplicaConfig {
 }
 
 // TestReplicaByteIdenticalToPrimary pins the replica half of contract
-// rule 8: a replica opened on the primary's latest rotated checkpoint
-// answers every quote with exactly the price the primary posts for its
+// rule 8: a replica opened on the primary's latest published checkpoint
+// answers every quote with exactly the price the primary posted for its
 // first round after that snapshot — same float bits — while reporting
 // the snapshot's round ordinal; and Refresh tracks the primary across
-// further rotations without breaking that identity.
+// further rotations without breaking that identity. A checkpoint is
+// published one rotation after it is taken, so the replica trails the
+// primary's latest rotation by one.
 func TestReplicaByteIdenticalToPrimary(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, testConfig(dir))
 	defer s.Close()
 	reqs := reqStream(140)
-	// 120 rounds with UpdateEvery=5, SnapshotEvery=2 → a rotation lands
-	// exactly at round 120 (snapshot ordinal 12).
-	for _, req := range reqs[:120] {
-		if _, err := s.Quote(context.Background(), req); err != nil {
-			t.Fatal(err)
+	prices := make([]float64, len(reqs))
+	quote := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			resp, err := s.Quote(context.Background(), reqs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			prices[i] = resp.Price
 		}
 	}
+	// 120 rounds with UpdateEvery=5, SnapshotEvery=2 → a rotation lands
+	// exactly at round 120 (snapshot ordinal 12); its boundary publishes
+	// ordinal 11, taken at round 110.
+	quote(0, 120)
 
 	r, err := serve.OpenReplica(replicaConfig(dir))
 	if err != nil {
@@ -48,7 +58,7 @@ func TestReplicaByteIdenticalToPrimary(t *testing.T) {
 	}
 	defer r.Close()
 	rst := r.Stats()
-	if !rst.Replica || rst.Snapshots != 12 || rst.Rounds != 120 || rst.Refreshes != 1 {
+	if !rst.Replica || rst.Snapshots != 11 || rst.Rounds != 110 || rst.Refreshes != 1 {
 		t.Fatalf("replica stats after open: %+v", rst)
 	}
 	if rst.CheckpointAgeS < 0 {
@@ -56,21 +66,17 @@ func TestReplicaByteIdenticalToPrimary(t *testing.T) {
 	}
 
 	// The replica's answer must be byte-identical to the primary's answer
-	// at the same snapshot ordinal — the primary's round 121 is the first
+	// at the same snapshot ordinal — the primary's round 111 was the first
 	// priced at the checkpointed state.
 	fromReplica, err := r.Quote(context.Background(), reqs[120])
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromPrimary, err := s.Quote(context.Background(), reqs[120])
-	if err != nil {
-		t.Fatal(err)
+	if math.Float64bits(fromReplica.Price) != math.Float64bits(prices[110]) {
+		t.Fatalf("replica price %x, primary's round-111 price %x", math.Float64bits(fromReplica.Price), math.Float64bits(prices[110]))
 	}
-	if math.Float64bits(fromReplica.Price) != math.Float64bits(fromPrimary.Price) {
-		t.Fatalf("replica price %x, primary price %x", math.Float64bits(fromReplica.Price), math.Float64bits(fromPrimary.Price))
-	}
-	if fromReplica.Round != 120 || fromReplica.Updates != 24 {
-		t.Fatalf("replica reports round %d updates %d, want the frozen 120/24", fromReplica.Round, fromReplica.Updates)
+	if fromReplica.Round != 110 || fromReplica.Updates != 22 {
+		t.Fatalf("replica reports round %d updates %d, want the frozen 110/22", fromReplica.Round, fromReplica.Updates)
 	}
 
 	// A different request gets the same frozen price (the deterministic
@@ -84,28 +90,21 @@ func TestReplicaByteIdenticalToPrimary(t *testing.T) {
 	}
 
 	// Refresh follows the primary to the next rotation (round 130,
-	// ordinal 13) and restores the same next-round identity.
-	for _, req := range reqs[121:130] {
-		if _, err := s.Quote(context.Background(), req); err != nil {
-			t.Fatal(err)
-		}
-	}
+	// ordinal 13, which publishes ordinal 12 from round 120) and restores
+	// the same next-round identity.
+	quote(120, 130)
 	if err := r.Refresh(); err != nil {
 		t.Fatalf("Refresh: %v", err)
 	}
-	if rst := r.Stats(); rst.Snapshots != 13 || rst.Rounds != 130 || rst.Refreshes != 2 {
+	if rst := r.Stats(); rst.Snapshots != 12 || rst.Rounds != 120 || rst.Refreshes != 2 {
 		t.Fatalf("replica stats after refresh: %+v", rst)
 	}
 	fromReplica, err = r.Quote(context.Background(), reqs[130])
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromPrimary, err = s.Quote(context.Background(), reqs[130])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Float64bits(fromReplica.Price) != math.Float64bits(fromPrimary.Price) {
-		t.Fatalf("after refresh: replica price %x, primary price %x", math.Float64bits(fromReplica.Price), math.Float64bits(fromPrimary.Price))
+	if math.Float64bits(fromReplica.Price) != math.Float64bits(prices[120]) {
+		t.Fatalf("after refresh: replica price %x, primary's round-121 price %x", math.Float64bits(fromReplica.Price), math.Float64bits(prices[120]))
 	}
 
 	// Request validation matches the primary's surface.
@@ -152,26 +151,35 @@ func TestReplicaHTTP(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, testConfig(dir))
 	defer s.Close()
-	reqs := reqStream(11)
-	for _, req := range reqs[:10] {
-		if _, err := s.Quote(context.Background(), req); err != nil {
-			t.Fatal(err)
+	reqs := reqStream(20)
+	quote := func(reqs []serve.QuoteRequest) {
+		t.Helper()
+		for _, req := range reqs {
+			if _, err := s.Quote(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	primarySrv := httptest.NewServer(s.Handler())
+	defer primarySrv.Close()
+
+	// Round 10 ends rotation 1; the primary's round 11, asked over HTTP,
+	// is the first priced at checkpoint 1's state. Rotation 2's boundary
+	// at round 20 publishes checkpoint 1 for the replica.
+	quote(reqs[:10])
+	body, _ := json.Marshal(reqs[10])
+	fromPrimary := postJSON(t, primarySrv.URL+"/v1/quote", string(body))
+	quote(reqs[11:20])
+
 	r, err := serve.OpenReplica(replicaConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-
-	primarySrv := httptest.NewServer(s.Handler())
-	defer primarySrv.Close()
 	replicaSrv := httptest.NewServer(r.Handler())
 	defer replicaSrv.Close()
 
-	body, _ := json.Marshal(reqs[10])
 	fromReplica := postJSON(t, replicaSrv.URL+"/v1/quote", string(body))
-	fromPrimary := postJSON(t, primarySrv.URL+"/v1/quote", string(body))
 	var pr, rr serve.QuoteResponse
 	if err := json.Unmarshal([]byte(fromPrimary), &pr); err != nil {
 		t.Fatal(err)

@@ -13,15 +13,17 @@
 //   - The persistence layer (persist.go, journal.go, checkpoint.go)
 //     stages write-ahead journal entries, flushes them before anything
 //     is acknowledged, and rotates full resume checkpoints at
-//     optimization-phase boundaries.
-//   - Read replicas (replica.go) freeze a rotated checkpoint into a
+//     optimization-phase boundaries: a persistence goroutine writes
+//     checkpoint k off the serial path, and rotation k+1's boundary
+//     publishes it and switches the journal to extend it.
+//   - Read replicas (replica.go) freeze a published checkpoint into a
 //     learner-free pricer and serve quote-only traffic at arbitrary
 //     fan-out, answering bit-identically to the primary's price at the
 //     same snapshot ordinal.
 //
 // A crashed or restarted server rebuilds its exact serving state — same
-// quotes, same weights, bit for bit — by restoring the latest checkpoint
-// and replaying the journal in order (rule 6's strict restore: a journal
+// quotes, same weights, bit for bit — by restoring the checkpoint the
+// journal binds and replaying the journal in order (rule 6's strict restore: a journal
 // whose checkpoint is missing, mismatched, or corrupt refuses loudly
 // instead of cold-starting).
 package serve
@@ -111,16 +113,17 @@ type Stats struct {
 	// (JSON cannot carry the -Inf that means "nothing yet").
 	BestUtility float64 `json:"best_utility"`
 	BestSet     bool    `json:"best_set"`
-	// JournalEntries counts entries in the live journal since the last
-	// rotation.
+	// JournalEntries counts entries in the live journal: the rounds past
+	// the checkpoint it binds, which trails the latest rotation by one.
 	JournalEntries int `json:"journal_entries"`
 	// ReplayedRounds counts journal entries replayed at the last Open;
 	// TornDropped counts torn trailing lines dropped there.
 	ReplayedRounds int `json:"replayed_rounds"`
 	TornDropped    int `json:"torn_dropped"`
-	// RotateErrors counts failed checkpoint rotations (the journal then
-	// keeps extending the previous checkpoint, so the state stays
-	// recoverable); LastRotateError is the most recent failure.
+	// RotateErrors counts failed checkpoint rotations, each counted at
+	// the rotation boundary after the one that took the checkpoint (the
+	// journal then keeps extending the checkpoint it binds, so the state
+	// stays recoverable); LastRotateError is the most recent failure.
 	RotateErrors    int    `json:"rotate_errors"`
 	LastRotateError string `json:"last_rotate_error,omitempty"`
 }
@@ -146,7 +149,8 @@ type Config struct {
 	Agent       *rl.PPO
 	// SnapshotEvery is the checkpoint-rotation cadence in optimization
 	// phases. Zero selects 1 — rotate at every phase boundary, keeping the
-	// journal no longer than UpdateEvery rounds.
+	// journal between UpdateEvery and 2·UpdateEvery rounds long (it
+	// extends the checkpoint one rotation back).
 	SnapshotEvery int
 	// KeepCheckpoints is how many rotated checkpoints to retain besides
 	// the one the journal binds to (audit trail). Zero selects 2.
@@ -256,14 +260,20 @@ func Open(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newStore assembles the persistence layer over an opened journal.
-func (s *Server) newStore(journal *journalWriter) *diskStore {
-	return &diskStore{
+// newStore assembles the persistence layer over an opened journal binding
+// checkpoint bound, and starts its persistence goroutine.
+func (s *Server) newStore(journal *journalWriter, bound int) *diskStore {
+	d := &diskStore{
 		dir:     s.cfg.Dir,
 		keep:    s.cfg.KeepCheckpoints,
 		gameFP:  gameFingerprint(s.game),
 		journal: journal,
+		bound:   bound,
+		jobs:    make(chan *rotation, 1),
+		stopped: make(chan struct{}),
 	}
+	go d.persistLoop()
+	return d
 }
 
 // newEngine assembles the engine layer over the pricer and store.
@@ -290,13 +300,12 @@ func (s *Server) boot(jpath string) error {
 	if err != nil {
 		return err
 	}
-	s.pricer = p
-	s.st = s.newStore(nil)
-	journal, err := newJournal(jpath, s.st.header(ck.Pricer, crc))
+	journal, err := newJournal(jpath, bindHeader(gameFingerprint(s.game), ck.Pricer, crc))
 	if err != nil {
 		return err
 	}
-	s.st.journal = journal
+	s.pricer = p
+	s.st = s.newStore(journal, ck.Pricer.Snapshots)
 	s.eng = s.newEngine()
 	s.syncStats()
 	return nil
@@ -304,10 +313,12 @@ func (s *Server) boot(jpath string) error {
 
 // recoverState rebuilds the server from the journal at jpath and its
 // bound checkpoint, replaying every journaled round through the normal
-// engine path. The replay appends to a shadow journal and only renames it
-// over the real one once the replay completes, so a crash mid-recovery
-// leaves the original journal untouched and recovery simply restarts.
-func (s *Server) recoverState(jpath string) error {
+// engine path. The replay runs the rotation pipeline synchronously, so
+// it re-reaches every rotation and journal switch the crashed process
+// made or was about to make. Its journal is a shadow that only replaces
+// the real one once the replay completes, so a crash mid-recovery leaves
+// the original journal untouched and recovery simply restarts.
+func (s *Server) recoverState(jpath string) (err error) {
 	h, entries, torn, err := readJournal(jpath)
 	if err != nil {
 		return err
@@ -342,13 +353,17 @@ func (s *Server) recoverState(jpath string) error {
 	if err != nil {
 		return err
 	}
-	s.pricer = p
-	s.st = s.newStore(nil)
 	journal, err := newJournal(jpath+".replay", h)
 	if err != nil {
 		return err
 	}
-	s.st.journal = journal
+	s.pricer = p
+	s.st = s.newStore(journal, h.Snapshots)
+	defer func() {
+		if err != nil {
+			s.st.close()
+		}
+	}()
 	s.eng = s.newEngine()
 	s.replaying = true
 	for _, e := range entries {
@@ -367,7 +382,7 @@ func (s *Server) recoverState(jpath string) error {
 		return fmt.Errorf("serve: committing replayed journal: %w", err)
 	}
 	s.st.journal.path = jpath
-	if err := pruneCheckpoints(s.cfg.Dir, s.pricer.Snapshots(), s.cfg.KeepCheckpoints); err != nil {
+	if err := pruneCheckpoints(s.cfg.Dir, s.st.bound, s.cfg.KeepCheckpoints); err != nil {
 		return fmt.Errorf("serve: pruning checkpoints: %w", err)
 	}
 	s.syncStats()
@@ -394,15 +409,17 @@ func (s *Server) pricerConfig() sim.OnlinePricerConfig {
 	}
 }
 
-// onSnapshot is the pricer's SnapshotEvery hook: rotate the checkpoint
-// and journal through the persistence layer. It runs synchronously on
-// the intake goroutine (inside the engine's serial core), so rotation
-// and journaling never race. A failed rotation during live serving is
-// recorded and the journal keeps extending the previous checkpoint —
-// every round since it is still journaled, so the state remains exactly
-// recoverable; during replay it aborts the recovery instead.
+// onSnapshot is the pricer's SnapshotEvery hook: one rotation boundary
+// of the persistence layer's pipeline (see diskStore). It runs
+// synchronously on the intake goroutine (inside the engine's serial
+// core), so the journal switch always lands on the same round of the
+// request stream. A failed rotation during live serving — the previous
+// boundary's checkpoint job or the switch to it — is recorded here and
+// the journal keeps extending the checkpoint it binds: every round since
+// it is still journaled, so the state remains exactly recoverable.
+// During replay the failure aborts the recovery instead.
 func (s *Server) onSnapshot(ck *nn.Checkpoint) {
-	err := s.st.rotate(ck, !s.replaying)
+	err := s.st.rotate(ck, s.replaying)
 	if err == nil {
 		return
 	}
@@ -441,10 +458,12 @@ func (s *Server) Stats() Stats {
 // Dir returns the durable state directory.
 func (s *Server) Dir() string { return s.cfg.Dir }
 
-// Close stops accepting quotes, drains the intake queue, and closes the
-// journal. The final partial learning segment is deliberately NOT
-// flushed: its rounds live in the journal, and a later Open replays them
-// into the learner exactly as if the server had never stopped.
+// Close stops accepting quotes, drains the intake queue, waits for the
+// persistence goroutine, and closes the journal. Neither the final
+// partial learning segment nor the last rotation's checkpoint is
+// committed: their rounds live in the journal, and a later Open replays
+// them — re-running that rotation — exactly as if the server had never
+// stopped.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {

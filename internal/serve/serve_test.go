@@ -3,8 +3,10 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"math"
 	"math/rand"
 	"os"
@@ -118,12 +120,18 @@ func TestServeQuoteLearnsAndRotates(t *testing.T) {
 	if !st.BestSet {
 		t.Fatalf("BestSet false after 23 rounds")
 	}
-	// Journal binds checkpoint 2 and holds the 3 rounds since rotation.
-	if st.JournalEntries != 3 {
-		t.Fatalf("JournalEntries = %d, want 3", st.JournalEntries)
+	// Rotation 2's boundary published checkpoint 1 and switched the
+	// journal to extend it, carrying the 10 rounds since boundary 1; the
+	// journal holds those plus the 3 rounds since. Checkpoint 2 is taken
+	// but is published only at rotation 3's boundary.
+	if st.JournalEntries != 13 {
+		t.Fatalf("JournalEntries = %d, want 13", st.JournalEntries)
 	}
-	if _, err := os.Stat(serve.CheckpointPathFor(dir, 2)); err != nil {
+	if _, err := os.Stat(serve.CheckpointPathFor(dir, 1)); err != nil {
 		t.Fatalf("bound checkpoint missing: %v", err)
+	}
+	if _, err := os.Stat(serve.CheckpointPathFor(dir, 2)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("checkpoint 2 published before rotation 3's boundary (stat: %v)", err)
 	}
 }
 
@@ -267,12 +275,47 @@ func TestServeTornTrailingLineDropped(t *testing.T) {
 	}
 }
 
+// TestJournalLinesAreCanonicalJSON pins the journal's entry encoding:
+// every line — staged at its round or carried into a new journal by a
+// switch, renumbered — is exactly json.Marshal of the entry, so the
+// bytes stay those of a writer that marshals each entry whole.
+func TestJournalLinesAreCanonicalJSON(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, testConfig(dir))
+	quoteAll(t, s, reqStream(25)) // rotation 2's boundary carried rounds 11–20
+	s.Abandon()
+	data, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if len(lines) != 16 {
+		t.Fatalf("journal has %d lines, want a header and 15 entries", len(lines))
+	}
+	for i, line := range lines[1:] {
+		var e struct {
+			Seq int                `json:"seq"`
+			Req serve.QuoteRequest `json:"req"`
+		}
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatal(err)
+		}
+		canonical, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Seq != i+1 || string(canonical) != line {
+			t.Fatalf("entry %d:\n  journal: %s\n  json:    %s", i+1, line, canonical)
+		}
+	}
+}
+
 func TestServeRefusesRotatedAwayCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, testConfig(dir))
-	quoteAll(t, s, reqStream(23)) // snapshots 2; journal binds checkpoint 2
+	quoteAll(t, s, reqStream(23)) // snapshots 2; journal binds checkpoint 1
 	s.Abandon()
-	if err := os.Remove(serve.CheckpointPathFor(dir, 2)); err != nil {
+	if err := os.Remove(serve.CheckpointPathFor(dir, 1)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := serve.Open(testConfig(dir))
@@ -284,9 +327,9 @@ func TestServeRefusesRotatedAwayCheckpoint(t *testing.T) {
 func TestServeRefusesCheckpointCRCMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, testConfig(dir))
-	quoteAll(t, s, reqStream(23))
+	quoteAll(t, s, reqStream(23)) // snapshots 2; journal binds checkpoint 1
 	s.Abandon()
-	path := serve.CheckpointPathFor(dir, 2)
+	path := serve.CheckpointPathFor(dir, 1)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +435,10 @@ func TestServePrunesOldCheckpoints(t *testing.T) {
 	cfg.KeepCheckpoints = 1
 	s := mustOpen(t, cfg)
 	defer s.Close()
-	quoteAll(t, s, reqStream(60)) // 12 phases → snapshots 1..6
+	// 12 phases → snapshots 1..6. Rotation 6's boundary published
+	// checkpoint 5, switched the journal to it and pruned the older ones;
+	// checkpoint 6 is not published yet.
+	quoteAll(t, s, reqStream(60))
 	matches, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.bin"))
 	if err != nil {
 		t.Fatal(err)
@@ -400,8 +446,8 @@ func TestServePrunesOldCheckpoints(t *testing.T) {
 	if len(matches) != 1 {
 		t.Fatalf("KeepCheckpoints=1 left %d checkpoints: %v", len(matches), matches)
 	}
-	if matches[0] != serve.CheckpointPathFor(dir, 6) {
-		t.Fatalf("surviving checkpoint %s, want ordinal 6", matches[0])
+	if matches[0] != serve.CheckpointPathFor(dir, 5) {
+		t.Fatalf("surviving checkpoint %s, want ordinal 5", matches[0])
 	}
 }
 

@@ -149,10 +149,12 @@ type (
 	// refresh cadence.
 	ServeReplicaConfig = serve.ReplicaConfig
 	// ServeReplica is a quote-only read replica fed by the primary's
-	// rotated checkpoints: it freezes the latest one into a FrozenPricer
-	// and answers every quote with exactly the price the primary posts
-	// for its first round after that snapshot (determinism contract
-	// rule 8 across processes). Replicas never write to the state
+	// published checkpoints: it freezes the latest one into a
+	// FrozenPricer and answers every quote with exactly the price the
+	// primary posted for its first round after that snapshot
+	// (determinism contract rule 8 across processes). The primary
+	// publishes checkpoint k at rotation k+1's boundary, so a replica
+	// trails the primary's latest rotation by one. Replicas never write to the state
 	// directory; their staleness is visible in Stats.
 	ServeReplica = serve.Replica
 	// ServeReplicaStats is a point-in-time view of a replica: the frozen
