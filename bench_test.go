@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -679,6 +680,31 @@ func BenchmarkAdamStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt.Step(params)
+	}
+}
+
+// BenchmarkTanhTo measures TanhTo over one minibatch of hidden
+// activations, 40 rows of a 64-unit tanh layer (2,560 elements), with
+// inputs that reach every branch of math.Tanh: the rational function
+// below 0.625, the exponential above it, ±1 past 0.5·MAXLOG, and ±0.
+func BenchmarkTanhTo(b *testing.B) {
+	rng := rand.New(rand.NewSource(4))
+	src := make([]float64, 40*64)
+	for i := range src {
+		switch i % 16 {
+		case 5:
+			src[i] = math.Copysign(60, rng.NormFloat64())
+		case 11:
+			src[i] = 0
+		default:
+			src[i] = 1.5 * rng.NormFloat64()
+		}
+	}
+	dst := make([]float64, len(src))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mat.TanhTo(dst, src)
 	}
 }
 

@@ -53,6 +53,16 @@
 // (probed once from CPUID, with no flag or build tag) the GEMMs behind
 // the batched passes and the Adam step run as AVX2 assembly that gives
 // the same bits as the Go loops, which every other CPU runs instead.
+// The tanh activations — the hidden layers and the squashed policy
+// mean, sample-at-a-time and batched — run through mat.TanhTo, an AVX2
+// kernel that evaluates four lanes at a time and returns math.Tanh's
+// bits: it follows math/tanh.go's branches and, for e^(2|x|), the
+// fused instruction sequence of math.Exp's amd64 assembly. It runs only
+// where CPUID shows AVX2 and FMA and a check at package init finds it
+// equal to math.Tanh in the running process (a process started with
+// GODEBUG=cpu.fma=off fails the check, because math.Exp then stops
+// fusing); elsewhere TanhTo is the math.Tanh loop. The tanh layer's
+// backward pass is one g·(1−out²) loop over its cached outputs.
 // The Stackelberg evaluation is destination-passing as well
 // (Game.EvaluateInto / Game.SolveInto over an EvalScratch), which keeps
 // the per-round follower response inside the POMDP's Step free of report
@@ -152,7 +162,7 @@
 //     timing. A failed rotation is counted in Stats.RotateErrors at the
 //     next boundary, and the journal keeps extending the checkpoint it
 //     binds. The journal header binds its checkpoint by snapshot
-//     ordinal and file CRC-32 plus a fingerprint of the reference game,
+//     ordinal and body CRC-32 plus a fingerprint of the reference game,
 //     so recovery is rule 6's strictly-or-not-at-all: reopening the state
 //     directory restores the bound checkpoint and replays the journaled
 //     rounds through the identical engine path, rotation pipeline
@@ -163,7 +173,14 @@
 //     through the full recovery path). The only tolerated irregularity is
 //     a torn trailing journal line (a crash mid-append): that quote was
 //     never acknowledged, so dropping it reconstructs exactly the state
-//     every answered quote saw.
+//     every answered quote saw. The binding is the checkpoint body's
+//     CRC-32 (the file's trailer), so a swapped-in checkpoint from
+//     another run with the same counters is refused too. One crash
+//     window of first start is known and not closed: the boot
+//     checkpoint is written before the journal is created, so a crash
+//     between the two leaves a checkpoint with no journal, which every
+//     later Open refuses until the directory is emptied. (When journal
+//     creation merely fails, boot removes the checkpoint it wrote.)
 //   - Read replicas: serve.OpenReplica (vtmig-serve -replica-of) scales
 //     quote reads horizontally by freezing the primary's latest published
 //     checkpoint into a sim.FrozenPricer — the deterministic mean-price
@@ -269,8 +286,13 @@
 //  1. Batched kernels accumulate in exactly the order of the
 //     sample-at-a-time loops they replaced (k-ascending, one accumulator
 //     per destination element; row-ascending gradient accumulation).
-//     Vector lanes span only independent destination elements, and a
-//     multiply-add is a separate multiply and add, never fused.
+//     Vector lanes span only independent destination elements, and in
+//     the GEMM and Adam kernels a multiply-add is a separate multiply
+//     and add, never fused. An element-wise kernel reproduces the
+//     standard-library function it replaces bit for bit in the running
+//     process — fused multiply-adds included, exactly where math.Exp
+//     uses them — and runs only where a check at package init proves it
+//     (mat.TanhTo against math.Tanh).
 //  2. Parallel experiment tasks are independently seeded with results
 //     assembled in input order.
 //  3. Retired with sharded PPO updates; the number stays so that later

@@ -26,11 +26,17 @@ import (
 // MulATBAddTo and AdamStep run the assembly in simd_amd64.s. Its vector
 // lanes span only independent destination elements, each still summed in
 // its own k-ascending accumulator, and each multiply-add is a separate
-// VMULPD and VADDPD. It never uses FMA: a fused multiply-add rounds once
-// where the Go loops round twice, so its bits would differ. The assembly
-// therefore reproduces the Go loops below bit for bit; they stay the
-// fallback on every other CPU and GOARCH and the reference the tests
-// compare against.
+// VMULPD and VADDPD. These kernels never use FMA: a fused multiply-add
+// rounds once where the Go loops round twice, so its bits would differ.
+// The assembly therefore reproduces the Go loops below bit for bit; they
+// stay the fallback on every other CPU and GOARCH and the reference the
+// tests compare against.
+//
+// TanhTo is the element-wise exception. Its kernel reproduces math.Tanh,
+// the function it replaces, and math.Exp's amd64 assembly fuses its
+// multiply-adds whenever the runtime reports AVX and FMA, so the kernel
+// fuses exactly those. It runs only where CPUID shows AVX2 and FMA and a
+// check at package init finds it equal to math.Tanh in this process.
 
 // useAVX2 selects the AVX2 kernels. It is set once, from the CPU probe;
 // only tests change it, to run the Go loops on an AVX2 machine.
@@ -318,6 +324,62 @@ func AdamStep(p, g, m, v []float64, beta1, beta2, lr, c1, c2, eps float64) {
 		mHat := m[i] / c1
 		vHat := v[i] / c2
 		p[i] -= lr * mHat / (math.Sqrt(vHat) + eps)
+	}
+}
+
+// tanhKernelOK reports whether TanhTo runs tanhAVX2 in this process.
+// CPUID must show AVX2 and FMA, and the kernel must reproduce math.Tanh
+// on tanhCheckInputs. CPUID alone is not enough: math.Exp fuses its
+// multiply-adds only when the runtime reports FMA, so a process started
+// with GODEBUG=cpu.fma=off computes other bits, and there TanhTo is the
+// math.Tanh loop.
+var tanhKernelOK = haveAVX2 && haveFMA && tanhKernelMatches()
+
+// tanhCheckInputs is the init check's table, in blocks of four lanes:
+// inputs on which math.Exp's fused and unfused paths give different
+// tanh bits (first), inputs on which a fused rational function would
+// differ from math/tanh.go's, and every branch with its boundaries.
+var tanhCheckInputs = [...]float64{
+	0.7253374879437113, -0.8774955335147736, 1.2235750152777203, 1.950948103213367,
+	-2.305018861620635, 3.5888024171739414, 4.930922319883858, -6.330044941772416,
+	0.5887032425008125, -0.45295651099240963, 0.5212609163047213, 0.5722540340810331,
+	0.625, math.Nextafter(0.625, 0), -0.9716616266409789, math.Copysign(0, -1),
+	tanhLarge, math.Nextafter(tanhLarge, 50), -5.095240701501843, 0,
+	math.Inf(-1), math.NaN(), 5e-324, -1e300,
+}
+
+// tanhLarge is math/tanh.go's 0.5·MAXLOG, past which tanh is ±1.
+const tanhLarge = 0.5 * 8.8029691931113054295988e+01
+
+func tanhKernelMatches() bool {
+	var got [len(tanhCheckInputs)]float64
+	tanhAVX2(&got[0], &tanhCheckInputs[0], len(got))
+	for i, x := range tanhCheckInputs {
+		want := math.Tanh(x)
+		if math.Float64bits(got[i]) != math.Float64bits(want) && !(math.IsNaN(got[i]) && math.IsNaN(want)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TanhTo sets dst[i] = math.Tanh(src[i]) for every i, bit for bit. The
+// slices must have equal length; dst may be src, but must not overlap it
+// otherwise. Where tanhKernelOK holds, the elements run four at a time
+// through tanhAVX2 and a length that is not a multiple of four finishes
+// in the math.Tanh loop, which is all that runs elsewhere.
+func TanhTo(dst, src []float64) {
+	n := len(src)
+	if len(dst) != n {
+		panic(fmt.Sprintf("mat: TanhTo length mismatch dst=%d src=%d", len(dst), n))
+	}
+	i := 0
+	if useAVX2 && tanhKernelOK && n >= 4 {
+		i = n &^ 3
+		tanhAVX2(&dst[0], &src[0], i)
+	}
+	for ; i < n; i++ {
+		dst[i] = math.Tanh(src[i])
 	}
 }
 

@@ -230,6 +230,7 @@ func TestKernelShapePanics(t *testing.T) {
 		"Resize":            func() { New(1, 1).Resize(0, 2) },
 		"TransposeTo":       func() { TransposeTo(New(2, 3), a) },
 		"AdamStep":          func() { AdamStep(two, three, two, two, 0.9, 0.999, 1, 1, 1, 1e-8) },
+		"TanhTo":            func() { TanhTo(two, three) },
 		"MulAddTo/short":    func() { MulAddTo(New(2, 4), short, New(3, 4)) },
 		"MulATBAddTo/short": func() { MulATBAddTo(New(3, 4), short, New(2, 4)) },
 	}
@@ -287,6 +288,7 @@ func TestKernelsAllocationFree(t *testing.T) {
 			"AddColSumTo":  func() { AddColSumTo(cs, a) },
 			"TransposeTo":  func() { TransposeTo(dstT, w) },
 			"AdamStep":     func() { AdamStep(p, g, m, v, 0.9, 0.999, 1e-3, 0.1, 0.001, 1e-8) },
+			"TanhTo":       func() { TanhTo(m, p) },
 		} {
 			if n := testing.AllocsPerRun(10, fn); n != 0 {
 				t.Errorf("%s allocates %v times per call, want 0", name, n)

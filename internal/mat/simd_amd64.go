@@ -27,11 +27,24 @@ func cpuHasAVX2() bool {
 	return ebx7&avx2 != 0
 }
 
+// haveFMA reports CPUID.1:ECX.FMA, which the tanh kernel needs beside
+// AVX2: it fuses the multiply-adds that math.Exp fuses on such a CPU.
+var haveFMA = cpuHasFMA()
+
+func cpuHasFMA() bool {
+	const fma = 1 << 12 // CPUID.1:ECX
+	_, _, ecx1, _ := cpuid(1, 0)
+	return ecx1&fma != 0
+}
+
 //go:noescape
 func gemmAccAVX2(c, a, b *float64, m, kk, n, ars, aks int)
 
 //go:noescape
 func adamAVX2(p, grad, m, v *float64, n int, beta1, omb1, beta2, omb2, lr, c1, c2, eps float64)
+
+//go:noescape
+func tanhAVX2(dst, src *float64, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1,10 +1,14 @@
 #include "textflag.h"
 
-// AVX2 kernels for the PPO update's hot loops. Every lane is one
-// independent destination element, every multiply-add is a VMULPD then a
-// VADDPD (never a fused VFMADD, which rounds once), and every destination
-// element keeps its single k-ascending accumulator, so each result is
-// bit-identical to the scalar Go loops in kernels.go and optim.go.
+// AVX2 kernels for the PPO update's hot loops. In the GEMM and Adam
+// kernels every lane is one independent destination element, every
+// multiply-add is a VMULPD then a VADDPD (never a fused VFMADD, which
+// rounds once), and every destination element keeps its single
+// k-ascending accumulator, so each result is bit-identical to the scalar
+// Go loops in kernels.go and optim.go. The tanh kernel instead mirrors
+// math.Tanh lane by lane, fusing exactly the multiply-adds math.Exp's
+// amd64 assembly fuses on an AVX+FMA CPU; kernels.go runs it only where a
+// check at package init finds it equal to math.Tanh.
 
 // func gemmAccAVX2(c, a, b *float64, m, kk, n, ars, aks int)
 //
@@ -289,6 +293,166 @@ adamLoop:
 	ADDQ    $4, AX
 	CMPQ    AX, CX
 	JLT     adamLoop
+
+	VZEROUPPER
+	RET
+
+// Constants of the tanh kernel, each repeated in four lanes. The
+// literals are math/tanh.go's and exp_amd64.s's.
+#define TANH_CONST(off, v) \
+	DATA tanhconst<>+(off)(SB)/8, v \
+	DATA tanhconst<>+(off+8)(SB)/8, v \
+	DATA tanhconst<>+(off+16)(SB)/8, v \
+	DATA tanhconst<>+(off+24)(SB)/8, v
+
+#define T_ABS 0
+#define T_SMALL 32
+#define T_LARGE 64
+#define T_P0 96
+#define T_P1 128
+#define T_P2 160
+#define T_Q0 192
+#define T_Q1 224
+#define T_Q2 256
+#define T_LOG2E 288
+#define T_LN2U 320
+#define T_LN2L 352
+#define T_SIXTEENTH 384
+#define T_E8 416
+#define T_E7 448
+#define T_E6 480
+#define T_E5 512
+#define T_E4 544
+#define T_E3 576
+#define T_HALF 608
+#define T_ONE 640
+#define T_TWO 672
+#define T_BIAS 704
+
+TANH_CONST(T_ABS, $0x7fffffffffffffff)
+TANH_CONST(T_SMALL, $0.625)
+TANH_CONST(T_LARGE, $0x404601e678fc457b) // 0.5·MAXLOG, MAXLOG = log(2¹²⁷)
+TANH_CONST(T_P0, $-9.64399179425052238628e-1)
+TANH_CONST(T_P1, $-9.92877231001918586564e1)
+TANH_CONST(T_P2, $-1.61468768441708447952e3)
+TANH_CONST(T_Q0, $1.12811678491632931402e2)
+TANH_CONST(T_Q1, $2.23548839060100448583e3)
+TANH_CONST(T_Q2, $4.84406305325125486048e3)
+TANH_CONST(T_LOG2E, $1.4426950408889634073599246810018920)
+TANH_CONST(T_LN2U, $0.69314718055966295651160180568695068359375)
+TANH_CONST(T_LN2L, $0.28235290563031577122588448175013436025525412068e-12)
+TANH_CONST(T_SIXTEENTH, $0.0625)
+TANH_CONST(T_E8, $2.4801587301587301587e-5)
+TANH_CONST(T_E7, $1.9841269841269841270e-4)
+TANH_CONST(T_E6, $1.3888888888888888889e-3)
+TANH_CONST(T_E5, $8.3333333333333333333e-3)
+TANH_CONST(T_E4, $4.1666666666666666667e-2)
+TANH_CONST(T_E3, $1.6666666666666666667e-1)
+TANH_CONST(T_HALF, $0.5)
+TANH_CONST(T_ONE, $1.0)
+TANH_CONST(T_TWO, $2.0)
+TANH_CONST(T_BIAS, $0x3ff)
+GLOBL tanhconst<>(SB), RODATA|NOPTR, $736
+
+// func tanhAVX2(dst, src *float64, n int)
+//
+// dst[i] = math.Tanh(src[i]) for the first n elements, n a positive
+// multiple of 4, four lanes at a time; dst may be src. Per lane, as
+// math/tanh.go branches on z = |x|:
+//
+//	z > 0.5·MAXLOG:  ±1
+//	z ≥ 0.625:       ±(1 − 2/(e^(2z) + 1))
+//	otherwise:       x + x·s·P(s)/Q(s), s = x², or x itself at ±0
+//
+// and e^(2z) follows exp_amd64.s's FMA path instruction for instruction:
+// k = round(log₂e·t) in CVTSD2SL's nearest-even mode, the fused two-step
+// reduction by k·ln2, the fused Taylor polynomial, four squarings and the
+// scaling by 2^k (k is 2..127 on this branch, so none of Exp's range
+// checks fire). NaN takes the rational branch and stays NaN. A block
+// skips the exponential when no lane reaches 0.625 and the rational
+// function when every lane does; lanes a branch does not select compute
+// garbage that the blends discard.
+TEXT ·tanhAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+
+tanhLoop:
+	VMOVUPD   (SI)(AX*8), Y0                        // x
+	VANDPD    tanhconst<>+T_ABS(SB), Y0, Y1         // z = |x|
+	VCMPPD    $0x1d, tanhconst<>+T_SMALL(SB), Y1, Y2 // z ≥ 0.625 (GE_OQ)
+	VMOVMSKPD Y2, BX
+	CMPQ      BX, $15
+	JEQ       tanhExp
+
+	VMULPD    Y0, Y0, Y4                            // s = x·x
+	VMULPD    Y4, Y0, Y5                            // x·s
+	VMOVUPD   tanhconst<>+T_P0(SB), Y3
+	VMULPD    Y4, Y3, Y3
+	VADDPD    tanhconst<>+T_P1(SB), Y3, Y3
+	VMULPD    Y4, Y3, Y3
+	VADDPD    tanhconst<>+T_P2(SB), Y3, Y3          // P(s)
+	VMULPD    Y5, Y3, Y3                            // x·s·P(s)
+	VADDPD    tanhconst<>+T_Q0(SB), Y4, Y6
+	VMULPD    Y4, Y6, Y6
+	VADDPD    tanhconst<>+T_Q1(SB), Y6, Y6
+	VMULPD    Y4, Y6, Y6
+	VADDPD    tanhconst<>+T_Q2(SB), Y6, Y6          // Q(s)
+	VDIVPD    Y6, Y3, Y3
+	VADDPD    Y3, Y0, Y3                            // x + x·s·P(s)/Q(s)
+	VXORPD    Y6, Y6, Y6
+	VCMPPD    $0x00, Y6, Y0, Y6                     // x == 0 (EQ_OQ)
+	VBLENDVPD Y6, Y0, Y3, Y3                        // ±0 returns x
+	TESTQ     BX, BX
+	JZ        tanhStore
+
+tanhExp:
+	VADDPD       Y1, Y1, Y4                           // t = 2z
+	VMULPD       tanhconst<>+T_LOG2E(SB), Y4, Y5
+	VCVTPD2DQY   Y5, X5                               // k
+	VCVTDQ2PD    X5, Y6                               // float64(k)
+	VFNMADD231PD tanhconst<>+T_LN2U(SB), Y6, Y4       // t − k·ln2 (upper)
+	VFNMADD231PD tanhconst<>+T_LN2L(SB), Y6, Y4       // … − k·ln2 (lower)
+	VMULPD       tanhconst<>+T_SIXTEENTH(SB), Y4, Y4  // r
+	VMOVUPD      tanhconst<>+T_E8(SB), Y6
+	VFMADD213PD  tanhconst<>+T_E7(SB), Y4, Y6
+	VFMADD213PD  tanhconst<>+T_E6(SB), Y4, Y6
+	VFMADD213PD  tanhconst<>+T_E5(SB), Y4, Y6
+	VFMADD213PD  tanhconst<>+T_E4(SB), Y4, Y6
+	VFMADD213PD  tanhconst<>+T_E3(SB), Y4, Y6
+	VFMADD213PD  tanhconst<>+T_HALF(SB), Y4, Y6
+	VFMADD213PD  tanhconst<>+T_ONE(SB), Y4, Y6
+	VMULPD       Y6, Y4, Y4
+	VADDPD       tanhconst<>+T_TWO(SB), Y4, Y6
+	VMULPD       Y6, Y4, Y4
+	VADDPD       tanhconst<>+T_TWO(SB), Y4, Y6
+	VMULPD       Y6, Y4, Y4
+	VADDPD       tanhconst<>+T_TWO(SB), Y4, Y6
+	VMULPD       Y6, Y4, Y4
+	VADDPD       tanhconst<>+T_TWO(SB), Y4, Y6
+	VFMADD213PD  tanhconst<>+T_ONE(SB), Y6, Y4
+	VPMOVSXDQ    X5, Y5
+	VPADDQ       tanhconst<>+T_BIAS(SB), Y5, Y5
+	VPSLLQ       $52, Y5, Y5                          // 2^k
+	VMULPD       Y5, Y4, Y4                           // e^t
+	VADDPD       tanhconst<>+T_ONE(SB), Y4, Y4
+	VMOVUPD      tanhconst<>+T_TWO(SB), Y5
+	VDIVPD       Y4, Y5, Y5                           // 2/(e^t + 1)
+	VMOVUPD      tanhconst<>+T_ONE(SB), Y4
+	VSUBPD       Y5, Y4, Y4                           // 1 − 2/(e^t + 1)
+	VXORPD       Y1, Y0, Y5                           // sign of x
+	VORPD        Y5, Y4, Y4
+	VBLENDVPD    Y2, Y4, Y3, Y3
+	VCMPPD       $0x1e, tanhconst<>+T_LARGE(SB), Y1, Y6 // z > 0.5·MAXLOG (GT_OQ)
+	VORPD        tanhconst<>+T_ONE(SB), Y5, Y5          // ±1
+	VBLENDVPD    Y6, Y5, Y3, Y3
+
+tanhStore:
+	VMOVUPD Y3, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     tanhLoop
 
 	VZEROUPPER
 	RET

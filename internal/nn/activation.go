@@ -39,16 +39,18 @@ func (a Activation) String() string {
 }
 
 // activationLayer applies an element-wise nonlinearity. It has no
-// parameters.
+// parameters. Its backward pass reads the cached outputs, except for
+// ReLU and softplus, whose derivatives read the input: only those two
+// cache it.
 type activationLayer struct {
 	kind    Activation
 	dim     int
-	lastIn  []float64
+	lastIn  []float64 // ReLU and softplus only
 	lastOut []float64
 	gradBuf []float64
 
 	// batched caches, grown to the largest batch seen and reused
-	inMat   mat.Matrix
+	inMat   mat.Matrix // ReLU and softplus only
 	outMat  mat.Matrix
 	gradMat mat.Matrix
 }
@@ -60,29 +62,34 @@ func NewActivation(kind Activation, dim int) BatchModule {
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(kind)))
 	}
-	return &activationLayer{
+	a := &activationLayer{
 		kind:    kind,
 		dim:     dim,
-		lastIn:  make([]float64, dim),
 		lastOut: make([]float64, dim),
 		gradBuf: make([]float64, dim),
 	}
+	if derivReadsInput(kind) {
+		a.lastIn = make([]float64, dim)
+	}
+	return a
 }
+
+// derivReadsInput reports whether kind's derivative is computed from the
+// layer input rather than its output.
+func derivReadsInput(kind Activation) bool { return kind == ActReLU || kind == ActSoftplus }
 
 func (a *activationLayer) Forward(x []float64) []float64 {
 	checkLen(a.kind.String(), "input", len(x), a.dim)
-	copy(a.lastIn, x)
-	for i, v := range x {
-		a.lastOut[i] = activate(a.kind, v)
+	if derivReadsInput(a.kind) {
+		copy(a.lastIn, x)
 	}
+	a.apply(a.lastOut, x)
 	return a.lastOut
 }
 
 func (a *activationLayer) Backward(grad []float64) []float64 {
 	checkLen(a.kind.String(), "output grad", len(grad), a.dim)
-	for i, g := range grad {
-		a.gradBuf[i] = g * activateDeriv(a.kind, a.lastIn[i], a.lastOut[i])
-	}
+	a.backward(a.gradBuf, grad, a.lastIn, a.lastOut)
 	return a.gradBuf
 }
 
@@ -90,25 +97,55 @@ func (a *activationLayer) Backward(grad []float64) []float64 {
 // returned matrix is owned by the layer.
 func (a *activationLayer) ForwardBatch(x *mat.Matrix) *mat.Matrix {
 	checkLen(a.kind.String(), "batch input width", x.Cols, a.dim)
-	a.inMat.Resize(x.Rows, x.Cols)
-	copy(a.inMat.Data, x.Data)
-	a.outMat.Resize(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		a.outMat.Data[i] = activate(a.kind, v)
+	if derivReadsInput(a.kind) {
+		a.inMat.Resize(x.Rows, x.Cols)
+		copy(a.inMat.Data, x.Data)
 	}
+	a.outMat.Resize(x.Rows, x.Cols)
+	a.apply(a.outMat.Data, x.Data)
 	return &a.outMat
 }
 
 // BackwardBatch multiplies grad element-wise by the activation derivative
-// at the cached batched input. The returned matrix is owned by the layer.
+// at the cached batch. The returned matrix is owned by the layer.
 func (a *activationLayer) BackwardBatch(grad *mat.Matrix) *mat.Matrix {
 	checkLen(a.kind.String(), "batch grad width", grad.Cols, a.dim)
-	checkLen(a.kind.String(), "batch grad rows", grad.Rows, a.inMat.Rows)
+	checkLen(a.kind.String(), "batch grad rows", grad.Rows, a.outMat.Rows)
 	a.gradMat.Resize(grad.Rows, grad.Cols)
-	for i, g := range grad.Data {
-		a.gradMat.Data[i] = g * activateDeriv(a.kind, a.inMat.Data[i], a.outMat.Data[i])
-	}
+	a.backward(a.gradMat.Data, grad.Data, a.inMat.Data, a.outMat.Data)
 	return &a.gradMat
+}
+
+// apply writes the nonlinearity of each element of x into dst. Tanh goes
+// through mat.TanhTo, which returns math.Tanh's bits.
+func (a *activationLayer) apply(dst, x []float64) {
+	if a.kind == ActTanh {
+		mat.TanhTo(dst, x)
+		return
+	}
+	for i, v := range x {
+		dst[i] = activate(a.kind, v)
+	}
+}
+
+// backward writes grad times the derivative into dst, reading the cached
+// inputs in (ReLU, softplus) or outputs out (the others). Tanh, the
+// paper's hidden activation, is one g·(1−out²) loop.
+func (a *activationLayer) backward(dst, grad, in, out []float64) {
+	if a.kind == ActTanh {
+		for i, g := range grad {
+			o := out[i]
+			dst[i] = g * (1 - o*o)
+		}
+		return
+	}
+	cached := out
+	if derivReadsInput(a.kind) {
+		cached = in
+	}
+	for i, g := range grad {
+		dst[i] = g * activateDeriv(a.kind, cached[i])
+	}
 }
 
 func (a *activationLayer) Params() []*Param { return nil }
@@ -140,22 +177,22 @@ func activate(kind Activation, v float64) float64 {
 	}
 }
 
-// activateDeriv evaluates d activate/dv given the cached input and output.
-func activateDeriv(kind Activation, in, out float64) float64 {
+// activateDeriv evaluates d activate/dv from the cached value c its kind
+// reads: the input v for ReLU and softplus, the output for identity and
+// sigmoid. Tanh's derivative is inlined in backward.
+func activateDeriv(kind Activation, c float64) float64 {
 	switch kind {
 	case ActIdentity:
 		return 1
-	case ActTanh:
-		return 1 - out*out
 	case ActReLU:
-		if in > 0 {
+		if c > 0 {
 			return 1
 		}
 		return 0
 	case ActSigmoid:
-		return out * (1 - out)
+		return c * (1 - c)
 	case ActSoftplus:
-		return 1 / (1 + math.Exp(-in))
+		return 1 / (1 + math.Exp(-c))
 	default:
 		panic("nn: unreachable activation kind")
 	}

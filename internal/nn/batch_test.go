@@ -77,38 +77,44 @@ func TestForwardBatchTracksWeightChanges(t *testing.T) {
 
 // TestBackwardBatchMatchesBackward checks that batched gradient
 // accumulation is bit-identical to per-sample Backward calls in row order,
-// for both parameter gradients and input gradients.
+// for both parameter gradients and input gradients, under every hidden
+// activation: the derivatives read cached inputs (ReLU, softplus) or
+// outputs (the others).
 func TestBackwardBatchMatchesBackward(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const batch, in, out = 6, 5, 2
-	build := func() *MLP {
-		return NewMLP("t", []int{in, 16, out}, ActTanh, rand.New(rand.NewSource(3)))
-	}
-	x := mat.New(batch, in)
-	x.Randomize(rng, 1)
-	dy := mat.New(batch, out)
-	dy.Randomize(rng, 1)
-
-	seq := build()
-	seqIn := mat.New(batch, in)
-	for b := 0; b < batch; b++ {
-		seq.Forward(x.Row(b))
-		copy(seqIn.Row(b), seq.Backward(dy.Row(b)))
-	}
-	wantGrads := cloneGrads(seq.Params())
-
-	bat := build()
-	bat.ForwardBatch(x)
-	gin := bat.BackwardBatch(dy)
-	for i, p := range bat.Params() {
-		for j, g := range p.Grad {
-			if g != wantGrads[i][j] {
-				t.Fatalf("param %s grad[%d]: batch %v != sequential %v", p.Name, j, g, wantGrads[i][j])
+	for _, act := range []Activation{ActIdentity, ActTanh, ActReLU, ActSigmoid, ActSoftplus} {
+		t.Run(act.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(2))
+			const batch, in, out = 6, 5, 2
+			build := func() *MLP {
+				return NewMLP("t", []int{in, 16, out}, act, rand.New(rand.NewSource(3)))
 			}
-		}
-	}
-	if !gin.Equal(seqIn) {
-		t.Error("batched input gradients differ from sequential")
+			x := mat.New(batch, in)
+			x.Randomize(rng, 1)
+			dy := mat.New(batch, out)
+			dy.Randomize(rng, 1)
+
+			seq := build()
+			seqIn := mat.New(batch, in)
+			for b := 0; b < batch; b++ {
+				seq.Forward(x.Row(b))
+				copy(seqIn.Row(b), seq.Backward(dy.Row(b)))
+			}
+			wantGrads := cloneGrads(seq.Params())
+
+			bat := build()
+			bat.ForwardBatch(x)
+			gin := bat.BackwardBatch(dy)
+			for i, p := range bat.Params() {
+				for j, g := range p.Grad {
+					if g != wantGrads[i][j] {
+						t.Fatalf("param %s grad[%d]: batch %v != sequential %v", p.Name, j, g, wantGrads[i][j])
+					}
+				}
+			}
+			if !gin.Equal(seqIn) {
+				t.Error("batched input gradients differ from sequential")
+			}
+		})
 	}
 }
 

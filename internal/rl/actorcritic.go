@@ -2,7 +2,6 @@ package rl
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"vtmig/internal/mat"
@@ -93,10 +92,7 @@ func (ac *ActorCritic) Forward(obs []float64) (mean, logStd []float64, value flo
 	for _, m := range ac.trunk {
 		h = m.Forward(h)
 	}
-	raw := ac.meanHd.Forward(h)
-	for i, v := range raw {
-		ac.meanOut[i] = math.Tanh(v)
-	}
+	mat.TanhTo(ac.meanOut, ac.meanHd.Forward(h))
 	value = ac.valueHd.Forward(h)[0]
 	return ac.meanOut, ac.logStd.Value, value
 }
@@ -141,9 +137,7 @@ func (ac *ActorCritic) ForwardBatch(obs *mat.Matrix) (mean *mat.Matrix, logStd [
 	}
 	raw := ac.meanHd.ForwardBatch(h)
 	ac.meanOutB.Resize(raw.Rows, raw.Cols)
-	for i, v := range raw.Data {
-		ac.meanOutB.Data[i] = math.Tanh(v)
-	}
+	mat.TanhTo(ac.meanOutB.Data, raw.Data)
 	vals := ac.valueHd.ForwardBatch(h)
 	ac.valuesB = growSlice(ac.valuesB, vals.Rows)
 	copy(ac.valuesB, vals.Data)

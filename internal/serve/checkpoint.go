@@ -2,8 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 
@@ -24,11 +24,28 @@ func checkpointPath(dir string, snapshots int) string {
 	return filepath.Join(dir, fmt.Sprintf(checkpointPattern, snapshots))
 }
 
+// checkpointCRC returns the value a journal header binds a checkpoint
+// file to: the CRC-32 of its body, which the binary encoding stores as
+// its last four bytes, little-endian. data is a whole encoded checkpoint,
+// which is always longer than that. (The CRC-32 of the whole file would
+// bind nothing: for any file that ends in its own CRC-32 it is the
+// constant crcResidue.)
+func checkpointCRC(data []byte) uint32 {
+	return binary.LittleEndian.Uint32(data[len(data)-4:])
+}
+
+// crcResidue is the CRC-32 of any byte string followed by its own
+// little-endian CRC-32. Journal headers written while the binding was
+// the CRC-32 of the whole file hold it, whatever checkpoint they extend;
+// recovery accepts it so those state dirs keep reopening, and their
+// first journal switch writes a real binding.
+const crcResidue = 0x2144DF1C
+
 // writeCheckpoint durably publishes ck at path in one synchronous step —
-// stage, then publish — and returns the CRC-32 of the file bytes, the
-// value the journal header binds to. Only the boot checkpoint takes this
-// path; rotations stage on the persistence goroutine and publish one
-// rotation later (see diskStore).
+// stage, then publish — and returns its checkpointCRC, the value the
+// journal header binds to. Only the boot checkpoint takes this path;
+// rotations stage on the persistence goroutine and publish one rotation
+// later (see diskStore).
 func writeCheckpoint(path string, ck *nn.Checkpoint) (uint32, error) {
 	data, err := ck.AppendBinary(nil)
 	if err != nil {
@@ -38,7 +55,7 @@ func writeCheckpoint(path string, ck *nn.Checkpoint) (uint32, error) {
 	if err == nil && !published {
 		err = publishCheckpoint(path)
 	}
-	return crc32.ChecksumIEEE(data), err
+	return checkpointCRC(data), err
 }
 
 // stageCheckpoint makes data durable at path's temp name (create, write,
@@ -84,9 +101,9 @@ func publishCheckpoint(path string) error {
 }
 
 // loadCheckpoint reads the checkpoint at path, returning the decoded
-// checkpoint and the CRC-32 of the raw file bytes for the journal-binding
-// check. A missing file is reported with os.IsNotExist semantics via the
-// wrapped error.
+// checkpoint and its checkpointCRC for the journal-binding check. A
+// missing file is reported with os.IsNotExist semantics via the wrapped
+// error.
 func loadCheckpoint(path string) (*nn.Checkpoint, uint32, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -96,7 +113,7 @@ func loadCheckpoint(path string) (*nn.Checkpoint, uint32, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: loading checkpoint %s: %w", path, err)
 	}
-	return ck, crc32.ChecksumIEEE(data), nil
+	return ck, checkpointCRC(data), nil
 }
 
 // pruneCheckpoints removes checkpoint files with ordinals the retention

@@ -24,10 +24,10 @@ const (
 
 // journalHeader is the first line of a journal file. It pins everything a
 // replay needs to be exact: which checkpoint the entries extend
-// (Snapshots ordinal + the CRC-32 of the checkpoint file), the pricer
-// counters at that checkpoint (cross-checked against the checkpoint's own
-// pricer section), and a fingerprint of the reference game the quotes
-// were priced against.
+// (Snapshots ordinal + the checkpoint's body CRC-32, see checkpointCRC),
+// the pricer counters at that checkpoint (cross-checked against the
+// checkpoint's own pricer section), and a fingerprint of the reference
+// game the quotes were priced against.
 type journalHeader struct {
 	Magic         string `json:"journal"`
 	Version       int    `json:"version"`

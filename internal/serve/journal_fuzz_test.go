@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -28,16 +29,20 @@ func fuzzConfig(dir string) serve.Config {
 	}
 }
 
-// buildFuzzState boots a tiny server, feeds it three quotes (one
-// rotation at round 2, one journaled round after it), and returns the
-// journal path and its valid bytes. The directory then holds checkpoints
-// at ordinals 0 (rounds 0) and 1 (rounds 2).
+// buildFuzzState boots a tiny server, feeds it five quotes (rotations at
+// rounds 2 and 4; rotation 2's boundary publishes checkpoint 1 and
+// switches the journal to it, carrying rounds 3 and 4, and round 5
+// follows), and returns the journal path and its valid bytes. The
+// directory then holds checkpoints at ordinals 0 (rounds 0) and 1
+// (rounds 2), and the journal binds checkpoint 1 with 3 entries; the
+// build fails otherwise, so the fixture cannot silently shrink to the
+// boot checkpoint.
 func buildFuzzState(t testing.TB, dir string) (string, []byte) {
 	s, err := serve.Open(fuzzConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, req := range reqStream(3) {
+	for _, req := range reqStream(5) {
 		if _, err := s.Quote(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
@@ -45,10 +50,20 @@ func buildFuzzState(t testing.TB, dir string) (string, []byte) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := os.Stat(serve.CheckpointPathFor(dir, 1)); err != nil {
+		t.Fatalf("fuzz fixture: checkpoint 1 not published: %v", err)
+	}
 	jpath := filepath.Join(dir, "journal.jsonl")
 	valid, err := os.ReadFile(jpath)
 	if err != nil {
 		t.Fatal(err)
+	}
+	header, _, _ := bytes.Cut(valid, []byte("\n"))
+	var h struct {
+		Snapshots int `json:"snapshots"`
+	}
+	if err := json.Unmarshal(header, &h); err != nil || h.Snapshots != 1 || bytes.Count(valid, []byte("\n")) != 4 {
+		t.Fatalf("fuzz fixture: journal should bind checkpoint 1 with 3 entries (header %s, %v)", header, err)
 	}
 	return jpath, valid
 }
@@ -84,9 +99,11 @@ func FuzzJournalRecover(f *testing.F) {
 			return // refused loudly — the acceptable outcome for hostile bytes
 		}
 		st := s.Stats()
-		// Whatever opened must be a real checkpoint (rounds 0 or 2)
-		// extended by exactly the entries the journal yielded — anything
-		// else is a silent cold-start or an invented state.
+		// Whatever opened must be a real checkpoint (ordinal 0 at rounds
+		// 0, or ordinal 1 at rounds 2) extended by exactly the entries
+		// the journal yielded — anything else is a silent cold-start or
+		// an invented state. The valid journal reopens at rounds 5 with 3
+		// replayed, so base 2.
 		if base := st.Rounds - st.ReplayedRounds; base != 0 && base != 2 {
 			t.Errorf("recovered state extends no existing checkpoint: rounds=%d replayed=%d", st.Rounds, st.ReplayedRounds)
 		}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"vtmig/internal/nn"
@@ -194,7 +193,7 @@ func (d *diskStore) persist(r *rotation) {
 		r.err = fmt.Errorf("serve: encoding checkpoint: %w", err)
 		return
 	}
-	crc := crc32.ChecksumIEEE(d.enc)
+	crc := checkpointCRC(d.enc)
 	if r.published, r.err = stageCheckpoint(r.path, d.enc); r.err != nil {
 		return
 	}

@@ -296,12 +296,21 @@ func (s *Server) boot(jpath string) error {
 	if err != nil {
 		return fmt.Errorf("serve: boot checkpoint: %w", err)
 	}
-	crc, err := writeCheckpoint(checkpointPath(s.cfg.Dir, ck.Pricer.Snapshots), ck)
+	ckPath := checkpointPath(s.cfg.Dir, ck.Pricer.Snapshots)
+	crc, err := writeCheckpoint(ckPath, ck)
 	if err != nil {
 		return err
 	}
 	journal, err := newJournal(jpath, bindHeader(gameFingerprint(s.game), ck.Pricer, crc))
 	if err != nil {
+		// No journal binds the checkpoint just written, so removing it
+		// loses nothing acknowledged, and the next Open boots afresh
+		// instead of refusing a directory with a checkpoint but no
+		// journal. A crash between the two steps still leaves that
+		// state (see the Serving section of the package doc).
+		if rmErr := os.Remove(ckPath); rmErr != nil {
+			err = errors.Join(err, fmt.Errorf("serve: removing the unbound boot checkpoint: %w", rmErr))
+		}
 		return err
 	}
 	s.pricer = p
@@ -338,7 +347,7 @@ func (s *Server) recoverState(jpath string) (err error) {
 	if err != nil {
 		return err
 	}
-	if crc != h.CheckpointCRC {
+	if crc != h.CheckpointCRC && h.CheckpointCRC != crcResidue {
 		return fmt.Errorf("serve: checkpoint %s does not match the journal binding (CRC %08x, journal expects %08x) — the files describe different runs", ckPath, crc, h.CheckpointCRC)
 	}
 	ps := ck.Pricer

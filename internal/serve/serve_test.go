@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -324,6 +325,10 @@ func TestServeRefusesRotatedAwayCheckpoint(t *testing.T) {
 	}
 }
 
+// TestServeRefusesCheckpointCRCMismatch flips one byte of the bound
+// checkpoint. nn.LoadCheckpoint's trailer check refuses that before the
+// journal binding is consulted; TestServeRefusesCheckpointFromAnotherRun
+// covers the binding itself.
 func TestServeRefusesCheckpointCRCMismatch(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, testConfig(dir))
@@ -338,8 +343,106 @@ func TestServeRefusesCheckpointCRCMismatch(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := serve.Open(testConfig(dir)); err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("Open with corrupted bound checkpoint: %v, want the checkpoint's checksum refusal", err)
+	}
+}
+
+// TestServeRefusesCheckpointFromAnotherRun swaps in the bound checkpoint
+// of a second run with the same config and counters but a different
+// request stream. The file is intact, so only the journal's CRC binding
+// can tell it apart; recovery must refuse rather than replay this run's
+// journal onto the other run's learner.
+func TestServeRefusesCheckpointFromAnotherRun(t *testing.T) {
+	dir, other := t.TempDir(), t.TempDir()
+	s := mustOpen(t, testConfig(dir))
+	quoteAll(t, s, reqStream(23)) // snapshots 2; journal binds checkpoint 1
+	s.Abandon()
+	s = mustOpen(t, testConfig(other))
+	quoteAll(t, s, reqStream(46)[23:])
+	s.Abandon()
+	data, err := os.ReadFile(serve.CheckpointPathFor(other, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(serve.CheckpointPathFor(dir, 1), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = serve.Open(testConfig(dir))
+	if err == nil || !strings.Contains(err.Error(), "describe different runs") {
+		t.Fatalf("Open with another run's checkpoint: %v, want the journal-binding refusal", err)
+	}
+}
+
+// TestServeReopensResidueBinding reopens a journal whose header binds
+// its checkpoint by the CRC-32 residue 0x2144DF1C (558161692), which is
+// what every header held while the binding was the CRC-32 of the whole
+// checkpoint file. Such state dirs must keep reopening, and the next
+// journal switch writes the real binding.
+func TestServeReopensResidueBinding(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, testConfig(dir))
+	quoteAll(t, s, reqStream(23)) // snapshots 2; journal binds checkpoint 1
+	jpath := s.JournalPath()
+	s.Abandon()
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, rest, _ := bytes.Cut(data, []byte("\n"))
+	var h map[string]any
+	if err := json.Unmarshal(header, &h); err != nil {
+		t.Fatal(err)
+	}
+	bound := h["checkpoint_crc"]
+	legacy := regexp.MustCompile(`"checkpoint_crc":\d+`).ReplaceAll(header, []byte(`"checkpoint_crc":558161692`))
+	if err := os.WriteFile(jpath, append(append(legacy, '\n'), rest...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s = mustOpen(t, testConfig(dir))
+	defer s.Close()
+	if st := s.Stats(); st.Rounds != 23 {
+		t.Fatalf("reopened at rounds %d, want 23", st.Rounds)
+	}
+	quoteAll(t, s, reqStream(33)[23:]) // rotation 3's boundary switches to checkpoint 2
+	data, err = os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ = bytes.Cut(data, []byte("\n"))
+	if err := json.Unmarshal(header, &h); err != nil {
+		t.Fatal(err)
+	}
+	if h["snapshots"] != 2.0 || h["checkpoint_crc"] == 558161692.0 || h["checkpoint_crc"] == bound {
+		t.Fatalf("journal after the switch: %s, want checkpoint 2 bound by its body CRC", header)
+	}
+}
+
+// TestServeFailedBootLeavesNoCheckpoint makes the first Open fail after
+// the boot checkpoint is written (a directory sits where the journal's
+// temp file goes). The failed boot must remove that checkpoint — no
+// journal binds it — so a later Open boots once the fault is gone
+// instead of refusing a directory with a checkpoint and no journal.
+func TestServeFailedBootLeavesNoCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "journal.jsonl.tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := serve.Open(testConfig(dir)); err == nil {
-		t.Fatalf("Open with corrupted bound checkpoint succeeded")
+		t.Fatal("Open succeeded with a directory at the journal's temp path")
+	}
+	if left, _ := filepath.Glob(filepath.Join(dir, "checkpoint-*")); len(left) != 0 {
+		t.Fatalf("failed boot left %v", left)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	s := mustOpen(t, testConfig(dir))
+	defer s.Close()
+	quoteAll(t, s, reqStream(3))
+	if st := s.Stats(); st.Rounds != 3 {
+		t.Fatalf("rounds after boot = %d, want 3", st.Rounds)
 	}
 }
 
