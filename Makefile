@@ -94,8 +94,9 @@ bench-check:
 # encode/decode pair keeps the binary format's size and speed advantage
 # over JSON visible in every smoke pass, SolveScratch covers the
 # equilibrium solver at the paper's 2 VMUs and at fleet size, MatMul,
-# AdamStep and TanhTo cover the kernels the PPO update spends its time in, and
-# SimNew prints the metro-10k set-up's time and bytes.
+# AdamStep and TanhTo cover the kernels the PPO update spends its time in
+# (MatMulABTTo at the one-row and 20-row forward shapes), and SimNew
+# prints the metro-10k set-up's time and bytes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|MLPForward|MatMul|AdamStep|TanhTo|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SolveScratch|SimNew' -benchmem -benchtime 100x .
 

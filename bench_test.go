@@ -625,14 +625,21 @@ func benchKernelMats() (x, w, dy *mat.Matrix) {
 	return x, w, dy
 }
 
-// BenchmarkMatMulABTTo measures the batched forward kernel Y = X·Wᵀ.
+// BenchmarkMatMulABTTo measures the forward kernel Y = X·Wᵀ at the
+// 64×64 layer in both shapes the network runs: one row (a served quote, a
+// collection step, a replica readout) and a minibatch of 20.
 func BenchmarkMatMulABTTo(b *testing.B) {
 	x, w, _ := benchKernelMats()
-	dst := mat.New(20, 64)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mat.MulABTTo(dst, x, w)
+	for _, rows := range []int{1, 20} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			xr := mat.FromSlice(rows, x.Cols, x.Data[:rows*x.Cols])
+			dst := mat.New(rows, w.Rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mat.MulABTTo(dst, xr, w)
+			}
+		})
 	}
 }
 

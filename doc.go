@@ -49,10 +49,18 @@
 // MulATBAddTo) whose accumulation order is fixed per destination element,
 // internal/nn adds batched forward/backward passes that reuse per-layer
 // scratch across minibatches, and the PPO learner pushes every minibatch
-// through the network as one batched pass. On amd64 CPUs with AVX2
-// (probed once from CPUID, with no flag or build tag) the GEMMs behind
-// the batched passes and the Adam step run as AVX2 assembly that gives
-// the same bits as the Go loops, which every other CPU runs instead.
+// through the network as one batched pass. Every forward pass of a
+// linear layer, one row or batched (a served quote, the online and
+// frozen pricers' readouts, a collection step, a PPO minibatch), runs
+// through one A·Bᵀ kernel, mat.MulABTBiasTo, reading the weights in
+// place. On amd64 CPUs with AVX2 (probed once from CPUID, with no flag
+// or build tag) that kernel, the GEMMs of the backward pass and the Adam
+// step run as AVX2 assembly that gives the same bits as the Go loops,
+// which every other CPU runs instead. The A·Bᵀ kernel computes four
+// destination columns per vector from 4×4 blocks of the weights
+// transposed in registers. The first trunk layer's backward pass
+// accumulates only its weight and bias gradients; nothing reads the
+// observation gradient.
 // The tanh activations — the hidden layers and the squashed policy
 // mean, sample-at-a-time and batched — run through mat.TanhTo, an AVX2
 // kernel that evaluates four lanes at a time and returns math.Tanh's
@@ -66,7 +74,9 @@
 // The Stackelberg evaluation is destination-passing as well
 // (Game.EvaluateInto / Game.SolveInto over an EvalScratch), which keeps
 // the per-round follower response inside the POMDP's Step free of report
-// allocations. Algorithm 1's collection phase is vectorized
+// allocations; the simulator's oracle pricer runs only the price search
+// (Game.SolvePriceInto), with no utilities it would discard.
+// Algorithm 1's collection phase is vectorized
 // (rl.VecEnv / rl.VecCollector / rl.NewVecTrainer): episode blocks step
 // W independently seeded environment instances in lockstep, the policy
 // is evaluated for every live env in one batched pass per round, and the
@@ -286,9 +296,10 @@
 //  1. Batched kernels accumulate in exactly the order of the
 //     sample-at-a-time loops they replaced (k-ascending, one accumulator
 //     per destination element; row-ascending gradient accumulation).
-//     Vector lanes span only independent destination elements, and in
-//     the GEMM and Adam kernels a multiply-add is a separate multiply
-//     and add, never fused. An element-wise kernel reproduces the
+//     Vector lanes span only independent destination elements; an
+//     in-register transpose only moves operands into them. In the GEMM,
+//     A·Bᵀ and Adam kernels a multiply-add is a separate multiply and
+//     add, never fused. An element-wise kernel reproduces the
 //     standard-library function it replaces bit for bit in the running
 //     process — fused multiply-adds included, exactly where math.Exp
 //     uses them — and runs only where a check at package init proves it

@@ -15,18 +15,23 @@ import (
 //
 //   - MulTo uses the cache-friendly i-k-j loop order (unit stride over both
 //     B and C) with row blocking.
-//   - MulABTTo consumes Bᵀ without materializing the transpose: row-major
-//     A·Bᵀ reads both operands at unit stride, and a 4×4 register tile
-//     reuses each loaded element four times.
+//   - MulABTTo consumes Bᵀ without materializing the transpose. Its Go
+//     form reads both row-major operands at unit stride in a 2×4 register
+//     tile; its AVX2 form computes four destination columns per vector,
+//     transposing 4×4 blocks of B in registers, in 4×4 tiles that let one
+//     transposed block serve four rows of A. Every forward pass of an
+//     nn.Linear, one row or a batch, runs through it.
 //   - MulATBAddTo accumulates Aᵀ·B directly into dst, preserving the
 //     element-wise accumulation order of repeated rank-1 updates
 //     (AddOuterScaled), which gradient accumulation relies on.
 //
 // On amd64 CPUs with AVX2 (probed once from CPUID), MulAddTo, MulTo,
-// MulATBAddTo and AdamStep run the assembly in simd_amd64.s. Its vector
-// lanes span only independent destination elements, each still summed in
-// its own k-ascending accumulator, and each multiply-add is a separate
-// VMULPD and VADDPD. These kernels never use FMA: a fused multiply-add
+// MulABTTo, MulABTBiasTo, MulATBAddTo and AdamStep run the assembly in
+// simd_amd64.s. Its vector lanes span only independent destination
+// elements, each still summed in its own k-ascending accumulator, and
+// each multiply-add is a separate VMULPD and VADDPD. An in-register
+// transpose only moves operands into those lanes; it never combines two
+// elements' sums. These kernels never use FMA: a fused multiply-add
 // rounds once where the Go loops round twice, so its bits would differ.
 // The assembly therefore reproduces the Go loops below bit for bit; they
 // stay the fallback on every other CPU and GOARCH and the reference the
@@ -118,9 +123,11 @@ func MulAddTo(dst, a, b *Matrix) *Matrix {
 // Shapes: a is m×k, b is n×k, dst is m×n. dst must not alias a or b.
 //
 // Element (i, j) is the dot product of row i of a and row j of b,
-// accumulated over k ascending in a single accumulator — bit-identical to
-// Matrix.MulVec applied row by row. A 4×4 register tile supplies the
-// instruction-level parallelism.
+// accumulated over k ascending in a single accumulator that starts at
+// +0: the bits of the textbook row-times-row loop. Where useAVX2 holds,
+// mulABTAVX2 computes four destination columns per vector from 4×4
+// blocks of b transposed in registers; the last n mod 4 columns, and
+// every column elsewhere, run mulABTCols.
 func MulABTTo(dst, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulABTTo inner dims %d vs %d", a.Cols, b.Cols))
@@ -146,16 +153,39 @@ func MulABTBiasTo(dst, a, b *Matrix, bias []float64) *Matrix {
 }
 
 // mulABT is the shared kernel behind MulABTTo and MulABTBiasTo. A nil
-// bias skips the broadcast add. The 2×4 register tile (8 accumulators
-// plus 6 live operands) is sized to the 16 vector registers of amd64 —
-// a 4×4 tile spills and measures ~1.8× slower.
+// bias skips the broadcast add. The length checks stand in for the
+// bounds checks the Go loop gets from slicing.
 func mulABT(dst, a, b *Matrix, bias []float64) {
+	m, kk, n := a.Rows, a.Cols, b.Rows
+	j0 := 0
+	if useAVX2 && m > 0 && kk > 0 && n >= 4 {
+		if len(dst.Data) < m*n || len(a.Data) < m*kk || len(b.Data) < n*kk {
+			panic(fmt.Sprintf("mat: matrix data shorter than its shape (%d, %d, %d elements for %dx%d = %dx%d · (%dx%d)ᵀ)",
+				len(dst.Data), len(a.Data), len(b.Data), m, n, m, kk, n, kk))
+		}
+		var bp *float64
+		if bias != nil {
+			bp = &bias[0]
+		}
+		mulABTAVX2(&dst.Data[0], &a.Data[0], &b.Data[0], bp, m, kk, n)
+		j0 = n &^ 3
+	}
+	mulABTCols(dst, a, b, bias, j0)
+}
+
+// mulABTCols is the Go form of mulABT for the destination columns j0…n−1:
+// the fallback, and the columns the AVX2 kernel leaves. Its 2×4 register
+// tile (8 accumulators plus 6 live operands) fits the 16 registers the
+// compiler allocates on amd64; a 4×4 tile spills and measured about 1.8×
+// slower. Whatever the tile, each element keeps one k-ascending
+// accumulator and gets its bias last.
+func mulABTCols(dst, a, b *Matrix, bias []float64, j0 int) {
 	m, kk, n := a.Rows, a.Cols, b.Rows
 	i := 0
 	for ; i+2 <= m; i += 2 {
 		a0 := a.Data[i*kk : (i+1)*kk]
 		a1 := a.Data[(i+1)*kk : (i+2)*kk]
-		j := 0
+		j := j0
 		for ; j+4 <= n; j += 4 {
 			b0 := b.Data[j*kk : (j+1)*kk]
 			b1 := b.Data[(j+1)*kk : (j+2)*kk]
@@ -203,7 +233,7 @@ func mulABT(dst, a, b *Matrix, bias []float64) {
 	for ; i < m; i++ {
 		arow := a.Data[i*kk : (i+1)*kk]
 		crow := dst.Data[i*n : (i+1)*n]
-		for j := 0; j < n; j++ {
+		for j := j0; j < n; j++ {
 			brow := b.Data[j*kk : (j+1)*kk]
 			var c float64
 			for k, bv := range brow {
@@ -285,18 +315,6 @@ func gemmAccSIMD(c, a, b *Matrix, m, kk, n, ars, aks int) {
 			len(c.Data), len(a.Data), len(b.Data), m, n, m, kk, kk, n))
 	}
 	gemmAccAVX2(&c.Data[0], &a.Data[0], &b.Data[0], m, kk, n, ars, aks)
-}
-
-// TransposeTo writes aᵀ into dst, which must be a.Cols×a.Rows and must
-// not alias a. It returns dst.
-func TransposeTo(dst, a *Matrix) *Matrix {
-	checkShape("TransposeTo dst", dst.Rows, dst.Cols, a.Cols, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		for j, v := range a.Data[i*a.Cols : (i+1)*a.Cols] {
-			dst.Data[j*a.Rows+i] = v
-		}
-	}
-	return dst
 }
 
 // AdamStep applies one bias-corrected Adam update to the parameter

@@ -124,44 +124,48 @@ func TestMulAddToAccumulates(t *testing.T) {
 	})
 }
 
-// TestMulABTToMatchesMulVec checks bit-exact agreement with the
-// sample-at-a-time path it replaces: each row of A pushed through
-// Matrix.MulVec against W.
-func TestMulABTToMatchesMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, sz := range [][3]int{{1, 3, 2}, {4, 4, 4}, {5, 17, 9}, {20, 20, 64}, {23, 13, 66}} {
-		batch, in, out := sz[0], sz[1], sz[2]
-		x := randMat(rng, batch, in)
-		w := randMat(rng, out, in)
-		got := MulABTTo(New(batch, out), x, w)
-		dst := make([]float64, out)
-		for b := 0; b < batch; b++ {
-			w.MulVec(x.Row(b), dst)
-			requireSameBits(t, fmt.Sprintf("size %v row %d", sz, b), got.Row(b), dst)
+// refABT is the textbook loop MulABTTo and MulABTBiasTo must reproduce:
+// dst[i][j] = Σₖ a[i][k]·b[j][k] in one accumulator that starts at +0,
+// k ascending, then + bias[j] unless bias is nil.
+func refABT(a, b *Matrix, bias []float64) []float64 {
+	m, kk, n := a.Rows, a.Cols, b.Rows
+	out := make([]float64, m*n)
+	for i := 0; i < m; i++ {
+		for j := 0; j < n; j++ {
+			var s float64
+			for k := 0; k < kk; k++ {
+				s += a.Data[i*kk+k] * b.Data[j*kk+k]
+			}
+			if bias != nil {
+				s += bias[j]
+			}
+			out[i*n+j] = s
 		}
 	}
+	return out
 }
 
 // TestMulABTBiasToMatchesForward checks the fused bias add against the
-// sequential "dot then add bias" order.
+// sequential "dot then add bias" order of a layer's forward pass.
 func TestMulABTBiasToMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	batch, in, out := 6, 11, 7
-	x := randMat(rng, batch, in)
-	w := randMat(rng, out, in)
-	bias := make([]float64, out)
-	for i := range bias {
-		bias[i] = rng.NormFloat64()
-	}
-	got := MulABTBiasTo(New(batch, out), x, w, bias)
-	dst := make([]float64, out)
-	for b := 0; b < batch; b++ {
-		w.MulVec(x.Row(b), dst)
-		for j := range dst {
-			dst[j] += bias[j]
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(4))
+		batch, in, out := 6, 11, 7
+		x := randMat(rng, batch, in)
+		w := randMat(rng, out, in)
+		bias := make([]float64, out)
+		for i := range bias {
+			bias[i] = rng.NormFloat64()
 		}
-		requireSameBits(t, fmt.Sprintf("row %d", b), got.Row(b), dst)
-	}
+		got := MulABTBiasTo(New(batch, out), x, w, bias)
+		for b := 0; b < batch; b++ {
+			want := refABT(FromSlice(1, in, x.Row(b)), w, nil)
+			for j := range want {
+				want[j] += bias[j]
+			}
+			requireSameBits(t, fmt.Sprintf("row %d", b), got.Row(b), want)
+		}
+	})
 }
 
 // TestMulATBAddToMatchesOuterUpdates checks bit-exact agreement with the
@@ -228,11 +232,12 @@ func TestKernelShapePanics(t *testing.T) {
 		"MulATBAddTo":       func() { MulATBAddTo(New(3, 5), a, b) },
 		"AddTo":             func() { AddTo(New(2, 3), a, b) },
 		"Resize":            func() { New(1, 1).Resize(0, 2) },
-		"TransposeTo":       func() { TransposeTo(New(2, 3), a) },
+		"MulABTBiasTo/bias": func() { MulABTBiasTo(New(2, 4), a, New(4, 3), two) },
 		"AdamStep":          func() { AdamStep(two, three, two, two, 0.9, 0.999, 1, 1, 1, 1e-8) },
 		"TanhTo":            func() { TanhTo(two, three) },
 		"MulAddTo/short":    func() { MulAddTo(New(2, 4), short, New(3, 4)) },
 		"MulATBAddTo/short": func() { MulATBAddTo(New(3, 4), short, New(2, 4)) },
+		"MulABTTo/short":    func() { MulABTTo(New(2, 4), short, New(4, 3)) },
 	}
 	forEachKernelPath(t, func(t *testing.T) {
 		for name, fn := range cases {
@@ -275,20 +280,20 @@ func TestKernelsAllocationFree(t *testing.T) {
 		dstABT := New(20, 64)
 		dstMul := New(20, 16)
 		dstATB := New(20, 16)
-		dstT := New(24, 64)
+		row, dstRow := randMat(rng, 1, 24), New(1, 64)
 		bias := make([]float64, 64)
 		cs := make([]float64, 24)
 		dy := randMat(rng, 24, 20)
 		p, g, m, v := make([]float64, 30), make([]float64, 30), make([]float64, 30), make([]float64, 30)
 		for name, fn := range map[string]func(){
-			"MulTo":        func() { MulTo(dstMul, a, b) },
-			"MulABTTo":     func() { MulABTTo(dstABT, a, w) },
-			"MulABTBiasTo": func() { MulABTBiasTo(dstABT, a, w, bias) },
-			"MulATBAddTo":  func() { MulATBAddTo(dstATB, dy, b) },
-			"AddColSumTo":  func() { AddColSumTo(cs, a) },
-			"TransposeTo":  func() { TransposeTo(dstT, w) },
-			"AdamStep":     func() { AdamStep(p, g, m, v, 0.9, 0.999, 1e-3, 0.1, 0.001, 1e-8) },
-			"TanhTo":       func() { TanhTo(m, p) },
+			"MulTo":            func() { MulTo(dstMul, a, b) },
+			"MulABTTo":         func() { MulABTTo(dstABT, a, w) },
+			"MulABTBiasTo":     func() { MulABTBiasTo(dstABT, a, w, bias) },
+			"MulATBAddTo":      func() { MulATBAddTo(dstATB, dy, b) },
+			"AddColSumTo":      func() { AddColSumTo(cs, a) },
+			"MulABTBiasTo/row": func() { MulABTBiasTo(dstRow, row, w, bias) },
+			"AdamStep":         func() { AdamStep(p, g, m, v, 0.9, 0.999, 1e-3, 0.1, 0.001, 1e-8) },
+			"TanhTo":           func() { TanhTo(m, p) },
 		} {
 			if n := testing.AllocsPerRun(10, fn); n != 0 {
 				t.Errorf("%s allocates %v times per call, want 0", name, n)

@@ -104,47 +104,6 @@ func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	}
 }
 
-// MulVec computes m · x and stores the result in dst, which must have
-// length m.Rows. x must have length m.Cols. It returns dst.
-//
-// Four output rows are computed per pass with independent accumulators,
-// which hides the floating-point add latency of a single dot-product
-// chain; each output element still accumulates k-ascending in one
-// accumulator, so results are bit-identical to the plain row loop.
-func (m *Matrix) MulVec(x, dst []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVec input length %d, want %d", len(x), m.Cols))
-	}
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("mat: MulVec output length %d, want %d", len(dst), m.Rows))
-	}
-	cols := m.Cols
-	i := 0
-	for ; i+4 <= m.Rows; i += 4 {
-		r0 := m.Data[i*cols : (i+1)*cols]
-		r1 := m.Data[(i+1)*cols : (i+2)*cols]
-		r2 := m.Data[(i+2)*cols : (i+3)*cols]
-		r3 := m.Data[(i+3)*cols : (i+4)*cols]
-		var s0, s1, s2, s3 float64
-		for j, xv := range x {
-			s0 += r0[j] * xv
-			s1 += r1[j] * xv
-			s2 += r2[j] * xv
-			s3 += r3[j] * xv
-		}
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
-	}
-	for ; i < m.Rows; i++ {
-		row := m.Data[i*cols : (i+1)*cols]
-		var s float64
-		for j, w := range row {
-			s += w * x[j]
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
 // MulVecT computes mᵀ · x (x has length m.Rows) and stores the result in
 // dst, which must have length m.Cols. It returns dst.
 func (m *Matrix) MulVecT(x, dst []float64) []float64 {

@@ -96,15 +96,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	// [1 2; 3 4] * [5, 6] = [17, 39]
-	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	got := m.MulVec([]float64{5, 6}, make([]float64, 2))
-	if got[0] != 17 || got[1] != 39 {
-		t.Errorf("MulVec = %v, want [17 39]", got)
-	}
-}
-
 func TestMulVecT(t *testing.T) {
 	// [1 2; 3 4]^T * [5, 6] = [1*5+3*6, 2*5+4*6] = [23, 34]
 	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
@@ -112,16 +103,6 @@ func TestMulVecT(t *testing.T) {
 	if got[0] != 23 || got[1] != 34 {
 		t.Errorf("MulVecT = %v, want [23 34]", got)
 	}
-}
-
-func TestMulVecShapePanics(t *testing.T) {
-	m := New(2, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MulVec with wrong input length did not panic")
-		}
-	}()
-	m.MulVec(make([]float64, 2), make([]float64, 2))
 }
 
 // Property: for random m, x, y we have (m·x)·y == x·(mᵀ·y) — the adjoint
@@ -135,7 +116,7 @@ func TestMulVecAdjointProperty(t *testing.T) {
 		m.Randomize(rng, 1)
 		x := randVec(rng, cols)
 		y := randVec(rng, rows)
-		lhs := Dot(m.MulVec(x, make([]float64, rows)), y)
+		lhs := Dot(MulABTTo(New(1, rows), FromSlice(1, cols, x), m).Data, y)
 		rhs := Dot(x, m.MulVecT(y, make([]float64, cols)))
 		if !mathx.AlmostEqual(lhs, rhs, 1e-9) {
 			t.Fatalf("adjoint identity violated: %v vs %v (shape %dx%d)", lhs, rhs, rows, cols)

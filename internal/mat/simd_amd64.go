@@ -41,6 +41,9 @@ func cpuHasFMA() bool {
 func gemmAccAVX2(c, a, b *float64, m, kk, n, ars, aks int)
 
 //go:noescape
+func mulABTAVX2(c, a, b, bias *float64, m, kk, n int)
+
+//go:noescape
 func adamAVX2(p, grad, m, v *float64, n int, beta1, omb1, beta2, omb2, lr, c1, c2, eps float64)
 
 //go:noescape

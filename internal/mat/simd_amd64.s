@@ -1,11 +1,14 @@
 #include "textflag.h"
 
-// AVX2 kernels for the PPO update's hot loops. In the GEMM and Adam
-// kernels every lane is one independent destination element, every
-// multiply-add is a VMULPD then a VADDPD (never a fused VFMADD, which
-// rounds once), and every destination element keeps its single
-// k-ascending accumulator, so each result is bit-identical to the scalar
-// Go loops in kernels.go and optim.go. The tanh kernel instead mirrors
+// AVX2 kernels for the actor-critic's hot loops: the GEMMs of the PPO
+// update, the A·Bᵀ product behind every forward pass, Adam and tanh. In
+// the GEMM, A·Bᵀ and Adam kernels every lane is one independent
+// destination element, every multiply-add is a VMULPD then a VADDPD
+// (never a fused VFMADD, which rounds once), and every destination
+// element keeps its single k-ascending accumulator, so each result is
+// bit-identical to the scalar Go loops in kernels.go and optim.go. The
+// A·Bᵀ kernel's shuffles (VINSERTF128, VUNPCKLPD/VUNPCKHPD) only move
+// operands into those lanes. The tanh kernel instead mirrors
 // math.Tanh lane by lane, fusing exactly the multiply-adds math.Exp's
 // amd64 assembly fuses on an AVX+FMA CPU; kernels.go runs it only where a
 // check at package init finds it equal to math.Tanh.
@@ -240,6 +243,276 @@ singleDone:
 	JMP  singleRows
 
 done:
+	VZEROUPPER
+	RET
+
+// ABT_T4 transposes the 4×4 block of b at p (rows p, p+R11, p+2·R11 and
+// p+R13; R11 = kk·8, R13 = 3·kk·8; four consecutive k) into t0…t3, so
+// lane r of tq is row r's k+q element. Each scratch register (xs/ys name
+// the same one) packs two elements of rows r and r+2, and
+// VUNPCKLPD/VUNPCKHPD interleave them with rows r+1 and r+3. The moves
+// only place operands; no lane mixes two destination elements.
+#define ABT_T4(p, x0, y0, x1, y1, x2, y2, x3, y3, t0, t1, t2, t3) \
+	VMOVUPD     (p), x0; \
+	VINSERTF128 $1, (p)(R11*2), y0, y0; \
+	VMOVUPD     (p)(R11*1), x1; \
+	VINSERTF128 $1, (p)(R13*1), y1, y1; \
+	VMOVUPD     16(p), x2; \
+	VINSERTF128 $1, 16(p)(R11*2), y2, y2; \
+	VMOVUPD     16(p)(R11*1), x3; \
+	VINSERTF128 $1, 16(p)(R13*1), y3, y3; \
+	VUNPCKLPD   y1, y0, t0; \
+	VUNPCKHPD   y1, y0, t1; \
+	VUNPCKLPD   y3, y2, t2; \
+	VUNPCKHPD   y3, y2, t3
+
+// ABT_G4 gathers one k element of the four rows of b at p into t, for
+// the k mod 4 terms past the last 4×4 block. xt and t name one register;
+// xs is scratch.
+#define ABT_G4(p, xt, t, xs) \
+	VMOVSD      (p), xt; \
+	VMOVHPD     (p)(R11*1), xt, xt; \
+	VMOVSD      (p)(R11*2), xs; \
+	VMOVHPD     (p)(R13*1), xs, xs; \
+	VINSERTF128 $1, xs, t, t
+
+// ABT_ROWS4 adds a[r][k]·t to row r's accumulator Y0…Y3 for the four
+// rows of a at AX, where off is k's byte offset from AX.
+#define ABT_ROWS4(off, t) \
+	VBROADCASTSD off(AX), Y12; \
+	VBROADCASTSD off(AX)(R11*1), Y13; \
+	VBROADCASTSD off(AX)(R11*2), Y14; \
+	VBROADCASTSD off(AX)(R13*1), Y15; \
+	VMULPD       t, Y12, Y12; \
+	VMULPD       t, Y13, Y13; \
+	VMULPD       t, Y14, Y14; \
+	VMULPD       t, Y15, Y15; \
+	VADDPD       Y12, Y0, Y0; \
+	VADDPD       Y13, Y1, Y1; \
+	VADDPD       Y14, Y2, Y2; \
+	VADDPD       Y15, Y3, Y3
+
+// ABT_COLS8 adds a[k]·t to Y0 (columns j…j+3) and a[k]·u to Y1 (columns
+// j+4…j+7) for the one row of a at AX.
+#define ABT_COLS8(off, t, u) \
+	VBROADCASTSD off(AX), Y2; \
+	VMULPD       t, Y2, Y3; \
+	VMULPD       u, Y2, Y2; \
+	VADDPD       Y3, Y0, Y0; \
+	VADDPD       Y2, Y1, Y1
+
+// ABT_COLS4 adds a[k]·t to Y0 (columns j…j+3) for the one row of a at AX.
+#define ABT_COLS4(off, t) \
+	VBROADCASTSD off(AX), Y2; \
+	VMULPD       t, Y2, Y2; \
+	VADDPD       Y2, Y0, Y0
+
+// func mulABTAVX2(c, a, b, bias *float64, m, kk, n int)
+//
+// c[i*n+j] = Σₖ a[i*kk+k]·b[j*kk+k] (+ bias[j] unless bias is nil) for
+// every i < m and every j < n &^ 3; the last n mod 4 columns are the
+// caller's. The lanes of a vector are four consecutive columns j…j+3.
+// Each lane's accumulator starts at +0 and takes its k terms ascending,
+// one VMULPD then one VADDPD each, and the bias is added after the full
+// sum, so every element has the bits of kernels.go's mulABTCols. The
+// terms come from 4×4 blocks of b transposed in registers (ABT_T4) and
+// the k mod 4 trailing ones gathered lane by lane (ABT_G4). Rows run in
+// blocks of four as 4×4 tiles, one transposed block serving four rows of
+// a; the m mod 4 rows left over run one at a time in 8-column tiles,
+// whose two accumulators are independent chains, then in one 4-column
+// tile if four columns remain. m and kk must be positive, n at least 4.
+TEXT ·mulABTAVX2(SB), NOSPLIT, $0-56
+	MOVQ c+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ m+32(FP), R8
+	MOVQ kk+40(FP), R11
+	MOVQ n+48(FP), R10
+	MOVQ R10, R12
+	ANDQ $-4, R12
+	SHLQ $3, R12           // n &^ 3 columns, in bytes
+	SHLQ $3, R10           // row stride of c, in bytes
+	SHLQ $3, R11           // row stride of a and b, in bytes
+	LEAQ (R11)(R11*2), R13 // three rows of a or b, in bytes
+
+abtQuadRows:
+	CMPQ R8, $4
+	JLT  abtSingleRows
+	XORQ BX, BX            // column offset j, in bytes
+	MOVQ b+16(FP), R9      // &b[j][0]
+
+abtQuadTile:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, AX          // &a[i][k]
+	MOVQ   R9, CX          // &b[j][k]
+	MOVQ   kk+40(FP), DX
+	SHRQ   $2, DX
+	JZ     abtQuadTail
+
+abtQuadTileK:
+	ABT_T4(CX, X8, Y8, X9, Y9, X10, Y10, X11, Y11, Y4, Y5, Y6, Y7)
+	ABT_ROWS4(0, Y4)
+	ABT_ROWS4(8, Y5)
+	ABT_ROWS4(16, Y6)
+	ABT_ROWS4(24, Y7)
+	ADDQ $32, AX
+	ADDQ $32, CX
+	DECQ DX
+	JNZ  abtQuadTileK
+
+abtQuadTail:
+	MOVQ kk+40(FP), DX
+	ANDQ $3, DX
+	JZ   abtQuadBias
+
+abtQuadTailK:
+	ABT_G4(CX, X4, Y4, X8)
+	ABT_ROWS4(0, Y4)
+	ADDQ $8, AX
+	ADDQ $8, CX
+	DECQ DX
+	JNZ  abtQuadTailK
+
+abtQuadBias:
+	MOVQ    bias+24(FP), DX
+	TESTQ   DX, DX
+	JZ      abtQuadStore
+	VMOVUPD (DX)(BX*1), Y8
+	VADDPD  Y8, Y0, Y0
+	VADDPD  Y8, Y1, Y1
+	VADDPD  Y8, Y2, Y2
+	VADDPD  Y8, Y3, Y3
+
+abtQuadStore:
+	LEAQ    (DI)(BX*1), AX
+	VMOVUPD Y0, (AX)
+	VMOVUPD Y1, (AX)(R10*1)
+	VMOVUPD Y2, (AX)(R10*2)
+	LEAQ    (AX)(R10*2), AX
+	VMOVUPD Y3, (AX)(R10*1)
+	LEAQ    (R9)(R11*4), R9 // the next four rows of b
+	ADDQ    $32, BX
+	CMPQ    BX, R12
+	JLT     abtQuadTile
+
+	LEAQ (DI)(R10*4), DI
+	LEAQ (SI)(R11*4), SI
+	SUBQ $4, R8
+	JMP  abtQuadRows
+
+abtSingleRows:
+	TESTQ R8, R8
+	JZ    abtDone
+	XORQ  BX, BX
+	MOVQ  b+16(FP), R9
+
+abtOct:
+	LEAQ   64(BX), AX
+	CMPQ   AX, R12
+	JGT    abtQuad
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ   SI, AX
+	MOVQ   R9, CX
+	LEAQ   (R9)(R11*4), R14 // &b[j+4][k]
+	MOVQ   kk+40(FP), DX
+	SHRQ   $2, DX
+	JZ     abtOctTail
+
+abtOctK:
+	ABT_T4(CX, X12, Y12, X13, Y13, X14, Y14, X15, Y15, Y4, Y5, Y6, Y7)
+	ABT_T4(R14, X12, Y12, X13, Y13, X14, Y14, X15, Y15, Y8, Y9, Y10, Y11)
+	ABT_COLS8(0, Y4, Y8)
+	ABT_COLS8(8, Y5, Y9)
+	ABT_COLS8(16, Y6, Y10)
+	ABT_COLS8(24, Y7, Y11)
+	ADDQ $32, AX
+	ADDQ $32, CX
+	ADDQ $32, R14
+	DECQ DX
+	JNZ  abtOctK
+
+abtOctTail:
+	MOVQ kk+40(FP), DX
+	ANDQ $3, DX
+	JZ   abtOctBias
+
+abtOctTailK:
+	ABT_G4(CX, X4, Y4, X12)
+	ABT_G4(R14, X8, Y8, X13)
+	ABT_COLS8(0, Y4, Y8)
+	ADDQ $8, AX
+	ADDQ $8, CX
+	ADDQ $8, R14
+	DECQ DX
+	JNZ  abtOctTailK
+
+abtOctBias:
+	MOVQ   bias+24(FP), DX
+	TESTQ  DX, DX
+	JZ     abtOctStore
+	VADDPD (DX)(BX*1), Y0, Y0
+	VADDPD 32(DX)(BX*1), Y1, Y1
+
+abtOctStore:
+	VMOVUPD Y0, (DI)(BX*1)
+	VMOVUPD Y1, 32(DI)(BX*1)
+	LEAQ    (R9)(R11*8), R9 // the next eight rows of b
+	ADDQ    $64, BX
+	JMP     abtOct
+
+abtQuad:
+	CMPQ   BX, R12
+	JGE    abtSingleDone
+	VXORPD Y0, Y0, Y0
+	MOVQ   SI, AX
+	MOVQ   R9, CX
+	MOVQ   kk+40(FP), DX
+	SHRQ   $2, DX
+	JZ     abtQuadColsTail
+
+abtQuadColsK:
+	ABT_T4(CX, X12, Y12, X13, Y13, X14, Y14, X15, Y15, Y4, Y5, Y6, Y7)
+	ABT_COLS4(0, Y4)
+	ABT_COLS4(8, Y5)
+	ABT_COLS4(16, Y6)
+	ABT_COLS4(24, Y7)
+	ADDQ $32, AX
+	ADDQ $32, CX
+	DECQ DX
+	JNZ  abtQuadColsK
+
+abtQuadColsTail:
+	MOVQ kk+40(FP), DX
+	ANDQ $3, DX
+	JZ   abtQuadColsBias
+
+abtQuadColsTailK:
+	ABT_G4(CX, X4, Y4, X12)
+	ABT_COLS4(0, Y4)
+	ADDQ $8, AX
+	ADDQ $8, CX
+	DECQ DX
+	JNZ  abtQuadColsTailK
+
+abtQuadColsBias:
+	MOVQ   bias+24(FP), DX
+	TESTQ  DX, DX
+	JZ     abtQuadColsStore
+	VADDPD (DX)(BX*1), Y0, Y0
+
+abtQuadColsStore:
+	VMOVUPD Y0, (DI)(BX*1)
+
+abtSingleDone:
+	ADDQ R10, DI
+	ADDQ R11, SI
+	DECQ R8
+	JMP  abtSingleRows
+
+abtDone:
 	VZEROUPPER
 	RET
 

@@ -66,8 +66,67 @@ func TestGemmKernelsBitwise(t *testing.T) {
 						refGemmAcc(want, rowsOf(a), b.Data, m, kk, n)
 						requireSameBits(t, "MulAddTo "+name, MulAddTo(dst.Clone(), a, b).Data, want)
 						// MulATBAddTo takes the same operand stored transposed.
-						at := TransposeTo(New(kk, m), a)
+						at := transposed(a)
 						requireSameBits(t, "MulATBAddTo "+name, MulATBAddTo(dst.Clone(), at, b).Data, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// transposed returns aᵀ in a new matrix.
+func transposed(a *Matrix) *Matrix {
+	t := New(a.Cols, a.Rows)
+	for i := 0; i < a.Rows; i++ {
+		for j, v := range a.Row(i) {
+			t.Data[j*a.Rows+i] = v
+		}
+	}
+	return t
+}
+
+// TestMulABTKernelsBitwise sweeps MulABTTo and MulABTBiasTo over shapes
+// that reach every path of both implementations (the AVX2 kernel's 4-row
+// blocks and single rows, its 8- and 4-column tiles, k of every residue
+// mod 4, and the n mod 4 columns it leaves to the Go loop) and over
+// operands and biases laced with ±0, subnormals, ±Inf and NaN, comparing
+// each result bit for bit with the textbook loop. dst starts as garbage
+// and sits between guard elements that no call may write.
+func TestMulABTKernelsBitwise(t *testing.T) {
+	rowsSet := []int{1, 2, 3, 4, 5, 8, 9, 20}
+	kSet := []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 64}
+	var nSet []int
+	for n := 1; n <= 17; n++ {
+		nSet = append(nSet, n)
+	}
+	nSet = append(nSet, 23, 64, 66)
+	const guard = 4
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		for _, mix := range valueMixes {
+			for _, m := range rowsSet {
+				for _, kk := range kSet {
+					for _, n := range nSet {
+						name := fmt.Sprintf("%s m=%d k=%d n=%d", mix.name, m, kk, n)
+						a, b, bias := New(m, kk), New(n, kk), make([]float64, n)
+						mix.fill(rng, a.Data)
+						mix.fill(rng, b.Data)
+						mix.fill(rng, bias)
+						buf := make([]float64, m*n+2*guard)
+						for i := range buf {
+							buf[i] = float64(i) + 0.5
+						}
+						dst := FromSlice(m, n, buf[guard:guard+m*n])
+						mix.fill(rng, dst.Data)
+
+						requireSameBits(t, "MulABTTo "+name, MulABTTo(dst, a, b).Data, refABT(a, b, nil))
+						requireSameBits(t, "MulABTBiasTo "+name, MulABTBiasTo(dst, a, b, bias).Data, refABT(a, b, bias))
+						for i, v := range buf {
+							if (i < guard || i >= guard+m*n) && v != float64(i)+0.5 {
+								t.Fatalf("%s: wrote guard element %d", name, i)
+							}
+						}
 					}
 				}
 			}
@@ -127,10 +186,4 @@ func TestAdamStepMatchesScalarLoop(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestTransposeTo(t *testing.T) {
-	a := FromSlice(2, 3, []float64{1, math.Copysign(0, -1), 3, 4, 5, math.Inf(-1)})
-	got := TransposeTo(New(3, 2), a)
-	requireSameBits(t, "TransposeTo", got.Data, []float64{1, 4, math.Copysign(0, -1), 5, 3, math.Inf(-1)})
 }

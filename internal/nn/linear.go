@@ -26,7 +26,6 @@ type Linear struct {
 	xCache  mat.Matrix // batch×in copy of the last batched input
 	outMat  mat.Matrix // batch×out
 	gradMat mat.Matrix // batch×in
-	wT      mat.Matrix // in×out copy of Wᵀ, rebuilt by every large ForwardBatch
 }
 
 // NewLinear returns a Linear layer with Xavier-uniform weights and zero
@@ -47,16 +46,16 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward computes W·x + b.
+// Forward computes W·x + b as the one-row product x·Wᵀ + b, through the
+// same kernel as ForwardBatch, so its bits are those of any batch row.
 func (l *Linear) Forward(x []float64) []float64 {
 	checkLen("Linear", "input", len(x), l.in)
 	copy(l.lastX, x)
-	// A stack copy of the view keeps the shape fields in registers across
-	// the kernel call; going through the long-lived &l.wView pointer
-	// measurably pessimizes MulVec.
-	w := l.wView
-	w.MulVec(x, l.outBuf)
-	mat.AddInto(l.outBuf, l.outBuf, l.b.Value)
+	// One-row views over the cached input and outBuf stay on the stack,
+	// so the call is allocation-free.
+	in := mat.Matrix{Rows: 1, Cols: l.in, Data: l.lastX}
+	out := mat.Matrix{Rows: 1, Cols: l.out, Data: l.outBuf}
+	mat.MulABTBiasTo(&out, &in, &l.wView, l.b.Value)
 	return l.outBuf
 }
 
@@ -71,38 +70,17 @@ func (l *Linear) Backward(grad []float64) []float64 {
 	return l.gradBuf
 }
 
-// transposedMinRows is the smallest batch ForwardBatch multiplies through
-// a transposed copy of W. Below it, copying W costs about as much as the
-// product itself.
-const transposedMinRows = 4
-
 // ForwardBatch computes Y = X·Wᵀ + b for a batch of rows. The returned
 // matrix is owned by the layer and overwritten by the next batched call;
-// its element (i, j) is bit-identical to Forward(X.Row(i))[j].
-//
-// Batches of transposedMinRows or more rows copy W into Wᵀ and run
-// Y = X·(Wᵀ) through MulTo, then add the bias. That is the order
-// MulABTBiasTo uses for smaller batches (zero start, k ascending, bias
-// last), so both routes give the same bits; MulTo's inner loop is the
-// one with a SIMD path.
+// its element (i, j) is bit-identical to Forward(X.Row(i))[j]: both run
+// mat.MulABTBiasTo, one k-ascending accumulator per element with the bias
+// added last, reading W in place at every batch size.
 func (l *Linear) ForwardBatch(x *mat.Matrix) *mat.Matrix {
 	checkLen("Linear", "batch input width", x.Cols, l.in)
 	l.xCache.Resize(x.Rows, x.Cols)
 	copy(l.xCache.Data, x.Data)
 	l.outMat.Resize(x.Rows, l.out)
-	if x.Rows < transposedMinRows {
-		mat.MulABTBiasTo(&l.outMat, x, &l.wView, l.b.Value)
-		return &l.outMat
-	}
-	l.wT.Resize(l.in, l.out)
-	mat.TransposeTo(&l.wT, &l.wView)
-	mat.MulTo(&l.outMat, x, &l.wT)
-	for i := 0; i < x.Rows; i++ {
-		row := l.outMat.Row(i)
-		for j, bj := range l.b.Value {
-			row[j] += bj
-		}
-	}
+	mat.MulABTBiasTo(&l.outMat, x, &l.wView, l.b.Value)
 	return &l.outMat
 }
 
@@ -111,13 +89,20 @@ func (l *Linear) ForwardBatch(x *mat.Matrix) *mat.Matrix {
 // bit-identical to calling Backward once per batch row in order. The
 // returned matrix is owned by the layer.
 func (l *Linear) BackwardBatch(grad *mat.Matrix) *mat.Matrix {
+	l.AccumulateGradsBatch(grad)
+	l.gradMat.Resize(grad.Rows, l.in)
+	mat.MulTo(&l.gradMat, grad, &l.wView)
+	return &l.gradMat
+}
+
+// AccumulateGradsBatch is BackwardBatch without the input gradient: it
+// accumulates dW and db, with the same bits, and skips the dY·W product
+// that a network's first layer would throw away.
+func (l *Linear) AccumulateGradsBatch(grad *mat.Matrix) {
 	checkLen("Linear", "batch grad width", grad.Cols, l.out)
 	checkLen("Linear", "batch grad rows", grad.Rows, l.xCache.Rows)
 	mat.MulATBAddTo(&l.gwView, grad, &l.xCache)
 	mat.AddColSumTo(l.b.Grad, grad)
-	l.gradMat.Resize(grad.Rows, l.in)
-	mat.MulTo(&l.gradMat, grad, &l.wView)
-	return &l.gradMat
 }
 
 // Params returns the weight and bias parameters.

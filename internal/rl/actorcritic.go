@@ -16,6 +16,7 @@ type ActorCritic struct {
 	obsDim, actDim int
 
 	trunk   []nn.BatchModule // Linear+Tanh pairs
+	first   *nn.Linear       // trunk[0], whose input gradient nobody reads
 	meanHd  *nn.Linear
 	valueHd *nn.Linear
 	logStd  *nn.Param
@@ -54,6 +55,7 @@ func NewActorCritic(obsDim, actDim int, hidden []int, act nn.Activation, initLog
 		ac.trunk = append(ac.trunk, lin, nn.NewActivation(act, h))
 		prev = h
 	}
+	ac.first = ac.trunk[0].(*nn.Linear)
 	ac.meanHd = nn.NewLinear("head.mean", prev, actDim, rng)
 	ac.valueHd = nn.NewLinear("head.value", prev, 1, rng)
 	ac.logStd = &nn.Param{
@@ -166,9 +168,10 @@ func (ac *ActorCritic) BackwardBatch(dMean, dLogStd *mat.Matrix, dValue []float6
 	ac.trunkGradB.Resize(batch, gm.Cols)
 	mat.AddTo(&ac.trunkGradB, gm, gv)
 	g := &ac.trunkGradB
-	for i := len(ac.trunk) - 1; i >= 0; i-- {
+	for i := len(ac.trunk) - 1; i > 0; i-- {
 		g = ac.trunk[i].BackwardBatch(g)
 	}
+	ac.first.AccumulateGradsBatch(g)
 	// The log-std gradient folds rows ascending with one running
 	// accumulator per dimension, as per-row Backward calls would.
 	for j := 0; j < ac.actDim; j++ {

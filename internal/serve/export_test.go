@@ -46,3 +46,8 @@ func (s *Server) ProcessBatch(reqs []QuoteRequest) ([]QuoteResponse, []error) {
 	}
 	return resps, errs
 }
+
+// SetTestHookPicked makes every later Refresh call hook with the path of
+// the checkpoint it picked, before reading that file. Set it only while
+// no refresh runs.
+func (r *Replica) SetTestHookPicked(hook func(path string)) { r.testHookPicked = hook }

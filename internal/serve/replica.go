@@ -87,6 +87,11 @@ type Replica struct {
 
 	stop chan struct{}
 	done chan struct{}
+
+	// testHookPicked, set only by tests, runs in refresh between picking
+	// the newest checkpoint and reading it: the window a concurrent prune
+	// of that file can hit.
+	testHookPicked func(path string)
 }
 
 // replicaState is one immutable loaded checkpoint: the frozen pricer
@@ -159,6 +164,9 @@ func (r *Replica) refresh() error {
 	}
 	if cur := r.state.Load(); cur != nil && cur.fz.Snapshots() >= ordinal {
 		return nil
+	}
+	if r.testHookPicked != nil {
+		r.testHookPicked(path)
 	}
 	ck, _, err := loadCheckpoint(path)
 	if err != nil {

@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"io/fs"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"vtmig/internal/serve"
@@ -117,6 +119,134 @@ func TestReplicaByteIdenticalToPrimary(t *testing.T) {
 	}
 	if _, err := r.Quote(context.Background(), reqs[0]); !errors.Is(err, serve.ErrClosed) {
 		t.Fatalf("quote after close: %v, want ErrClosed", err)
+	}
+}
+
+// TestReplicaRefreshRacesPrune races a replica's refreshes against the
+// primary's checkpoint pruning. With KeepCheckpoints 1 and a rotation
+// every round, each boundary deletes the checkpoint the previous one
+// published, so a refresh that found that file as the newest can lose it
+// before reading it. Such a refresh must fail with fs.ErrNotExist and be
+// counted in RefreshErrors, never with a decode or checksum error (which
+// would mean it read a torn file), and the replica must keep serving:
+// every (round, price) it answers is bit for bit the price the primary
+// posted for the round after that round.
+//
+// A free-running refresh picks each new file microseconds after its
+// publication, a full rotation before its prune, so the first half
+// (a refresh and quote loop beside 300 recorded rounds) rarely loses a
+// file. The second half forces the loss: it holds one refresh between
+// its pick and its read while the primary crosses the two boundaries
+// that publish a newer checkpoint and prune the picked one.
+func TestReplicaRefreshRacesPrune(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testConfig(dir)
+	cfg.UpdateEvery = 1
+	cfg.SnapshotEvery = 1
+	cfg.KeepCheckpoints = 1
+	s := mustOpen(t, cfg)
+	defer s.Close()
+	r, err := serve.OpenReplica(replicaConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+
+	type answer struct {
+		round int
+		price float64
+	}
+	var (
+		answers     []answer
+		refreshErrs []error
+		wg          sync.WaitGroup
+	)
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		req := reqStream(1)[0]
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := r.Refresh(); err != nil {
+				refreshErrs = append(refreshErrs, err)
+			}
+			resp, err := r.Quote(context.Background(), req)
+			if err != nil {
+				t.Errorf("replica stopped serving: %v", err)
+				return
+			}
+			answers = append(answers, answer{resp.Round, resp.Price})
+		}
+	}()
+	reqs := reqStream(302)
+	prices := quoteAll(t, s, reqs[:300])
+	close(stop)
+	wg.Wait()
+	t.Logf("%d replica quotes, %d refreshes, %d refreshes lost their file to a prune",
+		len(answers), r.Stats().Refreshes, len(refreshErrs))
+
+	// Round 300 published checkpoint 299 (one rotation back) and round
+	// 301 publishes 300. The refresh held at its pick of 300 reads it only
+	// after round 302 has published 301 and pruned 300.
+	if err := r.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	prices = append(prices, quoteAll(t, s, reqs[300:301])...)
+	picked, release := make(chan string), make(chan struct{})
+	r.SetTestHookPicked(func(path string) {
+		picked <- path
+		<-release
+	})
+	refreshed := make(chan error, 1)
+	go func() { refreshed <- r.Refresh() }()
+	path := <-picked
+	prices = append(prices, quoteAll(t, s, reqs[301:302])...)
+	close(release)
+	err = <-refreshed
+	r.SetTestHookPicked(nil)
+	mustExist(t, path, false)
+	if err == nil {
+		t.Fatalf("refresh of pruned %s succeeded", path)
+	}
+	refreshErrs = append(refreshErrs, err)
+	req := reqStream(1)[0]
+	for _, refresh := range []bool{false, true} {
+		if refresh {
+			if err := r.Refresh(); err != nil {
+				t.Fatalf("refresh after the lost file: %v", err)
+			}
+		}
+		resp, err := r.Quote(context.Background(), req)
+		if err != nil {
+			t.Fatalf("replica stopped serving after a lost refresh: %v", err)
+		}
+		answers = append(answers, answer{resp.Round, resp.Price})
+	}
+	if got := answers[len(answers)-1].round; got != 301 {
+		t.Errorf("replica refreshed to round %d, want 301 (checkpoint 301, published at round 302)", got)
+	}
+
+	for _, err := range refreshErrs {
+		if !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("refresh failed with %v; the only failure a prune may cause is a vanished file (fs.ErrNotExist)", err)
+		}
+	}
+	if got := r.Stats().RefreshErrors; got != len(refreshErrs) {
+		t.Errorf("Stats().RefreshErrors = %d, want the %d failed refreshes", got, len(refreshErrs))
+	}
+	for _, a := range answers {
+		if a.round >= len(prices) {
+			t.Fatalf("replica answered from round %d; the primary posted %d rounds", a.round, len(prices))
+		}
+		if math.Float64bits(a.price) != math.Float64bits(prices[a.round]) {
+			t.Fatalf("replica frozen at round %d answered %v, the primary posted %v for round %d",
+				a.round, a.price, prices[a.round], a.round+1)
+		}
 	}
 }
 

@@ -31,12 +31,13 @@ type Pricer interface {
 	PriceFor(g *stackelberg.Game) float64
 }
 
-// oraclePricer plays the closed-form Stackelberg equilibrium each round,
-// solving in a scratch it keeps across rounds, so a fleet-scale run does
-// not allocate four follower-sized slices per round. Every copy of a
-// config shares its pricer and those copies may run concurrently, so a
-// solve that finds the scratch in use takes a fresh one; both solves
-// return the same bits.
+// oraclePricer plays the closed-form Stackelberg equilibrium price each
+// round. It runs only the price search (SolvePriceInto), in a scratch it
+// keeps across rounds, so a fleet-scale run neither evaluates follower
+// utilities it would discard nor allocates follower-sized slices per
+// round. Every copy of a config shares its pricer and those copies may
+// run concurrently, so a solve that finds the scratch in use takes a
+// fresh one; both solves return the same bits.
 type oraclePricer struct {
 	mu      sync.Mutex
 	scratch stackelberg.EvalScratch
@@ -48,10 +49,11 @@ func NewOraclePricer() Pricer { return &oraclePricer{} }
 func (*oraclePricer) Name() string { return "stackelberg-oracle" }
 func (o *oraclePricer) PriceFor(g *stackelberg.Game) float64 {
 	if !o.mu.TryLock() {
-		return g.Solve().Price
+		var s stackelberg.EvalScratch
+		return g.SolvePriceInto(&s)
 	}
 	defer o.mu.Unlock()
-	return g.SolveInto(&o.scratch).Price
+	return g.SolvePriceInto(&o.scratch)
 }
 
 // fixedPricer posts a constant price.

@@ -198,12 +198,23 @@ func requireSameEquilibrium(t *testing.T, label string, got, want Equilibrium) {
 // total bandwidth included. The metro-shaped arms run a fleet-sized round
 // unconstrained (BMax = 0, what the simulator passes once its pool is
 // exhausted), with the bisection binding, and under admission control at
-// pmax.
+// pmax. On every game, SolvePriceInto must return the solved price's
+// bits, in a fresh scratch and in one a full solve has just used.
 func TestSolveMatchesSerialReference(t *testing.T) {
+	requireSamePrice := func(label string, got, want float64) {
+		t.Helper()
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: SolvePriceInto %v, want SolveInto's %v", label, got, want)
+		}
+	}
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 30; trial++ {
 		g := randomBatchGame(rng, 1+rng.Intn(32))
-		requireSameEquilibrium(t, fmt.Sprintf("trial %d", trial), g.Solve(), solveSerialReference(g))
+		label := fmt.Sprintf("trial %d", trial)
+		got := g.Solve()
+		requireSameEquilibrium(t, label, got, solveSerialReference(g))
+		var s EvalScratch
+		requireSamePrice(label, g.SolvePriceInto(&s), got.Price)
 	}
 
 	const fleet = 5800
@@ -229,6 +240,9 @@ func TestSolveMatchesSerialReference(t *testing.T) {
 			t.Fatalf("metro bisection: price %v reached pmax; the arm must bind below it", got.Price)
 		}
 		requireSameEquilibrium(t, "metro "+tc.name, got, solveSerialReference(&g))
+		requireSamePrice("metro "+tc.name, g.SolvePriceInto(&s), got.Price)
+		var fresh EvalScratch
+		requireSamePrice("metro "+tc.name+" fresh scratch", g.SolvePriceInto(&fresh), got.Price)
 	}
 }
 

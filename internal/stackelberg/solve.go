@@ -178,12 +178,26 @@ func (g *Game) Solve() Equilibrium {
 // slices alias s and are overwritten by the next *Into call on s. After a
 // warm-up call the solve is allocation-free in steady state.
 func (g *Game) SolveInto(s *EvalScratch) Equilibrium {
+	price, capacityBound := g.solvePriceInto(s)
+	return g.equilibriumInto(s, price, capacityBound)
+}
+
+// SolvePriceInto returns SolveInto(s).Price, bit for bit, without building
+// the rest of the report: no follower or MSP utility is evaluated. It is
+// the whole solve for a caller that only posts the price.
+func (g *Game) SolvePriceInto(s *EvalScratch) float64 {
+	price, _ := g.solvePriceInto(s)
+	return price
+}
+
+// solvePriceInto runs Solve's price search and leaves the admitted demand
+// vector in s.demands. It reports whether the capacity constraint binds.
+func (g *Game) solvePriceInto(s *EvalScratch) (price float64, capacityBound bool) {
 	lo, hi := g.Cost, g.PMax
 	s.gather(g)
 	obj := func(p float64) float64 { return g.mspUtilityGathered(s, p) }
-	price, _ := mathx.GoldenMax(obj, lo, hi, solverTol, solverIters)
+	price, _ = mathx.GoldenMax(obj, lo, hi, solverTol, solverIters)
 	demands := g.bestResponsesGathered(s, s.demands, price)
-	capacityBound := false
 
 	if g.BMax > 0 && mathx.Sum(demands) > g.BMax {
 		capacityBound = true
@@ -214,8 +228,7 @@ func (g *Game) SolveInto(s *EvalScratch) Equilibrium {
 			}
 		}
 	}
-
-	return g.equilibriumInto(s, price, capacityBound)
+	return price, capacityBound
 }
 
 // Evaluate builds the full equilibrium report for an arbitrary price with
