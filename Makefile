@@ -20,10 +20,13 @@ GO ?= go
 all: ci
 
 # vet also vets the kernel packages for arm64, so the scalar fallback that
-# replaces the amd64 assembly on other GOARCHes keeps compiling.
+# replaces the amd64 assembly on other GOARCHes keeps compiling, and runs
+# the kernel tests built for GOAMD64=v3, where FMA is in the baseline and
+# the GODEBUG=cpu.fma=off fallback test must skip rather than fail.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/nn
+	GOAMD64=v3 $(GO) test ./internal/mat
 
 # fmt-check fails when any file needs gofmt (CI cleanliness gate).
 fmt-check:
@@ -98,7 +101,7 @@ bench-check:
 # (MatMulABTTo at the one-row and 20-row forward shapes), and SimNew
 # prints the metro-10k set-up's time and bytes.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|MLPForward|MatMul|AdamStep|TanhTo|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SolveScratch|SimNew' -benchmem -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|ActorCriticForward|MatMul|AdamStep|TanhTo|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SolveScratch|SimNew' -benchmem -benchtime 100x .
 
 # golden regenerates the fixed-seed golden files after an intentional
 # numeric change: the experiment figure pipelines, the per-pricer

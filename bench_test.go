@@ -559,54 +559,63 @@ func BenchmarkSolveScratchFleet(b *testing.B) {
 	}
 }
 
-// BenchmarkMLPForward measures the paper's 64×64 tanh network forward
-// pass.
-func BenchmarkMLPForward(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := nn.NewMLP("bench", []int{12, 64, 64, 1}, nn.ActTanh, rng)
+// benchActorCritic builds the paper's actor-critic: 12 observation
+// inputs, two hidden layers of 64 tanh units, one action.
+func benchActorCritic() *rl.ActorCritic {
+	return rl.NewActorCritic(12, 1, []int{64, 64}, nn.ActTanh, -0.5, rand.New(rand.NewSource(1)))
+}
+
+// BenchmarkActorCriticForward measures the one-row forward pass a served
+// quote, an online or frozen pricer readout and a collection step run.
+func BenchmarkActorCriticForward(b *testing.B) {
+	ac := benchActorCritic()
 	x := make([]float64, 12)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := m.Forward(x); len(out) != 1 {
+		if mean, _, _ := ac.Forward(x); len(mean) != 1 {
 			b.Fatal("bad forward")
 		}
 	}
 }
 
-// BenchmarkMLPForwardBatch measures the batched-inference entry point on a
-// PPO-minibatch-sized input (20 rows through the 64×64 tanh network).
-func BenchmarkMLPForwardBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := nn.NewMLP("bench", []int{12, 64, 64, 1}, nn.ActTanh, rng)
+// BenchmarkActorCriticForwardBatch measures the batched forward pass on a
+// PPO-minibatch-sized input (20 rows).
+func BenchmarkActorCriticForwardBatch(b *testing.B) {
+	ac := benchActorCritic()
 	x := mat.New(20, 12)
-	x.Randomize(rng, 1)
-	m.ForwardBatch(x) // grow scratch outside the timed loop
+	x.Randomize(rand.New(rand.NewSource(2)), 1)
+	ac.ForwardBatch(x) // grow scratch outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := m.ForwardBatch(x); out.Rows != 20 {
+		if mean, _, _ := ac.ForwardBatch(x); mean.Rows != 20 {
 			b.Fatal("bad batch forward")
 		}
 	}
 }
 
-// BenchmarkMLPBackwardBatch measures a full batched forward+backward pass,
-// the per-minibatch cost of one PPO gradient accumulation.
-func BenchmarkMLPBackwardBatch(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	m := nn.NewMLP("bench", []int{12, 64, 64, 1}, nn.ActTanh, rng)
+// BenchmarkActorCriticBackwardBatch measures a full batched forward and
+// backward pass over 20 rows, the per-minibatch cost of one PPO gradient
+// accumulation.
+func BenchmarkActorCriticBackwardBatch(b *testing.B) {
+	ac := benchActorCritic()
 	x := mat.New(20, 12)
-	x.Randomize(rng, 1)
-	dy := mat.New(20, 1)
-	dy.Fill(1)
-	m.ForwardBatch(x)
-	m.BackwardBatch(dy)
+	x.Randomize(rand.New(rand.NewSource(2)), 1)
+	dMean, dLogStd := mat.New(20, 1), mat.New(20, 1)
+	dMean.Fill(1)
+	dLogStd.Fill(0.1)
+	dValue := make([]float64, 20)
+	for i := range dValue {
+		dValue[i] = 1
+	}
+	ac.ForwardBatch(x)
+	ac.BackwardBatch(dMean, dLogStd, dValue)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ForwardBatch(x)
-		m.BackwardBatch(dy)
+		ac.ForwardBatch(x)
+		ac.BackwardBatch(dMean, dLogStd, dValue)
 	}
 }
 
@@ -625,11 +634,16 @@ func benchKernelMats() (x, w, dy *mat.Matrix) {
 	return x, w, dy
 }
 
-// BenchmarkMatMulABTTo measures the forward kernel Y = X·Wᵀ at the
-// 64×64 layer in both shapes the network runs: one row (a served quote, a
-// collection step, a replica readout) and a minibatch of 20.
+// BenchmarkMatMulABTTo measures the forward kernel Y = X·Wᵀ + b
+// (mat.MulABTBiasTo) at the 64×64 layer in both shapes the network runs:
+// one row (a served quote, a collection step, a replica readout) and a
+// minibatch of 20.
 func BenchmarkMatMulABTTo(b *testing.B) {
 	x, w, _ := benchKernelMats()
+	bias := make([]float64, w.Rows)
+	for i := range bias {
+		bias[i] = float64(i) / 64
+	}
 	for _, rows := range []int{1, 20} {
 		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
 			xr := mat.FromSlice(rows, x.Cols, x.Data[:rows*x.Cols])
@@ -637,7 +651,7 @@ func BenchmarkMatMulABTTo(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				mat.MulABTTo(dst, xr, w)
+				mat.MulABTBiasTo(dst, xr, w, bias)
 			}
 		})
 	}
@@ -806,62 +820,32 @@ func BenchmarkSimulation(b *testing.B) {
 	}
 }
 
-// benchScenarioTOML is a mid-size scenario exercising every workload
+// benchScenarioJSON is a mid-size scenario exercising every workload
 // dimension of the declarative layer: grid mobility, vehicle classes,
 // churn, explicit + generated outages, and a demand cycle.
-const benchScenarioTOML = `
-name = "bench"
-seed = 7
-duration_s = 60.0
-
-[mobility]
-kind = "grid"
-rows = 3
-cols = 4
-spacing_m = 400.0
-radius_m = 300.0
-
-[[classes]]
-name = "sedan"
-weight = 3.0
-
-[[classes]]
-name = "truck"
-weight = 1.0
-speed_min_mps = 8.0
-speed_max_mps = 12.0
-
-[churn]
-arrival_rate_per_s = 0.05
-mean_dwell_s = 120.0
-max_vehicles = 12
-
-[[outages]]
-rsu = 2
-start_s = 10.0
-end_s = 25.0
-
-[outage_gen]
-count = 2
-mean_duration_s = 20.0
-
-[demand]
-period_s = 30.0
-day_fraction = 0.6
-night_speed_factor = 0.5
-night_sensing_factor = 2.0
-
-[pricer]
-name = "oracle"
-`
+const benchScenarioJSON = `{
+  "name": "bench",
+  "seed": 7,
+  "duration_s": 60,
+  "mobility": {"kind": "grid", "rows": 3, "cols": 4, "spacing_m": 400, "radius_m": 300},
+  "classes": [
+    {"name": "sedan", "weight": 3},
+    {"name": "truck", "weight": 1, "speed_min_mps": 8, "speed_max_mps": 12}
+  ],
+  "churn": {"arrival_rate_per_s": 0.05, "mean_dwell_s": 120, "max_vehicles": 12},
+  "outages": [{"rsu": 2, "start_s": 10, "end_s": 25}],
+  "outage_gen": {"count": 2, "mean_duration_s": 20},
+  "demand": {"period_s": 30, "day_fraction": 0.6, "night_speed_factor": 0.5, "night_sensing_factor": 2},
+  "pricer": {"name": "oracle"}
+}`
 
 // BenchmarkScenarioLoad measures the declarative layer's full load path
-// on the mid-size scenario: TOML-subset parse, strict schema decode,
-// validation, and the deterministic compile with generator expansion.
+// on the mid-size scenario: strict JSON decode, validation, and the
+// deterministic compile with generator expansion.
 func BenchmarkScenarioLoad(b *testing.B) {
-	data := []byte(benchScenarioTOML)
+	data := []byte(benchScenarioJSON)
 	for i := 0; i < b.N; i++ {
-		s, err := scenario.Parse(data, scenario.FormatTOML)
+		s, err := scenario.Parse(data)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -876,7 +860,7 @@ func BenchmarkScenarioLoad(b *testing.B) {
 // BenchmarkSimulation (grid handovers, churn spawns/despawns, outage
 // re-homing, and demand modulation on top of the base simulator loop).
 func BenchmarkScenarioSim(b *testing.B) {
-	s, err := scenario.Parse([]byte(benchScenarioTOML), scenario.FormatTOML)
+	s, err := scenario.Parse([]byte(benchScenarioJSON))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,7 @@
 //	vtmig-experiments -ablation solver         # closed form vs IBR
 //	vtmig-experiments -ablation multimsp       # monopoly vs competition
 //	vtmig-experiments -nonstationary           # frozen vs online under workload drift
-//	vtmig-experiments -nonstationary -static-scenario a.json -ns-scenario b.toml
+//	vtmig-experiments -nonstationary -static-scenario a.json -ns-scenario b.json
 //	vtmig-experiments -fig all -csv out/       # also write CSV files
 package main
 

@@ -71,7 +71,7 @@ func run(args []string, ready chan<- string, stop <-chan struct{}) error {
 		dir       = fs.String("dir", "", "durable state directory (journal + rotated checkpoints); required unless -replica-of")
 		updEvery  = fs.Int("update-every", 20, "online optimization cadence in quoted rounds")
 		snapEvery = fs.Int("snapshot-every", 1, "checkpoint-rotation cadence in optimization phases")
-		keep      = fs.Int("keep", 2, "rotated checkpoints to retain besides the bound one")
+		keep      = fs.Int("keep", 2, "published checkpoints to retain, counting the one the journal binds to")
 		history   = fs.Int("history", 0, "observation history length L (0: the paper's 4, or the warm-start checkpoint's)")
 		seed      = fs.Int64("seed", 1, "seed for the cold-start learner and initial history")
 		lr        = fs.Float64("lr", experiments.DefaultDRLConfig().PPO.LR, "Adam learning rate (keep it identical across restarts of one state dir)")

@@ -29,7 +29,7 @@
 // name ends in .bin, JSON otherwise).
 //
 // Instead of workload flags, `-scenario city.json` runs a declarative
-// scenario file (JSON or TOML, see internal/scenario): road world,
+// scenario file (strict JSON, see internal/scenario): road world,
 // fleet, churn, outages, demand cycle, and the pricer all come from the
 // file, and passing a workload or pricer flag alongside -scenario is an
 // explicit conflict error. Host-side flags (-verbose, -trace,
@@ -81,7 +81,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("vtmig-sim", flag.ContinueOnError)
 	var (
-		scenarioF   = fs.String("scenario", "", "run a declarative scenario file (.json or .toml) instead of the workload flags")
+		scenarioF   = fs.String("scenario", "", "run a declarative .json scenario file instead of the workload flags")
 		vehicles    = fs.Int("vehicles", 6, "number of vehicles (VMUs)")
 		rsus        = fs.Int("rsus", 8, "number of RSUs on the highway")
 		duration    = fs.Float64("duration", 600, "simulated seconds")

@@ -178,7 +178,7 @@ func TestRunFailureInjection(t *testing.T) {
 }
 
 func TestRunScenarioFile(t *testing.T) {
-	for _, file := range []string{"urban-grid.json", "churn.toml"} {
+	for _, file := range []string{"urban-grid.json", "churn.json"} {
 		path := filepath.Join("..", "..", "testdata", "scenarios", file)
 		if err := run([]string{"-scenario", path}); err != nil {
 			t.Errorf("run -scenario %s: %v", file, err)

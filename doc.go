@@ -31,7 +31,7 @@
 //     online pricer behind live HTTP traffic with audit-grade
 //     crash recovery;
 //   - a declarative scenario layer (internal/scenario behind vtmig-sim
-//     -scenario): strict JSON/TOML workload files — Manhattan-grid
+//     -scenario): strict JSON workload files — Manhattan-grid
 //     mobility, vehicle churn, heterogeneous vehicle classes, RSU
 //     outages, day/night demand cycles — compiled deterministically into
 //     simulator configurations;
@@ -45,7 +45,7 @@
 // # Performance architecture
 //
 // The training hot path is allocation-free in steady state. internal/mat
-// provides destination-passing GEMM kernels (MulTo, MulABTTo,
+// provides destination-passing GEMM kernels (MulTo, MulABTBiasTo,
 // MulATBAddTo) whose accumulation order is fixed per destination element,
 // internal/nn adds batched forward/backward passes that reuse per-layer
 // scratch across minibatches, and the PPO learner pushes every minibatch
@@ -62,7 +62,7 @@
 // accumulates only its weight and bias gradients; nothing reads the
 // observation gradient.
 // The tanh activations — the hidden layers and the squashed policy
-// mean, sample-at-a-time and batched — run through mat.TanhTo, an AVX2
+// mean, one row and batched — run through mat.TanhTo, an AVX2
 // kernel that evaluates four lanes at a time and returns math.Tanh's
 // bits: it follows math/tanh.go's branches and, for e^(2|x|), the
 // fused instruction sequence of math.Exp's amd64 assembly. It runs only
@@ -220,10 +220,9 @@
 // scenario is a named, self-contained description of one simulation —
 // road world, fleet, churn, outages, demand cycle, and the MSP pricer —
 // stated as what it changes about the default 6-vehicle highway world.
-// Scenario files are strict JSON or TOML (a dependency-free subset
-// parser funnels TOML through the same JSON schema, so both formats
-// share one unknown-field policy); loading validates everything, so a
-// loaded scenario always compiles. Compilation is deterministic:
+// Scenario files are strict JSON (unknown fields and trailing content are
+// errors, and any other extension, .toml included, is refused); loading
+// validates everything, so a loaded scenario always compiles. Compilation is deterministic:
 // the same (schema, seed) always yields the same sim.Config, including
 // the expansion of generator blocks like OutageGen, whose windows are
 // drawn from a dedicated splitmix64-derived stream
@@ -293,9 +292,11 @@
 // The same seed yields the same figures, bit for bit. Six rules enforce
 // it, numbered 1–8 with 3 and 7 retired:
 //
-//  1. Batched kernels accumulate in exactly the order of the
-//     sample-at-a-time loops they replaced (k-ascending, one accumulator
-//     per destination element; row-ascending gradient accumulation).
+//  1. Batched kernels accumulate in exactly the order of the textbook
+//     loops that the tests keep as their references (k-ascending, one
+//     accumulator per destination element; row-ascending gradient
+//     accumulation), so a batch's gradients equal one-row passes over
+//     its rows in order.
 //     Vector lanes span only independent destination elements; an
 //     in-register transpose only moves operands into them. In the GEMM,
 //     A·Bᵀ and Adam kernels a multiply-add is a separate multiply and

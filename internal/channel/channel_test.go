@@ -98,16 +98,13 @@ func TestValidate(t *testing.T) {
 
 func TestOFDMAAllocateRelease(t *testing.T) {
 	a := NewOFDMAAllocator(10)
-	if err := a.Allocate(1, 4); err != nil {
-		t.Fatalf("Allocate: %v", err)
-	}
-	if err := a.Allocate(2, 6); err != nil {
-		t.Fatalf("Allocate: %v", err)
+	if !a.TryAllocate(1, 4) || !a.TryAllocate(2, 6) {
+		t.Fatal("TryAllocate refused a grant that fits")
 	}
 	if got := a.Available(); got != 0 {
 		t.Errorf("Available = %v, want 0", got)
 	}
-	if err := a.Allocate(3, 0.1); err == nil {
+	if a.TryAllocate(3, 0.1) {
 		t.Error("over-subscription succeeded")
 	}
 	if err := a.Release(1); err != nil {
@@ -116,18 +113,18 @@ func TestOFDMAAllocateRelease(t *testing.T) {
 	if got := a.Available(); got != 4 {
 		t.Errorf("Available after release = %v, want 4", got)
 	}
-	if a.Grant(2) != 6 {
-		t.Errorf("Grant(2) = %v, want 6", a.Grant(2))
+	if a.grants[2] != 6 {
+		t.Errorf("grant of owner 2 = %v, want 6", a.grants[2])
 	}
-	if a.Grant(1) != 0 {
-		t.Errorf("Grant(1) after release = %v, want 0", a.Grant(1))
+	if _, ok := a.grants[1]; ok {
+		t.Errorf("owner 1 still holds %v after release", a.grants[1])
 	}
 }
 
 // TestOFDMAAvailableNeverNegative pins the rounding-residue clamp: the
-// Allocate slack admits grants whose float sum exceeds capacity by one
-// ulp (the fixture is a real ScaleToFit output for a 0.5 MHz pool whose
-// scaled demands sum to 0.5 + 2⁻⁵³), and Available must report that full
+// TryAllocate slack admits grants whose float sum exceeds capacity by one
+// ulp (the fixture is a real ScaleDemandsInPlace output for a 0.5 MHz pool
+// whose scaled demands sum to 0.5 + 2⁻⁵³), and Available must report that full
 // pool as 0, not as a negative residue. Found by FuzzGridSimSteps, whose
 // corpus keeps the input; the simulator treats negative availability as
 // corrupted accounting.
@@ -140,12 +137,12 @@ func TestOFDMAAvailableNeverNegative(t *testing.T) {
 		0.08604885974030677,
 	}
 	for owner, bw := range grants {
-		if err := a.Allocate(owner, bw); err != nil {
-			t.Fatalf("Allocate(%d, %v): %v", owner, bw, err)
+		if !a.TryAllocate(owner, bw) {
+			t.Fatalf("TryAllocate(%d, %v) refused", owner, bw)
 		}
 	}
-	if a.Used() <= a.Capacity() {
-		t.Fatalf("fixture no longer overshoots: used %v <= capacity %v", a.Used(), a.Capacity())
+	if a.used <= a.Capacity() {
+		t.Fatalf("fixture no longer overshoots: used %v <= capacity %v", a.used, a.Capacity())
 	}
 	if got := a.Available(); got != 0 {
 		t.Errorf("Available = %v, want exactly 0", got)
@@ -154,21 +151,27 @@ func TestOFDMAAvailableNeverNegative(t *testing.T) {
 
 func TestOFDMARejectsDuplicateOwner(t *testing.T) {
 	a := NewOFDMAAllocator(10)
-	if err := a.Allocate(1, 1); err != nil {
-		t.Fatalf("Allocate: %v", err)
+	if !a.TryAllocate(1, 1) {
+		t.Fatal("TryAllocate refused a grant that fits")
 	}
-	if err := a.Allocate(1, 1); err == nil {
+	if a.TryAllocate(1, 1) {
 		t.Error("duplicate owner allocation succeeded")
+	}
+	if a.used != 1 || a.grants[1] != 1 {
+		t.Errorf("refused duplicate changed the pool: used %v, grant %v", a.used, a.grants[1])
 	}
 }
 
 func TestOFDMARejectsNonPositive(t *testing.T) {
 	a := NewOFDMAAllocator(10)
-	if err := a.Allocate(1, 0); err == nil {
+	if a.TryAllocate(1, 0) {
 		t.Error("zero allocation succeeded")
 	}
-	if err := a.Allocate(1, -2); err == nil {
+	if a.TryAllocate(1, -2) {
 		t.Error("negative allocation succeeded")
+	}
+	if a.used != 0 || len(a.grants) != 0 {
+		t.Errorf("refused allocations changed the pool: used %v, grants %v", a.used, a.grants)
 	}
 }
 
@@ -176,24 +179,6 @@ func TestOFDMAReleaseUnknownOwner(t *testing.T) {
 	a := NewOFDMAAllocator(10)
 	if err := a.Release(7); err == nil {
 		t.Error("releasing unknown owner succeeded")
-	}
-}
-
-func TestOFDMAGrantsSorted(t *testing.T) {
-	a := NewOFDMAAllocator(10)
-	for _, owner := range []int{3, 1, 2} {
-		if err := a.Allocate(owner, 1); err != nil {
-			t.Fatalf("Allocate(%d): %v", owner, err)
-		}
-	}
-	grants := a.Grants()
-	if len(grants) != 3 {
-		t.Fatalf("grants = %d, want 3", len(grants))
-	}
-	for i, want := range []int{1, 2, 3} {
-		if grants[i].Owner != want {
-			t.Errorf("grants[%d].Owner = %d, want %d", i, grants[i].Owner, want)
-		}
 	}
 }
 
@@ -207,8 +192,8 @@ func TestOFDMACapacityValidation(t *testing.T) {
 }
 
 func TestScaleToFitNoScalingNeeded(t *testing.T) {
-	a := NewOFDMAAllocator(10)
-	out, scale := a.ScaleToFit([]float64{2, 3})
+	out := []float64{2, 3}
+	scale := ScaleDemandsInPlace(out, 10)
 	if scale != 1 {
 		t.Errorf("scale = %v, want 1", scale)
 	}
@@ -218,8 +203,8 @@ func TestScaleToFitNoScalingNeeded(t *testing.T) {
 }
 
 func TestScaleToFitShrinksProportionally(t *testing.T) {
-	a := NewOFDMAAllocator(10)
-	out, scale := a.ScaleToFit([]float64{15, 5})
+	out := []float64{15, 5}
+	scale := ScaleDemandsInPlace(out, 10)
 	if !mathx.AlmostEqual(scale, 0.5, 1e-12) {
 		t.Errorf("scale = %v, want 0.5", scale)
 	}
@@ -239,18 +224,18 @@ func TestOFDMAConservationProperty(t *testing.T) {
 		for i, op := range ops {
 			owner := i % 7
 			if op%2 == 0 {
-				_ = a.Allocate(owner, float64(op%50)+0.5)
+				a.TryAllocate(owner, float64(op%50)+0.5)
 			} else {
 				_ = a.Release(owner)
 			}
 			var total float64
-			for _, g := range a.Grants() {
-				total += g.Bandwidth
+			for _, bw := range a.grants {
+				total += bw
 			}
 			if !mathx.AlmostEqual(total+a.Available(), a.Capacity(), 1e-9) {
 				return false
 			}
-			if a.Used() > a.Capacity()+1e-9 {
+			if a.used > a.Capacity()+1e-9 {
 				return false
 			}
 		}

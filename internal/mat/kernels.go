@@ -9,24 +9,25 @@ import (
 // writes into a caller-supplied destination, never allocates, and uses a
 // fixed per-element accumulation order (k ascending, one accumulator per
 // destination element) so results are bit-for-bit deterministic and
-// identical to the naive sample-at-a-time loops they replace. Throughput
-// comes from loop order, register blocking and SIMD lanes, not from
-// reassociating floating-point sums:
+// identical to the textbook loops the tests keep as references.
+// Throughput comes from loop order, register blocking and SIMD lanes, not
+// from reassociating floating-point sums:
 //
 //   - MulTo uses the cache-friendly i-k-j loop order (unit stride over both
 //     B and C) with row blocking.
-//   - MulABTTo consumes Bᵀ without materializing the transpose. Its Go
+//   - MulABTBiasTo consumes Bᵀ without materializing the transpose. Its Go
 //     form reads both row-major operands at unit stride in a 2×4 register
 //     tile; its AVX2 form computes four destination columns per vector,
 //     transposing 4×4 blocks of B in registers, in 4×4 tiles that let one
 //     transposed block serve four rows of A. Every forward pass of an
 //     nn.Linear, one row or a batch, runs through it.
 //   - MulATBAddTo accumulates Aᵀ·B directly into dst, preserving the
-//     element-wise accumulation order of repeated rank-1 updates
-//     (AddOuterScaled), which gradient accumulation relies on.
+//     element-wise accumulation order of the textbook rank-1 update loop
+//     (dst[i][j] += a[k][i]·b[k][j], one k at a time, k ascending), which
+//     gradient accumulation relies on.
 //
 // On amd64 CPUs with AVX2 (probed once from CPUID), MulAddTo, MulTo,
-// MulABTTo, MulABTBiasTo, MulATBAddTo and AdamStep run the assembly in
+// MulABTBiasTo, MulATBAddTo and AdamStep run the assembly in
 // simd_amd64.s. Its vector lanes span only independent destination
 // elements, each still summed in its own k-ascending accumulator, and
 // each multiply-add is a separate VMULPD and VADDPD. An in-register
@@ -119,27 +120,17 @@ func MulAddTo(dst, a, b *Matrix) *Matrix {
 	return dst
 }
 
-// MulABTTo computes dst = a·bᵀ without materializing the transpose.
+// MulABTBiasTo computes dst = a·bᵀ + bias without materializing the
+// transpose, broadcasting bias (length b.Rows) across the rows of dst.
 // Shapes: a is m×k, b is n×k, dst is m×n. dst must not alias a or b.
 //
 // Element (i, j) is the dot product of row i of a and row j of b,
 // accumulated over k ascending in a single accumulator that starts at
-// +0: the bits of the textbook row-times-row loop. Where useAVX2 holds,
-// mulABTAVX2 computes four destination columns per vector from 4×4
-// blocks of b transposed in registers; the last n mod 4 columns, and
-// every column elsewhere, run mulABTCols.
-func MulABTTo(dst, a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("mat: MulABTTo inner dims %d vs %d", a.Cols, b.Cols))
-	}
-	checkShape("MulABTTo dst", dst.Rows, dst.Cols, a.Rows, b.Rows)
-	mulABT(dst, a, b, nil)
-	return dst
-}
-
-// MulABTBiasTo computes dst = a·bᵀ + bias, broadcasting bias (length
-// b.Rows) across the rows of dst. The bias is added after the full dot
-// product, matching "y = W·x then y += b" bit for bit.
+// +0, with bias[j] added after the full sum: the bits of the textbook
+// "y = W·x then y += b" loop. Where useAVX2 holds, mulABTAVX2 computes
+// four destination columns per vector from 4×4 blocks of b transposed in
+// registers; the last n mod 4 columns, and every column elsewhere, run
+// mulABTCols.
 func MulABTBiasTo(dst, a, b *Matrix, bias []float64) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulABTBiasTo inner dims %d vs %d", a.Cols, b.Cols))
@@ -152,8 +143,7 @@ func MulABTBiasTo(dst, a, b *Matrix, bias []float64) *Matrix {
 	return dst
 }
 
-// mulABT is the shared kernel behind MulABTTo and MulABTBiasTo. A nil
-// bias skips the broadcast add. The length checks stand in for the
+// mulABT is MulABTBiasTo's kernel. The length checks stand in for the
 // bounds checks the Go loop gets from slicing.
 func mulABT(dst, a, b *Matrix, bias []float64) {
 	m, kk, n := a.Rows, a.Cols, b.Rows
@@ -163,11 +153,7 @@ func mulABT(dst, a, b *Matrix, bias []float64) {
 			panic(fmt.Sprintf("mat: matrix data shorter than its shape (%d, %d, %d elements for %dx%d = %dx%d · (%dx%d)ᵀ)",
 				len(dst.Data), len(a.Data), len(b.Data), m, n, m, kk, n, kk))
 		}
-		var bp *float64
-		if bias != nil {
-			bp = &bias[0]
-		}
-		mulABTAVX2(&dst.Data[0], &a.Data[0], &b.Data[0], bp, m, kk, n)
+		mulABTAVX2(&dst.Data[0], &a.Data[0], &b.Data[0], &bias[0], m, kk, n)
 		j0 = n &^ 3
 	}
 	mulABTCols(dst, a, b, bias, j0)
@@ -205,11 +191,9 @@ func mulABTCols(dst, a, b *Matrix, bias []float64, j0 int) {
 				c12 += u1 * v2
 				c13 += u1 * v3
 			}
-			if bias != nil {
-				w0, w1, w2, w3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
-				c00, c01, c02, c03 = c00+w0, c01+w1, c02+w2, c03+w3
-				c10, c11, c12, c13 = c10+w0, c11+w1, c12+w2, c13+w3
-			}
+			w0, w1, w2, w3 := bias[j], bias[j+1], bias[j+2], bias[j+3]
+			c00, c01, c02, c03 = c00+w0, c01+w1, c02+w2, c03+w3
+			c10, c11, c12, c13 = c10+w0, c11+w1, c12+w2, c13+w3
 			d0 := dst.Data[i*n+j:]
 			d1 := dst.Data[(i+1)*n+j:]
 			d0[0], d0[1], d0[2], d0[3] = c00, c01, c02, c03
@@ -222,10 +206,8 @@ func mulABTCols(dst, a, b *Matrix, bias []float64, j0 int) {
 				c0 += a0[k] * bv
 				c1 += a1[k] * bv
 			}
-			if bias != nil {
-				w := bias[j]
-				c0, c1 = c0+w, c1+w
-			}
+			w := bias[j]
+			c0, c1 = c0+w, c1+w
 			dst.Data[i*n+j] = c0
 			dst.Data[(i+1)*n+j] = c1
 		}
@@ -239,10 +221,7 @@ func mulABTCols(dst, a, b *Matrix, bias []float64, j0 int) {
 			for k, bv := range brow {
 				c += arow[k] * bv
 			}
-			if bias != nil {
-				c += bias[j]
-			}
-			crow[j] = c
+			crow[j] = c + bias[j]
 		}
 	}
 }
@@ -251,10 +230,11 @@ func mulABTCols(dst, a, b *Matrix, bias []float64, j0 int) {
 // Shapes: a is k×m, b is k×n, dst is m×n. dst must not alias a or b.
 //
 // Each dst element starts from its current value and accumulates the k
-// terms in ascending order — bit-identical to applying k scaled rank-1
-// updates (AddOuterScaled) one at a time, which is exactly how
-// sample-at-a-time gradient accumulation orders its sums. Unrolling k by
-// 4 keeps each dst element in a register across four updates.
+// terms in ascending order — bit-identical to the textbook loop that
+// applies k rank-1 updates dst[i][j] += a[k][i]·b[k][j] one at a time,
+// which is the row-ascending order gradient accumulation promises.
+// Unrolling k by 4 keeps each dst element in a register across four
+// updates.
 func MulATBAddTo(dst, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("mat: MulATBAddTo outer dims %d vs %d", a.Rows, b.Rows))
@@ -408,16 +388,6 @@ func AddTo(dst, a, b *Matrix) *Matrix {
 	checkShape("AddTo dst", dst.Rows, dst.Cols, a.Rows, a.Cols)
 	for i, v := range a.Data {
 		dst.Data[i] = v + b.Data[i]
-	}
-	return dst
-}
-
-// ScaleTo computes dst = s·a element-wise. Shapes must match; dst may
-// alias a. It returns dst.
-func ScaleTo(dst *Matrix, s float64, a *Matrix) *Matrix {
-	checkShape("ScaleTo dst", dst.Rows, dst.Cols, a.Rows, a.Cols)
-	for i, v := range a.Data {
-		dst.Data[i] = s * v
 	}
 	return dst
 }

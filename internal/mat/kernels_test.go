@@ -102,17 +102,17 @@ func TestMulAddToAccumulates(t *testing.T) {
 		a := randMat(rng, 7, 9)
 		b := randMat(rng, 9, 5)
 		dst := randMat(rng, 7, 5)
-		a.Set(0, 3, 0)
-		b.Set(3, 1, math.Inf(1))
-		a.Set(2, 4, 0)
-		for j := 0; j < 5; j++ {
-			dst.Set(4, j, math.Copysign(0, -1))
+		a.Row(0)[3] = 0
+		b.Row(3)[1] = math.Inf(1)
+		a.Row(2)[4] = 0
+		for j := range dst.Row(4) {
+			dst.Row(4)[j] = math.Copysign(0, -1)
 		}
-		for k := 0; k < 9; k++ {
-			a.Set(4, k, 0)
+		for k := range a.Row(4) {
+			a.Row(4)[k] = 0
 		}
-		b.Set(0, 0, 1) // row 4's first term in column 0 is +0
-		want := CloneSlice(dst.Data)
+		b.Row(0)[0] = 1 // row 4's first term in column 0 is +0
+		want := append([]float64(nil), dst.Data...)
 		refGemmAcc(want, rowsOf(a), b.Data, 7, 9, 5)
 		requireSameBits(t, "MulAddTo", MulAddTo(dst, a, b).Data, want)
 		if !math.IsNaN(dst.At(0, 1)) {
@@ -124,9 +124,9 @@ func TestMulAddToAccumulates(t *testing.T) {
 	})
 }
 
-// refABT is the textbook loop MulABTTo and MulABTBiasTo must reproduce:
-// dst[i][j] = Σₖ a[i][k]·b[j][k] in one accumulator that starts at +0,
-// k ascending, then + bias[j] unless bias is nil.
+// refABT is the textbook loop MulABTBiasTo must reproduce: dst[i][j] =
+// Σₖ a[i][k]·b[j][k] in one accumulator that starts at +0, k ascending,
+// then + bias[j].
 func refABT(a, b *Matrix, bias []float64) []float64 {
 	m, kk, n := a.Rows, a.Cols, b.Rows
 	out := make([]float64, m*n)
@@ -136,17 +136,15 @@ func refABT(a, b *Matrix, bias []float64) []float64 {
 			for k := 0; k < kk; k++ {
 				s += a.Data[i*kk+k] * b.Data[j*kk+k]
 			}
-			if bias != nil {
-				s += bias[j]
-			}
-			out[i*n+j] = s
+			out[i*n+j] = s + bias[j]
 		}
 	}
 	return out
 }
 
 // TestMulABTBiasToMatchesForward checks the fused bias add against the
-// sequential "dot then add bias" order of a layer's forward pass.
+// sequential "dot then add bias" order of a layer's forward pass, one
+// row at a time.
 func TestMulABTBiasToMatchesForward(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(4))
@@ -159,18 +157,16 @@ func TestMulABTBiasToMatchesForward(t *testing.T) {
 		}
 		got := MulABTBiasTo(New(batch, out), x, w, bias)
 		for b := 0; b < batch; b++ {
-			want := refABT(FromSlice(1, in, x.Row(b)), w, nil)
-			for j := range want {
-				want[j] += bias[j]
-			}
+			want := refABT(FromSlice(1, in, x.Row(b)), w, bias)
 			requireSameBits(t, fmt.Sprintf("row %d", b), got.Row(b), want)
 		}
 	})
 }
 
 // TestMulATBAddToMatchesOuterUpdates checks bit-exact agreement with the
-// gradient-accumulation path it replaces: one AddOuterScaled rank-1 update
-// per batch row, applied in row order.
+// textbook gradient-accumulation loop: one rank-1 update dst[i][j] +=
+// dy[b][i]·x[b][j] per batch row, applied in row order, with no term
+// skipped.
 func TestMulATBAddToMatchesOuterUpdates(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(5))
@@ -178,16 +174,21 @@ func TestMulATBAddToMatchesOuterUpdates(t *testing.T) {
 		dy := randMat(rng, batch, out)
 		x := randMat(rng, batch, in)
 		got := randMat(rng, out, in)
-		want := got.Clone()
+		want := append([]float64(nil), got.Data...)
 		for b := 0; b < batch; b++ {
-			want.AddOuterScaled(dy.Row(b), x.Row(b), 1)
+			for i, g := range dy.Row(b) {
+				for j, v := range x.Row(b) {
+					want[i*in+j] += g * v
+				}
+			}
 		}
-		requireSameBits(t, "MulATBAddTo", MulATBAddTo(got, dy, x).Data, want.Data)
+		requireSameBits(t, "MulATBAddTo", MulATBAddTo(got, dy, x).Data, want)
 	})
 }
 
 // TestMulToMatchesMulVecT checks that dX = dY·W agrees bit for bit with
-// per-row MulVecT, the backward input-gradient path it replaces.
+// the textbook per-row product Wᵀ·dy, the input gradient of one sample:
+// dx[j] = Σₖ dy[k]·W[k][j], from +0, k ascending.
 func TestMulToMatchesMulVecT(t *testing.T) {
 	forEachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(6))
@@ -197,22 +198,24 @@ func TestMulToMatchesMulVecT(t *testing.T) {
 		got := MulTo(New(batch, in), dy, w)
 		dst := make([]float64, in)
 		for b := 0; b < batch; b++ {
-			w.MulVecT(dy.Row(b), dst)
+			for j := range dst {
+				var s float64
+				for k, g := range dy.Row(b) {
+					s += g * w.At(k, j)
+				}
+				dst[j] = s
+			}
 			requireSameBits(t, fmt.Sprintf("row %d", b), got.Row(b), dst)
 		}
 	})
 }
 
-func TestAddToScaleToAddColSumTo(t *testing.T) {
+func TestAddToAddColSumTo(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := FromSlice(2, 2, []float64{10, 20, 30, 40})
 	sum := AddTo(New(2, 2), a, b)
 	if sum.At(1, 1) != 44 {
 		t.Errorf("AddTo = %v, want 44", sum.At(1, 1))
-	}
-	sc := ScaleTo(New(2, 2), 2, a)
-	if sc.At(0, 1) != 4 {
-		t.Errorf("ScaleTo = %v, want 4", sc.At(0, 1))
 	}
 	cs := []float64{1, 1}
 	AddColSumTo(cs, a)
@@ -227,17 +230,17 @@ func TestKernelShapePanics(t *testing.T) {
 	short := &Matrix{Rows: 2, Cols: 3, Data: make([]float64, 5)}
 	two, three := make([]float64, 2), make([]float64, 3)
 	cases := map[string]func(){
-		"MulTo":             func() { MulTo(New(2, 5), a, b) },
-		"MulABTTo":          func() { MulABTTo(New(2, 4), a, b) },
-		"MulATBAddTo":       func() { MulATBAddTo(New(3, 5), a, b) },
-		"AddTo":             func() { AddTo(New(2, 3), a, b) },
-		"Resize":            func() { New(1, 1).Resize(0, 2) },
-		"MulABTBiasTo/bias": func() { MulABTBiasTo(New(2, 4), a, New(4, 3), two) },
-		"AdamStep":          func() { AdamStep(two, three, two, two, 0.9, 0.999, 1, 1, 1, 1e-8) },
-		"TanhTo":            func() { TanhTo(two, three) },
-		"MulAddTo/short":    func() { MulAddTo(New(2, 4), short, New(3, 4)) },
-		"MulATBAddTo/short": func() { MulATBAddTo(New(3, 4), short, New(2, 4)) },
-		"MulABTTo/short":    func() { MulABTTo(New(2, 4), short, New(4, 3)) },
+		"MulTo":              func() { MulTo(New(2, 5), a, b) },
+		"MulABTBiasTo":       func() { MulABTBiasTo(New(2, 4), a, b, make([]float64, 4)) },
+		"MulATBAddTo":        func() { MulATBAddTo(New(3, 5), a, b) },
+		"AddTo":              func() { AddTo(New(2, 3), a, b) },
+		"Resize":             func() { New(1, 1).Resize(0, 2) },
+		"MulABTBiasTo/bias":  func() { MulABTBiasTo(New(2, 4), a, New(4, 3), two) },
+		"AdamStep":           func() { AdamStep(two, three, two, two, 0.9, 0.999, 1, 1, 1, 1e-8) },
+		"TanhTo":             func() { TanhTo(two, three) },
+		"MulAddTo/short":     func() { MulAddTo(New(2, 4), short, New(3, 4)) },
+		"MulATBAddTo/short":  func() { MulATBAddTo(New(3, 4), short, New(2, 4)) },
+		"MulABTBiasTo/short": func() { MulABTBiasTo(New(2, 4), short, New(4, 3), make([]float64, 4)) },
 	}
 	forEachKernelPath(t, func(t *testing.T) {
 		for name, fn := range cases {
@@ -287,7 +290,6 @@ func TestKernelsAllocationFree(t *testing.T) {
 		p, g, m, v := make([]float64, 30), make([]float64, 30), make([]float64, 30), make([]float64, 30)
 		for name, fn := range map[string]func(){
 			"MulTo":            func() { MulTo(dstMul, a, b) },
-			"MulABTTo":         func() { MulABTTo(dstABT, a, w) },
 			"MulABTBiasTo":     func() { MulABTBiasTo(dstABT, a, w, bias) },
 			"MulATBAddTo":      func() { MulATBAddTo(dstATB, dy, b) },
 			"AddColSumTo":      func() { AddColSumTo(cs, a) },

@@ -47,12 +47,6 @@ func (m *Matrix) At(i, j int) float64 {
 	return m.Data[i*m.Cols+j]
 }
 
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) {
-	m.check(i, j)
-	m.Data[i*m.Cols+j] = v
-}
-
 func (m *Matrix) check(i, j int) {
 	if i < 0 || i >= m.Rows || j < 0 || j >= m.Cols {
 		panic(fmt.Sprintf("mat: index (%d, %d) out of range for %dx%d matrix", i, j, m.Rows, m.Cols))
@@ -65,13 +59,6 @@ func (m *Matrix) Row(i int) []float64 {
 		panic(fmt.Sprintf("mat: row %d out of range for %dx%d matrix", i, m.Rows, m.Cols))
 	}
 	return m.Data[i*m.Cols : (i+1)*m.Cols]
-}
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	out := New(m.Rows, m.Cols)
-	copy(out.Data, m.Data)
-	return out
 }
 
 // Zero sets every element of m to 0 in place.
@@ -102,93 +89,6 @@ func (m *Matrix) XavierInit(rng *rand.Rand, fanIn, fanOut int) {
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64()*2 - 1) * limit
 	}
-}
-
-// MulVecT computes mᵀ · x (x has length m.Rows) and stores the result in
-// dst, which must have length m.Cols. It returns dst.
-func (m *Matrix) MulVecT(x, dst []float64) []float64 {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("mat: MulVecT input length %d, want %d", len(x), m.Rows))
-	}
-	if len(dst) != m.Cols {
-		panic(fmt.Sprintf("mat: MulVecT output length %d, want %d", len(dst), m.Cols))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, w := range row {
-			dst[j] += w * xi
-		}
-	}
-	return dst
-}
-
-// AddOuterScaled accumulates scale · (x ⊗ y) into m, where x has length
-// m.Rows and y has length m.Cols. It is the rank-1 update used by gradient
-// accumulation.
-func (m *Matrix) AddOuterScaled(x, y []float64, scale float64) {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("mat: AddOuterScaled x length %d, want %d", len(x), m.Rows))
-	}
-	if len(y) != m.Cols {
-		panic(fmt.Sprintf("mat: AddOuterScaled y length %d, want %d", len(y), m.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		s := x[i] * scale
-		if s == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := range row {
-			row[j] += s * y[j]
-		}
-	}
-}
-
-// AddScaled accumulates scale · other into m. Shapes must match.
-func (m *Matrix) AddScaled(other *Matrix, scale float64) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(fmt.Sprintf("mat: AddScaled shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	for i, v := range other.Data {
-		m.Data[i] += scale * v
-	}
-}
-
-// Scale multiplies every element of m by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
-	}
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Matrix) FrobeniusNorm() float64 {
-	var ss float64
-	for _, v := range m.Data {
-		ss += v * v
-	}
-	return math.Sqrt(ss)
-}
-
-// Equal reports whether m and other have the same shape and identical
-// elements.
-func (m *Matrix) Equal(other *Matrix) bool {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		return false
-	}
-	for i, v := range m.Data {
-		if v != other.Data[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String formats the matrix for debugging.

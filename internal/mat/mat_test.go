@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"vtmig/internal/mathx"
 )
@@ -53,14 +52,6 @@ func TestFromSlicePanicsOnLengthMismatch(t *testing.T) {
 	FromSlice(2, 2, []float64{1, 2, 3})
 }
 
-func TestAtSetRoundTrip(t *testing.T) {
-	m := New(2, 2)
-	m.Set(1, 1, 42)
-	if got := m.At(1, 1); got != 42 {
-		t.Errorf("At(1,1) = %v, want 42", got)
-	}
-}
-
 func TestIndexOutOfRangePanics(t *testing.T) {
 	m := New(2, 2)
 	for _, idx := range [][2]int{{2, 0}, {0, 2}, {-1, 0}, {0, -1}} {
@@ -84,30 +75,18 @@ func TestRowAliases(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	c := m.Clone()
-	c.Set(0, 0, -1)
-	if m.At(0, 0) != 1 {
-		t.Error("Clone is not a deep copy")
-	}
-	if !m.Equal(m.Clone()) {
-		t.Error("Clone should be Equal to the original")
-	}
-}
-
-func TestMulVecT(t *testing.T) {
-	// [1 2; 3 4]^T * [5, 6] = [1*5+3*6, 2*5+4*6] = [23, 34]
-	m := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	got := m.MulVecT([]float64{5, 6}, make([]float64, 2))
-	if got[0] != 23 || got[1] != 34 {
-		t.Errorf("MulVecT = %v, want [23 34]", got)
-	}
-}
-
 // Property: for random m, x, y we have (m·x)·y == x·(mᵀ·y) — the adjoint
-// identity that backpropagation depends on.
+// identity that backpropagation depends on. A layer's forward pass
+// computes m·x as x·mᵀ (MulABTBiasTo, zero bias) and its backward pass
+// mᵀ·y as y·m (MulTo).
 func TestMulVecAdjointProperty(t *testing.T) {
+	dot := func(x, y []float64) float64 {
+		var s float64
+		for i, v := range x {
+			s += v * y[i]
+		}
+		return s
+	}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 100; trial++ {
 		rows := 1 + rng.Intn(8)
@@ -116,51 +95,12 @@ func TestMulVecAdjointProperty(t *testing.T) {
 		m.Randomize(rng, 1)
 		x := randVec(rng, cols)
 		y := randVec(rng, rows)
-		lhs := Dot(MulABTTo(New(1, rows), FromSlice(1, cols, x), m).Data, y)
-		rhs := Dot(x, m.MulVecT(y, make([]float64, cols)))
+		lhs := dot(MulABTBiasTo(New(1, rows), FromSlice(1, cols, x), m, make([]float64, rows)).Data, y)
+		rhs := dot(x, MulTo(New(1, cols), FromSlice(1, rows, y), m).Data)
 		if !mathx.AlmostEqual(lhs, rhs, 1e-9) {
 			t.Fatalf("adjoint identity violated: %v vs %v (shape %dx%d)", lhs, rhs, rows, cols)
 		}
 	}
-}
-
-func TestAddOuterScaled(t *testing.T) {
-	m := New(2, 2)
-	m.AddOuterScaled([]float64{1, 2}, []float64{3, 4}, 2)
-	want := FromSlice(2, 2, []float64{6, 8, 12, 16})
-	if !m.Equal(want) {
-		t.Errorf("AddOuterScaled = %v, want %v", m.Data, want.Data)
-	}
-}
-
-func TestAddOuterScaledAccumulates(t *testing.T) {
-	m := FromSlice(1, 1, []float64{10})
-	m.AddOuterScaled([]float64{2}, []float64{3}, 1)
-	if got := m.At(0, 0); got != 16 {
-		t.Errorf("accumulated value = %v, want 16", got)
-	}
-}
-
-func TestAddScaledAndScale(t *testing.T) {
-	m := FromSlice(1, 2, []float64{1, 2})
-	n := FromSlice(1, 2, []float64{10, 20})
-	m.AddScaled(n, 0.5)
-	if m.At(0, 0) != 6 || m.At(0, 1) != 12 {
-		t.Errorf("AddScaled = %v, want [6 12]", m.Data)
-	}
-	m.Scale(2)
-	if m.At(0, 0) != 12 || m.At(0, 1) != 24 {
-		t.Errorf("Scale = %v, want [12 24]", m.Data)
-	}
-}
-
-func TestAddScaledShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AddScaled shape mismatch did not panic")
-		}
-	}()
-	New(2, 2).AddScaled(New(2, 3), 1)
 }
 
 func TestZeroFill(t *testing.T) {
@@ -179,13 +119,6 @@ func TestZeroFill(t *testing.T) {
 	}
 }
 
-func TestFrobeniusNorm(t *testing.T) {
-	m := FromSlice(1, 2, []float64{3, 4})
-	if got := m.FrobeniusNorm(); got != 5 {
-		t.Errorf("FrobeniusNorm = %v, want 5", got)
-	}
-}
-
 func TestXavierInitWithinBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := New(64, 64)
@@ -197,88 +130,12 @@ func TestXavierInitWithinBounds(t *testing.T) {
 		}
 	}
 	// The draw should not be degenerate.
-	if m.FrobeniusNorm() == 0 {
+	nonzero := false
+	for _, v := range m.Data {
+		nonzero = nonzero || v != 0
+	}
+	if !nonzero {
 		t.Error("Xavier init produced an all-zero matrix")
-	}
-}
-
-func TestDot(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
-}
-
-func TestDotLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Dot length mismatch did not panic")
-		}
-	}()
-	Dot([]float64{1}, []float64{1, 2})
-}
-
-func TestVectorOps(t *testing.T) {
-	x := []float64{1, 2}
-	y := []float64{10, 20}
-	if got := AxpyInto(make([]float64, 2), 2, x, y); got[0] != 12 || got[1] != 24 {
-		t.Errorf("AxpyInto = %v, want [12 24]", got)
-	}
-	if got := AddInto(make([]float64, 2), x, y); got[0] != 11 || got[1] != 22 {
-		t.Errorf("AddInto = %v, want [11 22]", got)
-	}
-	if got := SubInto(make([]float64, 2), y, x); got[0] != 9 || got[1] != 18 {
-		t.Errorf("SubInto = %v, want [9 18]", got)
-	}
-	if got := MulInto(make([]float64, 2), x, y); got[0] != 10 || got[1] != 40 {
-		t.Errorf("MulInto = %v, want [10 40]", got)
-	}
-	if got := ScaleInto(make([]float64, 2), 3, x); got[0] != 3 || got[1] != 6 {
-		t.Errorf("ScaleInto = %v, want [3 6]", got)
-	}
-	if got := MapInto(make([]float64, 2), func(v float64) float64 { return v * v }, x); got[0] != 1 || got[1] != 4 {
-		t.Errorf("MapInto = %v, want [1 4]", got)
-	}
-}
-
-func TestVectorOpsAlias(t *testing.T) {
-	x := []float64{1, 2}
-	AddInto(x, x, x)
-	if x[0] != 2 || x[1] != 4 {
-		t.Errorf("aliased AddInto = %v, want [2 4]", x)
-	}
-}
-
-func TestNorm2(t *testing.T) {
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %v, want 5", got)
-	}
-	if got := Norm2(nil); got != 0 {
-		t.Errorf("Norm2(nil) = %v, want 0", got)
-	}
-}
-
-func TestCloneSlice(t *testing.T) {
-	x := []float64{1, 2}
-	c := CloneSlice(x)
-	c[0] = 9
-	if x[0] != 1 {
-		t.Error("CloneSlice is not a copy")
-	}
-}
-
-func TestDotSymmetryProperty(t *testing.T) {
-	f := func(a, b [4]float64) bool {
-		for _, v := range append(a[:], b[:]...) {
-			// Huge magnitudes overflow to ±Inf, and a sum containing
-			// Inf-Inf yields NaN, which is not equal to itself.
-			if math.IsNaN(v) || math.Abs(v) > 1e150 {
-				return true
-			}
-		}
-		return Dot(a[:], b[:]) == Dot(b[:], a[:])
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

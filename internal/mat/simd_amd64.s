@@ -309,9 +309,8 @@ done:
 
 // func mulABTAVX2(c, a, b, bias *float64, m, kk, n int)
 //
-// c[i*n+j] = Σₖ a[i*kk+k]·b[j*kk+k] (+ bias[j] unless bias is nil) for
-// every i < m and every j < n &^ 3; the last n mod 4 columns are the
-// caller's. The lanes of a vector are four consecutive columns j…j+3.
+// c[i*n+j] = Σₖ a[i*kk+k]·b[j*kk+k] + bias[j] for every i < m and every
+// j < n &^ 3; the last n mod 4 columns are the caller's. The lanes of a vector are four consecutive columns j…j+3.
 // Each lane's accumulator starts at +0 and takes its k terms ascending,
 // one VMULPD then one VADDPD each, and the bias is added after the full
 // sum, so every element has the bits of kernels.go's mulABTCols. The
@@ -377,15 +376,11 @@ abtQuadTailK:
 
 abtQuadBias:
 	MOVQ    bias+24(FP), DX
-	TESTQ   DX, DX
-	JZ      abtQuadStore
 	VMOVUPD (DX)(BX*1), Y8
 	VADDPD  Y8, Y0, Y0
 	VADDPD  Y8, Y1, Y1
 	VADDPD  Y8, Y2, Y2
 	VADDPD  Y8, Y3, Y3
-
-abtQuadStore:
 	LEAQ    (DI)(BX*1), AX
 	VMOVUPD Y0, (AX)
 	VMOVUPD Y1, (AX)(R10*1)
@@ -450,13 +445,9 @@ abtOctTailK:
 	JNZ  abtOctTailK
 
 abtOctBias:
-	MOVQ   bias+24(FP), DX
-	TESTQ  DX, DX
-	JZ     abtOctStore
-	VADDPD (DX)(BX*1), Y0, Y0
-	VADDPD 32(DX)(BX*1), Y1, Y1
-
-abtOctStore:
+	MOVQ    bias+24(FP), DX
+	VADDPD  (DX)(BX*1), Y0, Y0
+	VADDPD  32(DX)(BX*1), Y1, Y1
 	VMOVUPD Y0, (DI)(BX*1)
 	VMOVUPD Y1, 32(DI)(BX*1)
 	LEAQ    (R9)(R11*8), R9 // the next eight rows of b
@@ -498,12 +489,8 @@ abtQuadColsTailK:
 	JNZ  abtQuadColsTailK
 
 abtQuadColsBias:
-	MOVQ   bias+24(FP), DX
-	TESTQ  DX, DX
-	JZ     abtQuadColsStore
-	VADDPD (DX)(BX*1), Y0, Y0
-
-abtQuadColsStore:
+	MOVQ    bias+24(FP), DX
+	VADDPD  (DX)(BX*1), Y0, Y0
 	VMOVUPD Y0, (DI)(BX*1)
 
 abtSingleDone:

@@ -1,82 +1,6 @@
 package mat
 
-import (
-	"fmt"
-	"math"
-)
-
-// Dot returns the inner product of x and y, which must have equal length.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(x), len(y)))
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
-	}
-	return s
-}
-
-// AxpyInto computes dst = a·x + y element-wise. All slices must have the
-// same length. dst may alias x or y. It returns dst.
-func AxpyInto(dst []float64, a float64, x, y []float64) []float64 {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic(fmt.Sprintf("mat: AxpyInto length mismatch dst=%d x=%d y=%d", len(dst), len(x), len(y)))
-	}
-	for i := range dst {
-		dst[i] = a*x[i] + y[i]
-	}
-	return dst
-}
-
-// ScaleInto computes dst = a·x element-wise. dst may alias x.
-func ScaleInto(dst []float64, a float64, x []float64) []float64 {
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("mat: ScaleInto length mismatch %d vs %d", len(dst), len(x)))
-	}
-	for i := range dst {
-		dst[i] = a * x[i]
-	}
-	return dst
-}
-
-// AddInto computes dst = x + y element-wise. dst may alias either input.
-func AddInto(dst, x, y []float64) []float64 {
-	return AxpyInto(dst, 1, x, y)
-}
-
-// SubInto computes dst = x - y element-wise. dst may alias either input.
-func SubInto(dst, x, y []float64) []float64 {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic(fmt.Sprintf("mat: SubInto length mismatch dst=%d x=%d y=%d", len(dst), len(x), len(y)))
-	}
-	for i := range dst {
-		dst[i] = x[i] - y[i]
-	}
-	return dst
-}
-
-// MulInto computes the Hadamard product dst = x ⊙ y.
-func MulInto(dst, x, y []float64) []float64 {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic(fmt.Sprintf("mat: MulInto length mismatch dst=%d x=%d y=%d", len(dst), len(x), len(y)))
-	}
-	for i := range dst {
-		dst[i] = x[i] * y[i]
-	}
-	return dst
-}
-
-// MapInto applies f element-wise: dst = f(x). dst may alias x.
-func MapInto(dst []float64, f func(float64) float64, x []float64) []float64 {
-	if len(dst) != len(x) {
-		panic(fmt.Sprintf("mat: MapInto length mismatch %d vs %d", len(dst), len(x)))
-	}
-	for i, v := range x {
-		dst[i] = f(v)
-	}
-	return dst
-}
+import "fmt"
 
 // DivSubInto computes the fused quotient-difference dst = x/s − y
 // element-wise: dst[i] = x[i]/s − y[i]. dst may alias x or y. The
@@ -108,20 +32,4 @@ func ClampMinInto(dst, x []float64, lo float64) []float64 {
 		dst[i] = v
 	}
 	return dst
-}
-
-// Norm2 returns the Euclidean norm of x.
-func Norm2(x []float64) float64 {
-	var ss float64
-	for _, v := range x {
-		ss += v * v
-	}
-	return math.Sqrt(ss)
-}
-
-// CloneSlice returns a copy of x.
-func CloneSlice(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	return out
 }

@@ -229,73 +229,6 @@ func TestLog2OnePlusPanics(t *testing.T) {
 	Log2OnePlus(-1)
 }
 
-func TestRunningStatMatchesBatch(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	var rs RunningStat
-	for _, x := range xs {
-		rs.Add(x)
-	}
-	if rs.Count() != len(xs) {
-		t.Errorf("Count = %d, want %d", rs.Count(), len(xs))
-	}
-	if !AlmostEqual(rs.Mean(), Mean(xs), 1e-12) {
-		t.Errorf("running mean = %v, batch mean = %v", rs.Mean(), Mean(xs))
-	}
-	if !AlmostEqual(rs.StdDev(), StdDev(xs), 1e-12) {
-		t.Errorf("running stddev = %v, batch stddev = %v", rs.StdDev(), StdDev(xs))
-	}
-	if rs.Min() != 2 || rs.Max() != 9 {
-		t.Errorf("Min/Max = %v/%v, want 2/9", rs.Min(), rs.Max())
-	}
-}
-
-func TestRunningStatProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		var rs RunningStat
-		clean := make([]float64, 0, len(xs))
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-				continue
-			}
-			clean = append(clean, x)
-			rs.Add(x)
-		}
-		if len(clean) == 0 {
-			return rs.Count() == 0
-		}
-		return AlmostEqual(rs.Mean(), Mean(clean), 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if got := e.Add(10); got != 10 {
-		t.Errorf("first Add = %v, want 10 (seeds the average)", got)
-	}
-	if got := e.Add(0); got != 5 {
-		t.Errorf("second Add = %v, want 5", got)
-	}
-	if got := e.Value(); got != 5 {
-		t.Errorf("Value = %v, want 5", got)
-	}
-}
-
-func TestEWMAPanicsOnBadAlpha(t *testing.T) {
-	for _, alpha := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEWMA(%v) did not panic", alpha)
-				}
-			}()
-			NewEWMA(alpha)
-		}()
-	}
-}
-
 func TestGoldenMaxQuadratic(t *testing.T) {
 	// f(x) = -(x-3)^2 + 7 has its maximum at x=3.
 	f := func(x float64) float64 { return -(x-3)*(x-3) + 7 }

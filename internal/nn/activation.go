@@ -45,9 +45,7 @@ func (a Activation) String() string {
 type activationLayer struct {
 	kind    Activation
 	dim     int
-	lastIn  []float64 // ReLU and softplus only
-	lastOut []float64
-	gradBuf []float64
+	lastOut []float64 // Forward's output
 
 	// batched caches, grown to the largest batch seen and reused
 	inMat   mat.Matrix // ReLU and softplus only
@@ -56,22 +54,13 @@ type activationLayer struct {
 }
 
 // NewActivation returns an activation module of the given kind and width.
-func NewActivation(kind Activation, dim int) BatchModule {
+func NewActivation(kind Activation, dim int) Module {
 	switch kind {
 	case ActIdentity, ActTanh, ActReLU, ActSigmoid, ActSoftplus:
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(kind)))
 	}
-	a := &activationLayer{
-		kind:    kind,
-		dim:     dim,
-		lastOut: make([]float64, dim),
-		gradBuf: make([]float64, dim),
-	}
-	if derivReadsInput(kind) {
-		a.lastIn = make([]float64, dim)
-	}
-	return a
+	return &activationLayer{kind: kind, dim: dim, lastOut: make([]float64, dim)}
 }
 
 // derivReadsInput reports whether kind's derivative is computed from the
@@ -80,17 +69,8 @@ func derivReadsInput(kind Activation) bool { return kind == ActReLU || kind == A
 
 func (a *activationLayer) Forward(x []float64) []float64 {
 	checkLen(a.kind.String(), "input", len(x), a.dim)
-	if derivReadsInput(a.kind) {
-		copy(a.lastIn, x)
-	}
 	a.apply(a.lastOut, x)
 	return a.lastOut
-}
-
-func (a *activationLayer) Backward(grad []float64) []float64 {
-	checkLen(a.kind.String(), "output grad", len(grad), a.dim)
-	a.backward(a.gradBuf, grad, a.lastIn, a.lastOut)
-	return a.gradBuf
 }
 
 // ForwardBatch applies the nonlinearity to every element of x. The
@@ -149,8 +129,6 @@ func (a *activationLayer) backward(dst, grad, in, out []float64) {
 }
 
 func (a *activationLayer) Params() []*Param { return nil }
-func (a *activationLayer) InDim() int       { return a.dim }
-func (a *activationLayer) OutDim() int      { return a.dim }
 
 // activate evaluates the nonlinearity at v.
 func activate(kind Activation, v float64) float64 {

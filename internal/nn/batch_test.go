@@ -1,12 +1,69 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"vtmig/internal/mat"
 )
+
+// stack is a test network: Linear layers with the given activation
+// between consecutive ones and a linear output, the composition
+// rl.ActorCritic builds its trunk and heads from.
+type stack struct {
+	mods   []Module
+	params []*Param
+}
+
+var _ Module = (*stack)(nil)
+
+// newStack builds a stack with the given layer widths: sizes[0] inputs,
+// sizes[len-1] outputs.
+func newStack(name string, sizes []int, act Activation, rng *rand.Rand) *stack {
+	s := &stack{}
+	for i := 0; i+1 < len(sizes); i++ {
+		s.mods = append(s.mods, NewLinear(fmt.Sprintf("%s.l%d", name, i), sizes[i], sizes[i+1], rng))
+		if i+2 < len(sizes) {
+			s.mods = append(s.mods, NewActivation(act, sizes[i+1]))
+		}
+	}
+	for _, m := range s.mods {
+		s.params = append(s.params, m.Params()...)
+	}
+	return s
+}
+
+func (s *stack) Forward(x []float64) []float64 {
+	for _, m := range s.mods {
+		x = m.Forward(x)
+	}
+	return x
+}
+
+func (s *stack) ForwardBatch(x *mat.Matrix) *mat.Matrix {
+	for _, m := range s.mods {
+		x = m.ForwardBatch(x)
+	}
+	return x
+}
+
+func (s *stack) BackwardBatch(g *mat.Matrix) *mat.Matrix {
+	for i := len(s.mods) - 1; i >= 0; i-- {
+		g = s.mods[i].BackwardBatch(g)
+	}
+	return g
+}
+
+func (s *stack) Params() []*Param { return s.params }
+
+// backwardRow runs one-row ForwardBatch and BackwardBatch calls on mod
+// for input x and output gradient g, and returns the input gradient.
+func backwardRow(mod Module, x, g []float64) []float64 {
+	mod.ForwardBatch(mat.FromSlice(1, len(x), x))
+	return mod.BackwardBatch(mat.FromSlice(1, len(g), g)).Row(0)
+}
 
 // cloneGrads snapshots every parameter gradient.
 func cloneGrads(params []*Param) [][]float64 {
@@ -17,14 +74,91 @@ func cloneGrads(params []*Param) [][]float64 {
 	return out
 }
 
+// signedZeroMix fills x with standard normals, the given share of them
+// replaced by +0 or −0 at random.
+func signedZeroMix(rng *rand.Rand, x []float64, share float64) {
+	for i := range x {
+		x[i] = rng.NormFloat64()
+		if rng.Float64() < share {
+			x[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
+		}
+	}
+}
+
+// refLinearBackward is the textbook per-sample backward pass of l for
+// input x and output gradient g: dW += g⊗x and db += g, each element
+// updated from its current value with no term skipped, and the returned
+// dx[j] = Σₖ g[k]·W[k][j], summed from +0 over k ascending.
+func refLinearBackward(l *Linear, x, g []float64) []float64 {
+	for i, gi := range g {
+		for j, xj := range x {
+			l.w.Grad[i*l.in+j] += gi * xj
+		}
+		l.b.Grad[i] += gi
+	}
+	dx := make([]float64, l.in)
+	for j := range dx {
+		var s float64
+		for k, gk := range g {
+			s += gk * l.w.Value[k*l.in+j]
+		}
+		dx[j] = s
+	}
+	return dx
+}
+
+// refActivationBackward is the textbook per-sample backward pass of an
+// activation with input in and output out: g times the derivative, read
+// from the input for ReLU and softplus and from the output otherwise.
+func refActivationBackward(a *activationLayer, in, out, g []float64) []float64 {
+	dx := make([]float64, len(g))
+	for i, gi := range g {
+		switch {
+		case a.kind == ActTanh:
+			dx[i] = gi * (1 - out[i]*out[i])
+		case derivReadsInput(a.kind):
+			dx[i] = gi * activateDeriv(a.kind, in[i])
+		default:
+			dx[i] = gi * activateDeriv(a.kind, out[i])
+		}
+	}
+	return dx
+}
+
+// refBackward runs the textbook per-sample backward pass of s over the
+// rows of x in order, accumulating into s's gradients, and returns the
+// input gradients. Each row's layer inputs come from one-row Forward
+// calls, whose bits TestForwardBatchMatchesForward pins to the batch's.
+func refBackward(s *stack, x, dy *mat.Matrix) *mat.Matrix {
+	dx := mat.New(x.Rows, x.Cols)
+	for b := 0; b < x.Rows; b++ {
+		ins := make([][]float64, len(s.mods)+1)
+		ins[0] = x.Row(b)
+		for i, m := range s.mods {
+			ins[i+1] = append([]float64(nil), m.Forward(ins[i])...)
+		}
+		g := dy.Row(b)
+		for i := len(s.mods) - 1; i >= 0; i-- {
+			switch m := s.mods[i].(type) {
+			case *Linear:
+				g = refLinearBackward(m, ins[i], g)
+			case *activationLayer:
+				g = refActivationBackward(m, ins[i], ins[i+1], g)
+			}
+		}
+		copy(dx.Row(b), g)
+	}
+	return dx
+}
+
 // TestForwardBatchMatchesForward checks that the batched path reproduces
-// the sample-at-a-time path bit for bit, row by row, for batches that
-// reach the kernel's 4-row blocks, its leftover single rows, or both.
-// Every parameter, biases included, is random, so the bias has to be
-// added last on both paths.
+// the one-row path bit for bit, row by row, for batches that reach the
+// kernel's 4-row blocks, its leftover single rows, or both. Every
+// parameter, biases included, is random, so the bias has to be added
+// last on both paths.
 func TestForwardBatchMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	m := NewMLP("t", []int{7, 64, 64, 3}, ActTanh, rng)
+	m := newStack("t", []int{7, 64, 64, 3}, ActTanh, rng)
 	for _, p := range m.Params() {
 		for i := range p.Value {
 			p.Value[i] = rng.NormFloat64()
@@ -57,7 +191,7 @@ func requireRowsMatchForward(t *testing.T, mod Module, x, y *mat.Matrix) {
 // TestForwardBatchTracksWeightChanges checks that the batched path reads
 // the current weights on every call, with no stale copy: after an
 // optimizer step and after a direct write to the weights, the batched
-// output still matches the sample-at-a-time path.
+// output still matches the one-row path.
 func TestForwardBatchTracksWeightChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	l := NewLinear("t", 6, 5, rng)
@@ -77,65 +211,95 @@ func TestForwardBatchTracksWeightChanges(t *testing.T) {
 }
 
 // TestBackwardBatchMatchesBackward checks that batched gradient
-// accumulation is bit-identical to per-sample Backward calls in row order,
-// for both parameter gradients and input gradients, under every hidden
-// activation: the derivatives read cached inputs (ReLU, softplus) or
-// outputs (the others).
+// accumulation is bit-identical to the textbook per-sample backward pass
+// (refBackward) in row order, for both parameter gradients and input
+// gradients, under every hidden activation: the derivatives read cached
+// inputs (ReLU, softplus) or outputs (the others). Inputs, output
+// gradients and the gradients accumulated into are laced with +0 and −0;
+// input column 0 and output-gradient column 1 hold nothing else, and the
+// gradient elements that only those reach start at −0, so a kernel that
+// skipped zero terms would keep a −0 that the textbook loop turns into
+// +0.
 func TestBackwardBatchMatchesBackward(t *testing.T) {
 	for _, act := range []Activation{ActIdentity, ActTanh, ActReLU, ActSigmoid, ActSoftplus} {
 		t.Run(act.String(), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(2))
 			const batch, in, out = 6, 5, 2
-			build := func() *MLP {
-				return NewMLP("t", []int{in, 16, out}, act, rand.New(rand.NewSource(3)))
-			}
 			x := mat.New(batch, in)
-			x.Randomize(rng, 1)
+			signedZeroMix(rng, x.Data, 0.25)
 			dy := mat.New(batch, out)
-			dy.Randomize(rng, 1)
-
-			seq := build()
-			seqIn := mat.New(batch, in)
+			signedZeroMix(rng, dy.Data, 0.25)
 			for b := 0; b < batch; b++ {
-				seq.Forward(x.Row(b))
-				copy(seqIn.Row(b), seq.Backward(dy.Row(b)))
+				signedZeroMix(rng, x.Row(b)[:1], 1)
+				signedZeroMix(rng, dy.Row(b)[1:], 1)
 			}
+			build := func() *stack {
+				return newStack("t", []int{in, 16, out}, act, rand.New(rand.NewSource(3)))
+			}
+			seq, bat := build(), build()
+			for _, p := range seq.Params() {
+				signedZeroMix(rng, p.Grad, 0.5)
+			}
+			// The elements only signed zeros reach start at −0.
+			negZero := math.Copysign(0, -1)
+			first, last := seq.mods[0].(*Linear), seq.mods[2].(*Linear)
+			for i := 0; i < first.out; i++ {
+				first.w.Grad[i*in] = negZero
+			}
+			for j := 0; j < last.in; j++ {
+				last.w.Grad[last.in+j] = negZero
+			}
+			last.b.Grad[1] = negZero
+			for i, p := range seq.Params() {
+				copy(bat.Params()[i].Grad, p.Grad)
+			}
+
+			seqIn := refBackward(seq, x, dy)
 			wantGrads := cloneGrads(seq.Params())
 
-			bat := build()
 			bat.ForwardBatch(x)
 			gin := bat.BackwardBatch(dy)
 			for i, p := range bat.Params() {
 				for j, g := range p.Grad {
-					if g != wantGrads[i][j] {
+					if math.Float64bits(g) != math.Float64bits(wantGrads[i][j]) {
 						t.Fatalf("param %s grad[%d]: batch %v != sequential %v", p.Name, j, g, wantGrads[i][j])
 					}
 				}
 			}
-			if !gin.Equal(seqIn) {
-				t.Error("batched input gradients differ from sequential")
+			for i, g := range gin.Data {
+				if math.Float64bits(g) != math.Float64bits(seqIn.Data[i]) {
+					t.Fatalf("input grad %d: batch %v != sequential %v", i, g, seqIn.Data[i])
+				}
 			}
 		})
 	}
 }
 
-// TestBatchAndSequentialCachesIndependent checks that interleaving the two
-// paths does not corrupt either cache.
+// TestBatchAndSequentialCachesIndependent checks that a one-row Forward
+// between ForwardBatch and BackwardBatch leaves the batched gradients
+// untouched.
 func TestBatchAndSequentialCachesIndependent(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	l := NewLinear("t", 3, 2, rng)
-	x1 := []float64{1, 2, 3}
 	xb := mat.FromSlice(2, 3, []float64{4, 5, 6, 7, 8, 9})
+	g := mat.FromSlice(2, 2, []float64{1, 1, -2, 0.5})
 
-	l.Forward(x1)
-	l.ForwardBatch(xb) // must not clobber the sample-at-a-time cache
-	g := l.Backward([]float64{1, 1})
+	l := NewLinear("t", 3, 2, rand.New(rand.NewSource(4)))
+	l.ForwardBatch(xb)
+	l.Forward([]float64{1, 2, 3}) // must not clobber the batch cache
+	gin := l.BackwardBatch(g)
+
 	want := NewLinear("t", 3, 2, rand.New(rand.NewSource(4)))
-	want.Forward(x1)
-	wantG := want.Backward([]float64{1, 1})
-	for i := range g {
-		if g[i] != wantG[i] {
-			t.Fatalf("input grad[%d] = %v, want %v (batched call corrupted cache)", i, g[i], wantG[i])
+	want.ForwardBatch(xb)
+	wantIn := want.BackwardBatch(g)
+	for i, v := range gin.Data {
+		if v != wantIn.Data[i] {
+			t.Fatalf("input grad %d = %v, want %v (one-row call corrupted batch cache)", i, v, wantIn.Data[i])
+		}
+	}
+	for i, p := range l.Params() {
+		for j, v := range p.Grad {
+			if v != want.Params()[i].Grad[j] {
+				t.Fatalf("%s grad[%d] = %v, want %v (one-row call corrupted batch cache)", p.Name, j, v, want.Params()[i].Grad[j])
+			}
 		}
 	}
 }
@@ -162,16 +326,17 @@ func TestBatchShapeMismatchPanics(t *testing.T) {
 }
 
 // TestForwardBackwardAllocationFree locks in the zero-allocation steady
-// state of both the sample-at-a-time and batched paths.
+// state of the one-row forward pass and of the batched pair, at 20 rows
+// and at one.
 func TestForwardBackwardAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	m := NewMLP("t", []int{12, 64, 64, 1}, ActTanh, rng)
+	m := newStack("t", []int{12, 64, 64, 1}, ActTanh, rng)
 	x := make([]float64, 12)
 	xb := mat.New(20, 12)
 	xb.Randomize(rng, 1)
 	dy := mat.New(20, 1)
 	dy.Fill(1)
-	one := []float64{1}
+	x1, dy1 := mat.New(1, 12), mat.New(1, 1)
 
 	// Warm up so batch scratch reaches its final size.
 	m.ForwardBatch(xb)
@@ -180,10 +345,10 @@ func TestForwardBackwardAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() { m.Forward(x) }); n != 0 {
 		t.Errorf("Forward allocates %v times per call, want 0", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { m.Forward(x); m.Backward(one) }); n != 0 {
-		t.Errorf("Forward+Backward allocates %v times per call, want 0", n)
-	}
 	if n := testing.AllocsPerRun(20, func() { m.ForwardBatch(xb); m.BackwardBatch(dy) }); n != 0 {
 		t.Errorf("batched Forward+Backward allocates %v times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { m.ForwardBatch(x1); m.BackwardBatch(dy1) }); n != 0 {
+		t.Errorf("one-row batched Forward+Backward allocates %v times per call, want 0", n)
 	}
 }

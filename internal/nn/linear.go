@@ -16,10 +16,7 @@ type Linear struct {
 	// storage; building them once keeps the hot path allocation-free.
 	wView, gwView mat.Matrix
 
-	// caches for sample-at-a-time backward
-	lastX   []float64
-	outBuf  []float64
-	gradBuf []float64
+	outBuf []float64 // Forward's output
 
 	// caches for batched forward/backward, grown to the largest batch seen
 	// and reused across minibatches
@@ -32,13 +29,11 @@ type Linear struct {
 // biases. The name prefixes the parameter names ("<name>.W", "<name>.b").
 func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{
-		in:      in,
-		out:     out,
-		w:       newParam(name+".W", in*out),
-		b:       newParam(name+".b", out),
-		lastX:   make([]float64, in),
-		outBuf:  make([]float64, out),
-		gradBuf: make([]float64, in),
+		in:     in,
+		out:    out,
+		w:      newParam(name+".W", in*out),
+		b:      newParam(name+".b", out),
+		outBuf: make([]float64, out),
 	}
 	l.wView = *mat.FromSlice(out, in, l.w.Value)
 	l.gwView = *mat.FromSlice(out, in, l.w.Grad)
@@ -50,24 +45,12 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 // same kernel as ForwardBatch, so its bits are those of any batch row.
 func (l *Linear) Forward(x []float64) []float64 {
 	checkLen("Linear", "input", len(x), l.in)
-	copy(l.lastX, x)
-	// One-row views over the cached input and outBuf stay on the stack,
-	// so the call is allocation-free.
-	in := mat.Matrix{Rows: 1, Cols: l.in, Data: l.lastX}
+	// One-row views over x and outBuf stay on the stack, so the call is
+	// allocation-free.
+	in := mat.Matrix{Rows: 1, Cols: l.in, Data: x}
 	out := mat.Matrix{Rows: 1, Cols: l.out, Data: l.outBuf}
 	mat.MulABTBiasTo(&out, &in, &l.wView, l.b.Value)
 	return l.outBuf
-}
-
-// Backward accumulates dW += grad ⊗ x and db += grad, and returns Wᵀ·grad.
-func (l *Linear) Backward(grad []float64) []float64 {
-	checkLen("Linear", "output grad", len(grad), l.out)
-	gw := l.gwView
-	gw.AddOuterScaled(grad, l.lastX, 1)
-	mat.AddInto(l.b.Grad, l.b.Grad, grad)
-	w := l.wView
-	w.MulVecT(grad, l.gradBuf)
-	return l.gradBuf
 }
 
 // ForwardBatch computes Y = X·Wᵀ + b for a batch of rows. The returned
@@ -85,9 +68,12 @@ func (l *Linear) ForwardBatch(x *mat.Matrix) *mat.Matrix {
 }
 
 // BackwardBatch accumulates dW += dYᵀ·X and db += column sums of dY, and
-// returns dX = dY·W. Gradient contributions are accumulated row-ascending,
-// bit-identical to calling Backward once per batch row in order. The
-// returned matrix is owned by the layer.
+// returns dX = dY·W. Gradient contributions are accumulated row-ascending
+// (dW += dy⊗x and db += dy one row at a time, each element k-ascending
+// from its current value), so one call over a batch is bit-identical to
+// one-row calls over its rows in order. Element (i, j) of dX sums
+// dy[i][k]·W[k][j] over k ascending from +0. The returned matrix is owned
+// by the layer.
 func (l *Linear) BackwardBatch(grad *mat.Matrix) *mat.Matrix {
 	l.AccumulateGradsBatch(grad)
 	l.gradMat.Resize(grad.Rows, l.in)
@@ -107,9 +93,3 @@ func (l *Linear) AccumulateGradsBatch(grad *mat.Matrix) {
 
 // Params returns the weight and bias parameters.
 func (l *Linear) Params() []*Param { return []*Param{l.w, l.b} }
-
-// InDim returns the input width.
-func (l *Linear) InDim() int { return l.in }
-
-// OutDim returns the output width.
-func (l *Linear) OutDim() int { return l.out }

@@ -1,12 +1,12 @@
 // Package nn implements the small feed-forward neural-network substrate
 // used by the DRL incentive mechanism: linear layers, activations,
-// multi-layer perceptrons with manual backpropagation, gradient clipping,
-// the Adam optimizer, and checkpointing.
+// gradient clipping, the Adam optimizer, and checkpointing.
 //
-// The package is sample-at-a-time: a call to Backward consumes the caches
-// written by the immediately preceding call to Forward on the same module.
-// Callers that process minibatches interleave Forward/Backward per sample
-// and let gradients accumulate, then apply an optimizer step.
+// A module runs one row at a time when the policy acts (Forward) and a
+// minibatch at a time when it learns (ForwardBatch, then BackwardBatch
+// over the same rows). Gradients are computed only by BackwardBatch, and
+// a one-row batch is the per-sample case. Gradients accumulate across
+// calls until ZeroGrads; an optimizer step then applies them.
 package nn
 
 import (
@@ -16,8 +16,8 @@ import (
 )
 
 // Param is one learnable tensor: a flat value slice and its accumulated
-// gradient. Optimizers mutate Value in place; Backward accumulates into
-// Grad; ZeroGrads resets Grad.
+// gradient. Optimizers mutate Value in place; BackwardBatch accumulates
+// into Grad; ZeroGrads resets Grad.
 type Param struct {
 	// Name identifies the parameter for checkpoints, e.g. "trunk.l0.W".
 	Name string
@@ -42,41 +42,27 @@ func ZeroGrads(params []*Param) {
 	}
 }
 
-// BatchModule is a Module that can additionally process a whole minibatch
-// of rows in one call, backed by the mat kernel layer. Batched calls keep
-// separate caches from the sample-at-a-time path, so interleaving Forward
-// and ForwardBatch on the same module is safe, and their outputs are
-// bit-identical row for row. Every module in this package is a
-// BatchModule; the split interface only exists so that sample-at-a-time
-// code does not need to know about batching.
-type BatchModule interface {
-	Module
+// Module is a differentiable computation with learnable parameters.
+// Forward and ForwardBatch keep separate buffers, so a one-row Forward
+// between a ForwardBatch and its BackwardBatch leaves the batched
+// gradients untouched. Forward's output bits equal those of any batch
+// row holding the same input.
+type Module interface {
+	// Forward computes the module output for one input row. The
+	// returned slice is owned by the module and overwritten by the next
+	// Forward call.
+	Forward(x []float64) []float64
 	// ForwardBatch computes the module output for every row of x and
 	// caches what BackwardBatch needs. The returned matrix is owned by the
 	// module and overwritten by the next batched call.
 	ForwardBatch(x *mat.Matrix) *mat.Matrix
 	// BackwardBatch takes dLoss/dOutput rows, accumulates parameter
-	// gradients in row-ascending order (bit-identical to per-sample
-	// Backward calls), and returns dLoss/dInput rows. It must follow a
-	// matching ForwardBatch.
+	// gradients in row-ascending order, and returns dLoss/dInput rows. It
+	// must follow a matching ForwardBatch. The returned matrix is owned
+	// by the module.
 	BackwardBatch(grad *mat.Matrix) *mat.Matrix
-}
-
-// Module is a differentiable computation with learnable parameters.
-type Module interface {
-	// Forward computes the module output for input x and caches whatever
-	// Backward needs. The returned slice is owned by the module and is
-	// overwritten by the next Forward call.
-	Forward(x []float64) []float64
-	// Backward takes dLoss/dOutput, accumulates parameter gradients, and
-	// returns dLoss/dInput. It must be called after a matching Forward.
-	// The returned slice is owned by the module.
-	Backward(grad []float64) []float64
 	// Params returns the module's learnable parameters.
 	Params() []*Param
-	// InDim and OutDim report the expected input and output widths.
-	InDim() int
-	OutDim() int
 }
 
 // checkLen panics when a slice given to a module has the wrong length.

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vtmig/internal/mat"
 	"vtmig/internal/mathx"
 )
 
@@ -26,8 +27,7 @@ func TestLinearBackwardGradients(t *testing.T) {
 	l := NewLinear("t", 2, 2, rng)
 	copy(l.Params()[0].Value, []float64{1, 2, 3, 4})
 	copy(l.Params()[1].Value, []float64{0, 0})
-	l.Forward([]float64{5, 6})
-	gin := l.Backward([]float64{1, 1})
+	gin := backwardRow(l, []float64{5, 6}, []float64{1, 1})
 	// dL/dx = W^T g = [1+3, 2+4] = [4, 6]
 	if gin[0] != 4 || gin[1] != 6 {
 		t.Errorf("input grad = %v, want [4 6]", gin)
@@ -51,10 +51,8 @@ func TestLinearBackwardGradients(t *testing.T) {
 func TestLinearGradAccumulates(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear("t", 1, 1, rng)
-	l.Forward([]float64{2})
-	l.Backward([]float64{1})
-	l.Forward([]float64{2})
-	l.Backward([]float64{1})
+	backwardRow(l, []float64{2}, []float64{1})
+	backwardRow(l, []float64{2}, []float64{1})
 	if got := l.Params()[0].Grad[0]; got != 4 {
 		t.Errorf("accumulated dW = %v, want 4", got)
 	}
@@ -96,9 +94,7 @@ func TestActivationDerivativesNumerically(t *testing.T) {
 	const h = 1e-6
 	for _, kind := range kinds {
 		for _, x := range points {
-			a := NewActivation(kind, 1)
-			a.Forward([]float64{x})
-			analytic := a.Backward([]float64{1})[0]
+			analytic := backwardRow(NewActivation(kind, 1), []float64{x}, []float64{1})[0]
 			numeric := (activate(kind, x+h) - activate(kind, x-h)) / (2 * h)
 			if !mathx.AlmostEqual(analytic, numeric, 1e-4) {
 				t.Errorf("%v'(%v): analytic %v, numeric %v", kind, x, analytic, numeric)
@@ -116,37 +112,12 @@ func TestUnknownActivationPanics(t *testing.T) {
 	NewActivation(Activation(0), 1)
 }
 
-func TestMLPShapes(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := NewMLP("pi", []int{5, 64, 64, 2}, ActTanh, rng)
-	if m.InDim() != 5 || m.OutDim() != 2 {
-		t.Fatalf("dims = (%d, %d), want (5, 2)", m.InDim(), m.OutDim())
-	}
-	out := m.Forward(make([]float64, 5))
-	if len(out) != 2 {
-		t.Fatalf("output length = %d, want 2", len(out))
-	}
-	// 3 linear layers -> 6 params.
-	if got := len(m.Params()); got != 6 {
-		t.Errorf("param count = %d, want 6", got)
-	}
-}
-
-func TestMLPPanicsOnShortSizes(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewMLP with one size did not panic")
-		}
-	}()
-	NewMLP("x", []int{3}, ActTanh, rand.New(rand.NewSource(1)))
-}
-
-// TestMLPGradCheck verifies the full backpropagation against central
-// finite differences for every parameter of a small tanh MLP, using the
-// scalar loss L = sum(c ⊙ f(x)).
+// TestMLPGradCheck verifies one-row BackwardBatch through a small tanh
+// layer stack against central finite differences for every parameter,
+// using the scalar loss L = sum(c ⊙ f(x)).
 func TestMLPGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := NewMLP("gc", []int{3, 5, 4, 2}, ActTanh, rng)
+	m := newStack("gc", []int{3, 5, 4, 2}, ActTanh, rng)
 	x := []float64{0.3, -0.8, 1.2}
 	c := []float64{0.7, -1.3}
 
@@ -157,8 +128,7 @@ func TestMLPGradCheck(t *testing.T) {
 
 	// Analytic gradients.
 	ZeroGrads(m.Params())
-	m.Forward(x)
-	m.Backward(c)
+	backwardRow(m, x, c)
 
 	const h = 1e-6
 	for _, p := range m.Params() {
@@ -177,15 +147,15 @@ func TestMLPGradCheck(t *testing.T) {
 	}
 }
 
-// TestMLPInputGradCheck verifies dL/dx, which the policy-gradient path
+// TestMLPInputGradCheck verifies dL/dx from one-row BackwardBatch
+// through a small tanh layer stack, which the policy-gradient path
 // through a squashing function relies on.
 func TestMLPInputGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	m := NewMLP("gc", []int{3, 6, 1}, ActTanh, rng)
+	m := newStack("gc", []int{3, 6, 1}, ActTanh, rng)
 	x := []float64{0.5, -0.2, 0.9}
 
-	m.Forward(x)
-	gin := m.Backward([]float64{1})
+	gin := backwardRow(m, x, []float64{1})
 
 	const h = 1e-6
 	for i := range x {
@@ -270,7 +240,7 @@ func TestClipGradNormDisabled(t *testing.T) {
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	m := NewMLP("ck", []int{2, 4, 1}, ActTanh, rng)
+	m := newStack("ck", []int{2, 4, 1}, ActTanh, rng)
 	before := m.Forward([]float64{0.5, -0.5})[0]
 
 	ck, err := Snapshot(m.Params())
@@ -325,25 +295,28 @@ func TestSnapshotDuplicateNames(t *testing.T) {
 }
 
 func TestTrainXORWithAdam(t *testing.T) {
-	// End-to-end sanity: a 2-8-1 tanh MLP learns XOR.
+	// End-to-end sanity: a 2-8-1 tanh layer stack learns XOR, one
+	// four-row batch per step.
 	rng := rand.New(rand.NewSource(42))
-	m := NewMLP("xor", []int{2, 8, 1}, ActTanh, rng)
+	m := newStack("xor", []int{2, 8, 1}, ActTanh, rng)
 	opt := NewAdam(0.05)
-	inputs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
+	inputs := mat.FromSlice(4, 2, []float64{0, 0, 0, 1, 1, 0, 1, 1})
 	targets := []float64{0, 1, 1, 0}
+	dy := mat.New(4, 1)
 	for epoch := 0; epoch < 2000; epoch++ {
 		ZeroGrads(m.Params())
-		for i, x := range inputs {
-			out := m.Forward(x)[0]
+		out := m.ForwardBatch(inputs)
+		for i, target := range targets {
 			// L = (out - target)^2, dL/dout = 2(out-target)
-			m.Backward([]float64{2 * (out - targets[i])})
+			dy.Data[i] = 2 * (out.Data[i] - target)
 		}
+		m.BackwardBatch(dy)
 		opt.Step(m.Params())
 	}
-	for i, x := range inputs {
-		out := m.Forward(x)[0]
-		if math.Abs(out-targets[i]) > 0.2 {
-			t.Errorf("XOR(%v) = %v, want %v", x, out, targets[i])
+	for i, target := range targets {
+		x := inputs.Row(i)
+		if out := m.Forward(x)[0]; math.Abs(out-target) > 0.2 {
+			t.Errorf("XOR(%v) = %v, want %v", x, out, target)
 		}
 	}
 }

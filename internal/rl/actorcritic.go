@@ -15,20 +15,15 @@ import (
 type ActorCritic struct {
 	obsDim, actDim int
 
-	trunk   []nn.BatchModule // Linear+Tanh pairs
-	first   *nn.Linear       // trunk[0], whose input gradient nobody reads
+	trunk   []nn.Module // Linear+Tanh pairs
+	first   *nn.Linear  // trunk[0], whose input gradient nobody reads
 	meanHd  *nn.Linear
 	valueHd *nn.Linear
 	logStd  *nn.Param
 
 	params []*nn.Param
 
-	// scratch buffers reused across sample-at-a-time calls
-	meanOut      []float64
-	meanGradBuf  []float64
-	valueGradBuf []float64
-	trunkGradBuf []float64
-	dValBuf      [1]float64
+	meanOut []float64 // Forward's tanh-squashed mean
 
 	// scratch reused across batched calls, grown to the largest batch seen
 	meanOutB   mat.Matrix // batch×actDim, tanh-squashed means
@@ -74,17 +69,16 @@ func NewActorCritic(obsDim, actDim int, hidden []int, act nn.Activation, initLog
 	ac.params = append(ac.params, ac.logStd)
 
 	ac.meanOut = make([]float64, actDim)
-	ac.meanGradBuf = make([]float64, actDim)
-	ac.valueGradBuf = make([]float64, prev)
-	ac.trunkGradBuf = make([]float64, prev)
 	return ac
 }
 
 // Forward computes the policy mean, the log-std vector, and the state
-// value for an observation, caching activations for a following Backward.
-// The mean is tanh-squashed into (-1, 1) — the normalized action space —
-// which prevents the saturation runaway where an unbounded mean drifts
-// past the action clamp and all gradients die. The returned slices alias
+// value for one observation: the path of a posted quote or a collector
+// step. The mean is tanh-squashed into (-1, 1) — the normalized action
+// space — which prevents the saturation runaway where an unbounded mean
+// drifts past the action clamp and all gradients die. Forward keeps no
+// state for the gradients, which only BackwardBatch computes, and leaves
+// a pending ForwardBatch's caches alone. The returned slices alias
 // internal buffers.
 func (ac *ActorCritic) Forward(obs []float64) (mean, logStd []float64, value float64) {
 	if len(obs) != ac.obsDim {
@@ -97,29 +91,6 @@ func (ac *ActorCritic) Forward(obs []float64) (mean, logStd []float64, value flo
 	mat.TanhTo(ac.meanOut, ac.meanHd.Forward(h))
 	value = ac.valueHd.Forward(h)[0]
 	return ac.meanOut, ac.logStd.Value, value
-}
-
-// Backward accumulates gradients given dLoss/dMean (with respect to the
-// squashed mean), dLoss/dLogStd, and dLoss/dValue for the observation
-// passed to the immediately preceding Forward call.
-func (ac *ActorCritic) Backward(dMean, dLogStd []float64, dValue float64) {
-	for i, g := range dMean {
-		// d tanh(u)/du = 1 - tanh(u)².
-		ac.meanGradBuf[i] = g * (1 - ac.meanOut[i]*ac.meanOut[i])
-	}
-	gm := ac.meanHd.Backward(ac.meanGradBuf)
-	ac.dValBuf[0] = dValue
-	gv := ac.valueHd.Backward(ac.dValBuf[:])
-	for i := range ac.trunkGradBuf {
-		ac.trunkGradBuf[i] = gm[i] + gv[i]
-	}
-	g := ac.trunkGradBuf
-	for i := len(ac.trunk) - 1; i >= 0; i-- {
-		g = ac.trunk[i].Backward(g)
-	}
-	for i, d := range dLogStd {
-		ac.logStd.Grad[i] += d
-	}
 }
 
 // ForwardBatch evaluates the policy and value heads for every observation
@@ -147,9 +118,10 @@ func (ac *ActorCritic) ForwardBatch(obs *mat.Matrix) (mean *mat.Matrix, logStd [
 }
 
 // BackwardBatch accumulates gradients for a whole minibatch given
-// per-row dLoss/dMean, dLoss/dLogStd, and dLoss/dValue from the
-// immediately preceding ForwardBatch. Gradients accumulate row-ascending,
-// bit-identical to calling Forward/Backward once per row in order.
+// per-row dLoss/dMean (with respect to the squashed mean), dLoss/dLogStd,
+// and dLoss/dValue from the immediately preceding ForwardBatch. Gradients
+// accumulate row-ascending, so one call is bit-identical to one-row
+// ForwardBatch/BackwardBatch calls over its rows in order.
 func (ac *ActorCritic) BackwardBatch(dMean, dLogStd *mat.Matrix, dValue []float64) {
 	batch := ac.meanOutB.Rows
 	if dMean.Rows != batch || dLogStd.Rows != batch || len(dValue) != batch {
@@ -173,7 +145,7 @@ func (ac *ActorCritic) BackwardBatch(dMean, dLogStd *mat.Matrix, dValue []float6
 	}
 	ac.first.AccumulateGradsBatch(g)
 	// The log-std gradient folds rows ascending with one running
-	// accumulator per dimension, as per-row Backward calls would.
+	// accumulator per dimension, as one-row calls would.
 	for j := 0; j < ac.actDim; j++ {
 		acc := ac.logStd.Grad[j]
 		for b := 0; b < dLogStd.Rows; b++ {

@@ -12,8 +12,8 @@ import (
 
 // The tests in this file pin the first rule of the determinism contract
 // at the actor–critic level: the batched pass a minibatch update runs
-// accumulates gradients bit-identically to per-row Forward/Backward calls
-// in row order. "Bit-identical" is meant literally — comparisons go
+// accumulates gradients bit-identically to one-row passes over its rows
+// in order. "Bit-identical" is meant literally — comparisons go
 // through math.Float64bits, not a tolerance.
 
 // paramsEqualBits reports the first parameter element where a and b
@@ -37,10 +37,10 @@ func paramsEqualBits(a, b []*nn.Param) (string, bool) {
 
 // TestActorCriticBackwardBatchMatchesBackward is the rule-1 property at
 // the network the PPO update trains: over random shapes, activations and
-// batch sizes on both sides of nn's transposed-weights threshold, with
-// occasional −0 value gradients, ForwardBatch + BackwardBatch leaves
-// every parameter gradient bit-identical to per-row Forward/Backward in
-// row order.
+// batch sizes, with occasional −0 value gradients, one ForwardBatch +
+// BackwardBatch over all rows leaves every parameter gradient
+// bit-identical to one-row ForwardBatch + BackwardBatch calls in row
+// order.
 func TestActorCriticBackwardBatchMatchesBackward(t *testing.T) {
 	acts := []nn.Activation{nn.ActIdentity, nn.ActTanh, nn.ActReLU, nn.ActSigmoid, nn.ActSoftplus}
 	rng := rand.New(rand.NewSource(17))
@@ -72,8 +72,8 @@ func TestActorCriticBackwardBatchMatchesBackward(t *testing.T) {
 		seq := build()
 		nn.ZeroGrads(seq.Params())
 		for r := 0; r < rows; r++ {
-			seq.Forward(obs.Row(r))
-			seq.Backward(dMean.Row(r), dLogStd.Row(r), dValue[r])
+			seq.ForwardBatch(mat.FromSlice(1, obsDim, obs.Row(r)))
+			seq.BackwardBatch(mat.FromSlice(1, actDim, dMean.Row(r)), mat.FromSlice(1, actDim, dLogStd.Row(r)), dValue[r:r+1])
 		}
 		bat := build()
 		nn.ZeroGrads(bat.Params())

@@ -349,7 +349,7 @@ func (p *PPO) SelectActionWithMean(obs []float64) (raw, env []float64, logP, val
 // batched minibatch update. Row r of raw/envAct and element r of
 // logP/values are bit-identical to a serial SelectAction on obs.Row(r):
 // the forward pass goes through the batched kernels (whose rows reproduce
-// the sample-at-a-time pass bitwise, contract rule 1) and the sampler
+// the one-row pass bitwise, contract rule 1) and the sampler
 // consumes the learner's RNG strictly row-ascending, so the stream
 // matches the per-row call sequence exactly (contract rule 4).
 //
@@ -489,8 +489,8 @@ func (p *PPO) Update(buf *Rollout) UpdateStats {
 // and applies a single Adam step. The whole minibatch runs through the
 // network as one batched forward/backward pass — the policy is evaluated
 // for every selected rollout step at once — with gradient accumulation
-// ordered so the result is bit-identical to the sample-at-a-time loop it
-// replaced.
+// ordered row-ascending, so the result is bit-identical to one-row passes
+// over the minibatch in order (contract rule 1).
 func (p *PPO) updateMiniBatch(steps []Transition, batch []int, stats *UpdateStats) {
 	params := p.net.Params()
 	nn.ZeroGrads(params)

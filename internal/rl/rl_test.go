@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vtmig/internal/mat"
 	"vtmig/internal/mathx"
 )
 
@@ -81,17 +82,24 @@ func TestGaussianSampleMoments(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	mean := []float64{2}
 	logStd := []float64{math.Log(0.5)}
-	var rs mathx.RunningStat
-	buf := make([]float64, 1)
-	for i := 0; i < 20000; i++ {
-		gaussianSample(rng, mean, logStd, buf)
-		rs.Add(buf[0])
+	const n = 20000
+	samples := make([]float64, n)
+	var sum float64
+	for i := range samples {
+		gaussianSample(rng, mean, logStd, samples[i:i+1])
+		sum += samples[i]
 	}
-	if !mathx.AlmostEqual(rs.Mean(), 2, 0.02) {
-		t.Errorf("sample mean = %v, want ~2", rs.Mean())
+	m := sum / n
+	var ss float64
+	for _, x := range samples {
+		ss += (x - m) * (x - m)
 	}
-	if !mathx.AlmostEqual(rs.StdDev(), 0.5, 0.02) {
-		t.Errorf("sample std = %v, want ~0.5", rs.StdDev())
+	std := math.Sqrt(ss / (n - 1))
+	if !mathx.AlmostEqual(m, 2, 0.02) {
+		t.Errorf("sample mean = %v, want ~2", m)
+	}
+	if !mathx.AlmostEqual(std, 0.5, 0.02) {
+		t.Errorf("sample std = %v, want ~0.5", std)
 	}
 }
 
@@ -132,8 +140,9 @@ func TestActorCriticValidation(t *testing.T) {
 	}
 }
 
-// TestActorCriticGradCheck verifies the shared-trunk backward pass against
-// finite differences for the scalar loss L = cm·mean + cv·value + cs·logstd.
+// TestActorCriticGradCheck verifies the shared-trunk backward pass, one
+// row through BackwardBatch, against finite differences for the scalar
+// loss L = cm·mean + cv·value + cs·logstd.
 func TestActorCriticGradCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ac := NewActorCritic(4, 1, []int{6, 5}, 2 /*tanh*/, -0.3, rng)
@@ -150,8 +159,8 @@ func TestActorCriticGradCheck(t *testing.T) {
 			p.Grad[i] = 0
 		}
 	}
-	ac.Forward(obs)
-	ac.Backward([]float64{cm}, []float64{cs}, cv)
+	ac.ForwardBatch(mat.FromSlice(1, len(obs), obs))
+	ac.BackwardBatch(mat.FromSlice(1, 1, []float64{cm}), mat.FromSlice(1, 1, []float64{cs}), []float64{cv})
 
 	const h = 1e-6
 	for _, p := range ac.Params() {

@@ -1,8 +1,6 @@
 // Package rsu models the edge servers inside RoadSide Units: multi-
-// dimensional resource capacities (CPU, GPU, memory, storage), Vehicular
-// Twin placement with admission control, and the edge-assisted remote
-// rendering load of Section II (VT update/rendering tasks offloaded to
-// the serving RSU).
+// dimensional resource capacities (CPU, GPU, memory, storage) and
+// Vehicular Twin placement with admission control.
 //
 // The placement cluster gives the simulator a destination-side admission
 // check: a migration can only complete when the destination RSU has room
@@ -82,41 +80,15 @@ func NewServer(id int, capacity Resources) (*Server, error) {
 	return &Server{ID: id, Capacity: capacity, twins: make(map[int]Resources)}, nil
 }
 
-// Used returns the currently allocated resources.
-func (s *Server) Used() Resources { return s.used }
-
 // Free returns the remaining headroom.
 func (s *Server) Free() Resources { return s.Capacity.Sub(s.used) }
 
-// Hosts reports whether the server hosts the twin.
-func (s *Server) Hosts(twinID int) bool {
-	_, ok := s.twins[twinID]
-	return ok
-}
-
-// TwinCount returns the number of hosted twins.
-func (s *Server) TwinCount() int { return len(s.twins) }
-
-// Deploy admits a twin with the given requirement.
-func (s *Server) Deploy(twinID int, req Resources) error {
-	if err := req.Validate(); err != nil {
-		return err
-	}
-	if _, ok := s.twins[twinID]; ok {
-		return fmt.Errorf("rsu: server %d already hosts twin %d", s.ID, twinID)
-	}
-	if !req.FitsIn(s.Free()) {
-		return fmt.Errorf("rsu: server %d cannot fit twin %d: need %+v, free %+v", s.ID, twinID, req, s.Free())
-	}
-	s.twins[twinID] = req
-	s.used = s.used.Add(req)
-	return nil
-}
-
-// TryDeploy is Deploy without the error construction, under exactly the
-// same admission checks. It exists for the simulator's attach path: an
-// outage at fleet scale makes thousands of vehicles re-attach per tick,
-// and building a rejection error for each dominated the allocations.
+// TryDeploy admits a twin with the given requirement and reports whether
+// it did. It refuses an invalid requirement, a twin the server already
+// hosts, and a requirement that does not fit the free resources, and a
+// refusal leaves the server unchanged. It returns no error: an outage at
+// fleet scale makes thousands of vehicles re-attach per tick, and
+// building a rejection error for each dominated the allocations.
 func (s *Server) TryDeploy(twinID int, req Resources) bool {
 	if req.Validate() != nil {
 		return false
@@ -150,26 +122,6 @@ func (s *Server) CPUUtilization() float64 {
 		return 0
 	}
 	return s.used.CPU / s.Capacity.CPU
-}
-
-// RenderingLatency models the edge-assisted remote-rendering delay of the
-// hosted twins as an M/M/1 service: each hosted twin submits update tasks
-// at taskRate (tasks/s) and one CPU unit serves serviceRatePerCPU
-// (tasks/s). The expected sojourn time is 1/(μ−λ). It returns an error
-// when the server is saturated (λ ≥ μ).
-func (s *Server) RenderingLatency(taskRate, serviceRatePerCPU float64) (float64, error) {
-	if taskRate <= 0 || serviceRatePerCPU <= 0 {
-		return 0, fmt.Errorf("rsu: rates must be positive, got task=%g service=%g", taskRate, serviceRatePerCPU)
-	}
-	lambda := taskRate * float64(len(s.twins))
-	mu := serviceRatePerCPU * s.Capacity.CPU
-	if lambda >= mu {
-		return 0, fmt.Errorf("rsu: server %d saturated: offered %g tasks/s, capacity %g tasks/s", s.ID, lambda, mu)
-	}
-	if lambda == 0 {
-		return 1 / mu, nil
-	}
-	return 1 / (mu - lambda), nil
 }
 
 // PlacementStrategy selects a server for a new twin.
@@ -214,9 +166,6 @@ func NewCluster(servers []*Server, strategy PlacementStrategy) (*Cluster, error)
 	return &Cluster{servers: sorted, strategy: strategy, location: make(map[int]int)}, nil
 }
 
-// Servers returns the cluster's servers sorted by ID.
-func (c *Cluster) Servers() []*Server { return c.servers }
-
 // Locate returns the server hosting the twin, or -1.
 func (c *Cluster) Locate(twinID int) int {
 	if id, ok := c.location[twinID]; ok {
@@ -225,26 +174,9 @@ func (c *Cluster) Locate(twinID int) int {
 	return -1
 }
 
-// Place deploys a new twin per the cluster strategy and returns the
-// chosen server id.
-func (c *Cluster) Place(twinID int, req Resources) (int, error) {
-	if _, ok := c.location[twinID]; ok {
-		return -1, fmt.Errorf("rsu: twin %d is already placed", twinID)
-	}
-	target := c.pick(req)
-	if target == nil {
-		return -1, fmt.Errorf("rsu: no server can fit twin %d (%+v)", twinID, req)
-	}
-	if err := target.Deploy(twinID, req); err != nil {
-		return -1, err
-	}
-	c.location[twinID] = target.ID
-	return target.ID, nil
-}
-
-// TryPlace is Place without the error construction: it deploys per the
-// cluster strategy under exactly Place's admission checks and reports
-// the chosen server and whether placement succeeded.
+// TryPlace deploys a new twin on the server the cluster strategy picks
+// and reports that server's id and true, or -1 and false when the twin is
+// already placed or no server can fit it.
 func (c *Cluster) TryPlace(twinID int, req Resources) (int, bool) {
 	if _, ok := c.location[twinID]; ok {
 		return -1, false
@@ -276,25 +208,10 @@ func (c *Cluster) pick(req Resources) *Server {
 	return best
 }
 
-// PlaceOn deploys a new twin on a specific server (e.g. the RSU currently
-// serving the vehicle), bypassing the placement strategy.
-func (c *Cluster) PlaceOn(twinID, serverID int, req Resources) error {
-	if _, ok := c.location[twinID]; ok {
-		return fmt.Errorf("rsu: twin %d is already placed", twinID)
-	}
-	target := c.serverByID(serverID)
-	if target == nil {
-		return fmt.Errorf("rsu: unknown server %d", serverID)
-	}
-	if err := target.Deploy(twinID, req); err != nil {
-		return err
-	}
-	c.location[twinID] = serverID
-	return nil
-}
-
-// TryPlaceOn is PlaceOn without the error construction, under exactly
-// the same admission checks.
+// TryPlaceOn deploys a new twin on a specific server (e.g. the RSU
+// currently serving the vehicle), bypassing the placement strategy. It
+// reports false, changing nothing, when the twin is already placed, the
+// server is unknown, or TryDeploy refuses the twin there.
 func (c *Cluster) TryPlaceOn(twinID, serverID int, req Resources) bool {
 	if _, ok := c.location[twinID]; ok {
 		return false
@@ -307,41 +224,13 @@ func (c *Cluster) TryPlaceOn(twinID, serverID int, req Resources) bool {
 	return true
 }
 
-// MigrateTwin moves a placed twin to a specific destination server,
+// TryMigrateTwin moves a placed twin to a specific destination server,
 // deploying at the destination before releasing the source (the pre-copy
-// discipline: both copies exist during migration). It fails when the
-// destination lacks headroom.
-func (c *Cluster) MigrateTwin(twinID, destServerID int) error {
-	srcID, ok := c.location[twinID]
-	if !ok {
-		return fmt.Errorf("rsu: twin %d is not placed", twinID)
-	}
-	if srcID == destServerID {
-		return fmt.Errorf("rsu: twin %d is already on server %d", twinID, destServerID)
-	}
-	src := c.serverByID(srcID)
-	dst := c.serverByID(destServerID)
-	if dst == nil {
-		return fmt.Errorf("rsu: unknown destination server %d", destServerID)
-	}
-	req := src.twins[twinID]
-	if err := dst.Deploy(twinID, req); err != nil {
-		return fmt.Errorf("rsu: migrating twin %d: %w", twinID, err)
-	}
-	if err := src.Remove(twinID); err != nil {
-		// Roll back the destination copy to keep accounting consistent.
-		_ = dst.Remove(twinID)
-		return fmt.Errorf("rsu: migrating twin %d: %w", twinID, err)
-	}
-	c.location[twinID] = destServerID
-	return nil
-}
-
-// TryMigrateTwin is MigrateTwin without the error construction, under
-// exactly the same checks: it reports whether the twin moved. The
-// simulator's migration-completion path counts a failure and nothing
-// more, so formatting Deploy's rejection for every full destination
-// would be pure garbage.
+// discipline: both copies exist during migration), and reports whether
+// the twin moved. It refuses, changing nothing, when the twin is not
+// placed, is already on the destination, or the destination is unknown
+// or lacks headroom. The simulator's migration-completion path counts a
+// failure and nothing more, so it builds no error.
 func (c *Cluster) TryMigrateTwin(twinID, destServerID int) bool {
 	srcID, ok := c.location[twinID]
 	if !ok || srcID == destServerID {
@@ -383,6 +272,3 @@ func (c *Cluster) serverByID(id int) *Server {
 	}
 	return nil
 }
-
-// TotalTwins returns the number of placed twins.
-func (c *Cluster) TotalTwins() int { return len(c.location) }

@@ -19,6 +19,12 @@ func server(t *testing.T, id int, capacity Resources) *Server {
 	return s
 }
 
+// hosts reports whether s hosts the twin.
+func hosts(s *Server, twinID int) bool {
+	_, ok := s.twins[twinID]
+	return ok
+}
+
 func TestResourcesArithmetic(t *testing.T) {
 	a := res(1, 2, 3, 4)
 	b := res(10, 20, 30, 40)
@@ -65,11 +71,11 @@ func TestResourceValidation(t *testing.T) {
 
 func TestDeployRemoveAccounting(t *testing.T) {
 	s := server(t, 0, res(4, 2, 16, 100))
-	if err := s.Deploy(1, res(2, 1, 8, 40)); err != nil {
-		t.Fatalf("Deploy: %v", err)
+	if !s.TryDeploy(1, res(2, 1, 8, 40)) {
+		t.Fatal("TryDeploy refused a twin that fits")
 	}
-	if !s.Hosts(1) || s.TwinCount() != 1 {
-		t.Error("twin not hosted after Deploy")
+	if !hosts(s, 1) || len(s.twins) != 1 {
+		t.Error("twin not hosted after TryDeploy")
 	}
 	if got := s.Free(); got != res(2, 1, 8, 60) {
 		t.Errorf("Free = %+v", got)
@@ -77,24 +83,33 @@ func TestDeployRemoveAccounting(t *testing.T) {
 	if err := s.Remove(1); err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if got := s.Used(); got != res(0, 0, 0, 0) {
-		t.Errorf("Used after Remove = %+v", got)
+	if got := s.used; got != res(0, 0, 0, 0) {
+		t.Errorf("used after Remove = %+v", got)
 	}
 }
 
+// TestDeployRejections checks that every refused TryDeploy leaves the
+// server as it was.
 func TestDeployRejections(t *testing.T) {
 	s := server(t, 0, res(4, 2, 16, 100))
-	if err := s.Deploy(1, res(3, 1, 8, 40)); err != nil {
-		t.Fatal(err)
+	if !s.TryDeploy(1, res(3, 1, 8, 40)) {
+		t.Fatal("TryDeploy refused a twin that fits")
 	}
-	if err := s.Deploy(1, res(1, 0, 0, 0)); err == nil {
-		t.Error("duplicate deploy must fail")
-	}
-	if err := s.Deploy(2, res(2, 0, 0, 0)); err == nil {
-		t.Error("over-capacity deploy must fail")
-	}
-	if err := s.Deploy(3, res(-1, 0, 0, 0)); err == nil {
-		t.Error("negative requirement must fail")
+	for _, tc := range []struct {
+		name string
+		twin int
+		req  Resources
+	}{
+		{"duplicate deploy", 1, res(1, 0, 0, 0)},
+		{"over-capacity deploy", 2, res(2, 0, 0, 0)},
+		{"negative requirement", 3, res(-1, 0, 0, 0)},
+	} {
+		if s.TryDeploy(tc.twin, tc.req) {
+			t.Errorf("%s must fail", tc.name)
+		}
+		if len(s.twins) != 1 || s.used != res(3, 1, 8, 40) {
+			t.Errorf("%s changed the server: twins %v, used %+v", tc.name, s.twins, s.used)
+		}
 	}
 	if err := s.Remove(99); err == nil {
 		t.Error("removing unknown twin must fail")
@@ -106,70 +121,11 @@ func TestCPUUtilization(t *testing.T) {
 	if got := s.CPUUtilization(); got != 0 {
 		t.Errorf("empty utilization = %v", got)
 	}
-	if err := s.Deploy(1, res(1, 0, 1, 1)); err != nil {
-		t.Fatal(err)
+	if !s.TryDeploy(1, res(1, 0, 1, 1)) {
+		t.Fatal("TryDeploy refused a twin that fits")
 	}
 	if got := s.CPUUtilization(); got != 0.25 {
 		t.Errorf("utilization = %v, want 0.25", got)
-	}
-}
-
-func TestRenderingLatency(t *testing.T) {
-	s := server(t, 0, res(4, 0, 16, 100))
-	// Empty server: latency = 1/μ = 1/(5·4).
-	l, err := s.RenderingLatency(2, 5)
-	if err != nil {
-		t.Fatalf("RenderingLatency: %v", err)
-	}
-	if l != 0.05 {
-		t.Errorf("idle latency = %v, want 0.05", l)
-	}
-	// 3 twins at 2 tasks/s: λ=6, μ=20 ⇒ 1/14.
-	for i := 0; i < 3; i++ {
-		if err := s.Deploy(i, res(1, 0, 1, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	l, err = s.RenderingLatency(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 1.0 / 14; l != want {
-		t.Errorf("loaded latency = %v, want %v", l, want)
-	}
-}
-
-func TestRenderingLatencySaturation(t *testing.T) {
-	s := server(t, 0, res(1, 0, 16, 100))
-	for i := 0; i < 3; i++ {
-		if err := s.Deploy(i, res(0.2, 0, 1, 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// λ = 3·2 = 6 ≥ μ = 5·1 ⇒ saturated.
-	if _, err := s.RenderingLatency(2, 5); err == nil {
-		t.Error("saturated server must error")
-	}
-	if _, err := s.RenderingLatency(0, 5); err == nil {
-		t.Error("non-positive task rate must error")
-	}
-}
-
-func TestLatencyGrowsWithLoad(t *testing.T) {
-	s := server(t, 0, res(10, 0, 100, 1000))
-	prev := 0.0
-	for i := 0; i < 8; i++ {
-		if err := s.Deploy(i, res(1, 0, 1, 1)); err != nil {
-			t.Fatal(err)
-		}
-		l, err := s.RenderingLatency(1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if l <= prev {
-			t.Fatalf("latency must grow with load: %v after %v", l, prev)
-		}
-		prev = l
 	}
 }
 
@@ -194,20 +150,12 @@ func TestFirstFitPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := c.Place(1, res(1, 1, 1, 1))
-	if err != nil {
-		t.Fatalf("Place: %v", err)
-	}
-	if id != 0 {
-		t.Errorf("first fit placed on %d, want 0", id)
+	if id, ok := c.TryPlace(1, res(1, 1, 1, 1)); !ok || id != 0 {
+		t.Errorf("first fit placed on %d (ok %v), want 0", id, ok)
 	}
 	// Too big for server 0 -> goes to 1.
-	id, err = c.Place(2, res(4, 4, 4, 4))
-	if err != nil {
-		t.Fatalf("Place: %v", err)
-	}
-	if id != 1 {
-		t.Errorf("oversize twin placed on %d, want 1", id)
+	if id, ok := c.TryPlace(2, res(4, 4, 4, 4)); !ok || id != 1 {
+		t.Errorf("oversize twin placed on %d (ok %v), want 1", id, ok)
 	}
 }
 
@@ -220,12 +168,12 @@ func TestLeastLoadedPlacement(t *testing.T) {
 	}
 	// Twins must alternate between the equally sized servers.
 	for i := 0; i < 4; i++ {
-		if _, err := c.Place(i, res(1, 1, 1, 1)); err != nil {
-			t.Fatalf("Place(%d): %v", i, err)
+		if _, ok := c.TryPlace(i, res(1, 1, 1, 1)); !ok {
+			t.Fatalf("TryPlace(%d) failed", i)
 		}
 	}
-	if a.TwinCount() != 2 || b.TwinCount() != 2 {
-		t.Errorf("least-loaded split = %d/%d, want 2/2", a.TwinCount(), b.TwinCount())
+	if len(a.twins) != 2 || len(b.twins) != 2 {
+		t.Errorf("least-loaded split = %d/%d, want 2/2", len(a.twins), len(b.twins))
 	}
 }
 
@@ -235,14 +183,17 @@ func TestPlacementExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Place(1, res(1, 1, 1, 1)); err != nil {
-		t.Fatal(err)
+	if _, ok := c.TryPlace(1, res(1, 1, 1, 1)); !ok {
+		t.Fatal("TryPlace refused a twin that fits")
 	}
-	if _, err := c.Place(2, res(1, 1, 1, 1)); err == nil {
-		t.Error("exhausted cluster must reject placement")
+	if id, ok := c.TryPlace(2, res(1, 1, 1, 1)); ok || id != -1 {
+		t.Errorf("exhausted cluster placed on %d (ok %v), want -1", id, ok)
 	}
-	if _, err := c.Place(1, res(0.1, 0.1, 0.1, 0.1)); err == nil {
-		t.Error("re-placing a placed twin must fail")
+	if id, ok := c.TryPlace(1, res(0.1, 0.1, 0.1, 0.1)); ok || id != -1 {
+		t.Errorf("re-placing a placed twin gave %d (ok %v), want -1", id, ok)
+	}
+	if len(c.location) != 1 || len(a.twins) != 1 {
+		t.Errorf("refused placements changed the cluster: %v", c.location)
 	}
 }
 
@@ -253,95 +204,63 @@ func TestMigrateTwin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Place(7, res(2, 2, 8, 40)); err != nil {
-		t.Fatal(err)
+	if _, ok := c.TryPlace(7, res(2, 2, 8, 40)); !ok {
+		t.Fatal("TryPlace refused a twin that fits")
 	}
-	if err := c.MigrateTwin(7, 1); err != nil {
-		t.Fatalf("MigrateTwin: %v", err)
+	if !c.TryMigrateTwin(7, 1) {
+		t.Fatal("TryMigrateTwin failed")
 	}
-	if c.Locate(7) != 1 || !b.Hosts(7) || a.Hosts(7) {
+	if c.Locate(7) != 1 || !hosts(b, 7) || hosts(a, 7) {
 		t.Error("twin not moved correctly")
 	}
-	if got := a.Used(); got != res(0, 0, 0, 0) {
+	if got := a.used; got != res(0, 0, 0, 0) {
 		t.Errorf("source not released: %+v", got)
+	}
+	if got := b.used; got != res(2, 2, 8, 40) {
+		t.Errorf("destination holds %+v, want the twin's requirement", got)
 	}
 }
 
+// TestMigrateTwinErrors checks every refusal of TryMigrateTwin and that
+// each leaves the placements and every server's accounting as they were.
 func TestMigrateTwinErrors(t *testing.T) {
 	a := server(t, 0, res(4, 4, 64, 400))
 	b := server(t, 1, res(1, 1, 1, 1))
-	c, err := NewCluster([]*Server{a, b}, PlaceFirstFit)
+	d := server(t, 2, res(4, 4, 64, 400))
+	c, err := NewCluster([]*Server{a, b, d}, PlaceFirstFit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.MigrateTwin(9, 1); err == nil {
-		t.Error("migrating unplaced twin must fail")
-	}
-	if _, err := c.Place(7, res(2, 2, 8, 40)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.MigrateTwin(7, 0); err == nil {
-		t.Error("self-migration must fail")
-	}
-	if err := c.MigrateTwin(7, 99); err == nil {
-		t.Error("unknown destination must fail")
-	}
-	// Destination too small: must fail and leave the source intact.
-	if err := c.MigrateTwin(7, 1); err == nil {
-		t.Error("over-capacity migration must fail")
-	}
-	if c.Locate(7) != 0 || !a.Hosts(7) {
-		t.Error("failed migration corrupted placement")
-	}
-}
-
-// TestTryMigrateTwinMatchesMigrateTwin pins that the error-free variant
-// applies exactly MigrateTwin's checks: on every outcome both report the
-// same success and leave identical cluster state.
-func TestTryMigrateTwinMatchesMigrateTwin(t *testing.T) {
-	newCluster := func() *Cluster {
-		c, err := NewCluster([]*Server{
-			server(t, 0, res(4, 4, 64, 400)),
-			server(t, 1, res(1, 1, 1, 1)),
-			server(t, 2, res(4, 4, 64, 400)),
-		}, PlaceFirstFit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.PlaceOn(7, 0, res(2, 2, 8, 40)); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.PlaceOn(8, 2, res(1, 1, 4, 10)); err != nil {
-			t.Fatal(err)
-		}
-		return c
+	if !c.TryPlaceOn(7, 0, res(2, 2, 8, 40)) || !c.TryPlaceOn(8, 2, res(1, 1, 4, 10)) {
+		t.Fatal("TryPlaceOn refused a twin that fits")
 	}
 	for _, tc := range []struct {
 		name       string
 		twin, dest int
-		wantOK     bool
 	}{
-		{"not placed", 9, 2, false},
-		{"already there", 7, 0, false},
-		{"unknown destination", 7, 99, false},
-		{"full destination", 7, 1, false},
-		{"success", 7, 2, true},
+		{"unplaced twin", 9, 2},
+		{"self-migration", 7, 0},
+		{"unknown destination", 7, 99},
+		{"over-capacity destination", 7, 1},
 	} {
-		viaErr, viaTry := newCluster(), newCluster()
-		err := viaErr.MigrateTwin(tc.twin, tc.dest)
-		ok := viaTry.TryMigrateTwin(tc.twin, tc.dest)
-		if (err == nil) != ok || ok != tc.wantOK {
-			t.Errorf("%s: MigrateTwin error %v, TryMigrateTwin %v, want success %v", tc.name, err, ok, tc.wantOK)
+		if c.TryMigrateTwin(tc.twin, tc.dest) {
+			t.Errorf("%s must fail", tc.name)
 		}
-		if !reflect.DeepEqual(viaErr.location, viaTry.location) {
-			t.Errorf("%s: placements %v vs %v", tc.name, viaErr.location, viaTry.location)
+		if !reflect.DeepEqual(c.location, map[int]int{7: 0, 8: 2}) {
+			t.Errorf("%s changed the placements: %v", tc.name, c.location)
 		}
-		for i, srv := range viaErr.Servers() {
-			other := viaTry.Servers()[i]
-			if srv.Used() != other.Used() || !reflect.DeepEqual(srv.twins, other.twins) {
-				t.Errorf("%s: server %d holds %v using %+v vs %v using %+v", tc.name, srv.ID, srv.twins, srv.Used(), other.twins, other.Used())
+		for _, s := range c.servers {
+			var sum Resources
+			for _, req := range s.twins {
+				sum = sum.Add(req)
+			}
+			if sum != s.used {
+				t.Errorf("%s: server %d uses %+v but hosts %v", tc.name, s.ID, s.used, s.twins)
 			}
 		}
+	}
+	if !hosts(a, 7) || hosts(b, 7) || hosts(d, 7) {
+		t.Error("failed migrations moved the twin")
 	}
 }
 
@@ -351,13 +270,13 @@ func TestEvict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Place(3, res(1, 1, 1, 1)); err != nil {
-		t.Fatal(err)
+	if _, ok := c.TryPlace(3, res(1, 1, 1, 1)); !ok {
+		t.Fatal("TryPlace refused a twin that fits")
 	}
 	if err := c.Evict(3); err != nil {
 		t.Fatalf("Evict: %v", err)
 	}
-	if c.Locate(3) != -1 || c.TotalTwins() != 0 {
+	if c.Locate(3) != -1 || len(c.location) != 0 {
 		t.Error("twin still tracked after Evict")
 	}
 	if err := c.Evict(3); err == nil {
@@ -380,13 +299,13 @@ func TestClusterConservationProperty(t *testing.T) {
 			twin := i % 6
 			switch op % 3 {
 			case 0:
-				_, _ = c.Place(twin, res(float64(op%4)+0.5, 1, 2, 8))
+				c.TryPlace(twin, res(float64(op%4)+0.5, 1, 2, 8))
 			case 1:
-				_ = c.MigrateTwin(twin, int(op)%2)
+				c.TryMigrateTwin(twin, int(op)%2)
 			case 2:
 				_ = c.Evict(twin)
 			}
-			for _, s := range c.Servers() {
+			for _, s := range c.servers {
 				var sum Resources
 				for _, req := range s.twins {
 					sum = sum.Add(req)
@@ -410,24 +329,30 @@ func TestPlaceOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.PlaceOn(5, 1, res(1, 1, 1, 1)); err != nil {
-		t.Fatalf("PlaceOn: %v", err)
+	if !c.TryPlaceOn(5, 1, res(1, 1, 1, 1)) {
+		t.Fatal("TryPlaceOn refused a twin that fits")
 	}
-	if c.Locate(5) != 1 || !b.Hosts(5) {
+	if c.Locate(5) != 1 || !hosts(b, 5) {
 		t.Error("twin not on requested server")
 	}
-	if err := c.PlaceOn(5, 0, res(1, 1, 1, 1)); err == nil {
+	if c.TryPlaceOn(5, 0, res(1, 1, 1, 1)) {
 		t.Error("re-placing must fail")
 	}
-	if err := c.PlaceOn(6, 99, res(1, 1, 1, 1)); err == nil {
+	if c.TryPlaceOn(6, 99, res(1, 1, 1, 1)) {
 		t.Error("unknown server must fail")
+	}
+	if len(c.location) != 1 || len(a.twins) != 0 || len(b.twins) != 1 {
+		t.Errorf("refused placements changed the cluster: %v", c.location)
 	}
 	full := server(t, 2, res(0.5, 0.5, 0.5, 0.5))
 	c2, err := NewCluster([]*Server{full}, PlaceFirstFit)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c2.PlaceOn(7, 2, res(1, 1, 1, 1)); err == nil {
-		t.Error("over-capacity PlaceOn must fail")
+	if c2.TryPlaceOn(7, 2, res(1, 1, 1, 1)) {
+		t.Error("over-capacity TryPlaceOn must fail")
+	}
+	if len(c2.location) != 0 || len(full.twins) != 0 {
+		t.Error("refused TryPlaceOn changed the cluster")
 	}
 }

@@ -7,41 +7,33 @@ import (
 	"testing"
 )
 
-// FuzzScenarioParse feeds hostile bytes to both scenario decoders. The
+// FuzzScenarioParse feeds hostile bytes to the scenario decoder. The
 // property under test: Parse never panics, and any input it accepts is a
 // scenario that deterministically compiles — the loader's "a loaded
 // scenario always compiles" contract holds even for adversarial inputs.
+// The corpus starts from every committed scenario, whole and cut off
+// mid-document.
 func FuzzScenarioParse(f *testing.F) {
-	for _, path := range []string{
-		"static-highway.json", "urban-grid.json", "outages.json", "nonstationary.json",
-	} {
-		data, err := readScenarioFile(path)
+	files, err := filepath.Glob(filepath.Join(scenariosDir, "*.json"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no committed scenarios (%v)", err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(data, true)
-		f.Add(data, false)
+		f.Add(data)
+		f.Add(data[:len(data)/2])
 	}
-	for _, path := range []string{"churn.toml", "demand-cycle.toml"} {
-		data, err := readScenarioFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data, false)
-		f.Add(data, true)
-	}
-	f.Add([]byte(`{"name": "x", "outage_gen": {"count": 100000, "mean_duration_s": 1e308}}`), true)
-	f.Add([]byte("a = [[[[[\n"), false)
-	f.Add([]byte("a = {b = {c = 1}}\n[a.b]\n"), false)
-	f.Add([]byte(`{"name":"x","pricer":{"name":"fixed","price":1e999}}`), true)
-	f.Add([]byte("name = \"x\"\nseed = 9223372036854775807\n"), false)
+	f.Add([]byte(`{"name": "x", "outage_gen": {"count": 100000, "mean_duration_s": 1e308}}`))
+	f.Add([]byte(`{"name":"x","pricer":{"name":"fixed","price":1e999}}`))
+	f.Add([]byte(`{"name": "x", "seed": 9223372036854775807}`))
+	f.Add([]byte(`{"name": "x", "outages": [[[[[`))
+	f.Add([]byte(`{"name": "x", "churn": {"arrival_rate_per_s": -1}}`))
 
-	f.Fuzz(func(t *testing.T, data []byte, asJSON bool) {
-		format := FormatTOML
-		if asJSON {
-			format = FormatJSON
-		}
-		s, err := Parse(data, format)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Parse(data)
 		if err != nil {
 			return
 		}
@@ -57,8 +49,4 @@ func FuzzScenarioParse(f *testing.F) {
 			t.Fatalf("compile is not deterministic:\n %+v\n %+v", cfg1, cfg2)
 		}
 	})
-}
-
-func readScenarioFile(name string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(scenariosDir, name))
 }

@@ -10,62 +10,28 @@ import (
 	"strings"
 )
 
-// Scenario file formats.
-const (
-	FormatJSON = "json"
-	FormatTOML = "toml"
-)
-
-// Load reads, parses, and fully validates a scenario file. The format
-// follows the extension (.json or .toml); anything else is rejected.
-// Loading is strict: unknown fields, malformed syntax, and invalid
-// values all error — a loaded scenario always compiles.
+// Load reads, parses, and fully validates a .json scenario file; any
+// other extension is rejected. Loading is strict: unknown fields,
+// malformed syntax, and invalid values all error — a loaded scenario
+// always compiles.
 func Load(path string) (*Scenario, error) {
-	var format string
-	switch ext := strings.ToLower(filepath.Ext(path)); ext {
-	case ".json":
-		format = FormatJSON
-	case ".toml":
-		format = FormatTOML
-	default:
-		return nil, fmt.Errorf("scenario: %s: unsupported extension %q (want .json or .toml)", path, ext)
+	if ext := filepath.Ext(path); !strings.EqualFold(ext, ".json") {
+		return nil, fmt.Errorf("scenario: %s: unsupported extension %q (scenario files are .json)", path, ext)
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: reading %s: %w", path, err)
 	}
-	s, err := Parse(data, format)
+	s, err := Parse(data)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %s: %w", path, err)
 	}
 	return s, nil
 }
 
-// Parse decodes and fully validates a scenario from raw bytes in the
-// given format (FormatJSON or FormatTOML). Unknown fields are rejected
-// in both formats — TOML decodes through the same strict JSON schema.
-func Parse(data []byte, format string) (*Scenario, error) {
-	var s *Scenario
-	var err error
-	switch format {
-	case FormatJSON:
-		s, err = parseJSON(data)
-	case FormatTOML:
-		s, err = parseTOMLScenario(data)
-	default:
-		return nil, fmt.Errorf("unknown format %q (want %q or %q)", format, FormatJSON, FormatTOML)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// parseJSON strictly decodes one JSON scenario document.
-func parseJSON(data []byte) (*Scenario, error) {
+// Parse strictly decodes and fully validates one JSON scenario document:
+// unknown fields and content after the document are errors.
+func Parse(data []byte) (*Scenario, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Scenario
@@ -75,24 +41,8 @@ func parseJSON(data []byte) (*Scenario, error) {
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
 		return nil, fmt.Errorf("trailing content after the scenario document")
 	}
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
 	return &s, nil
-}
-
-// parseTOMLScenario parses the TOML subset and funnels the result
-// through the strict JSON schema, so both formats share one set of
-// field names and one unknown-field policy.
-func parseTOMLScenario(data []byte) (*Scenario, error) {
-	tree, err := parseTOML(string(data))
-	if err != nil {
-		return nil, fmt.Errorf("parsing TOML: %w", err)
-	}
-	encoded, err := json.Marshal(tree)
-	if err != nil {
-		return nil, fmt.Errorf("re-encoding TOML: %w", err)
-	}
-	s, err := parseJSON(encoded)
-	if err != nil {
-		return nil, fmt.Errorf("TOML fields: %w", err)
-	}
-	return s, nil
 }

@@ -1,7 +1,7 @@
 // Package scenario provides the declarative workload layer of the
 // simulator: a scenario is a named, self-contained description of one
 // simulation — road world, fleet, churn, outages, demand cycle, and the
-// MSP pricer — loadable from strict JSON or TOML files and compiled into
+// MSP pricer — loadable from strict JSON files and compiled into
 // a validated sim.Config.
 //
 // Scenarios are deterministic artifacts: compiling the same scenario

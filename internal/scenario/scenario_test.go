@@ -56,9 +56,14 @@ func TestLoadCommittedScenarios(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsUnknownExtension pins that only .json files load: any
+// other file, .toml included, is refused before it is read, with an
+// error that names the format to use.
 func TestLoadRejectsUnknownExtension(t *testing.T) {
-	if _, err := Load("nope.yaml"); err == nil || !strings.Contains(err.Error(), "unsupported extension") {
-		t.Fatalf("want unsupported-extension error, got %v", err)
+	for _, path := range []string{"nope.yaml", "churn.toml"} {
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), "unsupported extension") || !strings.Contains(err.Error(), ".json") {
+			t.Errorf("%s: want an unsupported-extension error naming .json, got %v", path, err)
+		}
 	}
 }
 
@@ -79,64 +84,11 @@ func TestParseJSONStrict(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Parse([]byte(tc.src), FormatJSON)
+			_, err := Parse([]byte(tc.src))
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("want error containing %q, got %v", tc.wantErr, err)
 			}
 		})
-	}
-}
-
-func TestParseTOMLSharesJSONSchema(t *testing.T) {
-	// The same scenario in both formats must decode to the same value.
-	jsonSrc := `{
-		"name": "twin", "seed": 9, "duration_s": 60, "vehicles": 4,
-		"churn": {"arrival_rate_per_s": 0.1, "mean_dwell_s": 80},
-		"outages": [{"rsu": 1, "start_s": 5, "end_s": 20}],
-		"pricer": {"name": "fixed", "price": 25}
-	}`
-	tomlSrc := `
-name = "twin"
-seed = 9
-duration_s = 60.0
-vehicles = 4
-
-[churn]
-arrival_rate_per_s = 0.1
-mean_dwell_s = 80.0
-
-[[outages]]
-rsu = 1
-start_s = 5.0
-end_s = 20.0
-
-[pricer]
-name = "fixed"
-price = 25.0
-`
-	fromJSON, err := Parse([]byte(jsonSrc), FormatJSON)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromTOML, err := Parse([]byte(tomlSrc), FormatTOML)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fromJSON, fromTOML) {
-		t.Fatalf("JSON and TOML decode diverge:\n json: %+v\n toml: %+v", fromJSON, fromTOML)
-	}
-}
-
-func TestParseTOMLRejectsUnknownField(t *testing.T) {
-	src := "name = \"x\"\nvehicels = 4\n"
-	if _, err := Parse([]byte(src), FormatTOML); err == nil || !strings.Contains(err.Error(), "vehicels") {
-		t.Fatalf("want unknown-field error naming vehicels, got %v", err)
-	}
-}
-
-func TestParseUnknownFormat(t *testing.T) {
-	if _, err := Parse([]byte(`{"name":"x"}`), "yaml"); err == nil || !strings.Contains(err.Error(), "unknown format") {
-		t.Fatalf("want unknown-format error, got %v", err)
 	}
 }
 
@@ -222,8 +174,8 @@ func TestScenarioShardsFieldCompiles(t *testing.T) {
 }
 
 // writeScenarios writes each name → document pair into a fresh directory
-// and returns the paths, so the tests below go through Load's
-// extension-based format dispatch.
+// and returns the paths, so the tests below go through Load's extension
+// check and file read.
 func writeScenarios(t *testing.T, docs map[string]string) []string {
 	t.Helper()
 	dir := t.TempDir()
@@ -241,7 +193,6 @@ func writeScenarios(t *testing.T, docs map[string]string) []string {
 func TestLoadDiscardMigrationRecords(t *testing.T) {
 	for _, path := range writeScenarios(t, map[string]string{
 		"a.json": `{"name": "a", "discard_migration_records": true}`,
-		"b.toml": "name = \"b\"\ndiscard_migration_records = true\n",
 	}) {
 		s, err := Load(path)
 		if err != nil {
@@ -254,12 +205,11 @@ func TestLoadDiscardMigrationRecords(t *testing.T) {
 }
 
 // TestLoadRejectsShardsKey pins that "shards" left the schema along with
-// region-sharded stepping: a document still carrying it fails loudly in
-// both formats instead of being ignored.
+// region-sharded stepping: a document still carrying it fails loudly
+// instead of being ignored.
 func TestLoadRejectsShardsKey(t *testing.T) {
 	for _, path := range writeScenarios(t, map[string]string{
 		"a.json": `{"name": "a", "shards": 3}`,
-		"b.toml": "name = \"b\"\nshards = 3\n",
 	}) {
 		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
 			t.Errorf("%s: want an unknown-field error naming shards, got %v", path, err)

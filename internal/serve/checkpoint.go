@@ -117,9 +117,10 @@ func loadCheckpoint(path string) (*nn.Checkpoint, uint32, error) {
 }
 
 // pruneCheckpoints removes checkpoint files with ordinals the retention
-// policy no longer needs: everything older than keep files back from
-// bound, where bound is the ordinal the on-disk journal binds to. The
-// bound checkpoint itself is never pruned — deleting it would orphan the
+// policy no longer needs: every ordinal up to bound − keep, where bound
+// is the ordinal the on-disk journal binds to, so the keep newest
+// ordinals bound − keep + 1 … bound survive. The bound checkpoint itself
+// is never pruned (keep is at least 1) — deleting it would orphan the
 // journal. Prune errors are reported but recovery never depends on a
 // prune having happened.
 func pruneCheckpoints(dir string, bound, keep int) error {

@@ -152,8 +152,10 @@ type Config struct {
 	// journal between UpdateEvery and 2·UpdateEvery rounds long (it
 	// extends the checkpoint one rotation back).
 	SnapshotEvery int
-	// KeepCheckpoints is how many rotated checkpoints to retain besides
-	// the one the journal binds to (audit trail). Zero selects 2.
+	// KeepCheckpoints is how many published checkpoints to retain,
+	// counting the one the journal binds to, which is never pruned: 1
+	// keeps only that bound checkpoint, and each more keeps one older
+	// checkpoint for the audit trail. Zero selects 2.
 	KeepCheckpoints int
 	// QueueDepth bounds the intake queue. Zero selects 256.
 	QueueDepth int

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -532,25 +533,38 @@ func TestServeRefusesCheckpointsWithoutJournal(t *testing.T) {
 	}
 }
 
+// TestServePrunesOldCheckpoints pins what KeepCheckpoints retains: the
+// keep newest published ordinals, the journal's bound checkpoint among
+// them, so 1 leaves the bound file alone. Zero selects the default, 2.
 func TestServePrunesOldCheckpoints(t *testing.T) {
-	dir := t.TempDir()
-	cfg := testConfig(dir)
-	cfg.KeepCheckpoints = 1
-	s := mustOpen(t, cfg)
-	defer s.Close()
-	// 12 phases → snapshots 1..6. Rotation 6's boundary published
-	// checkpoint 5, switched the journal to it and pruned the older ones;
-	// checkpoint 6 is not published yet.
-	quoteAll(t, s, reqStream(60))
-	matches, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matches) != 1 {
-		t.Fatalf("KeepCheckpoints=1 left %d checkpoints: %v", len(matches), matches)
-	}
-	if matches[0] != serve.CheckpointPathFor(dir, 5) {
-		t.Fatalf("surviving checkpoint %s, want ordinal 5", matches[0])
+	for _, keep := range []int{0, 1, 2, 3} {
+		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := testConfig(dir)
+			cfg.KeepCheckpoints = keep
+			s := mustOpen(t, cfg)
+			defer s.Close()
+			// 12 phases → snapshots 1..6. Rotation 6's boundary published
+			// checkpoint 5, switched the journal to it and pruned the
+			// older ones; checkpoint 6 is not published yet.
+			quoteAll(t, s, reqStream(60))
+			const bound = 5
+			kept := keep
+			if kept == 0 {
+				kept = 2
+			}
+			var want []string
+			for n := bound - kept + 1; n <= bound; n++ {
+				want = append(want, serve.CheckpointPathFor(dir, n))
+			}
+			got, err := filepath.Glob(filepath.Join(dir, "checkpoint-*.bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("KeepCheckpoints=%d left %v, want %v", keep, got, want)
+			}
+		})
 	}
 }
 

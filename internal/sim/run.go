@@ -655,7 +655,7 @@ func (s *Simulator) runPricingRound() {
 		if math.IsNaN(bw) || math.IsInf(bw, 0) {
 			// A garbage scale result must not reach the allocator: treat it
 			// like the other corrupted-accounting paths instead of letting
-			// Allocate absorb a NaN into the shared pool.
+			// TryAllocate absorb a NaN into the shared pool.
 			panic(fmt.Sprintf("sim: t=%.3fs: scaling %d demands into %g MHz produced %g for vehicle %d (scale %g)",
 				s.now, len(batch), avail, bw, pm.st.v.ID, scale))
 		}
@@ -665,9 +665,9 @@ func (s *Simulator) runPricingRound() {
 		}
 		if !s.alloc.TryAllocate(pm.st.v.ID, bw) {
 			// Pool exhausted by earlier grants in this batch: retry later.
-			// (TryAllocate rather than Allocate: at fleet scale thousands
-			// of grants defer per tick, and the rejection errors were the
-			// round's dominant allocation.)
+			// (TryAllocate builds no rejection error: at fleet scale
+			// thousands of grants defer per tick, and such errors would
+			// be the round's dominant allocation.)
 			s.pending = append(s.pending, pm)
 			s.report.Deferred++
 			s.emit(trace.Event{TimeS: s.now, Kind: trace.KindDeferred, Vehicle: pm.st.v.ID})

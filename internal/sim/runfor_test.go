@@ -83,7 +83,7 @@ type nanPricer struct{}
 func (nanPricer) Name() string                       { return "nan" }
 func (nanPricer) PriceFor(*stackelberg.Game) float64 { return math.NaN() }
 
-// TestRunPanicsOnNaNPrice pins the ScaleToFit-poisoning fix: a pricer
+// TestRunPanicsOnNaNPrice pins the demand-scaling poisoning fix: a pricer
 // returning NaN must stop the simulation with a contextual panic instead
 // of silently feeding NaN demands into the shared bandwidth pool.
 func TestRunPanicsOnNaNPrice(t *testing.T) {

@@ -94,7 +94,7 @@ type (
 type (
 	// Scenario is a named, self-contained description of one simulation —
 	// road world, fleet, churn, outages, demand cycle, and pricer —
-	// loadable from strict JSON or TOML files (LoadScenario) and compiled
+	// loadable from strict JSON files (LoadScenario) and compiled
 	// deterministically into a SimConfig. Zero-valued fields adopt the
 	// DefaultSimConfig values, so a scenario states only what it changes
 	// about the default highway world.
@@ -104,10 +104,10 @@ type (
 	ScenarioMobility = scenario.Mobility
 )
 
-// LoadScenario reads, parses, and fully validates a scenario file; the
-// format follows the extension (.json or .toml). Loading is strict —
-// unknown fields, malformed syntax, and invalid values all error — so a
-// loaded scenario always compiles.
+// LoadScenario reads, parses, and fully validates a .json scenario file.
+// Loading is strict — other extensions, unknown fields, malformed
+// syntax, and invalid values all error — so a loaded scenario always
+// compiles.
 func LoadScenario(path string) (*Scenario, error) { return scenario.Load(path) }
 
 // RunScenario compiles a scenario (expanding generator blocks, building
