@@ -93,15 +93,15 @@ bench-check:
 	$(GO) -C bench test -race ./...
 
 # bench-smoke exercises the PPO hot-path benchmarks just enough to catch
-# gross regressions and allocation reintroductions. The checkpoint
-# encode/decode pair keeps the binary format's size and speed advantage
-# over JSON visible in every smoke pass, SolveScratch covers the
-# equilibrium solver at the paper's 2 VMUs and at fleet size, MatMul,
-# AdamStep and TanhTo cover the kernels the PPO update spends its time in
-# (MatMulABTTo at the one-row and 20-row forward shapes), and SimNew
-# prints the metro-10k set-up's time and bytes.
+# gross regressions and allocation reintroductions. CheckpointBinary
+# times the checkpoint encode, append and decode and reports the encoded
+# size, SolveScratch covers the equilibrium solver at the paper's 2 VMUs
+# and at fleet size, MatMul, AdamStep and TanhTo cover the kernels the
+# PPO update spends its time in (MatMulABTTo at the one-row and 20-row
+# forward shapes), and SimNew prints the metro-10k set-up's time and
+# bytes.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|ActorCriticForward|MatMul|AdamStep|TanhTo|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointJSON|CheckpointBinary|ServeQuote|SolveScratch|SimNew' -benchmem -benchtime 100x .
+	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|ActorCriticForward|MatMul|AdamStep|TanhTo|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointBinary|ServeQuote|SolveScratch|SimNew' -benchmem -benchtime 100x .
 
 # golden regenerates the fixed-seed golden files after an intentional
 # numeric change: the experiment figure pipelines, the per-pricer

@@ -366,8 +366,7 @@ func BenchmarkSnapshot(b *testing.B) {
 
 // BenchmarkResume measures a full restore into a freshly built trainer —
 // strict state application plus the O(1) reconstruction of the counted
-// RNG streams from their captured generator state (legacy checkpoints
-// without the state replay the stream instead).
+// RNG streams from their captured generator state.
 func BenchmarkResume(b *testing.B) {
 	vec := newBenchVecEnv(b, 1)
 	lo, hi := vec.ActionBounds()
@@ -388,10 +387,10 @@ func BenchmarkResume(b *testing.B) {
 	}
 }
 
-// benchCheckpoint builds a full training checkpoint (weights, optimizer,
-// RNG state, meta) for the encoding benchmarks.
-func benchCheckpoint(b *testing.B) *nn.Checkpoint {
-	b.Helper()
+// BenchmarkCheckpointBinary measures encoding and decoding a full
+// training checkpoint (weights, optimizer, RNG state, meta), reporting
+// the encoded size.
+func BenchmarkCheckpointBinary(b *testing.B) {
 	vec := newBenchVecEnv(b, 1)
 	lo, hi := vec.ActionBounds()
 	agent := rl.NewPPO(vec.ObsDim(), vec.ActDim(), lo, hi, rl.DefaultPPOConfig())
@@ -402,55 +401,6 @@ func benchCheckpoint(b *testing.B) *nn.Checkpoint {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return ck
-}
-
-// BenchmarkCheckpointJSON measures encoding and decoding a full training
-// checkpoint in the JSON format, reporting the encoded size.
-func BenchmarkCheckpointJSON(b *testing.B) {
-	ck := benchCheckpoint(b)
-	var buf bytes.Buffer
-	if err := ck.Save(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
-	b.Run("encode", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ReportMetric(float64(len(data)), "bytes")
-		for i := 0; i < b.N; i++ {
-			buf.Reset()
-			if err := ck.Save(&buf); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// append is the serving path: encoding into a buffer reused across
-	// rotations.
-	b.Run("append", func(b *testing.B) {
-		b.ReportAllocs()
-		var enc []byte
-		for i := 0; i < b.N; i++ {
-			var err error
-			if enc, err = ck.AppendBinary(enc[:0]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("decode", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := nn.LoadCheckpoint(bytes.NewReader(data)); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkCheckpointBinary measures the same checkpoint through the
-// compact binary encoding — the size and decode-time advantage over JSON
-// is the point of the format (see BENCH_pr6.json for recorded numbers).
-func BenchmarkCheckpointBinary(b *testing.B) {
-	ck := benchCheckpoint(b)
 	var buf bytes.Buffer
 	if err := ck.SaveBinary(&buf); err != nil {
 		b.Fatal(err)

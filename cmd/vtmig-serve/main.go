@@ -203,7 +203,7 @@ func warmStartAgent(path string, game *stackelberg.Game, ppo rl.PPOConfig, histo
 	if res.Checkpoint.Pricer != nil {
 		return nil, 0, fmt.Errorf("%s is a mid-run pricer checkpoint; vtmig-serve resumes serving state from its own -dir, not from pricer checkpoints", path)
 	}
-	agent, _, err := experiments.WarmStartAgent(game, res.HistoryLen, res.PPO, res.Checkpoint)
+	agent, err := experiments.WarmStartAgent(game, res.HistoryLen, res.PPO, res.Checkpoint)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -10,23 +10,18 @@
 // scratch with `-warm-start=false`), running a PPO optimization phase
 // every `-update-every` rounds.
 //
-// Instead of training in-process, `-warm-start-file ck.json` warm-starts
-// the online pricer from a checkpoint written by vtmig-train -checkpoint
-// (JSON or the compact binary encoding — the loader auto-detects). A
-// full checkpoint restores the complete learner state (optimizer moments
-// and RNG stream included, so continued learning picks the training
-// stream up exactly) and carries its own architecture metadata: the
-// history length and learning rate are read from the checkpoint, and
-// explicitly passed -history/-lr flags are only checked against it — a
-// conflict fails loudly before the simulation starts. A legacy
-// weights-only checkpoint has no metadata and keeps using the flags. A
-// mid-run pricer checkpoint (written by -snapshot-out) additionally
-// restores the belief window, best tracker, and stream counters, so the
-// online run resumes exactly where it stopped.
+// Instead of training in-process, `-warm-start-file ck.bin` warm-starts
+// the online pricer from a checkpoint written by vtmig-train -checkpoint.
+// It restores the complete learner state (optimizer moments and RNG
+// stream included, so continued learning picks the training stream up
+// exactly) and carries its own architecture metadata: the history length
+// and learning rate are read from the checkpoint. A mid-run pricer
+// checkpoint (written by -snapshot-out) additionally restores the belief
+// window, best tracker, and stream counters, so the online run resumes
+// exactly where it stopped.
 //
 // `-snapshot-every N -snapshot-out ck.bin` writes such a resume
-// checkpoint after every Nth online optimization phase (binary when the
-// name ends in .bin, JSON otherwise).
+// checkpoint after every Nth online optimization phase.
 //
 // Instead of workload flags, `-scenario city.json` runs a declarative
 // scenario file (strict JSON, see internal/scenario): road world,
@@ -43,7 +38,7 @@
 //	          [-vehicles 6] [-rsus 8] [-duration 600]
 //	          [-pricer oracle|random|fixed|drl|online] [-price 25]
 //	          [-train-episodes 30] [-update-every 20] [-warm-start]
-//	          [-warm-start-file ck.json] [-history 4] [-lr 3e-4]
+//	          [-warm-start-file ck.bin]
 //	          [-snapshot-every 0] [-snapshot-out ck.bin]
 //	          [-failure 0] [-seed 1] [-verbose]
 package main
@@ -68,7 +63,7 @@ import (
 var scenarioConflictFlags = []string{
 	"vehicles", "rsus", "duration", "failure", "seed",
 	"pricer", "price", "train-episodes", "update-every",
-	"warm-start", "warm-start-file", "history", "lr",
+	"warm-start", "warm-start-file",
 }
 
 func main() {
@@ -91,10 +86,8 @@ func run(args []string) error {
 		updateEvery = fs.Int("update-every", 20, "online optimization cadence in pricing rounds (-pricer online)")
 		warmStart   = fs.Bool("warm-start", true, "warm-start -pricer online from offline training (false: learn from scratch)")
 		warmFile    = fs.String("warm-start-file", "", "warm-start -pricer online from this checkpoint file instead of training in-process")
-		history     = fs.Int("history", 4, "observation history length L of a legacy weights-only -warm-start-file checkpoint (full checkpoints carry it themselves)")
-		lr          = fs.Float64("lr", 3e-4, "Adam learning rate of a legacy weights-only -warm-start-file checkpoint's training (full checkpoints carry it themselves)")
 		snapEvery   = fs.Int("snapshot-every", 0, "write a resume checkpoint after every Nth online optimization phase (-pricer online; 0 disables)")
-		snapOut     = fs.String("snapshot-out", "", "file the mid-run resume checkpoints go to (binary when the name ends in .bin; required with -snapshot-every)")
+		snapOut     = fs.String("snapshot-out", "", "file the mid-run resume checkpoints go to (required with -snapshot-every)")
 		failure     = fs.Float64("failure", 0, "pricing-round failure probability in [0, 1)")
 		seed        = fs.Int64("seed", 1, "random seed")
 		verbose     = fs.Bool("verbose", false, "print every migration record")
@@ -179,12 +172,6 @@ func run(args []string) error {
 		}
 		if explicit["warm-start"] {
 			spec.WarmStart = warmStart
-		}
-		if explicit["history"] {
-			spec.HistoryLen = *history
-		}
-		if explicit["lr"] {
-			spec.LR = *lr
 		}
 		opts.DefaultSeed = *seed
 		p, err := sim.NewPricerFromSpec(spec, opts)

@@ -6,28 +6,27 @@
 // Usage:
 //
 //	vtmig-train [-episodes 500] [-rounds 100] [-history 4] [-lr 3e-4]
-//	            [-reward binary|shaped] [-seed 1] [-checkpoint out.json]
-//	            [-resume ck.json] [-collect-envs 1]
+//	            [-reward binary|shaped] [-seed 1] [-checkpoint out.bin]
+//	            [-resume ck.bin] [-collect-envs 1]
 //
 // -collect-envs W ≥ 2 enables vectorized collection: episodes run in
 // lockstep blocks of W independently seeded environments with the policy
 // evaluated for all of them in one batched pass per round.
 //
 // -checkpoint writes a FULL training checkpoint — weights, Adam state,
-// RNG stream positions, environment streams, episode count — and -resume
-// continues training from one: with -resume ck.json and -episodes E, the
-// run picks the stream up at the checkpointed episode and trains to E
-// total, bit-identical to a run that never stopped (the training flags
-// must match the checkpointed configuration; -seed is taken from the
-// checkpoint, and -restarts does not apply since a checkpoint pins one
-// training stream).
+// RNG stream positions, environment streams, episode count — in the
+// binary checkpoint encoding, and -resume continues training from one:
+// with -resume ck.bin and -episodes E, the run picks the stream up at the
+// checkpointed episode and trains to E total, bit-identical to a run that
+// never stopped (the training flags must match the checkpointed
+// configuration; -seed is taken from the checkpoint, and -restarts does
+// not apply since a checkpoint pins one training stream).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"vtmig/internal/baselines"
 	"vtmig/internal/experiments"
@@ -52,8 +51,8 @@ func run(args []string) error {
 		lr         = fs.Float64("lr", 3e-4, "Adam learning rate")
 		reward     = fs.String("reward", "binary", "reward signal: binary (Eq. 12) or shaped")
 		seed       = fs.Int64("seed", 1, "random seed (ignored under -resume: the checkpoint pins the stream seed)")
-		checkpoint = fs.String("checkpoint", "", "write the full training checkpoint (weights, optimizer, RNG, env streams) to this file — compact binary when the name ends in .bin, JSON otherwise")
-		resume     = fs.String("resume", "", "resume training from this full checkpoint (either encoding; -episodes is the TOTAL episode budget)")
+		checkpoint = fs.String("checkpoint", "", "write the full training checkpoint (weights, optimizer, RNG, env streams) to this file")
+		resume     = fs.String("resume", "", "resume training from this checkpoint (-episodes is the TOTAL episode budget)")
 
 		collectEnvs = fs.Int("collect-envs", 1, "parallel training environments for vectorized collection (≥2 enables lockstep episode blocks)")
 	)
@@ -92,9 +91,6 @@ func run(args []string) error {
 		ck, err2 := loadCheckpointFile(*resume)
 		if err2 != nil {
 			return err2
-		}
-		if ck.Meta == nil {
-			return fmt.Errorf("%s is not a full training checkpoint", *resume)
 		}
 		fmt.Printf("Resuming from %s at episode %d\n", *resume, ck.Meta.Episodes)
 		res, err = experiments.ResumeAgent(game, cfg, ck)
@@ -141,12 +137,8 @@ func run(args []string) error {
 		if err := res.Checkpoint.WriteFile(*checkpoint); err != nil {
 			return fmt.Errorf("writing checkpoint: %w", err)
 		}
-		encoding := "JSON"
-		if strings.HasSuffix(*checkpoint, ".bin") {
-			encoding = "binary"
-		}
-		fmt.Printf("Full training checkpoint written to %s (%s, episode %d; resume with -resume)\n",
-			*checkpoint, encoding, res.Checkpoint.Meta.Episodes)
+		fmt.Printf("Full training checkpoint written to %s (binary, episode %d; resume with -resume)\n",
+			*checkpoint, res.Checkpoint.Meta.Episodes)
 	}
 	return nil
 }

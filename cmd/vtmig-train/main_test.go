@@ -37,7 +37,7 @@ func TestRunUnknownReward(t *testing.T) {
 }
 
 func TestRunCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
+	path := filepath.Join(t.TempDir(), "ck.bin")
 	if err := run([]string{"-episodes", "2", "-rounds", "10", "-checkpoint", path}); err != nil {
 		t.Fatalf("run with checkpoint: %v", err)
 	}
@@ -51,13 +51,13 @@ func TestRunCheckpoint(t *testing.T) {
 }
 
 func TestRunCheckpointBadPath(t *testing.T) {
-	if err := run([]string{"-episodes", "2", "-rounds", "10", "-checkpoint", "/nonexistent-dir/x.json"}); err == nil {
+	if err := run([]string{"-episodes", "2", "-rounds", "10", "-checkpoint", "/nonexistent-dir/x.bin"}); err == nil {
 		t.Fatal("unwritable checkpoint path accepted")
 	}
 }
 
 func TestRunResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
+	path := filepath.Join(t.TempDir(), "ck.bin")
 	if err := run([]string{"-episodes", "2", "-rounds", "10", "-checkpoint", path}); err != nil {
 		t.Fatalf("run with checkpoint: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestRunResume(t *testing.T) {
 }
 
 func TestRunResumeRejectsMismatchedFlags(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ck.json")
+	path := filepath.Join(t.TempDir(), "ck.bin")
 	if err := run([]string{"-episodes", "2", "-rounds", "10", "-checkpoint", path}); err != nil {
 		t.Fatalf("run with checkpoint: %v", err)
 	}
@@ -77,7 +77,7 @@ func TestRunResumeRejectsMismatchedFlags(t *testing.T) {
 	if err := run([]string{"-episodes", "2", "-rounds", "10", "-resume", path}); err == nil {
 		t.Fatal("resume with no episodes left accepted")
 	}
-	if err := run([]string{"-episodes", "4", "-resume", filepath.Join(t.TempDir(), "missing.json")}); err == nil {
+	if err := run([]string{"-episodes", "4", "-resume", filepath.Join(t.TempDir(), "missing.bin")}); err == nil {
 		t.Fatal("resume from missing file accepted")
 	}
 }

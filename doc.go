@@ -91,41 +91,38 @@
 //
 // # Checkpointing
 //
-// Training state persists through a versioned checkpoint format
-// (nn.Checkpoint, version 2): parameter values, per-parameter Adam
-// moments and the optimizer step count, the policy RNG stream — as a
-// (seed, advance-count) pair over a counting source
-// (mathx.CountingSource) plus, since version 2, the generator's captured
-// lagged-Fibonacci state vector, so restore is an O(1) reconstruction
-// instead of an O(calls) replay — each training-environment stream's
-// state (RNG position plus the running-best reference of Eq. 12), and
-// training metadata (episode count, configuration fingerprint). A
-// checkpoint written by sim.OnlinePricer.Snapshot additionally carries
-// the version-2 pricer section: the POMDP encoder's belief window, the
-// current observation, the best-price tracker, the stream-collector
-// round/update counters, and the pricer hyper-parameters — everything
-// sim.NewOnlinePricerFromCheckpoint needs to continue the same
-// simulation stream bit-identically. Snapshots are taken at
-// episode-block boundaries (rl.PPO.Snapshot, rl.Trainer.Snapshot,
-// experiments.TrainResult.Checkpoint) and at online update boundaries
-// (sim.OnlinePricer.Snapshot, its SnapshotEvery hook), and restores are
-// strict: unknown, missing, mis-sized, empty, or non-finite entries are
-// rejected before anything is applied, so a checkpoint from a different
-// architecture or a hand-edited file fails loudly. Version negotiation
-// is checked in both directions: version-2-only sections (RNG state
-// vectors, the pricer section) are rejected on older versions, while
-// legacy version-0 params-only files still load for weight-only warm
-// starts (rl.PPO.RestoreWeights) and version-1 files restore through
-// counted replay.
+// Training state persists through one checkpoint format (nn.Checkpoint,
+// version 2): parameter values, per-parameter Adam moments and the
+// optimizer step count, the policy RNG stream — as a (seed,
+// advance-count) pair over a counting source (mathx.CountingSource) plus,
+// once the stream is at least mathx.StateLen draws old, the generator's
+// captured lagged-Fibonacci state vector, so restore is an O(1)
+// reconstruction and never replays more than mathx.StateLen − 1 draws —
+// each training-environment stream's state (RNG position plus the
+// running-best reference of Eq. 12), and training metadata (episode
+// count, configuration fingerprints). A checkpoint written by
+// sim.OnlinePricer.Snapshot additionally carries the pricer section: the
+// POMDP encoder's belief window, the current observation, the best-price
+// tracker, the stream-collector round/update counters, and the pricer
+// hyper-parameters — everything sim.NewOnlinePricerFromCheckpoint needs
+// to continue the same simulation stream bit-identically. Snapshots are
+// taken at episode-block boundaries (rl.PPO.Snapshot,
+// rl.Trainer.Snapshot, experiments.TrainResult.Checkpoint) and at online
+// update boundaries (sim.OnlinePricer.Snapshot, its SnapshotEvery hook).
+// nn.Checkpoint.Validate states the one shape every writer produces and
+// every reader accepts — version 2, the optimizer, RNG and meta sections
+// present, environment and pricer sections optional, an RNG state exactly
+// on streams that old — and restores are strict: unknown, missing,
+// mis-sized, empty, or non-finite entries are rejected before anything
+// is applied, so a checkpoint from a different architecture or a
+// hand-edited file fails loudly.
 //
-// Checkpoints serialize as JSON (Checkpoint.Save) or as a compact binary
-// encoding (Checkpoint.SaveBinary) — "vtck" magic, little-endian version,
+// The encoding (Checkpoint.SaveBinary, Checkpoint.WriteFile,
+// nn.LoadCheckpoint) is binary: "vtck" magic, little-endian version,
 // tagged sections in fixed order (params, optimizer, RNG, envs, meta,
 // pricer), uvarint lengths with hard caps against hostile inputs, and a
-// CRC-32 trailer so truncation and bit corruption fail loudly. The
-// binary form is ~2.7x smaller and an order of magnitude faster to
-// encode and decode than the JSON form; nn.LoadCheckpoint auto-detects
-// either encoding by the leading magic. Resume entry points:
+// CRC-32 trailer so truncation and bit corruption fail loudly. It reads
+// back every checkpoint it writes. Resume entry points:
 // rl.ResumeTrainer, experiments.ResumeAgent,
 // sim.NewOnlinePricerFromCheckpoint, vtmig-train -resume, vtmig-sim
 // -warm-start-file (with -snapshot-every/-snapshot-out writing mid-run
@@ -327,11 +324,10 @@
 //     values, per-parameter Adam moments and step count, the policy RNG
 //     stream position, and every environment stream's RNG position and
 //     running-best reference — with RNG streams restored from their
-//     captured generator state in O(1) (version-1 files fall back to
-//     replaying a counted source to its recorded position). Training K
-//     episodes, snapshotting at an episode-block boundary, restoring
-//     into freshly built environments and learner, and training K more
-//     is then bit-identical to training 2K straight, even when GOMAXPROCS
+//     captured generator state in O(1). Training K episodes,
+//     snapshotting at an episode-block boundary, restoring into freshly
+//     built environments and learner, and training K more is then
+//     bit-identical to training 2K straight, even when GOMAXPROCS
 //     changes between the legs. At simulator level the same holds: an
 //     online pricer snapshot also carries the encoder belief window,
 //     current observation, best tracker, and stream counters, so running

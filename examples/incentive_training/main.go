@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 	"strconv"
 
 	"vtmig"
@@ -54,19 +55,17 @@ func main() {
 		log.Fatal(err)
 	}
 
-	ckFile, err := os.CreateTemp("", "vtmig-ck-*.json")
+	dir, err := os.MkdirTemp("", "vtmig-ck-")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.Remove(ckFile.Name())
-	if err := firstLeg.Checkpoint.Save(ckFile); err != nil {
-		log.Fatal(err)
-	}
-	if err := ckFile.Close(); err != nil {
+	defer os.RemoveAll(dir)
+	ckPath := filepath.Join(dir, "ck.bin")
+	if err := firstLeg.Checkpoint.WriteFile(ckPath); err != nil {
 		log.Fatal(err)
 	}
 
-	in, err := os.Open(ckFile.Name())
+	in, err := os.Open(ckPath)
 	if err != nil {
 		log.Fatal(err)
 	}

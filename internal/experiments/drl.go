@@ -228,8 +228,8 @@ func ResumeAgentCtx(ctx context.Context, game *stackelberg.Game, cfg DRLConfig, 
 	if ck == nil {
 		return nil, fmt.Errorf("experiments: nil checkpoint")
 	}
-	if ck.Meta == nil || ck.RNG == nil || ck.Opt == nil {
-		return nil, fmt.Errorf("experiments: checkpoint is weights-only; training cannot resume from it (write one with vtmig-train -checkpoint or TrainResult.Checkpoint)")
+	if err := ck.Validate(); err != nil {
+		return nil, err
 	}
 	if got, want := ck.Meta.Fingerprint, cfg.Fingerprint(game); got != want {
 		return nil, fmt.Errorf("experiments: checkpoint was trained under a different configuration\n  checkpoint: %s\n  requested:  %s", got, want)
@@ -270,30 +270,18 @@ func newTrainer(env *pomdp.GameEnv, agent *rl.PPO, cfg DRLConfig) (*rl.Trainer, 
 // (Hidden/Activation) and the observation layout from historyLen and the
 // game, exactly as training on a pomdp.GameEnv over game would have built
 // it — both must match the checkpoint, and the strict restore fails
-// loudly otherwise. A full training checkpoint restores the complete
-// learner state (full == true), so continued online training picks the
-// stream up where the checkpoint left it; a legacy weights-only
-// checkpoint restores parameters around a fresh optimizer and RNG
-// (full == false).
-func WarmStartAgent(game *stackelberg.Game, historyLen int, ppo rl.PPOConfig, ck *nn.Checkpoint) (agent *rl.PPO, full bool, err error) {
-	if ck == nil {
-		return nil, false, fmt.Errorf("experiments: nil checkpoint")
-	}
+// loudly otherwise. The complete learner state is restored, so continued
+// online training picks the stream up where the checkpoint left it.
+func WarmStartAgent(game *stackelberg.Game, historyLen int, ppo rl.PPOConfig, ck *nn.Checkpoint) (*rl.PPO, error) {
 	enc, err := pomdp.NewGameEncoder(historyLen, game)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	agent = rl.NewPPO(enc.ObsDim(), 1, []float64{game.Cost}, []float64{game.PMax}, ppo)
-	if ck.Opt != nil && ck.RNG != nil {
-		if err := agent.Restore(ck); err != nil {
-			return nil, false, err
-		}
-		return agent, true, nil
+	agent := rl.NewPPO(enc.ObsDim(), 1, []float64{game.Cost}, []float64{game.PMax}, ppo)
+	if err := agent.Restore(ck); err != nil {
+		return nil, err
 	}
-	if err := agent.RestoreWeights(ck); err != nil {
-		return nil, false, err
-	}
-	return agent, false, nil
+	return agent, nil
 }
 
 // HistoryLenFromCheckpoint derives the observation history length L a
@@ -352,13 +340,4 @@ func EvaluateAgent(env *pomdp.GameEnv, agent *rl.PPO, rounds int) float64 {
 		}
 	}
 	return sum / float64(count)
-}
-
-// ReturnSeries extracts the Fig. 2(a) learning curve (per-episode return).
-func ReturnSeries(episodes []rl.EpisodeStats) *Series {
-	s := &Series{Name: "return"}
-	for _, e := range episodes {
-		s.Append(float64(e.Episode), e.Return)
-	}
-	return s
 }

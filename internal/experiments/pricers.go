@@ -106,15 +106,12 @@ func buildOnlinePricer(spec sim.PricerSpec, opts sim.PricerBuildOptions) (sim.Pr
 				spec.WarmStartFile, ck.Pricer.Rounds, ck.Pricer.Updates)
 			return sim.NewOnlinePricerFromCheckpoint(onlineCfg, ck)
 		}
-		agent, _, err := WarmStartAgent(game, res.HistoryLen, res.PPO, ck)
+		agent, err := WarmStartAgent(game, res.HistoryLen, res.PPO, ck)
 		if err != nil {
 			return nil, err
 		}
-		kind := fmt.Sprintf("full training state (history %d, lr %g)", res.HistoryLen, res.PPO.LR)
-		if !res.Full {
-			kind = "weights only (legacy checkpoint; optimizer and RNG start fresh, history_len/lr fields apply)"
-		}
-		opts.Printf("Warm-starting online pricer from %s: %s", spec.WarmStartFile, kind)
+		opts.Printf("Warm-starting online pricer from %s: full training state (history %d, lr %g)",
+			spec.WarmStartFile, res.HistoryLen, res.PPO.LR)
 		onlineCfg.Agent = agent
 		onlineCfg.HistoryLen = res.HistoryLen
 	case spec.WarmStart == nil || *spec.WarmStart:
@@ -135,23 +132,19 @@ type WarmStartResolution struct {
 	// mid-run online-pricer snapshot — callers that cannot resume one
 	// (vtmig-serve) must reject it themselves.
 	Checkpoint *nn.Checkpoint
-	// Full reports whether the checkpoint carries complete learner state
-	// (optimizer moments and RNG stream), i.e. is not legacy weights-only.
-	Full bool
 	// HistoryLen is the resolved observation history length L.
 	HistoryLen int
 	// PPO is the learner configuration with the resolved learning rate.
 	PPO rl.PPOConfig
 }
 
-// ResolveWarmStart loads a checkpoint file (JSON or binary — the loader
-// auto-detects) and resolves the agent architecture with the
-// adopt-or-match convention: a full checkpoint carries its own history
-// length and learning rate, so unset requests (historyLen 0, lr 0) adopt
-// them and explicitly set ones must match or the resolution fails loudly;
-// a legacy weights-only checkpoint has no metadata, so the requests apply
-// as given (historyLen 0 selects the paper's default, lr 0 keeps ppo.LR).
-// Both vtmig-sim's and vtmig-serve's warm-start paths build on it.
+// ResolveWarmStart loads a checkpoint file and resolves the agent
+// architecture with the adopt-or-match convention: the checkpoint carries
+// its own history length and learning rate, so unset requests
+// (historyLen 0, lr 0) adopt them and explicitly set ones must match or
+// the resolution fails loudly. A learner fingerprint without a learning
+// rate leaves lr to the request (0 keeps ppo.LR). Both vtmig-sim's and
+// vtmig-serve's warm-start paths build on it.
 func ResolveWarmStart(path string, game *stackelberg.Game, ppo rl.PPOConfig, historyLen int, lr float64) (*WarmStartResolution, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -162,19 +155,6 @@ func ResolveWarmStart(path string, game *stackelberg.Game, ppo rl.PPOConfig, his
 	if err != nil {
 		return nil, fmt.Errorf("loading %s: %w", path, err)
 	}
-	if lr != 0 {
-		ppo.LR = lr
-	}
-	res := &WarmStartResolution{Checkpoint: ck, HistoryLen: historyLen, PPO: ppo}
-	if res.HistoryLen == 0 {
-		res.HistoryLen = DefaultDRLConfig().HistoryLen
-	}
-	if ck.Opt == nil || ck.RNG == nil {
-		return res, nil
-	}
-	// A full checkpoint carries its own architecture metadata; the
-	// requested values may only confirm it.
-	res.Full = true
 	derived, err := HistoryLenFromCheckpoint(ck, game)
 	if err != nil {
 		return nil, err
@@ -183,15 +163,15 @@ func ResolveWarmStart(path string, game *stackelberg.Game, ppo rl.PPOConfig, his
 		return nil, fmt.Errorf("history_len %d conflicts with %s, which was trained with history length %d (leave it unset to adopt it)",
 			historyLen, path, derived)
 	}
-	res.HistoryLen = derived
-	if ck.Meta != nil {
-		if v, ok := rl.LRFromFingerprint(ck.Meta.PPO); ok {
-			if lr != 0 && lr != v {
-				return nil, fmt.Errorf("lr %g conflicts with %s, which was trained with learning rate %g (leave it unset to adopt it)",
-					lr, path, v)
-			}
-			res.PPO.LR = v
+	res := &WarmStartResolution{Checkpoint: ck, HistoryLen: derived, PPO: ppo}
+	if v, ok := rl.LRFromFingerprint(ck.Meta.PPO); ok {
+		if lr != 0 && lr != v {
+			return nil, fmt.Errorf("lr %g conflicts with %s, which was trained with learning rate %g (leave it unset to adopt it)",
+				lr, path, v)
 		}
+		res.PPO.LR = v
+	} else if lr != 0 {
+		res.PPO.LR = lr
 	}
 	return res, nil
 }

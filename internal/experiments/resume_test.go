@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"vtmig/internal/nn"
@@ -23,10 +25,10 @@ func resumeDRLCfg() DRLConfig {
 }
 
 // TestResumeAgentMatchesStraightTraining is the experiments-level rule-6
-// pin: train half the budget, persist the checkpoint through JSON, resume
-// to the full budget, and compare against an uninterrupted run — final
-// weights, evaluation price, and per-episode stats must match bit for
-// bit, under serial and vectorized collection.
+// pin: train half the budget, persist the checkpoint in its binary
+// encoding, resume to the full budget, and compare against an
+// uninterrupted run — final weights, evaluation price, and per-episode
+// stats must match bit for bit, under serial and vectorized collection.
 func TestResumeAgentMatchesStraightTraining(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
@@ -61,9 +63,10 @@ func TestResumeAgentMatchesStraightTraining(t *testing.T) {
 				t.Fatalf("checkpoint at %d episodes, want %d", first.Checkpoint.Meta.Episodes, half.Episodes)
 			}
 
-			// Persist through JSON, as vtmig-train -checkpoint/-resume do.
+			// Persist in the binary encoding, as vtmig-train
+			// -checkpoint/-resume do.
 			var buf bytes.Buffer
-			if err := first.Checkpoint.Save(&buf); err != nil {
+			if err := first.Checkpoint.SaveBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
 			loaded, err := nn.LoadCheckpoint(&buf)
@@ -136,8 +139,8 @@ func TestResumeAgentRejectsMismatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ResumeAgent(game, cfg, weightsOnly); err == nil {
-			t.Fatal("weights-only checkpoint resumed")
+		if _, err := ResumeAgent(game, cfg, weightsOnly); err == nil || !strings.Contains(err.Error(), "no optimizer ('O') section") {
+			t.Fatalf("ResumeAgent of a weights-only checkpoint: %v, want the missing optimizer section named", err)
 		}
 	})
 	t.Run("beyond-budget", func(t *testing.T) {
@@ -167,9 +170,9 @@ func TestResumeAgentRejectsMismatch(t *testing.T) {
 }
 
 // TestWarmStartAgentFromCheckpoint pins the deployment warm-start path of
-// vtmig-sim: a full checkpoint restores the complete learner state
-// (bit-identical weights), a weights-only one restores parameters, and an
-// architecture mismatch fails loudly.
+// vtmig-sim and vtmig-serve: a checkpoint restores the complete learner
+// state (bit-identical weights), while a weights-only one and an
+// architecture mismatch fail loudly.
 func TestWarmStartAgentFromCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
@@ -184,12 +187,9 @@ func TestWarmStartAgentFromCheckpoint(t *testing.T) {
 	ppoCfg := cfg.PPO
 	ppoCfg.Seed = cfg.Seed
 
-	agent, full, err := WarmStartAgent(game, cfg.HistoryLen, ppoCfg, res.Checkpoint)
+	agent, err := WarmStartAgent(game, cfg.HistoryLen, ppoCfg, res.Checkpoint)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !full {
-		t.Fatal("full checkpoint reported as weights-only")
 	}
 	ap, rp := agent.Params(), res.Agent.Params()
 	for i := range ap {
@@ -204,13 +204,60 @@ func TestWarmStartAgentFromCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, full, err = WarmStartAgent(game, cfg.HistoryLen, ppoCfg, weightsOnly); err != nil {
-		t.Fatal(err)
-	} else if full {
-		t.Fatal("weights-only checkpoint reported as full")
+	if _, err := WarmStartAgent(game, cfg.HistoryLen, ppoCfg, weightsOnly); err == nil {
+		t.Fatal("weights-only checkpoint warm-started an agent")
 	}
-
-	if _, _, err := WarmStartAgent(game, cfg.HistoryLen+1, ppoCfg, res.Checkpoint); err == nil {
+	if _, err := WarmStartAgent(game, cfg.HistoryLen+1, ppoCfg, res.Checkpoint); err == nil {
 		t.Fatal("architecture mismatch warm start succeeded")
+	}
+}
+
+// TestResolveWarmStartAdoptsOrMatches pins the adopt-or-match convention
+// vtmig-sim's warm_start_file and vtmig-serve's -warm-start-file share: an
+// unset history length or learning rate adopts the checkpoint's, a
+// matching one is accepted, and a conflicting one is refused by name.
+func TestResolveWarmStartAdoptsOrMatches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("training test skipped in -short mode")
+	}
+	game := stackelberg.DefaultGame()
+	cfg := resumeDRLCfg()
+	cfg.Episodes = 2
+	cfg.PPO.LR = 5e-4 // differs from the default every caller passes in
+	res, err := TrainAgent(game, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ck.bin")
+	if err := res.Checkpoint.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	ppo := DefaultDRLConfig().PPO
+	for _, c := range []struct {
+		name    string
+		history int
+		lr      float64
+		refused string // "" when the resolution succeeds
+	}{
+		{"unset-adopts", 0, 0, ""},
+		{"matching", cfg.HistoryLen, cfg.PPO.LR, ""},
+		{"history-conflict", cfg.HistoryLen + 1, 0, "history_len 4 conflicts"},
+		{"lr-conflict", 0, 1e-3, "lr 0.001 conflicts"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := ResolveWarmStart(path, game, ppo, c.history, c.lr)
+			if c.refused != "" {
+				if err == nil || !strings.Contains(err.Error(), c.refused) {
+					t.Fatalf("ResolveWarmStart: %v, want an error containing %q", err, c.refused)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.HistoryLen != cfg.HistoryLen || got.PPO.LR != cfg.PPO.LR {
+				t.Fatalf("resolved history %d lr %g, want the checkpoint's %d and %g", got.HistoryLen, got.PPO.LR, cfg.HistoryLen, cfg.PPO.LR)
+			}
+		})
 	}
 }

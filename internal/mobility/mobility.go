@@ -46,12 +46,6 @@ type RSU struct {
 	RadiusM float64
 }
 
-// Covers reports whether the RSU covers a position on a highway of the
-// given circular length.
-func (r RSU) Covers(posM, highwayLenM float64) bool {
-	return circularDistance(r.PositionM, posM, highwayLenM) <= r.RadiusM
-}
-
 // Highway is a circular road with RSUs.
 type Highway struct {
 	// LengthM is the circumference in meters.

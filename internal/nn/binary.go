@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -10,13 +11,10 @@ import (
 	"sort"
 )
 
-// This file implements the compact binary checkpoint encoding. JSON stays
-// the human-readable default; the binary form exists because JSON float
-// text is the known size/decode bottleneck once checkpoints are written
-// on a serving cadence (ROADMAP items 1–2). Both encodings carry exactly
-// the same Checkpoint value, bit for bit — floats are stored as their
-// IEEE-754 bits, and Go's JSON encoder round-trips float64 exactly — so
-// converting between them is lossless.
+// This file implements the checkpoint encoding: compact, CRC-checked,
+// and the only one the package writes (SaveBinary, AppendBinary,
+// WriteFile) or reads (LoadCheckpoint). Floats are stored as their
+// IEEE-754 bits, so every Checkpoint value round-trips bit for bit.
 //
 // Layout (all integers little-endian):
 //
@@ -28,11 +26,11 @@ import (
 //	  'O' optimizer       string algo, uvarint step, param-table m,
 //	                      param-table v
 //	  'R' rng             rngstate
-//	  'E' envs            uvarint count, then per env:
+//	  'E' envs (optional) uvarint count, then per env:
 //	                      rngstate, f64 best, bool bestSet
 //	  'M' meta            uvarint episodes, string fingerprint, string ppo
 //	  'p' pricer          uvarint rows, uvarint width, rows×width f64,
-//	                      vec obs, f64 best, bool bestSet,
+//	      (optional)      vec obs, f64 best, bool bestSet,
 //	                      uvarint rounds/updates/snapshots/updateEvery/
 //	                      reward, f64 bestTolFrac
 //	  'Z'                 end of sections
@@ -44,21 +42,24 @@ import (
 // param-table repeats the 'P' section payload. The trailing checksum
 // makes truncation and bit flips fail loudly; the decoder additionally
 // rejects trailing bytes, unknown or out-of-order tags, and implausible
-// lengths before allocating for them.
+// lengths before allocating for them. Which sections a checkpoint must
+// carry is Checkpoint.Validate's to say, on both sides.
 const binaryMagic = "vtck"
 
 // Decoder sanity caps: reject implausible lengths before allocating.
 // They bound a hostile or corrupted header, not legitimate checkpoints —
-// the largest real sections here are a few thousand floats.
+// the largest real sections here are a few thousand floats. Counters and
+// enum values are not lengths: they decode up to math.MaxInt, so the
+// decoder reads back every value the encoder writes.
 const (
 	binMaxName  = 1 << 12 // parameter-name / string bytes
 	binMaxVec   = 1 << 26 // float64 words per vector
-	binMaxCount = 1 << 20 // table entries (params, envs)
+	binMaxCount = 1 << 20 // table entries (params, envs, belief rows and width)
+	binMaxInt   = math.MaxInt
 )
 
-// SaveBinary writes the checkpoint in the compact binary encoding (see
-// the format comment above). LoadCheckpoint auto-detects it by the
-// leading magic.
+// SaveBinary writes the checkpoint's encoding (see the format comment
+// above) to w.
 func (c *Checkpoint) SaveBinary(w io.Writer) error {
 	data, err := c.AppendBinary(nil)
 	if err != nil {
@@ -91,21 +92,18 @@ func (c *Checkpoint) AppendBinary(b []byte) ([]byte, error) {
 }
 
 // sections writes every section of c, in the format's fixed order, from
-// the 'P' tag through the 'Z' terminator.
+// the 'P' tag through the 'Z' terminator. c has validated, so the
+// required sections are present.
 func (e *binWriter) sections(c *Checkpoint) {
 	e.tag('P')
 	e.paramTable(c.Params)
-	if c.Opt != nil {
-		e.tag('O')
-		e.str(c.Opt.Algo)
-		e.uvarint(uint64(c.Opt.Step))
-		e.paramTable(c.Opt.M)
-		e.paramTable(c.Opt.V)
-	}
-	if c.RNG != nil {
-		e.tag('R')
-		e.rngState(c.RNG)
-	}
+	e.tag('O')
+	e.str(c.Opt.Algo)
+	e.uvarint(uint64(c.Opt.Step))
+	e.paramTable(c.Opt.M)
+	e.paramTable(c.Opt.V)
+	e.tag('R')
+	e.rngState(c.RNG)
 	if len(c.Envs) > 0 {
 		e.tag('E')
 		e.uvarint(uint64(len(c.Envs)))
@@ -116,12 +114,10 @@ func (e *binWriter) sections(c *Checkpoint) {
 			e.bool(es.BestSet)
 		}
 	}
-	if c.Meta != nil {
-		e.tag('M')
-		e.uvarint(uint64(c.Meta.Episodes))
-		e.str(c.Meta.Fingerprint)
-		e.str(c.Meta.PPO)
-	}
+	e.tag('M')
+	e.uvarint(uint64(c.Meta.Episodes))
+	e.str(c.Meta.Fingerprint)
+	e.str(c.Meta.PPO)
 	if c.Pricer != nil {
 		p := c.Pricer
 		e.tag('p')
@@ -145,20 +141,24 @@ func (e *binWriter) sections(c *Checkpoint) {
 	e.tag('Z')
 }
 
-// loadBinaryCheckpoint decodes a binary checkpoint (the magic has been
-// peeked, not consumed) and validates it like the JSON path.
-func loadBinaryCheckpoint(r io.Reader) (*Checkpoint, error) {
+// LoadCheckpoint reads a checkpoint in the binary encoding and validates
+// it (Checkpoint.Validate). Input without the binary magic — a JSON
+// checkpoint, say — truncation, trailing garbage, any bit flip
+// (checksummed), unknown or out-of-order sections, and implausible
+// lengths are all rejected with a descriptive error, so a hand-edited or
+// corrupted file fails loudly instead of training on garbage.
+func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("nn: reading binary checkpoint: %w", err)
+	}
+	if !bytes.HasPrefix(data, []byte(binaryMagic)) {
+		return nil, fmt.Errorf("nn: not a binary checkpoint: it does not start with the %q magic (checkpoints are read and written in the binary encoding only)", binaryMagic)
 	}
 	// magic + version + 'P' tag + empty table + 'Z' + checksum is the
 	// structural minimum.
 	if len(data) < len(binaryMagic)+2+1+1+1+4 {
 		return nil, fmt.Errorf("nn: binary checkpoint truncated (%d bytes)", len(data))
-	}
-	if string(data[:len(binaryMagic)]) != binaryMagic {
-		return nil, fmt.Errorf("nn: binary checkpoint magic mismatch")
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(trailer); got != want {
@@ -175,7 +175,7 @@ func loadBinaryCheckpoint(r io.Reader) (*Checkpoint, error) {
 	c.Params = d.paramTable()
 	tag := d.tag()
 	if tag == 'O' {
-		c.Opt = &OptState{Algo: d.str(), Step: int(d.uvarint(binMaxCount))}
+		c.Opt = &OptState{Algo: d.str(), Step: int(d.uvarint(binMaxInt))}
 		c.Opt.M = d.paramTable()
 		c.Opt.V = d.paramTable()
 		tag = d.tag()
@@ -200,7 +200,7 @@ func loadBinaryCheckpoint(r io.Reader) (*Checkpoint, error) {
 		tag = d.tag()
 	}
 	if tag == 'M' {
-		c.Meta = &TrainMeta{Episodes: int(d.uvarint(binMaxCount)), Fingerprint: d.str(), PPO: d.str()}
+		c.Meta = &TrainMeta{Episodes: int(d.uvarint(binMaxInt)), Fingerprint: d.str(), PPO: d.str()}
 		tag = d.tag()
 	}
 	if tag == 'p' {
@@ -223,11 +223,11 @@ func loadBinaryCheckpoint(r io.Reader) (*Checkpoint, error) {
 		p.Obs = d.vec()
 		p.Best = d.f64()
 		p.BestSet = d.bool()
-		p.Rounds = int(d.uvarint(binMaxVec))
-		p.Updates = int(d.uvarint(binMaxVec))
-		p.Snapshots = int(d.uvarint(binMaxVec))
-		p.UpdateEvery = int(d.uvarint(binMaxVec))
-		p.Reward = int(d.uvarint(binMaxCount))
+		p.Rounds = int(d.uvarint(binMaxInt))
+		p.Updates = int(d.uvarint(binMaxInt))
+		p.Snapshots = int(d.uvarint(binMaxInt))
+		p.UpdateEvery = int(d.uvarint(binMaxInt))
+		p.Reward = int(d.uvarint(binMaxInt))
 		p.BestTolFrac = d.f64()
 		c.Pricer = p
 		tag = d.tag()
@@ -378,7 +378,7 @@ func (d *binReader) uvarint(max uint64) uint64 {
 	}
 	d.pos += n
 	if v > max {
-		d.fail("length %d exceeds the format cap %d", v, max)
+		d.fail("value %d exceeds the format cap %d", v, max)
 		return 0
 	}
 	return v

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -60,9 +59,10 @@ func fullCheckpoint(t testing.TB) *Checkpoint {
 	return ck
 }
 
-// largeCheckpoint builds a deterministic checkpoint whose vectors and
-// tables are long enough for multi-byte length prefixes (a 20,000-word
-// vector, a 300-word one, a 200-byte name).
+// largeCheckpoint builds a deterministic checkpoint whose vectors, tables
+// and strings are long enough for multi-byte length prefixes (a
+// 20,000-word vector, a 300-word one, a 200-byte name and fingerprint),
+// on a policy stream old enough to carry its captured state.
 func largeCheckpoint(t testing.TB) *Checkpoint {
 	t.Helper()
 	rng := rand.New(rand.NewSource(23))
@@ -82,15 +82,19 @@ func largeCheckpoint(t testing.TB) *Checkpoint {
 	if ck.Opt, err = opt.StateSnapshot(params); err != nil {
 		t.Fatal(err)
 	}
-	ck.RNG = &RNGState{Seed: -3, Calls: 1 << 40}
+	state := make([]uint64, mathx.StateLen)
+	for i := range state {
+		state[i] = rng.Uint64()
+	}
+	ck.RNG = &RNGState{Seed: -3, Calls: 1 << 40, State: state}
+	ck.Meta = &TrainMeta{Episodes: 3, Fingerprint: long, PPO: "ppo-fp"}
 	return ck
 }
 
 // TestBinaryEncodingBytesPinned pins the binary encoding byte for byte.
-// The digests were computed with the bytes.Buffer encoder that
-// AppendBinary replaced; SaveBinary and AppendBinary — onto an empty
-// slice, onto a non-empty prefix, and into a reused buffer — must all
-// still produce exactly those bytes.
+// The digests were computed by earlier encoders; SaveBinary and
+// AppendBinary — onto an empty slice, onto a non-empty prefix, and into a
+// reused buffer — must all still produce exactly those bytes.
 func TestBinaryEncodingBytesPinned(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -99,8 +103,7 @@ func TestBinaryEncodingBytesPinned(t *testing.T) {
 		digest string
 	}{
 		{"full", fullCheckpoint(t), 6006, "a7f29a41661e627d6b1ad720a0ca0f1162116968442a97154758e15b73493baa"},
-		{"large", largeCheckpoint(t), 487960, "9ab6ec88b6d06fe84c7dfdac38d7e9810f61943fe1fdc2f02b21700861f762e3"},
-		{"v0-params-only", &Checkpoint{Version: 0, Params: map[string][]float64{"w": {0.5, -1}}}, 32, "fc47a02b279f34091d25dcabc5d35917459e83600d4b290a12b9201882903762"},
+		{"large", largeCheckpoint(t), 493028, "a5c45376e9177c4a0a6dff8adbceeaa72b17e8bdfe06aff0e473eb3f346343f5"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			check := func(how string, data []byte) {
@@ -155,71 +158,26 @@ func TestBinaryRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBinaryJSONCrossRoundTrip pins the two encodings to the same value:
-// JSON(ck) and Binary(ck) load to identical checkpoints, and re-encoding
-// the binary-loaded one as JSON matches the directly JSON-encoded bytes.
-func TestBinaryJSONCrossRoundTrip(t *testing.T) {
+// TestCheckpointLargeCountersRoundTrip pins that the decoder reads back
+// every counter the encoder writes: the Adam step, the episode count and
+// the pricer's counters, cadence and reward kind are values, not lengths,
+// so they decode up to math.MaxInt rather than under a length cap.
+func TestCheckpointLargeCountersRoundTrip(t *testing.T) {
 	ck := fullCheckpoint(t)
-	var jsonBuf, binBuf bytes.Buffer
-	if err := ck.Save(&jsonBuf); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.SaveBinary(&binBuf); err != nil {
-		t.Fatal(err)
-	}
-	if binBuf.Len() >= jsonBuf.Len() {
-		t.Errorf("binary encoding (%d bytes) not smaller than JSON (%d bytes)", binBuf.Len(), jsonBuf.Len())
-	}
-	fromJSON, err := LoadCheckpoint(&jsonBuf)
+	ck.Opt.Step = 1 << 40
+	ck.Meta.Episodes = 1 << 40
+	p := ck.Pricer
+	p.Rounds, p.Updates, p.Snapshots, p.UpdateEvery, p.Reward = 1<<40, 1<<40, 1<<40, 1<<40, 1<<40
+	data, err := ck.AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromBin, err := LoadCheckpoint(&binBuf)
+	loaded, err := LoadCheckpoint(bytes.NewReader(data))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("checkpoint the encoder wrote does not load: %v", err)
 	}
-	if !reflect.DeepEqual(fromJSON, fromBin) {
-		t.Fatal("JSON and binary decodings differ")
-	}
-	var reJSON, directJSON bytes.Buffer
-	if err := fromBin.Save(&reJSON); err != nil {
-		t.Fatal(err)
-	}
-	if err := ck.Save(&directJSON); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reJSON.Bytes(), directJSON.Bytes()) {
-		t.Fatal("binary → JSON re-encoding differs from direct JSON encoding")
-	}
-}
-
-// TestBinaryLegacyVersionsRoundTrip keeps the v0/v1 section subsets
-// encodable: a params-only and a version-1 checkpoint survive the binary
-// round trip unchanged.
-func TestBinaryLegacyVersionsRoundTrip(t *testing.T) {
-	for name, ck := range map[string]*Checkpoint{
-		"v0-params-only": {Version: 0, Params: map[string][]float64{"w": {0.5, -1}}},
-		"v1-full": {
-			Version: 1,
-			Params:  map[string][]float64{"w": {1, 2}},
-			Opt:     &OptState{Algo: "adam", Step: 2, M: map[string][]float64{"w": {0, 0}}, V: map[string][]float64{"w": {0, 0}}},
-			RNG:     &RNGState{Seed: 3, Calls: 11},
-			Meta:    &TrainMeta{Episodes: 2, Fingerprint: "f"},
-		},
-	} {
-		t.Run(name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := ck.SaveBinary(&buf); err != nil {
-				t.Fatal(err)
-			}
-			loaded, err := LoadCheckpoint(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(ck, loaded) {
-				t.Fatalf("round trip not identical:\nsaved:  %+v\nloaded: %+v", ck, loaded)
-			}
-		})
+	if !reflect.DeepEqual(ck, loaded) {
+		t.Fatalf("counters did not round-trip:\nsaved:  %+v\nloaded: %+v", ck, loaded)
 	}
 }
 
@@ -239,9 +197,8 @@ func TestBinaryCorruptionFailsLoudly(t *testing.T) {
 			t.Fatalf("truncation at byte %d/%d loaded", cut, len(bin))
 		}
 	}
-	// Flip one bit in every byte. Flips inside the leading magic make the
-	// file fall through to (failing) JSON; everything else must trip the
-	// checksum.
+	// Flip one bit in every byte. Flips inside the leading magic fail the
+	// magic check; everything else must trip the checksum.
 	corrupt := make([]byte, len(bin))
 	for i := 0; i < len(bin); i++ {
 		copy(corrupt, bin)
@@ -276,6 +233,53 @@ func TestBinaryRejectsHostileLengths(t *testing.T) {
 	}
 }
 
+// withCRC appends body's checksum, making a file whose corruption the
+// checksum cannot see: what trips must be the decoder or Validate.
+func withCRC(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// encodeUnchecked encodes c as AppendBinary does but without validating
+// it first, so a test can also build files the encoder refuses to write.
+// c must carry the Opt, RNG and Meta sections.
+func encodeUnchecked(c *Checkpoint) []byte {
+	e := binWriter{b: []byte(binaryMagic)}
+	e.b = binary.LittleEndian.AppendUint16(e.b, uint16(c.Version))
+	e.sections(c)
+	return withCRC(e.b)
+}
+
+// section returns the bytes write appends: one piece of an encoding.
+func section(write func(e *binWriter)) []byte {
+	var e binWriter
+	write(&e)
+	return e.b
+}
+
+// rngBytes and metaBytes are the encodings of an RNG stream position and
+// of a whole meta section.
+func rngBytes(r RNGState) []byte { return section(func(e *binWriter) { e.rngState(&r) }) }
+
+func metaBytes(m *TrainMeta) []byte {
+	return section(func(e *binWriter) {
+		e.tag('M')
+		e.uvarint(uint64(m.Episodes))
+		e.str(m.Fingerprint)
+		e.str(m.PPO)
+	})
+}
+
+// replaceOnce returns file with its one occurrence of old replaced by new
+// (nil: cut out) and the checksum recomputed.
+func replaceOnce(tb testing.TB, file, old, new []byte) []byte {
+	tb.Helper()
+	body := file[:len(file)-4]
+	if c := bytes.Count(body, old); c != 1 {
+		tb.Fatalf("bytes to replace occur %d times, want once", c)
+	}
+	return withCRC(bytes.Replace(body, old, new, 1))
+}
+
 // negativeSecondMomentFile returns a binary checkpoint, checksum intact,
 // whose Adam second moment "trunk.l0.W" element 5 is negative. SaveBinary
 // refuses to write one, so the value is written positive, its sign bit
@@ -285,76 +289,103 @@ func negativeSecondMomentFile(tb testing.TB) []byte {
 	const sentinel = 0.0078125
 	ck := fullCheckpoint(tb)
 	ck.Opt.V["trunk.l0.W"][5] = sentinel
-	var buf bytes.Buffer
-	if err := ck.SaveBinary(&buf); err != nil {
-		tb.Fatal(err)
-	}
-	bin := buf.Bytes()
-	var pos, neg [8]byte
-	binary.LittleEndian.PutUint64(pos[:], math.Float64bits(sentinel))
-	binary.LittleEndian.PutUint64(neg[:], math.Float64bits(-sentinel))
-	if n := bytes.Count(bin, pos[:]); n != 1 {
-		tb.Fatalf("sentinel encoded %d times, want once", n)
-	}
-	body := bytes.Replace(bin[:len(bin)-4], pos[:], neg[:], 1)
-	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	f64 := func(x float64) []byte { return section(func(e *binWriter) { e.f64(x) }) }
+	return replaceOnce(tb, encodeUnchecked(ck), f64(sentinel), f64(-sentinel))
 }
 
-// TestValidateVersionGates pins the version negotiation: version-2-only
-// sections on a lower version, and states that claim the impossible, are
-// rejected in both encodings' shared validation.
-func TestValidateVersionGates(t *testing.T) {
-	for name, ck := range map[string]*Checkpoint{
-		"v1-with-pricer": {
-			Version: 1, Params: map[string][]float64{"w": {1}},
-			Pricer: &PricerState{History: [][]float64{{1}}, Obs: []float64{1}, Rounds: 1, Updates: 1, UpdateEvery: 1, Reward: 1},
-		},
-		"v1-with-rng-state": {
-			Version: 1, Params: map[string][]float64{"w": {1}},
-			RNG: &RNGState{Seed: 1, Calls: mathx.StateLen, State: make([]uint64, mathx.StateLen)},
-		},
-		"v2-short-rng-state": {
-			Version: 2, Params: map[string][]float64{"w": {1}},
-			RNG: &RNGState{Seed: 1, Calls: mathx.StateLen, State: make([]uint64, 3)},
-		},
-		"v2-state-too-few-calls": {
-			Version: 2, Params: map[string][]float64{"w": {1}},
-			RNG: &RNGState{Seed: 1, Calls: 5, State: make([]uint64, mathx.StateLen)},
-		},
-		"v2-env-state-on-v1": {
-			Version: 1, Params: map[string][]float64{"w": {1}},
-			Envs: []EnvState{{RNG: RNGState{Seed: 1, Calls: mathx.StateLen, State: make([]uint64, mathx.StateLen)}}},
-		},
-		"pricer-width-mismatch": {
-			Version: 2, Params: map[string][]float64{"w": {1}},
-			Pricer: &PricerState{History: [][]float64{{1, 2}, {3}}, Obs: []float64{1, 2, 3}, Rounds: 1, Updates: 1, UpdateEvery: 1, Reward: 1},
-		},
-		"pricer-obs-mismatch": {
-			Version: 2, Params: map[string][]float64{"w": {1}},
-			Pricer: &PricerState{History: [][]float64{{1, 2}}, Obs: []float64{1}, Rounds: 1, Updates: 1, UpdateEvery: 1, Reward: 1},
-		},
-		"pricer-updates-exceed-rounds": {
-			Version: 2, Params: map[string][]float64{"w": {1}},
-			Pricer: &PricerState{History: [][]float64{{1}}, Obs: []float64{1}, Rounds: 1, Updates: 2, UpdateEvery: 1, Reward: 1},
-		},
-		"pricer-zero-cadence": {
-			Version: 2, Params: map[string][]float64{"w": {1}},
-			Pricer: &PricerState{History: [][]float64{{1}}, Obs: []float64{1}, Rounds: 1, Updates: 1, UpdateEvery: 0, Reward: 1},
-		},
+// TestLoadCheckpointRefusesOtherShapes pins that LoadCheckpoint reads
+// exactly one shape — binary, version 2, with the optimizer, RNG and meta
+// sections, and each RNG stream at least mathx.StateLen draws old
+// carrying its captured state — and names what is wrong with any other
+// file. Every case but the JSON one is a checksum-intact binary file.
+func TestLoadCheckpointRefusesOtherShapes(t *testing.T) {
+	ck := fullCheckpoint(t)
+	good := encodeUnchecked(ck)
+	version := func(v uint16) []byte {
+		file := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint16(file[len(binaryMagic):], v)
+		return withCRC(file[:len(file)-4])
+	}
+	// young's policy stream is one draw short of carrying its state.
+	young := fullCheckpoint(t)
+	young.RNG = &RNGState{Seed: 42, Calls: mathx.StateLen - 1}
+	optimizer := section(func(e *binWriter) {
+		e.tag('O')
+		e.str(ck.Opt.Algo)
+		e.uvarint(uint64(ck.Opt.Step))
+		e.paramTable(ck.Opt.M)
+		e.paramTable(ck.Opt.V)
+	})
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"json", []byte(`{"version":2,"params":{"w":[1]}}`), "not a binary checkpoint"},
+		{"version-0", version(0), "version 0 not supported"},
+		{"version-1", version(1), "version 1 not supported"},
+		{"version-3", version(3), "version 3 not supported"},
+		{"no-optimizer", replaceOnce(t, good, optimizer, nil), "no optimizer ('O') section"},
+		{"no-rng", replaceOnce(t, good, append([]byte{'R'}, rngBytes(*ck.RNG)...), nil), "no rng ('R') section"},
+		{"no-meta", replaceOnce(t, good, metaBytes(ck.Meta), nil), "no meta ('M') section"},
+		{"rng-calls-without-state", replaceOnce(t, encodeUnchecked(young), rngBytes(*young.RNG),
+			rngBytes(RNGState{Seed: 42, Calls: 1 << 40})), "rng at 1099511627776 calls has 0 state words"},
+		{"env-calls-without-state", replaceOnce(t, good, rngBytes(ck.Envs[0].RNG),
+			rngBytes(RNGState{Seed: 7, Calls: mathx.StateLen})), "env 0 rng at 607 calls has 0 state words"},
 	} {
-		t.Run(name, func(t *testing.T) {
-			if err := ck.Validate(); err == nil {
-				t.Fatalf("%s validated", name)
+		t.Run(c.name, func(t *testing.T) {
+			_, err := LoadCheckpoint(bytes.NewReader(c.file))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("LoadCheckpoint: %v, want an error containing %q", err, c.want)
 			}
 		})
 	}
-	// The valid v2 shape passes.
-	ok := &Checkpoint{
-		Version: 2, Params: map[string][]float64{"w": {1}},
-		RNG:    &RNGState{Seed: 1, Calls: mathx.StateLen + 5, State: make([]uint64, mathx.StateLen)},
-		Pricer: &PricerState{History: [][]float64{{1}}, Obs: []float64{1}, Rounds: 20, Updates: 1, UpdateEvery: 20, Reward: 1},
+	// One draw younger than the state length, a stream restores by replay.
+	if _, err := LoadCheckpoint(bytes.NewReader(encodeUnchecked(young))); err != nil {
+		t.Fatalf("policy stream %d draws old without state refused: %v", mathx.StateLen-1, err)
 	}
-	if err := ok.Validate(); err != nil {
-		t.Fatalf("valid v2 checkpoint rejected: %v", err)
+}
+
+// TestValidateVersionGates pins the shape Validate accepts. Each case
+// starts from fullCheckpoint, which validates, breaks one thing, and
+// must be refused with an error naming it.
+func TestValidateVersionGates(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(ck *Checkpoint)
+		want   string
+	}{
+		{"v1-with-pricer", func(ck *Checkpoint) { ck.Version = 1 }, "version 1"},
+		{"v1-with-rng-state", func(ck *Checkpoint) { ck.Version, ck.Pricer = 1, nil }, "version 1"},
+		{"v2-env-state-on-v1", func(ck *Checkpoint) {
+			ck.Version, ck.Pricer = 1, nil
+			ck.Envs[0].RNG = *ck.RNG
+		}, "version 1"},
+		{"v2-short-rng-state", func(ck *Checkpoint) { ck.RNG.State = ck.RNG.State[:3] }, "rng at 644 calls has 3 state words"},
+		{"v2-state-too-few-calls", func(ck *Checkpoint) { ck.RNG.Calls = 5 }, "rng state with only 5 calls"},
+		{"rng-calls-without-state", func(ck *Checkpoint) { ck.RNG.State = nil }, "rng at 644 calls has 0 state words"},
+		{"env-calls-without-state", func(ck *Checkpoint) { ck.Envs[1].RNG.Calls = 1 << 40 }, "env 1 rng at 1099511627776 calls has 0 state words"},
+		{"no-optimizer", func(ck *Checkpoint) { ck.Opt = nil }, "no optimizer ('O') section"},
+		{"no-rng", func(ck *Checkpoint) { ck.RNG = nil }, "no rng ('R') section"},
+		{"no-meta", func(ck *Checkpoint) { ck.Meta = nil }, "no meta ('M') section"},
+		{"pricer-width-mismatch", func(ck *Checkpoint) { ck.Pricer.History[1] = ck.Pricer.History[1][:2] }, "pricer history row 1 has width 2, want 3"},
+		{"pricer-obs-mismatch", func(ck *Checkpoint) { ck.Pricer.Obs = ck.Pricer.Obs[:5] }, "pricer observation has 5 values, want 6"},
+		{"pricer-updates-exceed-rounds", func(ck *Checkpoint) { ck.Pricer.Updates = 41 }, "ran 41 updates over only 40 rounds"},
+		{"pricer-zero-cadence", func(ck *Checkpoint) { ck.Pricer.UpdateEvery = 0 }, "pricer update cadence 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ck := fullCheckpoint(t)
+			c.mutate(ck)
+			err := ck.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate: %v, want an error containing %q", err, c.want)
+			}
+			if _, err := ck.AppendBinary(nil); err == nil {
+				t.Fatal("AppendBinary encoded a checkpoint Validate refuses")
+			}
+		})
+	}
+	if err := fullCheckpoint(t).Validate(); err != nil {
+		t.Fatalf("fullCheckpoint does not validate: %v", err)
 	}
 }

@@ -1,97 +1,86 @@
 package nn
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"sort"
-	"strings"
 
 	"vtmig/internal/mathx"
 )
 
-// CheckpointVersion is the current checkpoint format version. Version 1
-// introduced the full training state (optimizer moments, RNG stream
-// positions, environment streams, training metadata); version 2 adds the
-// directly captured RNG generator state (RNGState.State) and the online
-// pricer section (Pricer), plus the binary encoding (SaveBinary). Version
-// 0 files — the historical params-only JSON — still load, but can only
-// warm-start weights, not resume training; version 1 files load and
-// resume exactly as before (their RNG streams restore by replay).
+// CheckpointVersion is the checkpoint format version, the only one
+// LoadCheckpoint reads and the one every checkpoint is written with.
 const CheckpointVersion = 2
 
-// Checkpoint is a versioned, serializable snapshot of a training state.
-// The parameter values are always present; the remaining sections are
-// optional and carried only by full training checkpoints:
+// Checkpoint is a snapshot of a complete training state, in the one shape
+// Validate accepts:
 //
+//   - Params are the parameter values.
 //   - Opt holds the per-parameter optimizer state (Adam first/second
 //     moments and the global step count) so a restored run applies the
 //     exact updates a continued run would.
-//   - RNG is the policy RNG stream position: a (seed, calls) pair plus —
-//     in version 2 checkpoints of streams at least mathx.StateLen draws
-//     old — the directly captured generator state, restored in constant
-//     time (mathx.NewCountingSourceFromState); without the state the
-//     stream is replayed (mathx.NewCountingSourceAt).
-//   - Envs are the cross-episode states of the training-environment
-//     streams, in fixed env-index order.
-//   - Meta records the episode count at the snapshot and a fingerprint of
+//   - RNG is the policy RNG stream position: a (seed, calls) pair plus,
+//     for a stream at least mathx.StateLen draws old, the directly
+//     captured generator state, restored in constant time
+//     (mathx.NewCountingSourceFromState); a younger stream is replayed
+//     from its seed (mathx.NewCountingSourceAt), at most
+//     mathx.StateLen − 1 draws.
+//   - Meta records the episode count at the snapshot and fingerprints of
 //     the training configuration, checked on resume.
-//   - Pricer is the simulator-embedded online pricer's deployment state —
-//     the encoder belief window, current observation, running-best
-//     utility, and stream-collector counters (version 2;
-//     sim.OnlinePricer.Snapshot writes it).
+//   - Envs (optional) are the cross-episode states of the
+//     training-environment streams, in fixed env-index order.
+//   - Pricer (optional) is the simulator-embedded online pricer's
+//     deployment state — the encoder belief window, current observation,
+//     running-best utility, and stream-collector counters
+//     (sim.OnlinePricer.Snapshot writes it).
 //
-// A checkpoint with all sections restores training bit-identically:
-// train K episodes, snapshot, restore, train K more is the same run as
-// training 2K straight (determinism contract rule 6).
+// A checkpoint restores training bit-identically: train K episodes,
+// snapshot, restore, train K more is the same run as training 2K
+// straight (determinism contract rule 6).
 type Checkpoint struct {
-	// Version is the format version (CheckpointVersion when written by
-	// this code; 0 in legacy params-only files).
-	Version int `json:"version"`
+	// Version is the format version, CheckpointVersion.
+	Version int
 	// Params maps parameter names to their flat values.
-	Params map[string][]float64 `json:"params"`
-	// Opt is the optimizer state (nil in weights-only checkpoints).
-	Opt *OptState `json:"opt,omitempty"`
-	// RNG is the policy RNG stream position (nil in weights-only
-	// checkpoints).
-	RNG *RNGState `json:"rng,omitempty"`
+	Params map[string][]float64
+	// Opt is the optimizer state.
+	Opt *OptState
+	// RNG is the policy RNG stream position.
+	RNG *RNGState
 	// Envs are the training-environment stream states, env-index
 	// ascending (empty for learners without trainer-owned environments,
 	// e.g. the simulator's online pricer).
-	Envs []EnvState `json:"envs,omitempty"`
-	// Meta is the training metadata (nil in weights-only checkpoints).
-	Meta *TrainMeta `json:"meta,omitempty"`
+	Envs []EnvState
+	// Meta is the training metadata.
+	Meta *TrainMeta
 	// Pricer is the online pricer's deployment state (nil outside pricer
-	// checkpoints; version 2).
-	Pricer *PricerState `json:"pricer,omitempty"`
+	// checkpoints).
+	Pricer *PricerState
 }
 
 // OptState is the serialized optimizer state of a checkpoint.
 type OptState struct {
 	// Algo names the optimizer; only "adam" is defined.
-	Algo string `json:"algo"`
+	Algo string
 	// Step is the global step count t (drives Adam's bias correction).
-	Step int `json:"step"`
+	Step int
 	// M and V map parameter names to the first and second moment
 	// estimates, same length as the parameter.
-	M map[string][]float64 `json:"m"`
-	V map[string][]float64 `json:"v"`
+	M map[string][]float64
+	V map[string][]float64
 }
 
-// RNGState is a checkpointable RNG stream position: the stream's seed and
-// the number of generator advances consumed so far (see
-// mathx.CountingSource). Version 2 checkpoints additionally carry the
-// directly captured generator state — the stream's last mathx.StateLen
-// raw outputs (mathx.CountingSource.StateSnapshot) — so restore costs
-// O(StateLen) instead of replaying calls draws; State is empty for
+// RNGState is a checkpointable RNG stream position: the stream's seed, the
+// number of generator advances consumed so far (see
+// mathx.CountingSource), and — exactly when Calls ≥ mathx.StateLen — the
+// directly captured generator state, the stream's last mathx.StateLen
+// raw outputs (mathx.CountingSource.StateSnapshot), so restore costs
+// O(StateLen) instead of replaying calls draws. State is empty for
 // streams younger than StateLen draws, where replay is just as fast.
 type RNGState struct {
-	Seed  int64    `json:"seed"`
-	Calls uint64   `json:"calls"`
-	State []uint64 `json:"state,omitempty"`
+	Seed  int64
+	Calls uint64
+	State []uint64
 }
 
 // EnvState is the cross-episode state of one training-environment stream
@@ -100,31 +89,30 @@ type RNGState struct {
 // across episodes.
 type EnvState struct {
 	// RNG is the environment's RNG stream position.
-	RNG RNGState `json:"rng"`
+	RNG RNGState
 	// Best is the running-best leader utility; meaningful only when
-	// BestSet (JSON cannot carry the -Inf that means "nothing observed
-	// yet").
-	Best float64 `json:"best"`
+	// BestSet.
+	Best float64
 	// BestSet reports whether Best holds an observed value.
-	BestSet bool `json:"best_set"`
+	BestSet bool
 }
 
-// TrainMeta is the training metadata of a full checkpoint.
+// TrainMeta is the training metadata of a checkpoint.
 type TrainMeta struct {
 	// Episodes is the number of training episodes completed at the
 	// snapshot.
-	Episodes int `json:"episodes"`
+	Episodes int
 	// Fingerprint pins the full training configuration the stream was
 	// produced under — game, episode schedule, and learner — as computed
 	// by experiments.DRLConfig.Fingerprint; resuming under a different
 	// configuration is rejected.
-	Fingerprint string `json:"fingerprint,omitempty"`
+	Fingerprint string
 	// PPO pins just the learner hyper-parameters
 	// (rl.PPOConfig.Fingerprint); every full agent restore — including
 	// deployment warm starts outside the experiments harness — rejects a
 	// mismatch, so e.g. restored Adam moments can never silently continue
 	// under a different learning rate.
-	PPO string `json:"ppo,omitempty"`
+	PPO string
 }
 
 // PricerState is the deployment state of the simulator-embedded online
@@ -137,39 +125,38 @@ type PricerState struct {
 	// History is the encoder belief window, one row per remembered round,
 	// oldest first; all rows have the same positive width (1 + demand
 	// slots).
-	History [][]float64 `json:"history"`
+	History [][]float64
 	// Obs is the pricer's current observation — the flattened window the
 	// next action will be selected at (len(History)×row-width values).
-	Obs []float64 `json:"obs"`
+	Obs []float64
 	// Best is the running-best live leader utility behind the Eq. (12)
-	// binary reward; meaningful only when BestSet (JSON cannot carry the
-	// -Inf that means "nothing observed yet").
-	Best float64 `json:"best"`
+	// binary reward; meaningful only when BestSet.
+	Best float64
 	// BestSet reports whether Best holds an observed value.
-	BestSet bool `json:"best_set"`
+	BestSet bool
 	// Rounds is the number of live rounds learned from so far.
-	Rounds int `json:"rounds"`
+	Rounds int
 	// Updates is the number of optimization phases run so far; it drives
 	// both reward accounting and the snapshot cadence.
-	Updates int `json:"updates"`
+	Updates int
 	// Snapshots is the number of mid-run checkpoints delivered so far,
 	// this one included.
-	Snapshots int `json:"snapshots"`
+	Snapshots int
 	// UpdateEvery is the optimization cadence |I| in live rounds.
-	UpdateEvery int `json:"update_every"`
+	UpdateEvery int
 	// Reward is the configured reward kind as the integer value of
 	// pomdp.RewardKind.
-	Reward int `json:"reward"`
+	Reward int
 	// BestTolFrac is the RewardBinary tolerance band configuration
 	// (pomdp.Config.BestTolFrac semantics: 0 default band, negative
 	// exact).
-	BestTolFrac float64 `json:"best_tol_frac"`
+	BestTolFrac float64
 }
 
-// Snapshot captures the current values of params into a weights-only
-// Checkpoint (callers add Opt/RNG/Envs/Meta for a full training
-// checkpoint; rl.PPO.Snapshot and rl.Trainer.Snapshot do). Parameter
-// names must be unique.
+// Snapshot captures the current values of params into the Params section
+// of a Checkpoint. It validates only once the caller adds the Opt, RNG
+// and Meta sections (rl.PPO.Snapshot does; rl.Trainer.Snapshot adds Envs
+// too). Parameter names must be unique.
 func Snapshot(params []*Param) (*Checkpoint, error) {
 	ck := &Checkpoint{Version: CheckpointVersion, Params: make(map[string][]float64, len(params))}
 	for _, p := range params {
@@ -224,14 +211,18 @@ func extraNames(m map[string][]float64, known map[string]bool) []string {
 	return extra
 }
 
-// Validate reports whether the checkpoint is structurally sound: a known
-// version, at least one parameter, no zero-length vectors, every value
-// finite, and internally consistent optimizer/environment sections.
-// LoadCheckpoint validates automatically; callers constructing
+// Validate reports whether the checkpoint has the one shape this package
+// writes and reads: version CheckpointVersion; at least one parameter, no
+// zero-length vectors, and every value finite; the Opt, RNG and Meta
+// sections present and consistent with the parameters; Envs and Pricer
+// optional; and each RNG stream carrying a captured generator State
+// exactly when it is at least mathx.StateLen draws old, so a restore
+// never replays more than mathx.StateLen − 1 draws. AppendBinary and
+// LoadCheckpoint validate automatically; callers constructing
 // checkpoints by hand can validate explicitly.
 func (c *Checkpoint) Validate() error {
-	if c.Version < 0 || c.Version > CheckpointVersion {
-		return fmt.Errorf("nn: checkpoint version %d not supported (max %d)", c.Version, CheckpointVersion)
+	if c.Version != CheckpointVersion {
+		return fmt.Errorf("nn: checkpoint version %d not supported (want %d)", c.Version, CheckpointVersion)
 	}
 	if len(c.Params) == 0 {
 		return fmt.Errorf("nn: checkpoint has no parameters")
@@ -241,31 +232,33 @@ func (c *Checkpoint) Validate() error {
 			return err
 		}
 	}
-	if c.Opt != nil {
-		if err := c.Opt.validate(c.Params); err != nil {
-			return err
-		}
+	if c.Opt == nil {
+		return fmt.Errorf("nn: checkpoint has no optimizer ('O') section")
 	}
-	if c.RNG != nil {
-		if err := c.RNG.validate(c.Version, "rng"); err != nil {
-			return err
-		}
+	if err := c.Opt.validate(c.Params); err != nil {
+		return err
+	}
+	if c.RNG == nil {
+		return fmt.Errorf("nn: checkpoint has no rng ('R') section")
+	}
+	if err := c.RNG.validate("rng"); err != nil {
+		return err
 	}
 	for i, es := range c.Envs {
 		if es.BestSet && (math.IsNaN(es.Best) || math.IsInf(es.Best, 0)) {
 			return fmt.Errorf("nn: checkpoint env %d best value %v is not finite", i, es.Best)
 		}
-		if err := es.RNG.validate(c.Version, fmt.Sprintf("env %d rng", i)); err != nil {
+		if err := es.RNG.validate(fmt.Sprintf("env %d rng", i)); err != nil {
 			return err
 		}
 	}
-	if c.Meta != nil && c.Meta.Episodes < 0 {
+	if c.Meta == nil {
+		return fmt.Errorf("nn: checkpoint has no meta ('M') section")
+	}
+	if c.Meta.Episodes < 0 {
 		return fmt.Errorf("nn: checkpoint episode count %d is negative", c.Meta.Episodes)
 	}
 	if c.Pricer != nil {
-		if c.Version < 2 {
-			return fmt.Errorf("nn: checkpoint version %d cannot carry a pricer section (introduced in version 2)", c.Version)
-		}
 		if err := c.Pricer.validate(); err != nil {
 			return err
 		}
@@ -273,21 +266,19 @@ func (c *Checkpoint) Validate() error {
 	return nil
 }
 
-// validate checks one RNG stream position: a captured generator state is
-// a version-2 feature, must be exactly mathx.StateLen words, and is only
-// possible on a stream at least that many draws old.
-func (r *RNGState) validate(version int, label string) error {
-	if len(r.State) == 0 {
+// validate checks one RNG stream position: a stream at least
+// mathx.StateLen draws old carries exactly mathx.StateLen words of
+// captured state, and a younger one carries none.
+func (r *RNGState) validate(label string) error {
+	if r.Calls < mathx.StateLen {
+		if len(r.State) != 0 {
+			return fmt.Errorf("nn: checkpoint %s state with only %d calls is impossible (a full state needs at least %d draws)", label, r.Calls, mathx.StateLen)
+		}
 		return nil
 	}
-	if version < 2 {
-		return fmt.Errorf("nn: checkpoint version %d cannot carry a captured %s generator state (introduced in version 2)", version, label)
-	}
 	if len(r.State) != mathx.StateLen {
-		return fmt.Errorf("nn: checkpoint %s state has %d words, want %d", label, len(r.State), mathx.StateLen)
-	}
-	if r.Calls < mathx.StateLen {
-		return fmt.Errorf("nn: checkpoint %s state with only %d calls is impossible (a full state needs at least %d draws)", label, r.Calls, mathx.StateLen)
+		return fmt.Errorf("nn: checkpoint %s at %d calls has %d state words, want %d (a stream at least %d draws old restores from its captured state, not by replay)",
+			label, r.Calls, len(r.State), mathx.StateLen, mathx.StateLen)
 	}
 	return nil
 }
@@ -391,38 +382,19 @@ func validateVector(kind, name string, v []float64) error {
 	return nil
 }
 
-// Save writes the checkpoint as JSON (the human-readable encoding; see
-// SaveBinary for the compact one). Both encodings round-trip every
-// float64 bit-exactly.
-func (c *Checkpoint) Save(w io.Writer) error {
-	if err := c.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(c); err != nil {
-		return fmt.Errorf("nn: encoding checkpoint: %w", err)
-	}
-	return nil
-}
-
-// WriteFile writes the checkpoint to path atomically, in the binary
-// encoding when the name ends in .bin and JSON otherwise. It encodes into
-// path+".tmp" and renames that over path only once the encode and the
-// close have succeeded, so a failed or interrupted write never truncates
-// an existing checkpoint at path; on any failure the temp file is
-// removed. Nothing is synced: the rename is atomic against a process
-// crash, not a machine crash.
+// WriteFile writes the checkpoint's binary encoding (SaveBinary) to path
+// atomically. It encodes into path+".tmp" and renames that over path only
+// once the encode and the close have succeeded, so a failed or
+// interrupted write never truncates an existing checkpoint at path; on
+// any failure the temp file is removed. Nothing is synced: the rename is
+// atomic against a process crash, not a machine crash.
 func (c *Checkpoint) WriteFile(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	save := c.Save
-	if strings.HasSuffix(path, ".bin") {
-		save = c.SaveBinary
-	}
-	err = save(f)
+	err = c.SaveBinary(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -433,29 +405,4 @@ func (c *Checkpoint) WriteFile(path string) error {
 		os.Remove(tmp) // best effort: the write error is the one to report
 	}
 	return err
-}
-
-// LoadCheckpoint reads and validates a checkpoint in either encoding,
-// auto-detected from the leading bytes: files starting with the binary
-// magic decode through the binary reader (see SaveBinary), everything
-// else parses as JSON. Unknown JSON fields, unsupported versions,
-// zero-length parameter vectors, non-finite values, and — for binary
-// files — truncation, trailing garbage, or any bit flip (checksummed)
-// are rejected with a descriptive error, so a hand-edited or corrupted
-// file fails loudly instead of training on garbage.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	br := bufio.NewReader(r)
-	if magic, err := br.Peek(len(binaryMagic)); err == nil && string(magic) == binaryMagic {
-		return loadBinaryCheckpoint(br)
-	}
-	var c Checkpoint
-	dec := json.NewDecoder(br)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
-		return nil, fmt.Errorf("nn: decoding checkpoint: %w", err)
-	}
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	return &c, nil
 }

@@ -2,12 +2,13 @@ package nn
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"vtmig/internal/mathx"
 )
 
 // randomParams builds a deterministic random parameter set.
@@ -33,9 +34,9 @@ func randomParams(rng *rand.Rand, sizes map[string]int) []*Param {
 	return params
 }
 
-// TestFullCheckpointRoundTrip is the round-trip property test of the full
-// format: Snapshot → Save → Load → Restore is value-identical for the
-// parameters, the optimizer moments, and every auxiliary section.
+// TestFullCheckpointRoundTrip is the round-trip property test of the
+// format: Snapshot → SaveBinary → Load → Restore is value-identical for
+// the parameters, the optimizer moments, and every auxiliary section.
 func TestFullCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	params := randomParams(rng, map[string]int{"a.W": 12, "a.b": 3, "logstd": 1})
@@ -61,12 +62,13 @@ func TestFullCheckpointRoundTrip(t *testing.T) {
 	if ck.Opt, err = opt.StateSnapshot(params); err != nil {
 		t.Fatal(err)
 	}
-	ck.RNG = &RNGState{Seed: 42, Calls: 12345}
+	src := mathx.NewCountingSourceAt(42, 12345)
+	ck.RNG = &RNGState{Seed: 42, Calls: src.Calls(), State: src.StateSnapshot()}
 	ck.Envs = []EnvState{{RNG: RNGState{Seed: 7, Calls: 9}, Best: 1.5, BestSet: true}, {RNG: RNGState{Seed: 8}}}
 	ck.Meta = &TrainMeta{Episodes: 17, Fingerprint: "fp-v1"}
 
 	var buf bytes.Buffer
-	if err := ck.Save(&buf); err != nil {
+	if err := ck.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadCheckpoint(&buf)
@@ -203,113 +205,109 @@ func TestRestoreStateStrict(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointRejectsMalformed pins the decode validation: hand-
-// edited or truncated files fail with descriptive errors instead of
-// loading garbage.
+// TestLoadCheckpointRejectsMalformed pins the decode validation: each
+// case starts from fullCheckpoint's encoding, breaks one thing in the
+// bytes — the checksum recomputed wherever the checksum is not the point
+// — and must fail with an error naming it instead of loading garbage.
 func TestLoadCheckpointRejectsMalformed(t *testing.T) {
-	for name, in := range map[string]string{
-		"truncated":       `{"params":{"w":[1,`,
-		"empty-param":     `{"params":{"w":[]}}`,
-		"no-params":       `{"version":1}`,
-		"unknown-field":   `{"params":{"w":[1]},"surprise":3}`,
-		"future-version":  `{"version":99,"params":{"w":[1]}}`,
-		"bad-opt-algo":    `{"params":{"w":[1]},"opt":{"algo":"sgd","m":{"w":[0]},"v":{"w":[0]}}}`,
-		"opt-extra-param": `{"params":{"w":[1]},"opt":{"algo":"adam","m":{"w":[0],"x":[0]},"v":{"w":[0],"x":[0]}}}`,
-		"opt-short-m":     `{"params":{"w":[1,2]},"opt":{"algo":"adam","m":{"w":[0]},"v":{"w":[0,0]}}}`,
-		"neg-episodes":    `{"params":{"w":[1]},"meta":{"episodes":-2}}`,
+	ck := fullCheckpoint(t)
+	good := encodeUnchecked(ck)
+	// params is the encoding of ck's params section after edit.
+	params := func(edit func(m map[string][]float64)) []byte {
+		m := make(map[string][]float64, len(ck.Params))
+		for name, v := range ck.Params {
+			m[name] = v
+		}
+		edit(m)
+		return section(func(e *binWriter) {
+			e.tag('P')
+			e.paramTable(m)
+		})
+	}
+	sameParams := params(func(map[string][]float64) {})
+	unchecked := func(edit func(c *Checkpoint)) []byte {
+		c := fullCheckpoint(t)
+		edit(c)
+		return encodeUnchecked(c)
+	}
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"truncated", good[:len(good)/2], "truncated or corrupted"},
+		{"empty-param", replaceOnce(t, good, sameParams, params(func(m map[string][]float64) { m["empty"] = nil })), `parameter "empty" is empty`},
+		{"no-params", replaceOnce(t, good, sameParams, params(func(m map[string][]float64) { clear(m) })), "no parameters"},
+		{"unknown-field", replaceOnce(t, good, metaBytes(ck.Meta), append([]byte{'X'}, metaBytes(ck.Meta)[1:]...)), "unknown or out-of-order section 'X'"},
+		{"future-version", unchecked(func(c *Checkpoint) { c.Version = 99 }), "version 99 not supported"},
+		{"bad-opt-algo", unchecked(func(c *Checkpoint) { c.Opt.Algo = "sgd" }), `optimizer "sgd" unknown`},
+		{"opt-extra-param", unchecked(func(c *Checkpoint) { c.Opt.M["x"] = []float64{0} }), "optimizer m covers 5 parameters, want 4"},
+		{"opt-short-m", unchecked(func(c *Checkpoint) { c.Opt.M["logstd"] = []float64{} }), `optimizer m for "logstd" has length 0, want 1`},
+		{"neg-episodes", unchecked(func(c *Checkpoint) { c.Meta.Episodes = -2 }), "exceeds the format cap"},
 	} {
-		t.Run(name, func(t *testing.T) {
-			if _, err := LoadCheckpoint(strings.NewReader(in)); err == nil {
-				t.Fatalf("malformed checkpoint %s loaded", name)
+		t.Run(c.name, func(t *testing.T) {
+			_, err := LoadCheckpoint(bytes.NewReader(c.file))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("LoadCheckpoint: %v, want an error containing %q", err, c.want)
 			}
 		})
 	}
 }
 
-// TestValidateRejectsNonFinite covers the NaN/Inf guard directly (the
-// JSON decoder cannot produce them, but hand-built checkpoints and future
-// binary formats can).
+// TestValidateRejectsNonFinite covers the NaN/Inf guard: each case starts
+// from fullCheckpoint, puts one non-finite value in a section, and
+// Validate and AppendBinary must refuse it, naming where it sits.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	for name, v := range map[string]float64{"nan": math.NaN(), "+inf": math.Inf(1), "-inf": math.Inf(-1)} {
-		ck := &Checkpoint{Params: map[string][]float64{"w": {1, v}}}
-		if err := ck.Validate(); err == nil {
-			t.Errorf("%s value validated", name)
+		for _, c := range []struct {
+			section string
+			set     func(ck *Checkpoint)
+			want    string
+		}{
+			{"param", func(ck *Checkpoint) { ck.Params["trunk.l0.W"][1] = v }, `parameter "trunk.l0.W" element 1`},
+			{"moment", func(ck *Checkpoint) { ck.Opt.M["head.mean"][2] = v }, `optimizer m "head.mean" element 2`},
+			{"env-best", func(ck *Checkpoint) { ck.Envs[0].Best = v }, "env 0 best value"},
+			{"pricer-history", func(ck *Checkpoint) { ck.Pricer.History[1][0] = v }, "pricer history[1][0]"},
+		} {
+			ck := fullCheckpoint(t)
+			c.set(ck)
+			if err := ck.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s %s: Validate: %v, want an error containing %q", name, c.section, err, c.want)
+			}
+			if _, err := ck.AppendBinary(nil); err == nil {
+				t.Errorf("%s %s: encoded", name, c.section)
+			}
 		}
-		if err := ck.Save(&bytes.Buffer{}); err == nil {
-			t.Errorf("%s value saved", name)
-		}
-	}
-	ck := &Checkpoint{Params: map[string][]float64{"w": {1}}, Envs: []EnvState{{Best: math.NaN(), BestSet: true}}}
-	if err := ck.Validate(); err == nil {
-		t.Error("NaN env best validated")
 	}
 }
 
 // TestLoadCheckpointRejectsNegativeSecondMoment pins the sign check on
 // Adam's second moments. v is an average of squared gradients, so only a
 // corrupt or hostile file holds a negative entry, and Adam's square root
-// of it would turn the weights into NaN. Both encodings refuse it, the
-// binary one with its checksum intact, naming the parameter and element.
+// of it would turn the weights into NaN. The decoder refuses it with the
+// checksum intact, naming the parameter and element.
 func TestLoadCheckpointRejectsNegativeSecondMoment(t *testing.T) {
-	ck := fullCheckpoint(t)
-	ck.Opt.V["trunk.l0.W"][5] = -1
-	js, err := json.Marshal(ck)
-	if err != nil {
-		t.Fatal(err)
+	_, err := LoadCheckpoint(bytes.NewReader(negativeSecondMomentFile(t)))
+	if err == nil {
+		t.Fatal("checkpoint with a negative second moment loaded")
 	}
-	for name, in := range map[string][]byte{"json": js, "binary": negativeSecondMomentFile(t)} {
-		_, err := LoadCheckpoint(bytes.NewReader(in))
-		if err == nil {
-			t.Fatalf("%s: checkpoint with a negative second moment loaded", name)
-		}
-		if !strings.Contains(err.Error(), `v "trunk.l0.W" element 5`) {
-			t.Fatalf("%s: error does not name the parameter and element: %v", name, err)
-		}
+	if !strings.Contains(err.Error(), `v "trunk.l0.W" element 5`) {
+		t.Fatalf("error does not name the parameter and element: %v", err)
 	}
 	// −0 is not negative: √(−0) = −0, and the step stays finite.
+	ck := fullCheckpoint(t)
 	ck.Opt.V["trunk.l0.W"][5] = math.Copysign(0, -1)
 	if err := ck.Validate(); err != nil {
 		t.Fatalf("−0 second moment rejected: %v", err)
 	}
 }
 
-// TestLegacyParamsOnlyCheckpointLoads keeps version-0 files (the
-// historical params-only JSON written before full checkpointing) loading
-// for weight-only warm starts.
-func TestLegacyParamsOnlyCheckpointLoads(t *testing.T) {
-	ck, err := LoadCheckpoint(strings.NewReader(`{"params":{"w":[0.5,-1]}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Version != 0 || ck.Opt != nil || ck.RNG != nil || ck.Meta != nil {
-		t.Fatalf("legacy checkpoint mis-parsed: %+v", ck)
-	}
-	p := newParam("w", 2)
-	if err := ck.Restore([]*Param{p}); err != nil {
-		t.Fatal(err)
-	}
-	if p.Value[0] != 0.5 || p.Value[1] != -1 {
-		t.Fatalf("restored %v", p.Value)
-	}
-}
-
-// FuzzLoadCheckpoint feeds arbitrary bytes through the loader — both the
-// JSON path and, via the leading magic, the binary decoder: it must never
-// panic — malformed, truncated, or hostile input returns an error (or a
-// checkpoint that passed validation).
+// FuzzLoadCheckpoint feeds arbitrary bytes through the binary decoder: it
+// must never panic — malformed, truncated, or hostile input returns an
+// error — and whatever loads must re-encode to a file that loads back to
+// the same checkpoint.
 func FuzzLoadCheckpoint(f *testing.F) {
-	f.Add(`{"params":{"w":[1,2]}}`)
-	f.Add(`{"version":1,"params":{"w":[1]},"opt":{"algo":"adam","step":3,"m":{"w":[0]},"v":{"w":[0]}},"rng":{"seed":1,"calls":10},"envs":[{"rng":{"seed":2,"calls":5},"best":1.5,"best_set":true}],"meta":{"episodes":4,"fingerprint":"x"}}`)
-	f.Add(`{"params":{"w":[`)
-	f.Add(`{"params":{"w":[]}}`)
-	f.Add(`{"params":{"w":[1e308,-1e308]}}`)
-	f.Add(`{"version":-1,"params":{"w":[1]}}`)
-	f.Add(`null`)
-	f.Add(``)
-	f.Add(`[1,2,3]`)
-	// Binary seeds: a valid encoding, truncations, a bit flip, trailing
-	// garbage, and a bare/hostile header.
-	bin := fuzzBinarySeed(f)
+	bin := encodeUnchecked(fuzzSeedCheckpoint())
 	f.Add(string(bin))
 	f.Add(string(bin[:len(bin)/2]))
 	f.Add(string(bin[:len(bin)-2]))
@@ -319,37 +317,54 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(string(bin) + "tail")
 	f.Add(binaryMagic)
 	f.Add(binaryMagic + "\x02\x00P\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01Z")
-	// A negative Adam second moment, in JSON and checksum-intact binary.
-	f.Add(`{"version":1,"params":{"w":[1]},"opt":{"algo":"adam","step":3,"m":{"w":[0]},"v":{"w":[-1]}}}`)
 	f.Add(string(negativeSecondMomentFile(f)))
+	// Checksum-intact files of other shapes: older and newer versions, a
+	// missing required section, an unknown one, sections out of order, a
+	// stream old enough to need its state without one, and counters far
+	// above every length cap.
+	seed := func(edit func(c *Checkpoint)) {
+		c := fuzzSeedCheckpoint()
+		edit(c)
+		f.Add(string(encodeUnchecked(c)))
+	}
+	seed(func(c *Checkpoint) { c.Version = 0 })
+	seed(func(c *Checkpoint) { c.Version = 1 })
+	seed(func(c *Checkpoint) { c.Version = 3 })
+	seed(func(c *Checkpoint) { c.RNG.Calls = 1 << 40 })
+	seed(func(c *Checkpoint) { c.Envs[0].RNG.Calls = mathx.StateLen })
+	seed(func(c *Checkpoint) {
+		c.Opt.Step, c.Meta.Episodes = 1<<40, 1<<40
+		c.Pricer.Rounds, c.Pricer.Updates, c.Pricer.Snapshots = 1<<40, 1<<40, 1<<40
+	})
+	seed(func(c *Checkpoint) { c.Envs, c.Pricer = nil, nil })
+	c := fuzzSeedCheckpoint()
+	meta, rng := metaBytes(c.Meta), append([]byte{'R'}, rngBytes(*c.RNG)...)
+	f.Add(string(replaceOnce(f, bin, meta, append([]byte{'X'}, meta[1:]...)))) // unknown section
+	f.Add(string(replaceOnce(f, bin, rng, append(meta, rng...))))              // meta before rng
+	f.Add(string(replaceOnce(f, bin, meta, nil)))                              // no meta
+	f.Add(string(withCRC(append(bin[:len(bin)-4:len(bin)-4], 'Z'))))           // trailing byte
 	f.Fuzz(func(t *testing.T, in string) {
 		ck, err := LoadCheckpoint(strings.NewReader(in))
 		if err != nil {
 			return
 		}
-		// Whatever loads must re-validate and re-save cleanly in both
-		// encodings, and the binary re-encoding must load back.
-		if err := ck.Validate(); err != nil {
-			t.Fatalf("loaded checkpoint fails validation: %v", err)
+		data, err := ck.AppendBinary(nil)
+		if err != nil {
+			t.Fatalf("loaded checkpoint fails to encode: %v", err)
 		}
-		if err := ck.Save(&bytes.Buffer{}); err != nil {
-			t.Fatalf("loaded checkpoint fails to save: %v", err)
+		again, err := LoadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("re-encoding fails to load: %v", err)
 		}
-		var buf bytes.Buffer
-		if err := ck.SaveBinary(&buf); err != nil {
-			t.Fatalf("loaded checkpoint fails to save as binary: %v", err)
-		}
-		if _, err := LoadCheckpoint(&buf); err != nil {
-			t.Fatalf("binary re-encoding fails to load: %v", err)
+		if !reflect.DeepEqual(ck, again) {
+			t.Fatal("re-encoding loads to a different checkpoint")
 		}
 	})
 }
 
-// fuzzBinarySeed builds a small valid binary checkpoint for the fuzz
-// corpus.
-func fuzzBinarySeed(f *testing.F) []byte {
-	f.Helper()
-	ck := &Checkpoint{
+// fuzzSeedCheckpoint builds a small checkpoint with every section.
+func fuzzSeedCheckpoint() *Checkpoint {
+	return &Checkpoint{
 		Version: CheckpointVersion,
 		Params:  map[string][]float64{"w": {1, 2}, "b": {3}},
 		Opt:     &OptState{Algo: "adam", Step: 3, M: map[string][]float64{"w": {0, 0}, "b": {0}}, V: map[string][]float64{"w": {0, 0}, "b": {0}}},
@@ -361,9 +376,4 @@ func fuzzBinarySeed(f *testing.F) []byte {
 			Best: 2, BestSet: true, Rounds: 40, Updates: 2, Snapshots: 1, UpdateEvery: 20, Reward: 1,
 		},
 	}
-	var buf bytes.Buffer
-	if err := ck.SaveBinary(&buf); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
 }

@@ -247,9 +247,13 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
+	if ck.Opt, err = NewAdam(1e-3).StateSnapshot(m.Params()); err != nil {
+		t.Fatalf("StateSnapshot: %v", err)
+	}
+	ck.RNG, ck.Meta = &RNGState{Seed: 1}, &TrainMeta{}
 	var buf bytes.Buffer
-	if err := ck.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := ck.SaveBinary(&buf); err != nil {
+		t.Fatalf("SaveBinary: %v", err)
 	}
 
 	// Perturb and restore.

@@ -126,7 +126,7 @@ func TestGameEnvTrainerResumeBitIdentity(t *testing.T) {
 			refVec, refAgent := build()
 			rl.NewVecTrainer(refVec, refAgent, tcfg).Run()
 
-			// Split run: 2 episodes, snapshot (JSON round trip), resume.
+			// Split run: 2 episodes, snapshot (binary round trip), resume.
 			firstVec, firstAgent := build()
 			firstCfg := tcfg
 			firstCfg.Episodes = 2
@@ -137,7 +137,7 @@ func TestGameEnvTrainerResumeBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			if err := ck.Save(&buf); err != nil {
+			if err := ck.SaveBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
 			loaded, err := nn.LoadCheckpoint(&buf)

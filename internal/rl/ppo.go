@@ -100,7 +100,7 @@ func (c PPOConfig) Fingerprint() string {
 // PPOConfig fingerprint (Checkpoint.Meta.PPO), so tooling can rebuild a
 // matching learner from a full checkpoint without the user repeating the
 // training flags. It returns false when the string carries no parseable
-// LR token (e.g. a legacy or foreign fingerprint).
+// LR token (e.g. a foreign fingerprint).
 func LRFromFingerprint(fp string) (float64, bool) {
 	const key = " LR:"
 	i := strings.Index(fp, key)
@@ -230,13 +230,12 @@ func (p *PPO) Snapshot() (*nn.Checkpoint, error) {
 }
 
 // Restore replaces the learner's full training state with a checkpointed
-// one. The checkpoint must carry the optimizer and RNG sections (use
-// RestoreWeights for a params-only warm start) and must match the
-// network's architecture exactly — unknown, missing, or mis-sized entries
-// are rejected before anything is applied. The RNG stream continues the
-// snapshotted stream exactly: version-2 checkpoints carry the captured
-// generator state and restore in constant time; older ones replay the
-// (seed, calls) pair.
+// one. The checkpoint must validate (nn.Checkpoint.Validate) and match
+// the network's architecture exactly — unknown, missing, or mis-sized
+// entries are rejected before anything is applied. The RNG stream
+// continues the snapshotted stream exactly: from its captured generator
+// state in constant time, or, for a stream younger than mathx.StateLen
+// draws, by replaying the (seed, calls) pair.
 func (p *PPO) Restore(ck *nn.Checkpoint) error {
 	if ck == nil {
 		return fmt.Errorf("rl: nil checkpoint")
@@ -244,10 +243,7 @@ func (p *PPO) Restore(ck *nn.Checkpoint) error {
 	if err := ck.Validate(); err != nil {
 		return err
 	}
-	if ck.Opt == nil || ck.RNG == nil {
-		return fmt.Errorf("rl: checkpoint lacks optimizer/RNG state (weights-only?); use RestoreWeights to warm-start parameters alone")
-	}
-	if ck.Meta != nil && ck.Meta.PPO != "" && ck.Meta.PPO != p.cfg.Fingerprint() {
+	if ck.Meta.PPO != "" && ck.Meta.PPO != p.cfg.Fingerprint() {
 		return fmt.Errorf("rl: checkpoint was trained under different learner hyper-parameters\n  checkpoint: %s\n  learner:    %s", ck.Meta.PPO, p.cfg.Fingerprint())
 	}
 	// Validate the optimizer section against the live parameters before
@@ -268,10 +264,10 @@ func (p *PPO) Restore(ck *nn.Checkpoint) error {
 	return nil
 }
 
-// RestoreWeights applies only the checkpoint's parameter values — a
-// deployment warm start that keeps the learner's own optimizer state and
-// RNG stream. Resuming training from it is NOT bit-identical to continued
-// training; use Restore with a full checkpoint for that.
+// RestoreWeights applies only the checkpoint's parameter values, keeping
+// the learner's own optimizer state and RNG stream — what a frozen
+// readout needs (sim.NewFrozenPricerFromCheckpoint). Training on from it
+// is NOT bit-identical to continued training; Restore is.
 func (p *PPO) RestoreWeights(ck *nn.Checkpoint) error {
 	if ck == nil {
 		return fmt.Errorf("rl: nil checkpoint")

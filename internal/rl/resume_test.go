@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"vtmig/internal/nn"
@@ -26,9 +27,9 @@ func trainStraight(envs int, tcfg TrainerConfig, pcfg PPOConfig) (*PPO, []Episod
 }
 
 // trainSplit trains to splitAt episodes, snapshots, round-trips the
-// checkpoint through JSON, restores into freshly built envs and agent,
-// and trains to the full budget. It returns the resumed agent and the
-// second-leg stats.
+// checkpoint through its binary encoding, restores into freshly built
+// envs and agent, and trains to the full budget. It returns the resumed
+// agent and the second-leg stats.
 func trainSplit(t *testing.T, envs, splitAt int, tcfg TrainerConfig, pcfg PPOConfig) (*PPO, []EpisodeStats) {
 	t.Helper()
 	firstCfg := tcfg
@@ -44,8 +45,8 @@ func trainSplit(t *testing.T, envs, splitAt int, tcfg TrainerConfig, pcfg PPOCon
 		t.Fatalf("Snapshot: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := ck.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
+	if err := ck.SaveBinary(&buf); err != nil {
+		t.Fatalf("SaveBinary: %v", err)
 	}
 	loaded, err := nn.LoadCheckpoint(&buf)
 	if err != nil {
@@ -118,7 +119,7 @@ func TestResumeBitIdentity(t *testing.T) {
 }
 
 // TestAgentSnapshotRoundTripValueIdentical is the agent-level round-trip
-// property: Snapshot → Save → Load → Restore reproduces weights, moments,
+// property: Snapshot → SaveBinary → Load → Restore reproduces weights, moments,
 // and the RNG position value-identically, and the restored agent's next
 // stochastic action matches the original's.
 func TestAgentSnapshotRoundTripValueIdentical(t *testing.T) {
@@ -131,7 +132,7 @@ func TestAgentSnapshotRoundTripValueIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := ck.Save(&buf); err != nil {
+	if err := ck.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := nn.LoadCheckpoint(&buf)
@@ -203,8 +204,8 @@ func TestRestoreErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := agent.Restore(weightsOnly); err == nil {
-			t.Fatal("weights-only checkpoint accepted by full Restore")
+		if err := agent.Restore(weightsOnly); err == nil || !strings.Contains(err.Error(), "no optimizer ('O') section") {
+			t.Fatalf("full Restore of a weights-only checkpoint: %v, want the missing optimizer section named", err)
 		}
 		if err := agent.RestoreWeights(weightsOnly); err != nil {
 			t.Fatalf("RestoreWeights rejected weights-only checkpoint: %v", err)
@@ -240,6 +241,20 @@ func TestRestoreErrors(t *testing.T) {
 		noMeta.Meta = nil
 		if err := tr.Restore(&noMeta); err == nil {
 			t.Fatal("checkpoint without metadata resumed")
+		}
+	})
+
+	t.Run("trainer-env-replay-capped", func(t *testing.T) {
+		// A stream old enough to carry its captured state but without it
+		// would replay 2^40 draws in EnvRestore; Validate refuses it first.
+		vec := newVecTestSlice(1, 6, 1, 10)
+		a2 := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
+		tr := NewVecTrainer(vec, a2, TrainerConfig{Episodes: 2, RoundsPerEpisode: 5, UpdateEvery: 5})
+		ck := *full
+		ck.Meta = &nn.TrainMeta{Episodes: 1}
+		ck.Envs = []nn.EnvState{{RNG: nn.RNGState{Seed: 1, Calls: 1 << 40}}}
+		if err := tr.Restore(&ck); err == nil || !strings.Contains(err.Error(), "env 0 rng") {
+			t.Fatalf("Restore: %v, want env 0's missing state named", err)
 		}
 	})
 

@@ -197,8 +197,10 @@ func (t *Trainer) Restore(ck *nn.Checkpoint) error {
 	if ck == nil {
 		return fmt.Errorf("rl: nil checkpoint")
 	}
-	if ck.Meta == nil {
-		return fmt.Errorf("rl: checkpoint has no training metadata; cannot resume")
+	// Validate before any environment restores: it caps each stream's
+	// replay at mathx.StateLen − 1 draws.
+	if err := ck.Validate(); err != nil {
+		return err
 	}
 	if ck.Meta.Episodes > t.cfg.Episodes {
 		return fmt.Errorf("rl: checkpoint completed %d episodes, beyond the configured total %d", ck.Meta.Episodes, t.cfg.Episodes)

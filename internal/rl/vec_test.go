@@ -35,14 +35,18 @@ func newVecTestEnv(obsDim int, seed int64, horizon int) *vecTestEnv {
 }
 
 func (e *vecTestEnv) EnvSnapshot() nn.EnvState {
-	return nn.EnvState{RNG: nn.RNGState{Seed: e.seed, Calls: e.src.Calls()}}
+	return nn.EnvState{RNG: nn.RNGState{Seed: e.seed, Calls: e.src.Calls(), State: e.src.StateSnapshot()}}
 }
 
 func (e *vecTestEnv) EnvRestore(st nn.EnvState) error {
 	if st.RNG.Seed != e.seed {
 		return fmt.Errorf("seed %d, want %d", st.RNG.Seed, e.seed)
 	}
-	e.src = mathx.NewCountingSourceAt(st.RNG.Seed, st.RNG.Calls)
+	src, err := mathx.NewCountingSourceFromState(st.RNG.Seed, st.RNG.Calls, st.RNG.State)
+	if err != nil {
+		return err
+	}
+	e.src = src
 	e.rng = rand.New(e.src)
 	return nil
 }

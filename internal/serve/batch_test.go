@@ -3,7 +3,6 @@ package serve_test
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -117,7 +116,7 @@ func runBatchTable(t *testing.T, batch int) batchRun {
 	if err != nil {
 		t.Fatalf("learner checkpoint: %v", err)
 	}
-	if run.learner, err = json.Marshal(ck); err != nil {
+	if run.learner, err = ck.AppendBinary(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -191,8 +190,14 @@ func TestBatchedQuoteCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, _ := json.Marshal(before)
-	b2, _ := json.Marshal(after)
+	b1, err := before.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b2, err := after.AppendBinary(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if string(b1) != string(b2) {
 		t.Fatal("recovered learner state differs from the abandoned server's")
 	}

@@ -28,18 +28,11 @@ func checkpointPath(dir string, snapshots int) string {
 // file to: the CRC-32 of its body, which the binary encoding stores as
 // its last four bytes, little-endian. data is a whole encoded checkpoint,
 // which is always longer than that. (The CRC-32 of the whole file would
-// bind nothing: for any file that ends in its own CRC-32 it is the
-// constant crcResidue.)
+// bind nothing: for any file that ends in its own CRC-32 it is the one
+// residue 0x2144DF1C.)
 func checkpointCRC(data []byte) uint32 {
 	return binary.LittleEndian.Uint32(data[len(data)-4:])
 }
-
-// crcResidue is the CRC-32 of any byte string followed by its own
-// little-endian CRC-32. Journal headers written while the binding was
-// the CRC-32 of the whole file hold it, whatever checkpoint they extend;
-// recovery accepts it so those state dirs keep reopening, and their
-// first journal switch writes a real binding.
-const crcResidue = 0x2144DF1C
 
 // writeCheckpoint durably publishes ck at path in one synchronous step —
 // stage, then publish — and returns its checkpointCRC, the value the

@@ -349,7 +349,7 @@ func (s *Server) recoverState(jpath string) (err error) {
 	if err != nil {
 		return err
 	}
-	if crc != h.CheckpointCRC && h.CheckpointCRC != crcResidue {
+	if crc != h.CheckpointCRC {
 		return fmt.Errorf("serve: checkpoint %s does not match the journal binding (CRC %08x, journal expects %08x) — the files describe different runs", ckPath, crc, h.CheckpointCRC)
 	}
 	ps := ck.Pricer

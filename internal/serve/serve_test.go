@@ -375,12 +375,12 @@ func TestServeRefusesCheckpointFromAnotherRun(t *testing.T) {
 	}
 }
 
-// TestServeReopensResidueBinding reopens a journal whose header binds
-// its checkpoint by the CRC-32 residue 0x2144DF1C (558161692), which is
-// what every header held while the binding was the CRC-32 of the whole
-// checkpoint file. Such state dirs must keep reopening, and the next
-// journal switch writes the real binding.
-func TestServeReopensResidueBinding(t *testing.T) {
+// TestServeRefusesResidueBinding reopens a journal whose header binds
+// its checkpoint by the CRC-32 residue 0x2144DF1C (558161692): the
+// CRC-32 of any file that ends in its own CRC-32, so a header holding it
+// would bind every checkpoint at its ordinal. Recovery must refuse it
+// like any other binding the checkpoint does not match.
+func TestServeRefusesResidueBinding(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, testConfig(dir))
 	quoteAll(t, s, reqStream(23)) // snapshots 2; journal binds checkpoint 1
@@ -391,31 +391,16 @@ func TestServeReopensResidueBinding(t *testing.T) {
 		t.Fatal(err)
 	}
 	header, rest, _ := bytes.Cut(data, []byte("\n"))
-	var h map[string]any
-	if err := json.Unmarshal(header, &h); err != nil {
+	residue := regexp.MustCompile(`"checkpoint_crc":\d+`).ReplaceAll(header, []byte(`"checkpoint_crc":558161692`))
+	if bytes.Equal(residue, header) {
+		t.Fatalf("header %s has no checkpoint_crc to replace", header)
+	}
+	if err := os.WriteFile(jpath, append(append(residue, '\n'), rest...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	bound := h["checkpoint_crc"]
-	legacy := regexp.MustCompile(`"checkpoint_crc":\d+`).ReplaceAll(header, []byte(`"checkpoint_crc":558161692`))
-	if err := os.WriteFile(jpath, append(append(legacy, '\n'), rest...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s = mustOpen(t, testConfig(dir))
-	defer s.Close()
-	if st := s.Stats(); st.Rounds != 23 {
-		t.Fatalf("reopened at rounds %d, want 23", st.Rounds)
-	}
-	quoteAll(t, s, reqStream(33)[23:]) // rotation 3's boundary switches to checkpoint 2
-	data, err = os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	header, _, _ = bytes.Cut(data, []byte("\n"))
-	if err := json.Unmarshal(header, &h); err != nil {
-		t.Fatal(err)
-	}
-	if h["snapshots"] != 2.0 || h["checkpoint_crc"] == 558161692.0 || h["checkpoint_crc"] == bound {
-		t.Fatalf("journal after the switch: %s, want checkpoint 2 bound by its body CRC", header)
+	_, err = serve.Open(testConfig(dir))
+	if err == nil || !strings.Contains(err.Error(), "describe different runs") {
+		t.Fatalf("Open with a residue-bound journal: %v, want the journal-binding refusal", err)
 	}
 }
 

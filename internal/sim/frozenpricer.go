@@ -36,14 +36,15 @@ type FrozenPricer struct {
 var _ Pricer = (*FrozenPricer)(nil)
 
 // NewFrozenPricerFromCheckpoint builds a frozen pricer from a checkpoint
-// written by OnlinePricer.Snapshot. Only the policy weights and the
-// pricer section are consulted — optimizer and RNG state may be absent
-// (a weights-only checkpoint freezes fine; it just cannot resume
-// training). cfg follows the NewOnlinePricerFromCheckpoint conventions:
-// Agent must be nil, a zero HistoryLen adopts the checkpointed belief
-// window, an explicitly set one must match it, and cfg.PPO must describe
-// the checkpointed learner's architecture (hidden sizes; the training
-// hyper-parameters are irrelevant to a frozen readout).
+// written by OnlinePricer.Snapshot. The checkpoint must validate like any
+// other, but only the policy weights (rl.PPO.RestoreWeights) and the
+// pricer section are consulted: the optimizer and RNG sections matter
+// only to training, which a frozen pricer never does. cfg follows the
+// NewOnlinePricerFromCheckpoint conventions: Agent must be nil, a zero
+// HistoryLen adopts the checkpointed belief window, an explicitly set one
+// must match it, and cfg.PPO must describe the checkpointed learner's
+// architecture (hidden sizes; the training hyper-parameters are
+// irrelevant to a frozen readout).
 func NewFrozenPricerFromCheckpoint(cfg OnlinePricerConfig, ck *nn.Checkpoint) (*FrozenPricer, error) {
 	if ck == nil || ck.Pricer == nil {
 		return nil, fmt.Errorf("sim: checkpoint carries no pricer section; only checkpoints written by OnlinePricer.Snapshot can freeze an online run")

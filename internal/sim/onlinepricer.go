@@ -223,9 +223,6 @@ func NewOnlinePricerFromCheckpoint(cfg OnlinePricerConfig, ck *nn.Checkpoint) (*
 	if err := ck.Validate(); err != nil {
 		return nil, err
 	}
-	if ck.Opt == nil || ck.RNG == nil {
-		return nil, fmt.Errorf("sim: pricer checkpoint lacks optimizer/RNG state; cannot resume training from it")
-	}
 	if cfg.Agent != nil {
 		return nil, fmt.Errorf("sim: OnlinePricerConfig.Agent must be nil when resuming from a checkpoint")
 	}

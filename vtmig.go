@@ -46,19 +46,19 @@ type (
 	PPO = rl.PPO
 	// GameEnv is the pricing game as a POMDP.
 	GameEnv = pomdp.GameEnv
-	// Checkpoint is a versioned training checkpoint. A full one —
-	// TrainResult.Checkpoint, or a file written by vtmig-train
-	// -checkpoint — carries weights, per-parameter Adam moments and step
-	// count, the policy RNG stream (version 2 captures the generator
-	// state itself, so restore is exact and O(1) regardless of stream
-	// length), every training-environment stream's state, and the episode
-	// count, so ResumeTraining continues the run bit-identically
-	// (determinism contract rule 6). A checkpoint written by
-	// OnlinePricer.Snapshot additionally carries the pricer section —
-	// belief window, current observation, best tracker, stream counters —
-	// for NewOnlinePricerFromCheckpoint. Checkpoints serialize as JSON
-	// (Save) or as the compact CRC-checked binary format (SaveBinary);
-	// LoadCheckpoint auto-detects either.
+	// Checkpoint is a complete training checkpoint. TrainResult.Checkpoint,
+	// or a file written by vtmig-train -checkpoint, carries weights,
+	// per-parameter Adam moments and step count, the policy RNG stream
+	// (with the generator state itself once the stream is long enough to
+	// need it, so restore is exact and O(1) regardless of stream length),
+	// every training-environment stream's state, and the episode count, so
+	// ResumeTraining continues the run bit-identically (determinism
+	// contract rule 6). A checkpoint written by OnlinePricer.Snapshot
+	// additionally carries the pricer section — belief window, current
+	// observation, best tracker, stream counters — for
+	// NewOnlinePricerFromCheckpoint. Checkpoints are written (SaveBinary,
+	// WriteFile) and read (LoadCheckpoint) in one compact, CRC-checked
+	// binary format.
 	Checkpoint = nn.Checkpoint
 )
 
@@ -228,12 +228,11 @@ func ResumeTraining(game *Game, cfg DRLConfig, ck *Checkpoint) (*TrainResult, er
 	return experiments.ResumeAgent(game, cfg, ck)
 }
 
-// LoadCheckpoint reads and strictly validates a checkpoint in either
-// encoding — JSON (Checkpoint.Save) or the compact binary format
-// (Checkpoint.SaveBinary), auto-detected by the leading magic. Unknown
-// fields, mis-sized or empty parameter vectors, non-finite values,
-// truncation, and bit corruption (binary: CRC-checked) are rejected with
-// a descriptive error.
+// LoadCheckpoint reads and strictly validates a checkpoint in the binary
+// format Checkpoint.SaveBinary writes. Other formats (JSON included) and
+// versions, missing sections, unknown sections, mis-sized or empty
+// parameter vectors, non-finite values, truncation, and bit corruption
+// (CRC-checked) are rejected with a descriptive error.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	return nn.LoadCheckpoint(r)
 }
