@@ -43,7 +43,7 @@ func BenchmarkFig2aReturnConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg()
 		cfg.Seed = int64(i + 1)
-		res, err := experiments.RunFig2(stackelberg.DefaultGame(), cfg)
+		res, err := experiments.RunFig2Ctx(context.Background(), stackelberg.DefaultGame(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func BenchmarkFig2bUtilityConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg()
 		cfg.Seed = int64(i + 1)
-		res, err := experiments.RunFig2(stackelberg.DefaultGame(), cfg)
+		res, err := experiments.RunFig2Ctx(context.Background(), stackelberg.DefaultGame(), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func BenchmarkFig3aCostSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg()
 		cfg.Seed = int64(i + 1)
-		res, err := experiments.RunCostSweep([]float64{5, 7, 9}, cfg)
+		res, err := experiments.RunCostSweepCtx(context.Background(), []float64{5, 7, 9}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func BenchmarkFig3bVMUCostSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg()
 		cfg.Seed = int64(i + 1)
-		res, err := experiments.RunCostSweep([]float64{5, 7, 9}, cfg)
+		res, err := experiments.RunCostSweepCtx(context.Background(), []float64{5, 7, 9}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkFig3cVMUCountSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg()
 		cfg.Seed = int64(i + 1)
-		res, err := experiments.RunVMUSweep([]int{2, 6}, cfg)
+		res, err := experiments.RunVMUSweepCtx(context.Background(), []int{2, 6}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,7 +123,7 @@ func BenchmarkFig3dAvgVMUSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg()
 		cfg.Seed = int64(i + 1)
-		res, err := experiments.RunVMUSweep([]int{2, 6}, cfg)
+		res, err := experiments.RunVMUSweepCtx(context.Background(), []int{2, 6}, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func BenchmarkAblationHistory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg()
 		cfg.Seed = int64(i + 1)
-		if _, err := experiments.RunHistoryAblation([]int{1, 4}, cfg); err != nil {
+		if _, err := experiments.RunHistoryAblationCtx(context.Background(), []int{1, 4}, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func BenchmarkAblationReward(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchCfg()
 		cfg.Seed = int64(i + 1)
-		if _, err := experiments.RunRewardAblation(cfg); err != nil {
+		if _, err := experiments.RunRewardAblationCtx(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -202,16 +202,19 @@ func BenchmarkBestResponses(b *testing.B) {
 	}
 }
 
-// BenchmarkPPOSelectAction measures one policy forward + sampling pass.
+// BenchmarkPPOSelectAction measures the one-row act
+// (SelectActionWithMean): one policy forward pass as a batch of one plus
+// sampling, what a served quote and an online pricer round run.
 func BenchmarkPPOSelectAction(b *testing.B) {
 	env := newBenchEnv(b)
 	lo, hi := env.ActionBounds()
 	agent := rl.NewPPO(env.ObsDim(), env.ActDim(), lo, hi, rl.DefaultPPOConfig())
 	obs := env.Reset()
+	agent.SelectActionWithMean(obs) // grow scratch outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, v := agent.SelectAction(obs); v != v {
+		if _, _, _, v, _ := agent.SelectActionWithMean(obs); v != v {
 			b.Fatal("NaN value")
 		}
 	}
@@ -225,7 +228,7 @@ func BenchmarkPPOUpdate(b *testing.B) {
 	buf := rl.NewRollout(100)
 	obs := env.Reset()
 	for k := 0; k < 100; k++ {
-		raw, envAct, logP, value := agent.SelectAction(obs)
+		raw, envAct, logP, value, _ := agent.SelectActionWithMean(obs)
 		next, reward, done := env.Step(envAct)
 		buf.Add(obs, raw, logP, reward, value, done)
 		obs = next
@@ -261,10 +264,11 @@ func newBenchVecEnv(b *testing.B, n int) *rl.EnvSlice {
 
 // BenchmarkCollect measures Algorithm 1's collection phase in isolation
 // (no optimization): 100 rounds of experience per op. serial-loop is the
-// classic per-step SelectAction/Step/Add sequence; the envs=W cases run
-// the VecCollector, whose per-round policy evaluation is one batched pass
-// over all live envs. Note the per-op work scales with the env count
-// (envs=4 collects 400 transitions per op, so compare ns/op ÷ envs).
+// classic per-step SelectActionWithMean/Step/Add sequence; the envs=W
+// cases run the VecCollector, whose per-round policy evaluation is one
+// batched pass over all live envs. Note the per-op work scales with the
+// env count (envs=4 collects 400 transitions per op, so compare ns/op ÷
+// envs).
 func BenchmarkCollect(b *testing.B) {
 	b.Run("serial-loop", func(b *testing.B) {
 		env := newBenchEnv(b)
@@ -275,7 +279,7 @@ func BenchmarkCollect(b *testing.B) {
 			buf.Reset()
 			obs := env.Reset()
 			for k := 0; k < 100; k++ {
-				raw, envAct, logP, value := agent.SelectAction(obs)
+				raw, envAct, logP, value, _ := agent.SelectActionWithMean(obs)
 				next, reward, done := env.Step(envAct)
 				buf.Add(obs, raw, logP, reward, value, done || k == 99)
 				obs = next
@@ -431,7 +435,7 @@ func BenchmarkCheckpointBinary(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := nn.LoadCheckpoint(bytes.NewReader(data)); err != nil {
+			if _, err := nn.LoadCheckpoint(data); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -515,15 +519,17 @@ func benchActorCritic() *rl.ActorCritic {
 	return rl.NewActorCritic(12, 1, []int{64, 64}, nn.ActTanh, -0.5, rand.New(rand.NewSource(1)))
 }
 
-// BenchmarkActorCriticForward measures the one-row forward pass a served
-// quote, an online or frozen pricer readout and a collection step run.
+// BenchmarkActorCriticForward measures the forward pass on one row, a
+// batch of one: what a served quote, an online or frozen pricer readout
+// and a one-env collection step run.
 func BenchmarkActorCriticForward(b *testing.B) {
 	ac := benchActorCritic()
-	x := make([]float64, 12)
+	x := mat.New(1, 12)
+	ac.ForwardBatch(x) // grow scratch outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if mean, _, _ := ac.Forward(x); len(mean) != 1 {
+		if mean, _, _ := ac.ForwardBatch(x); mean.Rows != 1 {
 			b.Fatal("bad forward")
 		}
 	}
@@ -691,7 +697,7 @@ func BenchmarkStreamCollect(b *testing.B) {
 	col := rl.NewStreamCollector(agent, 20)
 	obs := env.Reset()
 	step := func() {
-		raw, envAct, logP, value := agent.SelectAction(obs)
+		raw, envAct, logP, value, _ := agent.SelectActionWithMean(obs)
 		next, reward, done := env.Step(envAct)
 		col.Add(obs, raw, logP, reward, value, done, next)
 		obs = next

@@ -145,12 +145,11 @@ func run(args []string) error {
 
 // loadCheckpointFile reads and validates a checkpoint file.
 func loadCheckpointFile(path string) (*nn.Checkpoint, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("opening checkpoint: %w", err)
+		return nil, fmt.Errorf("reading checkpoint: %w", err)
 	}
-	defer f.Close()
-	ck, err := nn.LoadCheckpoint(f)
+	ck, err := nn.LoadCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("loading %s: %w", path, err)
 	}

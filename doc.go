@@ -47,24 +47,27 @@
 // The training hot path is allocation-free in steady state. internal/mat
 // provides destination-passing GEMM kernels (MulTo, MulABTBiasTo,
 // MulATBAddTo) whose accumulation order is fixed per destination element,
-// internal/nn adds batched forward/backward passes that reuse per-layer
-// scratch across minibatches, and the PPO learner pushes every minibatch
-// through the network as one batched pass. Every forward pass of a
-// linear layer, one row or batched (a served quote, the online and
-// frozen pricers' readouts, a collection step, a PPO minibatch), runs
-// through one A·Bᵀ kernel, mat.MulABTBiasTo, reading the weights in
-// place. On amd64 CPUs with AVX2 (probed once from CPUID, with no flag
-// or build tag) that kernel, the GEMMs of the backward pass and the Adam
-// step run as AVX2 assembly that gives the same bits as the Go loops,
-// which every other CPU runs instead. The A·Bᵀ kernel computes four
+// internal/nn has one forward pass (ForwardBatch) and one backward pass
+// (BackwardBatch), both over a batch of rows and reusing per-layer
+// scratch across calls, and the PPO learner pushes every minibatch
+// through the network as one batched pass. A policy acting on one
+// observation (a served quote, the online pricer's round, the frozen
+// pricer's readout, a critic bootstrap) runs the same pass as a batch of
+// one, so its bits are those of the matching row of any batch. Every
+// forward pass of a linear layer — one row, a collection step over the
+// live envs, a PPO minibatch — runs through one A·Bᵀ kernel,
+// mat.MulABTBiasTo, reading the weights in place. On amd64 CPUs with
+// AVX2 (probed once from CPUID, with no flag or build tag) that kernel,
+// the GEMMs of the backward pass and the Adam step run as AVX2 assembly
+// that gives the same bits as the Go loops, which every other CPU runs
+// instead. The A·Bᵀ kernel computes four
 // destination columns per vector from 4×4 blocks of the weights
 // transposed in registers. The first trunk layer's backward pass
 // accumulates only its weight and bias gradients; nothing reads the
 // observation gradient.
 // The tanh activations — the hidden layers and the squashed policy
-// mean, one row and batched — run through mat.TanhTo, an AVX2
-// kernel that evaluates four lanes at a time and returns math.Tanh's
-// bits: it follows math/tanh.go's branches and, for e^(2|x|), the
+// mean — run through mat.TanhTo, an AVX2 kernel that evaluates four
+// lanes at a time and returns math.Tanh's bits: it follows math/tanh.go's branches and, for e^(2|x|), the
 // fused instruction sequence of math.Exp's amd64 assembly. It runs only
 // where CPUID shows AVX2 and FMA and a check at package init finds it
 // equal to math.Tanh in the running process (a process started with
@@ -77,7 +80,7 @@
 // allocations; the simulator's oracle pricer runs only the price search
 // (Game.SolvePriceInto), with no utilities it would discard.
 // Algorithm 1's collection phase is vectorized
-// (rl.VecEnv / rl.VecCollector / rl.NewVecTrainer): episode blocks step
+// (rl.EnvSlice / rl.VecCollector / rl.NewVecTrainer): episode blocks step
 // W independently seeded environment instances in lockstep, the policy
 // is evaluated for every live env in one batched pass per round, and the
 // envs then step serially in env order. The online-learning path reuses
@@ -123,7 +126,7 @@
 // pricer), uvarint lengths with hard caps against hostile inputs, and a
 // CRC-32 trailer so truncation and bit corruption fail loudly. It reads
 // back every checkpoint it writes. Resume entry points:
-// rl.ResumeTrainer, experiments.ResumeAgent,
+// rl.Trainer.Restore, experiments.ResumeAgent,
 // sim.NewOnlinePricerFromCheckpoint, vtmig-train -resume, vtmig-sim
 // -warm-start-file (with -snapshot-every/-snapshot-out writing mid-run
 // resume checkpoints).
@@ -233,7 +236,7 @@
 // testdata/scenarios/ — static highway, urban grid, churn, outages,
 // demand cycle, and the combined non-stationary workload — is pinned by
 // per-pricer golden reports in internal/scenario/testdata, and
-// experiments.RunNonstationaryStudy uses the scenario layer to measure
+// experiments.RunNonstationaryStudyCtx uses the scenario layer to measure
 // whether online continual learning beats a frozen agent by a wider
 // margin when the workload actually drifts. Entry points:
 // vtmig.LoadScenario / vtmig.RunScenario, scenario.Load,
@@ -292,8 +295,9 @@
 //  1. Batched kernels accumulate in exactly the order of the textbook
 //     loops that the tests keep as their references (k-ascending, one
 //     accumulator per destination element; row-ascending gradient
-//     accumulation), so a batch's gradients equal one-row passes over
-//     its rows in order.
+//     accumulation), so each forward row equals the same row run alone —
+//     the policy acting on one observation is a batch of one — and a
+//     batch's gradients equal one-row passes over its rows in order.
 //     Vector lanes span only independent destination elements; an
 //     in-register transpose only moves operands into them. In the GEMM,
 //     A·Bᵀ and Adam kernels a multiply-add is a separate multiply and

@@ -8,15 +8,11 @@ import (
 	"vtmig/internal/stackelberg"
 )
 
-// RunHistoryAblation varies the observation history length L (the paper
-// fixes L=4) and reports the learned policy's regret against the
+// RunHistoryAblationCtx varies the observation history length L (the
+// paper fixes L=4) and reports the learned policy's regret against the
 // closed-form equilibrium. Ablation cells train concurrently through the
-// shared worker pool, one row per length in input order.
-func RunHistoryAblation(lengths []int, cfg DRLConfig) (*Table, error) {
-	return RunHistoryAblationCtx(context.Background(), lengths, cfg)
-}
-
-// RunHistoryAblationCtx is RunHistoryAblation with cancellation.
+// shared worker pool, one row per length in input order; cancelling ctx
+// stops training.
 func RunHistoryAblationCtx(ctx context.Context, lengths []int, cfg DRLConfig) (*Table, error) {
 	t := &Table{
 		Title:   "ablation: observation history length L",
@@ -53,14 +49,10 @@ func RunHistoryAblationCtx(ctx context.Context, lengths []int, cfg DRLConfig) (*
 	return t, nil
 }
 
-// RunRewardAblation compares the paper's binary reward (Eq. 12) with the
-// dense shaped reward on the benchmark game. The two cells train
-// concurrently through the shared worker pool.
-func RunRewardAblation(cfg DRLConfig) (*Table, error) {
-	return RunRewardAblationCtx(context.Background(), cfg)
-}
-
-// RunRewardAblationCtx is RunRewardAblation with cancellation.
+// RunRewardAblationCtx compares the paper's binary reward (Eq. 12) with
+// the dense shaped reward on the benchmark game. The two cells train
+// concurrently through the shared worker pool; cancelling ctx stops
+// training.
 func RunRewardAblationCtx(ctx context.Context, cfg DRLConfig) (*Table, error) {
 	t := &Table{
 		Title:   "ablation: binary (Eq. 12) vs shaped reward",

@@ -8,17 +8,12 @@ import (
 	"vtmig/internal/stackelberg"
 )
 
-// RunBaselineComparison plays every pricing scheme on the benchmark game
-// for K-round episodes and reports the mean and best MSP utility of each,
-// averaged over several seeds. It includes the paper's comparators
+// RunBaselineComparisonCtx plays every pricing scheme on the benchmark
+// game for K-round episodes and reports the mean and best MSP utility of
+// each, averaged over several seeds. It includes the paper's comparators
 // (random, greedy) plus the reproduction's extra baselines (tabular
-// Q-learning, two-probe model identification) and the DRL agent.
-func RunBaselineComparison(game *stackelberg.Game, cfg DRLConfig, seeds int) (*Table, error) {
-	return RunBaselineComparisonCtx(context.Background(), game, cfg, seeds)
-}
-
-// RunBaselineComparisonCtx is RunBaselineComparison with cancellation of
-// the embedded DRL training.
+// Q-learning, two-probe model identification) and the DRL agent, whose
+// training stops when ctx is cancelled.
 func RunBaselineComparisonCtx(ctx context.Context, game *stackelberg.Game, cfg DRLConfig, seeds int) (*Table, error) {
 	if seeds < 1 {
 		return nil, fmt.Errorf("experiments: seeds must be >= 1, got %d", seeds)
@@ -68,6 +63,6 @@ func RunBaselineComparisonCtx(ctx context.Context, game *stackelberg.Game, cfg D
 	return t, nil
 }
 
-// BaselineSchemes lists the schemes of RunBaselineComparison in row
+// BaselineSchemes lists the schemes of RunBaselineComparisonCtx in row
 // order.
 var BaselineSchemes = []string{"oracle", "drl", "identification", "qlearning", "greedy", "random"}

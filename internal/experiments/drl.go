@@ -313,7 +313,9 @@ func HistoryLenFromCheckpoint(ck *nn.Checkpoint, game *stackelberg.Game) (int, e
 // EvaluateAgent estimates the learned deterministic price. It plays the
 // stochastic policy for the given number of rounds — keeping the
 // observation history on the training distribution — and averages the
-// deterministic (mean) action over the trailing half of the rounds.
+// deterministic (mean) action over the trailing half of the rounds. Each
+// round is one forward pass (rl.PPO.SelectActionWithMean), which yields
+// both the mean and the sample.
 //
 // Rolling the deterministic policy forward on its own outputs is NOT a
 // valid readout: constant-price histories never occur during training, so
@@ -328,11 +330,11 @@ func EvaluateAgent(env *pomdp.GameEnv, agent *rl.PPO, rounds int) float64 {
 	var sum float64
 	var count int
 	for k := 0; k < rounds; k++ {
+		_, envAct, _, _, meanEnv := agent.SelectActionWithMean(obs)
 		if k >= rounds-tail {
-			sum += agent.MeanAction(obs)[0]
+			sum += meanEnv[0]
 			count++
 		}
-		_, envAct, _, _ := agent.SelectAction(obs)
 		var done bool
 		obs, _, done = env.Step(envAct)
 		if done {

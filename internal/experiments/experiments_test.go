@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -126,9 +127,9 @@ func TestRunFig2ProducesBothCurves(t *testing.T) {
 		t.Skip("training test skipped in -short mode")
 	}
 	cfg := quickCfg()
-	res, err := RunFig2(stackelberg.DefaultGame(), cfg)
+	res, err := RunFig2Ctx(context.Background(), stackelberg.DefaultGame(), cfg)
 	if err != nil {
-		t.Fatalf("RunFig2: %v", err)
+		t.Fatalf("RunFig2Ctx: %v", err)
 	}
 	if res.Return.Len() != cfg.Episodes || res.Utility.Len() != cfg.Episodes {
 		t.Fatalf("curve lengths = %d/%d, want %d", res.Return.Len(), res.Utility.Len(), cfg.Episodes)
@@ -152,9 +153,9 @@ func TestRunCostSweepShape(t *testing.T) {
 		t.Skip("training test skipped in -short mode")
 	}
 	cfg := quickCfg()
-	res, err := RunCostSweep([]float64{5, 9}, cfg)
+	res, err := RunCostSweepCtx(context.Background(), []float64{5, 9}, cfg)
 	if err != nil {
-		t.Fatalf("RunCostSweep: %v", err)
+		t.Fatalf("RunCostSweepCtx: %v", err)
 	}
 	if len(res.Fig3a.Rows) != 2 || len(res.Fig3b.Rows) != 2 {
 		t.Fatalf("row counts = %d/%d, want 2/2", len(res.Fig3a.Rows), len(res.Fig3b.Rows))
@@ -183,9 +184,9 @@ func TestRunVMUSweepShape(t *testing.T) {
 		t.Skip("training test skipped in -short mode")
 	}
 	cfg := quickCfg()
-	res, err := RunVMUSweep([]int{2, 6}, cfg)
+	res, err := RunVMUSweepCtx(context.Background(), []int{2, 6}, cfg)
 	if err != nil {
-		t.Fatalf("RunVMUSweep: %v", err)
+		t.Fatalf("RunVMUSweepCtx: %v", err)
 	}
 	// Equilibrium shape: Us grows with N; average VMU utility falls.
 	eqUsN2, eqUsN6 := res.Fig3c.Rows[0][4], res.Fig3c.Rows[1][4]
@@ -226,7 +227,7 @@ func TestRunSolverAblationAgreement(t *testing.T) {
 }
 
 func TestRunHistoryAblationValidation(t *testing.T) {
-	if _, err := RunHistoryAblation([]int{0}, quickCfg()); err == nil {
+	if _, err := RunHistoryAblationCtx(context.Background(), []int{0}, quickCfg()); err == nil {
 		t.Error("L=0 must error")
 	}
 }
@@ -237,9 +238,9 @@ func TestRunRewardAblationRuns(t *testing.T) {
 	}
 	cfg := quickCfg()
 	cfg.Episodes = 15
-	tab, err := RunRewardAblation(cfg)
+	tab, err := RunRewardAblationCtx(context.Background(), cfg)
 	if err != nil {
-		t.Fatalf("RunRewardAblation: %v", err)
+		t.Fatalf("RunRewardAblationCtx: %v", err)
 	}
 	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d, want 2 (binary, shaped)", len(tab.Rows))
@@ -297,9 +298,9 @@ func TestRunBaselineComparison(t *testing.T) {
 		t.Skip("training test skipped in -short mode")
 	}
 	cfg := quickCfg()
-	tab, err := RunBaselineComparison(stackelberg.DefaultGame(), cfg, 3)
+	tab, err := RunBaselineComparisonCtx(context.Background(), stackelberg.DefaultGame(), cfg, 3)
 	if err != nil {
-		t.Fatalf("RunBaselineComparison: %v", err)
+		t.Fatalf("RunBaselineComparisonCtx: %v", err)
 	}
 	if len(tab.Rows) != len(BaselineSchemes) {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(BaselineSchemes))
@@ -320,7 +321,7 @@ func TestRunBaselineComparison(t *testing.T) {
 }
 
 func TestRunBaselineComparisonValidation(t *testing.T) {
-	if _, err := RunBaselineComparison(stackelberg.DefaultGame(), quickCfg(), 0); err == nil {
+	if _, err := RunBaselineComparisonCtx(context.Background(), stackelberg.DefaultGame(), quickCfg(), 0); err == nil {
 		t.Error("seeds=0 must error")
 	}
 }
@@ -330,9 +331,9 @@ func TestRunSeedStudy(t *testing.T) {
 		t.Skip("training test skipped in -short mode")
 	}
 	cfg := quickCfg()
-	study, err := RunSeedStudy(stackelberg.DefaultGame(), cfg, 3)
+	study, err := RunSeedStudyCtx(context.Background(), stackelberg.DefaultGame(), cfg, 3)
 	if err != nil {
-		t.Fatalf("RunSeedStudy: %v", err)
+		t.Fatalf("RunSeedStudyCtx: %v", err)
 	}
 	if len(study.Prices) != 3 || len(study.Utilities) != 3 {
 		t.Fatalf("sizes = %d/%d, want 3/3", len(study.Prices), len(study.Utilities))
@@ -353,7 +354,7 @@ func TestRunSeedStudy(t *testing.T) {
 }
 
 func TestRunSeedStudyValidation(t *testing.T) {
-	if _, err := RunSeedStudy(stackelberg.DefaultGame(), quickCfg(), 1); err == nil {
+	if _, err := RunSeedStudyCtx(context.Background(), stackelberg.DefaultGame(), quickCfg(), 1); err == nil {
 		t.Error("seeds=1 must error")
 	}
 }

@@ -38,16 +38,11 @@ func (r *Fig2Result) Tables() []*Table {
 	}
 }
 
-// RunFig2 trains the MSP agent on the paper's two-VMU scenario (α₁=α₂=5,
-// D₁=200 MB, D₂=100 MB, C=5) and records both convergence curves.
-func RunFig2(game *stackelberg.Game, cfg DRLConfig) (*Fig2Result, error) {
-	return RunFig2Ctx(context.Background(), game, cfg)
-}
-
-// RunFig2Ctx is RunFig2 with cancellation: training stops at the next
-// episode boundary (the next episode-block boundary under vectorized
-// collection) when ctx is cancelled and the cancellation error is
-// returned.
+// RunFig2Ctx trains the MSP agent on the paper's two-VMU scenario
+// (α₁=α₂=5, D₁=200 MB, D₂=100 MB, C=5) and records both convergence
+// curves. Training stops at the next episode boundary (the next
+// episode-block boundary under vectorized collection) when ctx is
+// cancelled and the cancellation error is returned.
 func RunFig2Ctx(ctx context.Context, game *stackelberg.Game, cfg DRLConfig) (*Fig2Result, error) {
 	// A separate evaluation environment keeps deterministic evaluations
 	// from disturbing the training episode stream.

@@ -31,13 +31,9 @@ type CostSweepResult struct {
 	Fig3b *Table
 }
 
-// RunCostSweep trains one DRL agent per cost value and compares it against
-// the closed-form equilibrium and the baseline schemes (Fig. 3(a)/(b)).
-func RunCostSweep(costs []float64, cfg DRLConfig) (*CostSweepResult, error) {
-	return RunCostSweepCtx(context.Background(), costs, cfg)
-}
-
-// RunCostSweepCtx is RunCostSweep with cancellation. Sweep points train
+// RunCostSweepCtx trains one DRL agent per cost value and compares it
+// against the closed-form equilibrium and the baseline schemes
+// (Fig. 3(a)/(b)); cancelling ctx stops training. Sweep points train
 // concurrently through the shared worker pool; each point is seeded
 // independently, so the rows — appended in sweep order after all points
 // finish — are identical to a sequential run.
@@ -98,15 +94,10 @@ type VMUSweepResult struct {
 	Fig3d *Table
 }
 
-// RunVMUSweep trains one DRL agent per population size and reports MSP and
-// average-VMU outcomes (Fig. 3(c)/(d)).
-func RunVMUSweep(ns []int, cfg DRLConfig) (*VMUSweepResult, error) {
-	return RunVMUSweepCtx(context.Background(), ns, cfg)
-}
-
-// RunVMUSweepCtx is RunVMUSweep with cancellation; sweep points train
-// concurrently through the shared worker pool with rows emitted in sweep
-// order.
+// RunVMUSweepCtx trains one DRL agent per population size and reports
+// MSP and average-VMU outcomes (Fig. 3(c)/(d)); cancelling ctx stops
+// training. Sweep points train concurrently through the shared worker
+// pool with rows emitted in sweep order.
 func RunVMUSweepCtx(ctx context.Context, ns []int, cfg DRLConfig) (*VMUSweepResult, error) {
 	fig3c := &Table{
 		Title:   "fig3c: MSP utility & price vs number of VMUs",

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"math"
@@ -115,9 +116,9 @@ func TestGoldenFig2(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	res, err := RunFig2(stackelberg.DefaultGame(), goldenCfg())
+	res, err := RunFig2Ctx(context.Background(), stackelberg.DefaultGame(), goldenCfg())
 	if err != nil {
-		t.Fatalf("RunFig2: %v", err)
+		t.Fatalf("RunFig2Ctx: %v", err)
 	}
 	checkGolden(t, "fig2_golden.txt", res.Tables())
 }
@@ -126,9 +127,9 @@ func TestGoldenCostSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	res, err := RunCostSweep([]float64{5, 9}, goldenCfg())
+	res, err := RunCostSweepCtx(context.Background(), []float64{5, 9}, goldenCfg())
 	if err != nil {
-		t.Fatalf("RunCostSweep: %v", err)
+		t.Fatalf("RunCostSweepCtx: %v", err)
 	}
 	checkGolden(t, "fig3_cost_golden.txt", []*Table{res.Fig3a, res.Fig3b})
 }
@@ -137,9 +138,9 @@ func TestGoldenVMUSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	res, err := RunVMUSweep([]int{2, 3}, goldenCfg())
+	res, err := RunVMUSweepCtx(context.Background(), []int{2, 3}, goldenCfg())
 	if err != nil {
-		t.Fatalf("RunVMUSweep: %v", err)
+		t.Fatalf("RunVMUSweepCtx: %v", err)
 	}
 	checkGolden(t, "fig3_vmu_golden.txt", []*Table{res.Fig3c, res.Fig3d})
 }
@@ -148,9 +149,9 @@ func TestGoldenSeedStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	study, err := RunSeedStudy(stackelberg.DefaultGame(), goldenCfg(), 3)
+	study, err := RunSeedStudyCtx(context.Background(), stackelberg.DefaultGame(), goldenCfg(), 3)
 	if err != nil {
-		t.Fatalf("RunSeedStudy: %v", err)
+		t.Fatalf("RunSeedStudyCtx: %v", err)
 	}
 	checkGolden(t, "seedstudy_golden.txt", []*Table{study.Table()})
 }
@@ -166,9 +167,9 @@ func TestGoldenHistoryAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	tab, err := RunHistoryAblation([]int{1, 4}, goldenCfg())
+	tab, err := RunHistoryAblationCtx(context.Background(), []int{1, 4}, goldenCfg())
 	if err != nil {
-		t.Fatalf("RunHistoryAblation: %v", err)
+		t.Fatalf("RunHistoryAblationCtx: %v", err)
 	}
 	checkGolden(t, "ablation_history_golden.txt", []*Table{tab})
 }

@@ -52,7 +52,7 @@ type NonstationaryArm struct {
 	Updates int
 }
 
-// NonstationaryStudy is the result of RunNonstationaryStudy.
+// NonstationaryStudy is the result of RunNonstationaryStudyCtx.
 type NonstationaryStudy struct {
 	// Arms are the four cells in fixed order: static/frozen-drl,
 	// static/online-warm, nonstationary/frozen-drl,
@@ -114,16 +114,11 @@ func DefaultNonstationaryStudyConfig() NonstationaryStudyConfig {
 	}
 }
 
-// RunNonstationaryStudy runs the 2×2 frozen-vs-online, static-vs-drift
-// comparison.
-func RunNonstationaryStudy(cfg NonstationaryStudyConfig) (*NonstationaryStudy, error) {
-	return RunNonstationaryStudyCtx(context.Background(), cfg)
-}
-
-// RunNonstationaryStudyCtx is RunNonstationaryStudy with cancellation:
-// the four cells fan out through the shared worker pool (results
-// assembled in fixed order, determinism contract rule 2) and training
-// stops at the next episode boundary when ctx is cancelled.
+// RunNonstationaryStudyCtx runs the 2×2 frozen-vs-online,
+// static-vs-drift comparison. The four cells fan out through the shared
+// worker pool (results assembled in fixed order, determinism contract
+// rule 2) and training stops at the next episode boundary when ctx is
+// cancelled.
 func RunNonstationaryStudyCtx(ctx context.Context, cfg NonstationaryStudyConfig) (*NonstationaryStudy, error) {
 	def := DefaultNonstationaryStudyConfig()
 	if cfg.Static == nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestNonstationaryStudyCells(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	study, err := RunNonstationaryStudy(nonstationaryStudyCfg())
+	study, err := RunNonstationaryStudyCtx(context.Background(), nonstationaryStudyCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +88,11 @@ func TestNonstationaryStudyDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training test skipped in -short mode")
 	}
-	a, err := RunNonstationaryStudy(nonstationaryStudyCfg())
+	a, err := RunNonstationaryStudyCtx(context.Background(), nonstationaryStudyCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunNonstationaryStudy(nonstationaryStudyCfg())
+	b, err := RunNonstationaryStudyCtx(context.Background(), nonstationaryStudyCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestNonstationaryStudyDeterministic(t *testing.T) {
 func TestNonstationaryStudyRejectsBadScenario(t *testing.T) {
 	cfg := nonstationaryStudyCfg()
 	cfg.NonStationary.Vehicles = -2
-	if _, err := RunNonstationaryStudy(cfg); err == nil {
+	if _, err := RunNonstationaryStudyCtx(context.Background(), cfg); err == nil {
 		t.Fatal("invalid scenario accepted")
 	}
 }

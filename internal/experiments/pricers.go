@@ -146,12 +146,11 @@ type WarmStartResolution struct {
 // rate leaves lr to the request (0 keeps ppo.LR). Both vtmig-sim's and
 // vtmig-serve's warm-start paths build on it.
 func ResolveWarmStart(path string, game *stackelberg.Game, ppo rl.PPOConfig, historyLen int, lr float64) (*WarmStartResolution, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("opening checkpoint: %w", err)
+		return nil, fmt.Errorf("reading checkpoint: %w", err)
 	}
-	defer f.Close()
-	ck, err := nn.LoadCheckpoint(f)
+	ck, err := nn.LoadCheckpoint(data)
 	if err != nil {
 		return nil, fmt.Errorf("loading %s: %w", path, err)
 	}

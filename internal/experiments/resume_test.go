@@ -69,7 +69,7 @@ func TestResumeAgentMatchesStraightTraining(t *testing.T) {
 			if err := first.Checkpoint.SaveBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := nn.LoadCheckpoint(&buf)
+			loaded, err := nn.LoadCheckpoint(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,15 +17,10 @@ type SeedStudy struct {
 	OracleUtility float64
 }
 
-// RunSeedStudy trains one agent per seed in parallel and collects the
+// RunSeedStudyCtx trains one agent per seed in parallel and collects the
 // evaluated price and MSP utility of each — the statistical robustness
-// check behind the single-seed curves of Fig. 2.
-func RunSeedStudy(game *stackelberg.Game, cfg DRLConfig, seeds int) (*SeedStudy, error) {
-	return RunSeedStudyCtx(context.Background(), game, cfg, seeds)
-}
-
-// RunSeedStudyCtx is RunSeedStudy with cancellation; the per-seed
-// trainings fan out through the shared worker pool.
+// check behind the single-seed curves of Fig. 2. The per-seed trainings
+// fan out through the shared worker pool; cancelling ctx stops them.
 func RunSeedStudyCtx(ctx context.Context, game *stackelberg.Game, cfg DRLConfig, seeds int) (*SeedStudy, error) {
 	if seeds < 2 {
 		return nil, fmt.Errorf("experiments: seed study needs >= 2 seeds, got %d", seeds)

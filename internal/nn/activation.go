@@ -43,11 +43,10 @@ func (a Activation) String() string {
 // ReLU and softplus, whose derivatives read the input: only those two
 // cache it.
 type activationLayer struct {
-	kind    Activation
-	dim     int
-	lastOut []float64 // Forward's output
+	kind Activation
+	dim  int
 
-	// batched caches, grown to the largest batch seen and reused
+	// caches, grown to the largest batch seen and reused
 	inMat   mat.Matrix // ReLU and softplus only
 	outMat  mat.Matrix
 	gradMat mat.Matrix
@@ -60,18 +59,12 @@ func NewActivation(kind Activation, dim int) Module {
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", int(kind)))
 	}
-	return &activationLayer{kind: kind, dim: dim, lastOut: make([]float64, dim)}
+	return &activationLayer{kind: kind, dim: dim}
 }
 
 // derivReadsInput reports whether kind's derivative is computed from the
 // layer input rather than its output.
 func derivReadsInput(kind Activation) bool { return kind == ActReLU || kind == ActSoftplus }
-
-func (a *activationLayer) Forward(x []float64) []float64 {
-	checkLen(a.kind.String(), "input", len(x), a.dim)
-	a.apply(a.lastOut, x)
-	return a.lastOut
-}
 
 // ForwardBatch applies the nonlinearity to every element of x. The
 // returned matrix is owned by the layer.

@@ -35,13 +35,6 @@ func newStack(name string, sizes []int, act Activation, rng *rand.Rand) *stack {
 	return s
 }
 
-func (s *stack) Forward(x []float64) []float64 {
-	for _, m := range s.mods {
-		x = m.Forward(x)
-	}
-	return x
-}
-
 func (s *stack) ForwardBatch(x *mat.Matrix) *mat.Matrix {
 	for _, m := range s.mods {
 		x = m.ForwardBatch(x)
@@ -57,6 +50,12 @@ func (s *stack) BackwardBatch(g *mat.Matrix) *mat.Matrix {
 }
 
 func (s *stack) Params() []*Param { return s.params }
+
+// forwardRow runs mod on the one input row x, a batch of one, and returns
+// the output row, which the module owns.
+func forwardRow(mod Module, x []float64) []float64 {
+	return mod.ForwardBatch(mat.FromSlice(1, len(x), x)).Row(0)
+}
 
 // backwardRow runs one-row ForwardBatch and BackwardBatch calls on mod
 // for input x and output gradient g, and returns the input gradient.
@@ -83,6 +82,48 @@ func signedZeroMix(rng *rand.Rand, x []float64, share float64) {
 			x[i] = math.Copysign(0, float64(rng.Intn(2))-0.5)
 		}
 	}
+}
+
+// refLinearForward is the textbook forward pass of l for one input row x:
+// y[i] = Σₖ W[i][k]·x[k], summed from +0 over k ascending, plus b[i]
+// added last.
+func refLinearForward(l *Linear, x []float64) []float64 {
+	y := make([]float64, l.out)
+	for i := range y {
+		var s float64
+		for k, xk := range x {
+			s += l.w.Value[i*l.in+k] * xk
+		}
+		y[i] = s + l.b.Value[i]
+	}
+	return y
+}
+
+// refActivationForward is the textbook forward pass of an activation for
+// one input row: activate per element, which is math.Tanh for tanh.
+func refActivationForward(a *activationLayer, x []float64) []float64 {
+	y := make([]float64, len(x))
+	for i, v := range x {
+		y[i] = activate(a.kind, v)
+	}
+	return y
+}
+
+// refForward runs the textbook forward pass of s on one input row and
+// returns every layer's input followed by the network output: ins[0] is
+// x, ins[len(s.mods)] the output.
+func refForward(s *stack, x []float64) [][]float64 {
+	ins := make([][]float64, len(s.mods)+1)
+	ins[0] = x
+	for i, m := range s.mods {
+		switch m := m.(type) {
+		case *Linear:
+			ins[i+1] = refLinearForward(m, ins[i])
+		case *activationLayer:
+			ins[i+1] = refActivationForward(m, ins[i])
+		}
+	}
+	return ins
 }
 
 // refLinearBackward is the textbook per-sample backward pass of l for
@@ -127,16 +168,12 @@ func refActivationBackward(a *activationLayer, in, out, g []float64) []float64 {
 
 // refBackward runs the textbook per-sample backward pass of s over the
 // rows of x in order, accumulating into s's gradients, and returns the
-// input gradients. Each row's layer inputs come from one-row Forward
-// calls, whose bits TestForwardBatchMatchesForward pins to the batch's.
+// input gradients. Each row's layer inputs come from the textbook forward
+// pass, whose bits TestForwardBatchMatchesForward pins to the batch's.
 func refBackward(s *stack, x, dy *mat.Matrix) *mat.Matrix {
 	dx := mat.New(x.Rows, x.Cols)
 	for b := 0; b < x.Rows; b++ {
-		ins := make([][]float64, len(s.mods)+1)
-		ins[0] = x.Row(b)
-		for i, m := range s.mods {
-			ins[i+1] = append([]float64(nil), m.Forward(ins[i])...)
-		}
+		ins := refForward(s, x.Row(b))
 		g := dy.Row(b)
 		for i := len(s.mods) - 1; i >= 0; i-- {
 			switch m := s.mods[i].(type) {
@@ -151,55 +188,64 @@ func refBackward(s *stack, x, dy *mat.Matrix) *mat.Matrix {
 	return dx
 }
 
-// TestForwardBatchMatchesForward checks that the batched path reproduces
-// the one-row path bit for bit, row by row, for batches that reach the
-// kernel's 4-row blocks, its leftover single rows, or both. Every
-// parameter, biases included, is random, so the bias has to be added
-// last on both paths.
+// TestForwardBatchMatchesForward checks that the forward pass reproduces
+// the textbook per-row forward loop (refForward) bit for bit, row by row,
+// under every hidden activation, for one row alone (the one-row act) and
+// for batches that reach the kernel's 4-row blocks, its leftover single
+// rows, or both. Every parameter, biases included, is random, so the
+// bias has to be added last.
 func TestForwardBatchMatchesForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m := newStack("t", []int{7, 64, 64, 3}, ActTanh, rng)
-	for _, p := range m.Params() {
-		for i := range p.Value {
-			p.Value[i] = rng.NormFloat64()
-		}
-	}
-	for _, batch := range []int{1, 2, 3, 4, 5, 9, 20} {
-		x := mat.New(batch, 7)
-		x.Randomize(rng, 1)
-		y := m.ForwardBatch(x)
-		if y.Rows != batch || y.Cols != 3 {
-			t.Fatalf("batch output %dx%d, want %dx3", y.Rows, y.Cols, batch)
-		}
-		requireRowsMatchForward(t, m, x, y)
+	for _, act := range []Activation{ActIdentity, ActTanh, ActReLU, ActSigmoid, ActSoftplus} {
+		t.Run(act.String(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(1))
+			m := newStack("t", []int{7, 64, 64, 3}, act, rng)
+			for _, p := range m.Params() {
+				for i := range p.Value {
+					p.Value[i] = rng.NormFloat64()
+				}
+			}
+			for _, batch := range []int{1, 2, 3, 4, 5, 9, 20} {
+				x := mat.New(batch, 7)
+				x.Randomize(rng, 1)
+				y := m.ForwardBatch(x)
+				if y.Rows != batch || y.Cols != 3 {
+					t.Fatalf("batch output %dx%d, want %dx3", y.Rows, y.Cols, batch)
+				}
+				requireRowsMatchTextbook(t, m, x, y)
+			}
+		})
 	}
 }
 
-// requireRowsMatchForward fails unless every row of y has the bits of
-// mod.Forward on the same row of x.
-func requireRowsMatchForward(t *testing.T, mod Module, x, y *mat.Matrix) {
+// requireRowsMatchTextbook fails unless every row of y has the bits of
+// the textbook forward pass of s on the same row of x.
+func requireRowsMatchTextbook(t *testing.T, s *stack, x, y *mat.Matrix) {
 	t.Helper()
 	for b := 0; b < x.Rows; b++ {
-		for j, v := range mod.Forward(x.Row(b)) {
+		ins := refForward(s, x.Row(b))
+		for j, v := range ins[len(ins)-1] {
 			if got := y.At(b, j); math.Float64bits(got) != math.Float64bits(v) {
-				t.Fatalf("%d rows, row %d col %d: batch %v != sequential %v", x.Rows, b, j, got, v)
+				t.Fatalf("%d rows, row %d col %d: batch %v != textbook %v", x.Rows, b, j, got, v)
 			}
 		}
 	}
 }
 
-// TestForwardBatchTracksWeightChanges checks that the batched path reads
+// TestForwardBatchTracksWeightChanges checks that the forward pass reads
 // the current weights on every call, with no stale copy: after an
-// optimizer step and after a direct write to the weights, the batched
-// output still matches the one-row path.
+// optimizer step and after a direct write to the weights, its output at
+// many rows and at one still matches the textbook loop.
 func TestForwardBatchTracksWeightChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	l := NewLinear("t", 6, 5, rng)
+	s := &stack{mods: []Module{l}, params: l.Params()}
 	x := mat.New(8, 6)
 	x.Randomize(rng, 1)
+	x1 := mat.FromSlice(1, 6, x.Row(3))
 	opt := NewAdam(0.1)
 	for round := 0; round < 3; round++ {
-		requireRowsMatchForward(t, l, x, l.ForwardBatch(x))
+		requireRowsMatchTextbook(t, s, x, l.ForwardBatch(x))
+		requireRowsMatchTextbook(t, s, x1, l.ForwardBatch(x1))
 		for _, p := range l.Params() {
 			for i := range p.Grad {
 				p.Grad[i] = rng.NormFloat64()
@@ -275,35 +321,6 @@ func TestBackwardBatchMatchesBackward(t *testing.T) {
 	}
 }
 
-// TestBatchAndSequentialCachesIndependent checks that a one-row Forward
-// between ForwardBatch and BackwardBatch leaves the batched gradients
-// untouched.
-func TestBatchAndSequentialCachesIndependent(t *testing.T) {
-	xb := mat.FromSlice(2, 3, []float64{4, 5, 6, 7, 8, 9})
-	g := mat.FromSlice(2, 2, []float64{1, 1, -2, 0.5})
-
-	l := NewLinear("t", 3, 2, rand.New(rand.NewSource(4)))
-	l.ForwardBatch(xb)
-	l.Forward([]float64{1, 2, 3}) // must not clobber the batch cache
-	gin := l.BackwardBatch(g)
-
-	want := NewLinear("t", 3, 2, rand.New(rand.NewSource(4)))
-	want.ForwardBatch(xb)
-	wantIn := want.BackwardBatch(g)
-	for i, v := range gin.Data {
-		if v != wantIn.Data[i] {
-			t.Fatalf("input grad %d = %v, want %v (one-row call corrupted batch cache)", i, v, wantIn.Data[i])
-		}
-	}
-	for i, p := range l.Params() {
-		for j, v := range p.Grad {
-			if v != want.Params()[i].Grad[j] {
-				t.Fatalf("%s grad[%d] = %v, want %v (one-row call corrupted batch cache)", p.Name, j, v, want.Params()[i].Grad[j])
-			}
-		}
-	}
-}
-
 // TestBatchShapeMismatchPanics locks in eager shape validation on the
 // batched path.
 func TestBatchShapeMismatchPanics(t *testing.T) {
@@ -326,12 +343,11 @@ func TestBatchShapeMismatchPanics(t *testing.T) {
 }
 
 // TestForwardBackwardAllocationFree locks in the zero-allocation steady
-// state of the one-row forward pass and of the batched pair, at 20 rows
-// and at one.
+// state of the one-row forward pass (the one-row act) and of the
+// forward/backward pair, at 20 rows and at one.
 func TestForwardBackwardAllocationFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := newStack("t", []int{12, 64, 64, 1}, ActTanh, rng)
-	x := make([]float64, 12)
 	xb := mat.New(20, 12)
 	xb.Randomize(rng, 1)
 	dy := mat.New(20, 1)
@@ -342,8 +358,8 @@ func TestForwardBackwardAllocationFree(t *testing.T) {
 	m.ForwardBatch(xb)
 	m.BackwardBatch(dy)
 
-	if n := testing.AllocsPerRun(20, func() { m.Forward(x) }); n != 0 {
-		t.Errorf("Forward allocates %v times per call, want 0", n)
+	if n := testing.AllocsPerRun(20, func() { m.ForwardBatch(x1) }); n != 0 {
+		t.Errorf("one-row ForwardBatch allocates %v times per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() { m.ForwardBatch(xb); m.BackwardBatch(dy) }); n != 0 {
 		t.Errorf("batched Forward+Backward allocates %v times per call, want 0", n)

@@ -141,17 +141,14 @@ func (e *binWriter) sections(c *Checkpoint) {
 	e.tag('Z')
 }
 
-// LoadCheckpoint reads a checkpoint in the binary encoding and validates
-// it (Checkpoint.Validate). Input without the binary magic — a JSON
-// checkpoint, say — truncation, trailing garbage, any bit flip
-// (checksummed), unknown or out-of-order sections, and implausible
-// lengths are all rejected with a descriptive error, so a hand-edited or
-// corrupted file fails loudly instead of training on garbage.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("nn: reading binary checkpoint: %w", err)
-	}
+// LoadCheckpoint decodes a checkpoint from its binary encoding, the whole
+// file in data, and validates it (Checkpoint.Validate). Input without the
+// binary magic — a JSON checkpoint, say — truncation, trailing garbage,
+// any bit flip (checksummed), unknown or out-of-order sections, and
+// implausible lengths are all rejected with a descriptive error, so a
+// hand-edited or corrupted file fails loudly instead of training on
+// garbage. The returned checkpoint does not alias data.
+func LoadCheckpoint(data []byte) (*Checkpoint, error) {
 	if !bytes.HasPrefix(data, []byte(binaryMagic)) {
 		return nil, fmt.Errorf("nn: not a binary checkpoint: it does not start with the %q magic (checkpoints are read and written in the binary encoding only)", binaryMagic)
 	}

@@ -149,7 +149,7 @@ func TestBinaryRoundTripBitIdentical(t *testing.T) {
 	if err := ck.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(bytes.NewReader(buf.Bytes()))
+	loaded, err := LoadCheckpoint(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestCheckpointLargeCountersRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(bytes.NewReader(data))
+	loaded, err := LoadCheckpoint(data)
 	if err != nil {
 		t.Fatalf("checkpoint the encoder wrote does not load: %v", err)
 	}
@@ -193,7 +193,7 @@ func TestBinaryCorruptionFailsLoudly(t *testing.T) {
 	bin := buf.Bytes()
 
 	for cut := 0; cut < len(bin); cut++ {
-		if _, err := LoadCheckpoint(bytes.NewReader(bin[:cut])); err == nil {
+		if _, err := LoadCheckpoint(bin[:cut]); err == nil {
 			t.Fatalf("truncation at byte %d/%d loaded", cut, len(bin))
 		}
 	}
@@ -203,11 +203,11 @@ func TestBinaryCorruptionFailsLoudly(t *testing.T) {
 	for i := 0; i < len(bin); i++ {
 		copy(corrupt, bin)
 		corrupt[i] ^= 1 << uint(i%8)
-		if _, err := LoadCheckpoint(bytes.NewReader(corrupt)); err == nil {
+		if _, err := LoadCheckpoint(corrupt); err == nil {
 			t.Fatalf("bit flip at byte %d loaded", i)
 		}
 	}
-	if _, err := LoadCheckpoint(bytes.NewReader(append(append([]byte(nil), bin...), 0))); err == nil {
+	if _, err := LoadCheckpoint(append(append([]byte(nil), bin...), 0)); err == nil {
 		t.Fatal("trailing garbage loaded")
 	}
 }
@@ -224,7 +224,7 @@ func TestBinaryRejectsHostileLengths(t *testing.T) {
 	file := make([]byte, len(body)+4)
 	copy(file, body)
 	binary.LittleEndian.PutUint32(file[len(body):], crc32.ChecksumIEEE(body))
-	_, err := LoadCheckpoint(bytes.NewReader(file))
+	_, err := LoadCheckpoint(file)
 	if err == nil {
 		t.Fatal("hostile length loaded")
 	}
@@ -334,14 +334,14 @@ func TestLoadCheckpointRefusesOtherShapes(t *testing.T) {
 			rngBytes(RNGState{Seed: 7, Calls: mathx.StateLen})), "env 0 rng at 607 calls has 0 state words"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := LoadCheckpoint(bytes.NewReader(c.file))
+			_, err := LoadCheckpoint(c.file)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("LoadCheckpoint: %v, want an error containing %q", err, c.want)
 			}
 		})
 	}
 	// One draw younger than the state length, a stream restores by replay.
-	if _, err := LoadCheckpoint(bytes.NewReader(encodeUnchecked(young))); err != nil {
+	if _, err := LoadCheckpoint(encodeUnchecked(young)); err != nil {
 		t.Fatalf("policy stream %d draws old without state refused: %v", mathx.StateLen-1, err)
 	}
 }

@@ -71,7 +71,7 @@ func TestFullCheckpointRoundTrip(t *testing.T) {
 	if err := ck.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadCheckpoint(&buf)
+	loaded, err := LoadCheckpoint(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestLoadCheckpointRejectsMalformed(t *testing.T) {
 		{"neg-episodes", unchecked(func(c *Checkpoint) { c.Meta.Episodes = -2 }), "exceeds the format cap"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := LoadCheckpoint(bytes.NewReader(c.file))
+			_, err := LoadCheckpoint(c.file)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("LoadCheckpoint: %v, want an error containing %q", err, c.want)
 			}
@@ -287,7 +287,7 @@ func TestValidateRejectsNonFinite(t *testing.T) {
 // of it would turn the weights into NaN. The decoder refuses it with the
 // checksum intact, naming the parameter and element.
 func TestLoadCheckpointRejectsNegativeSecondMoment(t *testing.T) {
-	_, err := LoadCheckpoint(bytes.NewReader(negativeSecondMomentFile(t)))
+	_, err := LoadCheckpoint(negativeSecondMomentFile(t))
 	if err == nil {
 		t.Fatal("checkpoint with a negative second moment loaded")
 	}
@@ -308,16 +308,16 @@ func TestLoadCheckpointRejectsNegativeSecondMoment(t *testing.T) {
 // the same checkpoint.
 func FuzzLoadCheckpoint(f *testing.F) {
 	bin := encodeUnchecked(fuzzSeedCheckpoint())
-	f.Add(string(bin))
-	f.Add(string(bin[:len(bin)/2]))
-	f.Add(string(bin[:len(bin)-2]))
+	f.Add(bin)
+	f.Add(bin[:len(bin)/2])
+	f.Add(bin[:len(bin)-2])
 	flipped := append([]byte(nil), bin...)
 	flipped[len(flipped)/3] ^= 0x10
-	f.Add(string(flipped))
-	f.Add(string(bin) + "tail")
-	f.Add(binaryMagic)
-	f.Add(binaryMagic + "\x02\x00P\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01Z")
-	f.Add(string(negativeSecondMomentFile(f)))
+	f.Add(flipped)
+	f.Add(append(append([]byte(nil), bin...), "tail"...))
+	f.Add([]byte(binaryMagic))
+	f.Add([]byte(binaryMagic + "\x02\x00P\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01Z"))
+	f.Add(negativeSecondMomentFile(f))
 	// Checksum-intact files of other shapes: older and newer versions, a
 	// missing required section, an unknown one, sections out of order, a
 	// stream old enough to need its state without one, and counters far
@@ -325,7 +325,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	seed := func(edit func(c *Checkpoint)) {
 		c := fuzzSeedCheckpoint()
 		edit(c)
-		f.Add(string(encodeUnchecked(c)))
+		f.Add(encodeUnchecked(c))
 	}
 	seed(func(c *Checkpoint) { c.Version = 0 })
 	seed(func(c *Checkpoint) { c.Version = 1 })
@@ -339,12 +339,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	seed(func(c *Checkpoint) { c.Envs, c.Pricer = nil, nil })
 	c := fuzzSeedCheckpoint()
 	meta, rng := metaBytes(c.Meta), append([]byte{'R'}, rngBytes(*c.RNG)...)
-	f.Add(string(replaceOnce(f, bin, meta, append([]byte{'X'}, meta[1:]...)))) // unknown section
-	f.Add(string(replaceOnce(f, bin, rng, append(meta, rng...))))              // meta before rng
-	f.Add(string(replaceOnce(f, bin, meta, nil)))                              // no meta
-	f.Add(string(withCRC(append(bin[:len(bin)-4:len(bin)-4], 'Z'))))           // trailing byte
-	f.Fuzz(func(t *testing.T, in string) {
-		ck, err := LoadCheckpoint(strings.NewReader(in))
+	f.Add(replaceOnce(f, bin, meta, append([]byte{'X'}, meta[1:]...))) // unknown section
+	f.Add(replaceOnce(f, bin, rng, append(meta, rng...)))              // meta before rng
+	f.Add(replaceOnce(f, bin, meta, nil))                              // no meta
+	f.Add(withCRC(append(bin[:len(bin)-4:len(bin)-4], 'Z')))           // trailing byte
+	f.Fuzz(func(t *testing.T, in []byte) {
+		ck, err := LoadCheckpoint(in)
 		if err != nil {
 			return
 		}
@@ -352,7 +352,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		if err != nil {
 			t.Fatalf("loaded checkpoint fails to encode: %v", err)
 		}
-		again, err := LoadCheckpoint(bytes.NewReader(data))
+		again, err := LoadCheckpoint(data)
 		if err != nil {
 			t.Fatalf("re-encoding fails to load: %v", err)
 		}

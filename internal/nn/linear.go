@@ -16,10 +16,8 @@ type Linear struct {
 	// storage; building them once keeps the hot path allocation-free.
 	wView, gwView mat.Matrix
 
-	outBuf []float64 // Forward's output
-
-	// caches for batched forward/backward, grown to the largest batch seen
-	// and reused across minibatches
+	// caches for forward/backward, grown to the largest batch seen and
+	// reused across calls
 	xCache  mat.Matrix // batch×in copy of the last batched input
 	outMat  mat.Matrix // batch×out
 	gradMat mat.Matrix // batch×in
@@ -29,11 +27,10 @@ type Linear struct {
 // biases. The name prefixes the parameter names ("<name>.W", "<name>.b").
 func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	l := &Linear{
-		in:     in,
-		out:    out,
-		w:      newParam(name+".W", in*out),
-		b:      newParam(name+".b", out),
-		outBuf: make([]float64, out),
+		in:  in,
+		out: out,
+		w:   newParam(name+".W", in*out),
+		b:   newParam(name+".b", out),
 	}
 	l.wView = *mat.FromSlice(out, in, l.w.Value)
 	l.gwView = *mat.FromSlice(out, in, l.w.Grad)
@@ -41,23 +38,12 @@ func NewLinear(name string, in, out int, rng *rand.Rand) *Linear {
 	return l
 }
 
-// Forward computes W·x + b as the one-row product x·Wᵀ + b, through the
-// same kernel as ForwardBatch, so its bits are those of any batch row.
-func (l *Linear) Forward(x []float64) []float64 {
-	checkLen("Linear", "input", len(x), l.in)
-	// One-row views over x and outBuf stay on the stack, so the call is
-	// allocation-free.
-	in := mat.Matrix{Rows: 1, Cols: l.in, Data: x}
-	out := mat.Matrix{Rows: 1, Cols: l.out, Data: l.outBuf}
-	mat.MulABTBiasTo(&out, &in, &l.wView, l.b.Value)
-	return l.outBuf
-}
-
-// ForwardBatch computes Y = X·Wᵀ + b for a batch of rows. The returned
-// matrix is owned by the layer and overwritten by the next batched call;
-// its element (i, j) is bit-identical to Forward(X.Row(i))[j]: both run
-// mat.MulABTBiasTo, one k-ascending accumulator per element with the bias
-// added last, reading W in place at every batch size.
+// ForwardBatch computes Y = X·Wᵀ + b for a batch of rows and keeps a copy
+// of X for BackwardBatch. The returned matrix is owned by the layer and
+// overwritten by the next call. It runs mat.MulABTBiasTo, which reads W in
+// place and gives element (i, j) one accumulator from +0 over k ascending
+// with the bias added last, so a row's bits do not depend on the batch
+// size or on the other rows.
 func (l *Linear) ForwardBatch(x *mat.Matrix) *mat.Matrix {
 	checkLen("Linear", "batch input width", x.Cols, l.in)
 	l.xCache.Resize(x.Rows, x.Cols)

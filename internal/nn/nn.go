@@ -2,11 +2,12 @@
 // used by the DRL incentive mechanism: linear layers, activations,
 // gradient clipping, the Adam optimizer, and checkpointing.
 //
-// A module runs one row at a time when the policy acts (Forward) and a
-// minibatch at a time when it learns (ForwardBatch, then BackwardBatch
-// over the same rows). Gradients are computed only by BackwardBatch, and
-// a one-row batch is the per-sample case. Gradients accumulate across
-// calls until ZeroGrads; an optimizer step then applies them.
+// A module has one forward pass, ForwardBatch, over a batch of rows: a
+// policy acting on one observation runs it as a batch of one, and a
+// learner runs it over a minibatch and then BackwardBatch over the same
+// rows. Gradients are computed only by BackwardBatch, and a one-row
+// batch is the per-sample case. Gradients accumulate across calls until
+// ZeroGrads; an optimizer step then applies them.
 package nn
 
 import (
@@ -43,23 +44,23 @@ func ZeroGrads(params []*Param) {
 }
 
 // Module is a differentiable computation with learnable parameters.
-// Forward and ForwardBatch keep separate buffers, so a one-row Forward
-// between a ForwardBatch and its BackwardBatch leaves the batched
-// gradients untouched. Forward's output bits equal those of any batch
-// row holding the same input.
+// Each output row's bits depend only on the same input row, so a row
+// computed alone (a batch of one) equals that row computed in any batch.
+//
+// A BackwardBatch reads the caches of the ForwardBatch before it: it
+// must follow its own ForwardBatch with no forward pass in between, as
+// the PPO minibatch update (rl), the only caller, does. A forward pass
+// at another batch size in between makes BackwardBatch panic on the row
+// count; one at the same size would silently read the wrong rows.
 type Module interface {
-	// Forward computes the module output for one input row. The
-	// returned slice is owned by the module and overwritten by the next
-	// Forward call.
-	Forward(x []float64) []float64
 	// ForwardBatch computes the module output for every row of x and
 	// caches what BackwardBatch needs. The returned matrix is owned by the
-	// module and overwritten by the next batched call.
+	// module and overwritten by the next call.
 	ForwardBatch(x *mat.Matrix) *mat.Matrix
 	// BackwardBatch takes dLoss/dOutput rows, accumulates parameter
 	// gradients in row-ascending order, and returns dLoss/dInput rows. It
-	// must follow a matching ForwardBatch. The returned matrix is owned
-	// by the module.
+	// must directly follow the ForwardBatch over the same rows. The
+	// returned matrix is owned by the module.
 	BackwardBatch(grad *mat.Matrix) *mat.Matrix
 	// Params returns the module's learnable parameters.
 	Params() []*Param

@@ -16,9 +16,9 @@ func TestLinearForward(t *testing.T) {
 	// Overwrite with known weights: W = [1 2; 3 4], b = [10, 20].
 	copy(l.Params()[0].Value, []float64{1, 2, 3, 4})
 	copy(l.Params()[1].Value, []float64{10, 20})
-	got := l.Forward([]float64{5, 6})
+	got := forwardRow(l, []float64{5, 6})
 	if got[0] != 27 || got[1] != 59 {
-		t.Errorf("Forward = %v, want [27 59]", got)
+		t.Errorf("one-row ForwardBatch = %v, want [27 59]", got)
 	}
 }
 
@@ -80,7 +80,7 @@ func TestActivationValues(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.kind.String(), func(t *testing.T) {
 			a := NewActivation(tt.kind, 1)
-			got := a.Forward([]float64{tt.in})
+			got := forwardRow(a, []float64{tt.in})
 			if !mathx.AlmostEqual(got[0], tt.out, 1e-12) {
 				t.Errorf("%v(%v) = %v, want %v", tt.kind, tt.in, got[0], tt.out)
 			}
@@ -122,7 +122,7 @@ func TestMLPGradCheck(t *testing.T) {
 	c := []float64{0.7, -1.3}
 
 	loss := func() float64 {
-		out := m.Forward(x)
+		out := forwardRow(m, x)
 		return c[0]*out[0] + c[1]*out[1]
 	}
 
@@ -161,9 +161,9 @@ func TestMLPInputGradCheck(t *testing.T) {
 	for i := range x {
 		orig := x[i]
 		x[i] = orig + h
-		up := m.Forward(x)[0]
+		up := forwardRow(m, x)[0]
 		x[i] = orig - h
-		down := m.Forward(x)[0]
+		down := forwardRow(m, x)[0]
 		x[i] = orig
 		numeric := (up - down) / (2 * h)
 		if !mathx.AlmostEqual(gin[i], numeric, 1e-4) {
@@ -241,7 +241,7 @@ func TestClipGradNormDisabled(t *testing.T) {
 func TestCheckpointRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := newStack("ck", []int{2, 4, 1}, ActTanh, rng)
-	before := m.Forward([]float64{0.5, -0.5})[0]
+	before := forwardRow(m, []float64{0.5, -0.5})[0]
 
 	ck, err := Snapshot(m.Params())
 	if err != nil {
@@ -262,14 +262,14 @@ func TestCheckpointRoundTrip(t *testing.T) {
 			p.Value[i] += 1
 		}
 	}
-	loaded, err := LoadCheckpoint(&buf)
+	loaded, err := LoadCheckpoint(buf.Bytes())
 	if err != nil {
 		t.Fatalf("LoadCheckpoint: %v", err)
 	}
 	if err := loaded.Restore(m.Params()); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	after := m.Forward([]float64{0.5, -0.5})[0]
+	after := forwardRow(m, []float64{0.5, -0.5})[0]
 	if before != after {
 		t.Errorf("output after restore = %v, want %v", after, before)
 	}
@@ -319,7 +319,7 @@ func TestTrainXORWithAdam(t *testing.T) {
 	}
 	for i, target := range targets {
 		x := inputs.Row(i)
-		if out := m.Forward(x)[0]; math.Abs(out-target) > 0.2 {
+		if out := forwardRow(m, x)[0]; math.Abs(out-target) > 0.2 {
 			t.Errorf("XOR(%v) = %v, want %v", x, out, target)
 		}
 	}

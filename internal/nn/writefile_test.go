@@ -36,7 +36,7 @@ func TestCheckpointWriteFileRoundTrip(t *testing.T) {
 			if !bytes.HasPrefix(data, []byte(binaryMagic)) {
 				t.Fatalf("%s written without the binary magic", name)
 			}
-			got, err := LoadCheckpoint(bytes.NewReader(data))
+			got, err := LoadCheckpoint(data)
 			if err != nil {
 				t.Fatalf("LoadCheckpoint: %v", err)
 			}

@@ -36,7 +36,7 @@ func TestFig2aInnerLoopAllocationFree(t *testing.T) {
 		obs := env.Reset()
 		sinceUpdate := 0
 		for k := 0; k < env.Rounds(); k++ {
-			raw, envAct, logP, value := agent.SelectAction(obs)
+			raw, envAct, logP, value, _ := agent.SelectActionWithMean(obs)
 			next, reward, done := env.Step(envAct)
 			terminal := done || k == env.Rounds()-1
 			buf.Add(obs, raw, logP, reward, value, terminal)

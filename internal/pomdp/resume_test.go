@@ -114,7 +114,7 @@ func TestGameEnvTrainerResumeBitIdentity(t *testing.T) {
 			pcfg.Seed = seed
 			pcfg.MiniBatch = 10
 
-			build := func() (rl.VecEnv, *rl.PPO) {
+			build := func() (*rl.EnvSlice, *rl.PPO) {
 				vec, err := NewVecEnv(resumeEnvCfg(seed), envs)
 				if err != nil {
 					t.Fatal(err)
@@ -140,14 +140,14 @@ func TestGameEnvTrainerResumeBitIdentity(t *testing.T) {
 			if err := ck.SaveBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
-			loaded, err := nn.LoadCheckpoint(&buf)
+			loaded, err := nn.LoadCheckpoint(buf.Bytes())
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			resVec, resAgent := build()
-			tr2, err := rl.ResumeTrainer(resVec, resAgent, tcfg, loaded)
-			if err != nil {
+			tr2 := rl.NewVecTrainer(resVec, resAgent, tcfg)
+			if err := tr2.Restore(loaded); err != nil {
 				t.Fatal(err)
 			}
 			tr2.Run()

@@ -23,11 +23,8 @@ type ActorCritic struct {
 
 	params []*nn.Param
 
-	meanOut []float64 // Forward's tanh-squashed mean
-
-	// scratch reused across batched calls, grown to the largest batch seen
+	// scratch reused across calls, grown to the largest batch seen
 	meanOutB   mat.Matrix // batch×actDim, tanh-squashed means
-	valuesB    []float64  // batch state values
 	meanGradB  mat.Matrix // batch×actDim
 	valueDyB   mat.Matrix // batch×1
 	trunkGradB mat.Matrix // batch×trunkOut
@@ -67,42 +64,23 @@ func NewActorCritic(obsDim, actDim int, hidden []int, act nn.Activation, initLog
 	ac.params = append(ac.params, ac.meanHd.Params()...)
 	ac.params = append(ac.params, ac.valueHd.Params()...)
 	ac.params = append(ac.params, ac.logStd)
-
-	ac.meanOut = make([]float64, actDim)
 	return ac
 }
 
-// Forward computes the policy mean, the log-std vector, and the state
-// value for one observation: the path of a posted quote or a collector
-// step. The mean is tanh-squashed into (-1, 1) — the normalized action
-// space — which prevents the saturation runaway where an unbounded mean
-// drifts past the action clamp and all gradients die. Forward keeps no
-// state for the gradients, which only BackwardBatch computes, and leaves
-// a pending ForwardBatch's caches alone. The returned slices alias
-// internal buffers.
-func (ac *ActorCritic) Forward(obs []float64) (mean, logStd []float64, value float64) {
-	if len(obs) != ac.obsDim {
-		panic(fmt.Sprintf("rl: observation length %d, want %d", len(obs), ac.obsDim))
-	}
-	h := obs
-	for _, m := range ac.trunk {
-		h = m.Forward(h)
-	}
-	mat.TanhTo(ac.meanOut, ac.meanHd.Forward(h))
-	value = ac.valueHd.Forward(h)[0]
-	return ac.meanOut, ac.logStd.Value, value
-}
-
-// ForwardBatch evaluates the policy and value heads for every observation
-// row in one batched pass — the entry point for minibatch updates and for
-// batched policy evaluation across rollout steps. Row b of the returned
-// mean matrix and element b of the returned value slice are bit-identical
-// to Forward(obs.Row(b)). The returned mean matrix and value slice alias
-// internal buffers overwritten by the next batched call; logStd aliases
-// the parameter.
+// ForwardBatch computes the policy mean, the log-std vector, and the
+// state value for every observation row in one pass: a minibatch update,
+// a collection step over the live envs, or one row when the policy acts
+// on a single observation (a posted quote, a critic bootstrap). The mean
+// is tanh-squashed into (-1, 1) — the normalized action space — which
+// prevents the saturation runaway where an unbounded mean drifts past
+// the action clamp and all gradients die. Row b of the returned mean
+// matrix and element b of the returned value slice depend only on
+// obs.Row(b), bit for bit, whatever the batch size. The returned mean
+// matrix and value slice alias internal buffers overwritten by the next
+// call; logStd aliases the parameter.
 func (ac *ActorCritic) ForwardBatch(obs *mat.Matrix) (mean *mat.Matrix, logStd []float64, values []float64) {
 	if obs.Cols != ac.obsDim {
-		panic(fmt.Sprintf("rl: batch observation width %d, want %d", obs.Cols, ac.obsDim))
+		panic(fmt.Sprintf("rl: observation width %d, want %d", obs.Cols, ac.obsDim))
 	}
 	h := obs
 	for _, m := range ac.trunk {
@@ -111,15 +89,14 @@ func (ac *ActorCritic) ForwardBatch(obs *mat.Matrix) (mean *mat.Matrix, logStd [
 	raw := ac.meanHd.ForwardBatch(h)
 	ac.meanOutB.Resize(raw.Rows, raw.Cols)
 	mat.TanhTo(ac.meanOutB.Data, raw.Data)
-	vals := ac.valueHd.ForwardBatch(h)
-	ac.valuesB = growSlice(ac.valuesB, vals.Rows)
-	copy(ac.valuesB, vals.Data)
-	return &ac.meanOutB, ac.logStd.Value, ac.valuesB
+	// The value head's batch×1 output is the value slice itself.
+	return &ac.meanOutB, ac.logStd.Value, ac.valueHd.ForwardBatch(h).Data
 }
 
 // BackwardBatch accumulates gradients for a whole minibatch given
 // per-row dLoss/dMean (with respect to the squashed mean), dLoss/dLogStd,
-// and dLoss/dValue from the immediately preceding ForwardBatch. Gradients
+// and dLoss/dValue for the rows of the immediately preceding ForwardBatch
+// (nn.Module's ordering: no forward pass in between). Gradients
 // accumulate row-ascending, so one call is bit-identical to one-row
 // ForwardBatch/BackwardBatch calls over its rows in order.
 func (ac *ActorCritic) BackwardBatch(dMean, dLogStd *mat.Matrix, dValue []float64) {

@@ -47,7 +47,7 @@ func newAllocAgent(tb testing.TB) (*PPO, *Rollout, *allocEnv) {
 	buf := NewRollout(100)
 	obs := env.Reset()
 	for k := 0; k < 100; k++ {
-		raw, envAct, logP, value := agent.SelectAction(obs)
+		raw, envAct, logP, value, _ := agent.SelectActionWithMean(obs)
 		next, reward, done := env.Step(envAct)
 		buf.Add(obs, raw, logP, reward, value, done)
 		obs = next
@@ -62,11 +62,8 @@ func newAllocAgent(tb testing.TB) (*PPO, *Rollout, *allocEnv) {
 func TestSelectActionAllocationFree(t *testing.T) {
 	agent, _, env := newAllocAgent(t)
 	obs := env.Reset()
-	if n := testing.AllocsPerRun(50, func() { agent.SelectAction(obs) }); n != 0 {
-		t.Errorf("SelectAction allocates %v times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(50, func() { agent.MeanAction(obs) }); n != 0 {
-		t.Errorf("MeanAction allocates %v times per call, want 0", n)
+	if n := testing.AllocsPerRun(50, func() { agent.SelectActionWithMean(obs) }); n != 0 {
+		t.Errorf("SelectActionWithMean allocates %v times per call, want 0", n)
 	}
 	if n := testing.AllocsPerRun(50, func() { agent.Value(obs) }); n != 0 {
 		t.Errorf("Value allocates %v times per call, want 0", n)
@@ -89,7 +86,7 @@ func TestRolloutCollectionAllocationFree(t *testing.T) {
 		buf.Reset()
 		obs := env.Reset()
 		for k := 0; k < 100; k++ {
-			raw, envAct, logP, value := agent.SelectAction(obs)
+			raw, envAct, logP, value, _ := agent.SelectActionWithMean(obs)
 			next, reward, done := env.Step(envAct)
 			buf.Add(obs, raw, logP, reward, value, done)
 			obs = next

@@ -29,9 +29,10 @@ func TestValuesMatchesValue(t *testing.T) {
 }
 
 // TestMeanActionBatchMatchesMeanAction checks that the batched
-// deterministic readout is bit-identical to calling MeanAction once per
-// observation, consumes no RNG (the sampling stream position is
-// untouched), and does not allocate once warm.
+// deterministic readout consumes no RNG (the sampling stream position is
+// untouched), that each row is bit-identical to the mean action
+// SelectActionWithMean returns for the same observation alone, and that
+// it does not allocate once warm.
 func TestMeanActionBatchMatchesMeanAction(t *testing.T) {
 	agent, buf, _ := newAllocAgent(t)
 	steps := buf.Steps()
@@ -46,14 +47,14 @@ func TestMeanActionBatchMatchesMeanAction(t *testing.T) {
 		t.Fatalf("MeanActionBatch consumed RNG: %d calls before, %d after", callsBefore, agent.src.Calls())
 	}
 	for i, tr := range steps {
-		want := agent.MeanAction(tr.Obs)
+		_, _, _, _, want := agent.SelectActionWithMean(tr.Obs)
 		got := dst.Row(i)
 		if len(got) != len(want) {
 			t.Fatalf("step %d: row length %d, want %d", i, len(got), len(want))
 		}
 		for d := range want {
 			if got[d] != want[d] {
-				t.Fatalf("step %d dim %d: MeanActionBatch gives %v, MeanAction gives %v", i, d, got[d], want[d])
+				t.Fatalf("step %d dim %d: MeanActionBatch gives %v, SelectActionWithMean's mean %v", i, d, got[d], want[d])
 			}
 		}
 	}

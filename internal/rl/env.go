@@ -52,32 +52,17 @@ type SnapshotEnv interface {
 	EnvRestore(st nn.EnvState) error
 }
 
-// VecEnv is a fixed set of independently seeded environment instances with
-// identical observation/action spaces, stepped in lockstep by a
-// VecCollector. Instances must not share mutable state: the collector
-// steps different instances from different goroutines (each instance is
-// only ever touched by one goroutine at a time).
-type VecEnv interface {
-	// NumEnvs returns the number of environment instances.
-	NumEnvs() int
-	// EnvAt returns instance i (0 ≤ i < NumEnvs).
-	EnvAt(i int) Env
-	// ObsDim, ActDim, and ActionBounds describe the shared spaces.
-	ObsDim() int
-	ActDim() int
-	ActionBounds() (lo, hi []float64)
-}
-
-// EnvSlice is the canonical VecEnv: a slice of Env instances. Construct
-// with NewEnvSlice.
+// EnvSlice is a fixed set of independently seeded environment instances
+// with identical observation/action spaces, stepped in lockstep by a
+// VecCollector, which steps them one after another in ascending index
+// order. Instances must not share mutable state: each runs its own
+// stream. Construct with NewEnvSlice.
 type EnvSlice struct {
 	envs   []Env
 	lo, hi []float64
 }
 
-var _ VecEnv = (*EnvSlice)(nil)
-
-// NewEnvSlice bundles the given environments into a VecEnv. Every
+// NewEnvSlice bundles the given environments into an EnvSlice. Every
 // environment must agree on the observation dimension, the action
 // dimension, and the action bounds; a mismatch is a programming error and
 // panics.
@@ -108,18 +93,18 @@ func NewEnvSlice(envs ...Env) *EnvSlice {
 	return s
 }
 
-// NumEnvs implements VecEnv.
+// NumEnvs returns the number of environment instances.
 func (s *EnvSlice) NumEnvs() int { return len(s.envs) }
 
-// EnvAt implements VecEnv.
+// EnvAt returns instance i (0 ≤ i < NumEnvs).
 func (s *EnvSlice) EnvAt(i int) Env { return s.envs[i] }
 
-// ObsDim implements VecEnv.
+// ObsDim returns the shared observation width.
 func (s *EnvSlice) ObsDim() int { return s.envs[0].ObsDim() }
 
-// ActDim implements VecEnv.
+// ActDim returns the shared action width.
 func (s *EnvSlice) ActDim() int { return s.envs[0].ActDim() }
 
-// ActionBounds implements VecEnv. The returned slices are owned by the
-// EnvSlice and must not be mutated.
+// ActionBounds returns the shared action interval. The returned slices
+// are owned by the EnvSlice and must not be mutated.
 func (s *EnvSlice) ActionBounds() (lo, hi []float64) { return s.lo, s.hi }

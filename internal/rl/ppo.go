@@ -158,7 +158,11 @@ type PPO struct {
 
 	// scratch reused across calls; the steady-state training loop is
 	// allocation-free.
-	sample     []float64
+	//
+	// row is the one-row view a one-row act passes to the network's
+	// ForwardBatch. It lives here because a view built per call would
+	// escape through the trunk's nn.Module calls and allocate each time.
+	row        mat.Matrix
 	rawBuf     []float64
 	envBuf     []float64
 	meanEnvBuf []float64
@@ -192,9 +196,10 @@ func NewPPO(obsDim, actDim int, actLo, actHi []float64, cfg PPOConfig) *PPO {
 		rngSeed: cfg.Seed,
 		actLo:   append([]float64(nil), actLo...),
 		actHi:   append([]float64(nil), actHi...),
-		sample:  make([]float64, actDim),
 		rawBuf:  make([]float64, actDim),
 		envBuf:  make([]float64, actDim),
+
+		meanEnvBuf: make([]float64, actDim),
 	}
 }
 
@@ -292,15 +297,9 @@ func (p *PPO) Clone() (*PPO, error) {
 	return q, nil
 }
 
-// Denormalize maps a raw normalized action (clamped to [-1, 1]) onto the
-// environment's action interval. The result is freshly allocated; the hot
-// path uses denormalizeInto instead.
-func (p *PPO) Denormalize(raw []float64) []float64 {
-	return p.denormalizeInto(make([]float64, len(raw)), raw)
-}
-
-// denormalizeInto writes the denormalized form of raw into dst and
-// returns dst.
+// denormalizeInto maps a raw normalized action (clamped to [-1, 1]) onto
+// the environment's action interval, writing it into dst and returning
+// dst.
 func (p *PPO) denormalizeInto(dst, raw []float64) []float64 {
 	for i := range raw {
 		z := mathx.Clamp(raw[i], -1, 1)
@@ -309,43 +308,39 @@ func (p *PPO) denormalizeInto(dst, raw []float64) []float64 {
 	return dst
 }
 
-// SelectAction samples an action from the current policy at obs. It
-// returns the raw normalized Gaussian sample (stored in the rollout; its
-// log-prob is logProb), the environment action (the denormalized,
-// bounds-respecting form), and the value estimate V(obs). The returned
-// slices alias learner-owned scratch overwritten by the next SelectAction
-// or MeanAction call; callers that retain them must copy (Rollout.Add
-// already does).
-func (p *PPO) SelectAction(obs []float64) (raw, env []float64, logProb, value float64) {
-	mean, logStd, v := p.net.Forward(obs)
-	gaussianSample(p.rng, mean, logStd, p.sample)
-	copy(p.rawBuf, p.sample)
-	logProb = gaussianLogProb(p.rawBuf, mean, logStd)
-	return p.rawBuf, p.denormalizeInto(p.envBuf, p.rawBuf), logProb, v
+// forwardRow runs the network on one observation as a one-row batch. The
+// returned slices alias network-owned buffers overwritten by the next
+// forward pass.
+func (p *PPO) forwardRow(obs []float64) (mean, logStd []float64, value float64) {
+	p.row.Rows, p.row.Cols, p.row.Data = 1, len(obs), obs
+	means, logStd, values := p.net.ForwardBatch(&p.row)
+	return means.Data, logStd, values[0]
 }
 
-// SelectActionWithMean is SelectAction plus the deterministic (mean)
-// environment action of the same forward pass, for deployment readouts
-// that act on the mean while driving their belief state with the
-// stochastic sample (e.g. the simulator's DRL pricer) — one forward
-// instead of a SelectAction/MeanAction pair. All returned slices alias
-// learner-owned scratch overwritten by the next action-selection call.
+// SelectActionWithMean acts on one observation with one forward pass. It
+// samples an action from the current policy and returns the raw
+// normalized Gaussian sample (stored in the rollout; its log-prob is
+// logP), the environment action (the denormalized, bounds-respecting
+// form), the value estimate V(obs), and the deterministic (mean)
+// environment action. Deployment readouts post the mean while driving
+// their belief state and learning with the sample (the simulator's
+// online and DRL pricers); evaluation averages the mean. Its bits and RNG
+// draws are those of a one-row SelectActionBatch. All returned slices
+// alias learner-owned scratch overwritten by the next call; callers that
+// retain them must copy (Rollout.Add already does).
 func (p *PPO) SelectActionWithMean(obs []float64) (raw, env []float64, logP, value float64, meanEnv []float64) {
-	mean, logStd, v := p.net.Forward(obs)
-	p.meanEnvBuf = growSlice(p.meanEnvBuf, len(mean))
+	mean, logStd, v := p.forwardRow(obs)
 	p.denormalizeInto(p.meanEnvBuf, mean)
-	gaussianSample(p.rng, mean, logStd, p.sample)
-	copy(p.rawBuf, p.sample)
+	gaussianSample(p.rng, mean, logStd, p.rawBuf)
 	logP = gaussianLogProb(p.rawBuf, mean, logStd)
 	return p.rawBuf, p.denormalizeInto(p.envBuf, p.rawBuf), logP, v, p.meanEnvBuf
 }
 
 // SelectActionBatch samples one stochastic action per observation row in
-// a single batched forward pass — the collection-phase counterpart of the
-// batched minibatch update. Row r of raw/envAct and element r of
-// logP/values are bit-identical to a serial SelectAction on obs.Row(r):
-// the forward pass goes through the batched kernels (whose rows reproduce
-// the one-row pass bitwise, contract rule 1) and the sampler
+// a single forward pass — the collection step over every live env. Row r
+// of raw/envAct and element r of logP/values are bit-identical to
+// SelectActionWithMean calls on the rows in ascending order: the network's
+// rows do not depend on the batch size (contract rule 1), and the sampler
 // consumes the learner's RNG strictly row-ascending, so the stream
 // matches the per-row call sequence exactly (contract rule 4).
 //
@@ -370,24 +365,13 @@ func (p *PPO) SelectActionBatch(obs, raw, envAct *mat.Matrix, logP, values []flo
 	}
 }
 
-// MeanAction returns the deterministic (mean) action mapped to the
-// environment bounds — the policy used for evaluation after training. The
-// returned slice aliases learner-owned scratch overwritten by the next
-// SelectAction or MeanAction call.
-func (p *PPO) MeanAction(obs []float64) []float64 {
-	mean, _, _ := p.net.Forward(obs)
-	return p.denormalizeInto(p.envBuf, mean)
-}
-
 // MeanActionBatch evaluates the deterministic (mean) policy readout for
-// every observation row in one batched forward pass, writing the
-// denormalized environment actions into the rows of dst (resized to
-// obs.Rows×ActDim). It is the evaluation counterpart of
-// SelectActionBatch and consumes NO RNG: the batched kernels reproduce
-// the per-row Forward bit for bit (contract rule 1) and nothing touches
-// the sampling stream, so interleaving frozen evaluation — e.g. a read
-// replica's readout of a rotated checkpoint — with live training leaves
-// the training stream bit-identical.
+// every observation row in one forward pass, writing the denormalized
+// environment actions into the rows of dst (resized to obs.Rows×ActDim).
+// Row r equals the meanEnv SelectActionWithMean returns at obs.Row(r),
+// but MeanActionBatch consumes NO RNG, so interleaving frozen evaluation
+// — e.g. a read replica's readout of a rotated checkpoint — with live
+// training leaves the training stream bit-identical.
 func (p *PPO) MeanActionBatch(obs, dst *mat.Matrix) {
 	dst.Resize(obs.Rows, p.net.ActDim())
 	means, _, _ := p.net.ForwardBatch(obs)
@@ -397,8 +381,8 @@ func (p *PPO) MeanActionBatch(obs, dst *mat.Matrix) {
 }
 
 // Values evaluates the critic V(s) for every observation row in one
-// batched pass and stores the results in dst (length obs.Rows), returning
-// dst — the batched counterpart of calling Value per rollout step.
+// forward pass and stores the results in dst (length obs.Rows), returning
+// dst — the critic bootstraps of a vectorized collector's merge.
 func (p *PPO) Values(obs *mat.Matrix, dst []float64) []float64 {
 	if len(dst) != obs.Rows {
 		panic(fmt.Sprintf("rl: Values dst length %d, want %d", len(dst), obs.Rows))
@@ -408,9 +392,10 @@ func (p *PPO) Values(obs *mat.Matrix, dst []float64) []float64 {
 	return dst
 }
 
-// Value returns the critic's estimate V(obs).
+// Value returns the critic's estimate V(obs) for one observation, with
+// the bits of the matching Values row.
 func (p *PPO) Value(obs []float64) float64 {
-	_, _, v := p.net.Forward(obs)
+	_, _, v := p.forwardRow(obs)
 	return v
 }
 
@@ -483,10 +468,11 @@ func (p *PPO) Update(buf *Rollout) UpdateStats {
 
 // updateMiniBatch accumulates gradients of the PPO loss over one minibatch
 // and applies a single Adam step. The whole minibatch runs through the
-// network as one batched forward/backward pass — the policy is evaluated
-// for every selected rollout step at once — with gradient accumulation
-// ordered row-ascending, so the result is bit-identical to one-row passes
-// over the minibatch in order (contract rule 1).
+// network as one forward/backward pass — the policy is evaluated for
+// every selected rollout step at once, and no other forward pass runs
+// between the two — with gradient accumulation ordered row-ascending, so
+// the result is bit-identical to one-row passes over the minibatch in
+// order (contract rule 1).
 func (p *PPO) updateMiniBatch(steps []Transition, batch []int, stats *UpdateStats) {
 	params := p.net.Params()
 	nn.ZeroGrads(params)

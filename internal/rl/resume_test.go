@@ -48,16 +48,16 @@ func trainSplit(t *testing.T, envs, splitAt int, tcfg TrainerConfig, pcfg PPOCon
 	if err := ck.SaveBinary(&buf); err != nil {
 		t.Fatalf("SaveBinary: %v", err)
 	}
-	loaded, err := nn.LoadCheckpoint(&buf)
+	loaded, err := nn.LoadCheckpoint(buf.Bytes())
 	if err != nil {
 		t.Fatalf("LoadCheckpoint: %v", err)
 	}
 
 	vec2 := newVecTestSlice(envs, 6, 17, tcfg.RoundsPerEpisode+3)
 	agent2 := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
-	tr2, err := ResumeTrainer(vec2, agent2, tcfg, loaded)
-	if err != nil {
-		t.Fatalf("ResumeTrainer: %v", err)
+	tr2 := NewVecTrainer(vec2, agent2, tcfg)
+	if err := tr2.Restore(loaded); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
 	if tr2.Completed() != splitAt || tr2.Fingerprint != "resume-test" {
 		t.Fatalf("resumed trainer at %d episodes (fingerprint %q), want %d (resume-test)",
@@ -135,7 +135,7 @@ func TestAgentSnapshotRoundTripValueIdentical(t *testing.T) {
 	if err := ck.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := nn.LoadCheckpoint(&buf)
+	loaded, err := nn.LoadCheckpoint(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +147,8 @@ func TestAgentSnapshotRoundTripValueIdentical(t *testing.T) {
 		t.Fatalf("restored weights differ: %s", diff)
 	}
 	obs := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6}
-	wantRaw, _, wantLogP, wantV := agent.SelectAction(obs)
-	gotRaw, _, gotLogP, gotV := clone.SelectAction(obs)
+	wantRaw, _, wantLogP, wantV, _ := agent.SelectActionWithMean(obs)
+	gotRaw, _, gotLogP, gotV, _ := clone.SelectActionWithMean(obs)
 	if math.Float64bits(wantRaw[0]) != math.Float64bits(gotRaw[0]) ||
 		math.Float64bits(wantLogP) != math.Float64bits(gotLogP) ||
 		math.Float64bits(wantV) != math.Float64bits(gotV) {
@@ -306,7 +306,7 @@ func TestRestoreErrors(t *testing.T) {
 	t.Run("beyond-budget", func(t *testing.T) {
 		vec := newVecTestSlice(1, 6, 1, 10)
 		a2 := NewPPO(6, 1, []float64{0}, []float64{1}, pcfg)
-		_, err := ResumeTrainer(vec, a2, TrainerConfig{Episodes: 2, RoundsPerEpisode: 5, UpdateEvery: 5},
+		err := NewVecTrainer(vec, a2, TrainerConfig{Episodes: 2, RoundsPerEpisode: 5, UpdateEvery: 5}).Restore(
 			&nn.Checkpoint{Version: nn.CheckpointVersion, Params: full.Params, Opt: full.Opt, RNG: full.RNG,
 				Envs: []nn.EnvState{{}}, Meta: &nn.TrainMeta{Episodes: 5}})
 		if err == nil {

@@ -106,9 +106,9 @@ func TestGaussianSampleMoments(t *testing.T) {
 func TestActorCriticShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ac := NewActorCritic(6, 2, []int{8, 8}, 2 /*tanh*/, -0.5, rng)
-	mean, logStd, _ := ac.Forward(make([]float64, 6))
-	if len(mean) != 2 || len(logStd) != 2 {
-		t.Fatalf("head widths = %d/%d, want 2/2", len(mean), len(logStd))
+	mean, logStd, values := ac.ForwardBatch(mat.New(3, 6))
+	if mean.Rows != 3 || mean.Cols != 2 || len(logStd) != 2 || len(values) != 3 {
+		t.Fatalf("head shapes = %dx%d/%d/%d, want 3x2/2/3", mean.Rows, mean.Cols, len(logStd), len(values))
 	}
 	if logStd[0] != -0.5 {
 		t.Errorf("initial logStd = %v, want -0.5", logStd[0])
@@ -150,8 +150,8 @@ func TestActorCriticGradCheck(t *testing.T) {
 	const cm, cv, cs = 0.9, -1.4, 0.6
 
 	loss := func() float64 {
-		mean, logStd, value := ac.Forward(obs)
-		return cm*mean[0] + cv*value + cs*logStd[0]
+		mean, logStd, values := ac.ForwardBatch(mat.FromSlice(1, len(obs), obs))
+		return cm*mean.Data[0] + cv*values[0] + cs*logStd[0]
 	}
 
 	for _, p := range ac.Params() {
@@ -302,7 +302,7 @@ func TestPPOLearnsBandit(t *testing.T) {
 	if len(stats) != 60 {
 		t.Fatalf("episodes = %d, want 60", len(stats))
 	}
-	act := agent.MeanAction([]float64{1})
+	act := meanAction(agent, []float64{1})
 	if math.Abs(act[0]-0.7) > 0.25 {
 		t.Errorf("learned mean action = %v, want ~0.7", act[0])
 	}
@@ -319,7 +319,7 @@ func TestPPOActionClampedToBounds(t *testing.T) {
 	cfg.InitLogStd = 2 // huge exploration to force clamping
 	agent := NewPPO(1, 1, []float64{0}, []float64{1}, cfg)
 	for i := 0; i < 100; i++ {
-		_, env, _, _ := agent.SelectAction([]float64{0.5})
+		_, env, _, _, _ := agent.SelectActionWithMean([]float64{0.5})
 		if env[0] < 0 || env[0] > 1 {
 			t.Fatalf("env action %v outside [0,1]", env[0])
 		}
@@ -419,9 +419,9 @@ func TestSelectActionDeterministicSeed(t *testing.T) {
 	}
 	a1, a2 := mk(), mk()
 	obs := []float64{0.3, 0.7}
-	r1, e1, l1, v1 := a1.SelectAction(obs)
-	r2, e2, l2, v2 := a2.SelectAction(obs)
-	if r1[0] != r2[0] || e1[0] != e2[0] || l1 != l2 || v1 != v2 {
+	r1, e1, l1, v1, m1 := a1.SelectActionWithMean(obs)
+	r2, e2, l2, v2, m2 := a2.SelectActionWithMean(obs)
+	if r1[0] != r2[0] || e1[0] != e2[0] || l1 != l2 || v1 != v2 || m1[0] != m2[0] {
 		t.Error("same seed must produce identical actions")
 	}
 }
@@ -435,7 +435,7 @@ func TestPPOFullEpochsModeLearns(t *testing.T) {
 	agent := NewPPO(1, 1, []float64{-2}, []float64{2}, cfg)
 	tr := NewTrainer(env, agent, TrainerConfig{Episodes: 60, RoundsPerEpisode: 50, UpdateEvery: 25})
 	tr.Run()
-	act := agent.MeanAction([]float64{1})
+	act := meanAction(agent, []float64{1})
 	if math.Abs(act[0]-(-0.4)) > 0.3 {
 		t.Errorf("full-epoch mode learned %v, want ~-0.4", act[0])
 	}
@@ -446,9 +446,10 @@ func TestDenormalizeMapsBounds(t *testing.T) {
 	tests := []struct{ raw, want float64 }{
 		{-1, 5}, {1, 50}, {0, 27.5}, {-3, 5}, {3, 50},
 	}
+	dst := make([]float64, 1)
 	for _, tt := range tests {
-		if got := agent.Denormalize([]float64{tt.raw})[0]; got != tt.want {
-			t.Errorf("Denormalize(%v) = %v, want %v", tt.raw, got, tt.want)
+		if got := agent.denormalizeInto(dst, []float64{tt.raw})[0]; got != tt.want {
+			t.Errorf("denormalizeInto(%v) = %v, want %v", tt.raw, got, tt.want)
 		}
 	}
 }
@@ -457,9 +458,17 @@ func TestMeanActionInsideBounds(t *testing.T) {
 	agent := NewPPO(3, 1, []float64{5}, []float64{50}, DefaultPPOConfig())
 	for i := 0; i < 20; i++ {
 		obs := []float64{float64(i), -float64(i), 0.5}
-		a := agent.MeanAction(obs)[0]
-		if a < 5 || a > 50 {
+		_, _, _, _, mean := agent.SelectActionWithMean(obs)
+		if a := mean[0]; a < 5 || a > 50 {
 			t.Fatalf("mean action %v outside [5, 50]", a)
 		}
 	}
+}
+
+// meanAction returns the deterministic (mean) environment action at obs
+// through a one-row MeanActionBatch, which consumes no RNG.
+func meanAction(p *PPO, obs []float64) []float64 {
+	var dst mat.Matrix
+	p.MeanActionBatch(mat.FromSlice(1, len(obs), obs), &dst)
+	return dst.Row(0)
 }

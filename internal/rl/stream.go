@@ -51,8 +51,8 @@ func NewStreamCollector(agent *PPO, updateEvery int) *StreamCollector {
 
 // Add stages one externally produced transition: the observation the
 // action was selected at, the raw normalized action sample and its
-// log-probability and value estimate (as returned by SelectAction and
-// friends), the observed reward, whether the stream hit an episode
+// log-probability and value estimate (as SelectActionWithMean returns
+// them), the observed reward, whether the stream hit an episode
 // boundary, and the observation following the transition. obs, rawAction,
 // and nextObs are copied; callers may reuse their buffers.
 //

@@ -30,7 +30,7 @@ func makeStream(t *testing.T, n int) []streamTransition {
 	stream := make([]streamTransition, 0, n)
 	obs := append([]float64(nil), env.Reset()...)
 	for k := 0; k < n; k++ {
-		raw, envAct, logP, value := actor.SelectAction(obs)
+		raw, envAct, logP, value, _ := actor.SelectActionWithMean(obs)
 		next, reward, done := env.Step(envAct)
 		tr := streamTransition{
 			obs:    obs,

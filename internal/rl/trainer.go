@@ -47,7 +47,7 @@ type EpisodeStats struct {
 // the environment with the current policy, and every |I| rounds run a PPO
 // optimization phase on the buffered segment.
 //
-// With a multi-env VecEnv (NewVecTrainer), episodes run in lockstep
+// With a multi-env EnvSlice (NewVecTrainer), episodes run in lockstep
 // blocks of up to NumEnvs independently seeded environments: each round
 // evaluates the policy for every live env in one batched pass and steps
 // the envs in ascending order, and an optimization phase runs whenever
@@ -57,7 +57,7 @@ type EpisodeStats struct {
 // trainer is bit-identical to the classic serial collect loop.
 type Trainer struct {
 	cfg   TrainerConfig
-	vec   VecEnv
+	vec   *EnvSlice
 	agent *PPO
 	buf   *Rollout
 	col   *VecCollector
@@ -92,9 +92,11 @@ func NewTrainer(env Env, agent *PPO, cfg TrainerConfig) *Trainer {
 	return NewVecTrainer(NewEnvSlice(env), agent, cfg)
 }
 
-// NewVecTrainer wires a vectorized environment and a PPO learner
-// together. Up to vec.NumEnvs() episodes run in parallel per block.
-func NewVecTrainer(vec VecEnv, agent *PPO, cfg TrainerConfig) *Trainer {
+// NewVecTrainer wires a set of environments and a PPO learner together.
+// Up to vec.NumEnvs() episodes run in lockstep per block. To resume a
+// checkpointed run, build vec and agent fresh with the checkpoint's
+// configuration and call Restore before Run.
+func NewVecTrainer(vec *EnvSlice, agent *PPO, cfg TrainerConfig) *Trainer {
 	cfg.validate()
 	return &Trainer{
 		cfg:   cfg,
@@ -154,9 +156,9 @@ func (t *Trainer) Rewind() { t.completed = 0 }
 // stream (PPO.Snapshot), each environment stream's cross-episode state in
 // env-index order, and the episode count plus configuration fingerprint.
 // Every environment must implement SnapshotEnv. Valid between Run calls
-// and from an OnEpisode callback; a trainer restored from the result
-// (ResumeTrainer) continues bit-identically to one that never stopped —
-// determinism contract rule 6.
+// and from an OnEpisode callback; a fresh trainer restored from the
+// result (NewVecTrainer, then Restore) continues bit-identically to one
+// that never stopped, under any GOMAXPROCS — determinism contract rule 6.
 func (t *Trainer) Snapshot() (*nn.Checkpoint, error) {
 	ck, err := t.agent.Snapshot()
 	if err != nil {
@@ -232,22 +234,6 @@ func (t *Trainer) Restore(ck *nn.Checkpoint) error {
 	t.completed = ck.Meta.Episodes
 	t.Fingerprint = ck.Meta.Fingerprint
 	return nil
-}
-
-// ResumeTrainer builds a trainer that continues a checkpointed training
-// run: vec and agent must be freshly constructed with the checkpoint's
-// configuration (same environment seeds and count, same network
-// architecture), cfg.Episodes is the TOTAL episode budget, and ck is a
-// full training checkpoint from Trainer.Snapshot. The returned trainer's
-// Run picks the stream up at the checkpointed episode and is bit-identical
-// to an uninterrupted run under any GOMAXPROCS (determinism contract
-// rule 6).
-func ResumeTrainer(vec VecEnv, agent *PPO, cfg TrainerConfig, ck *nn.Checkpoint) (*Trainer, error) {
-	t := NewVecTrainer(vec, agent, cfg)
-	if err := t.Restore(ck); err != nil {
-		return nil, err
-	}
-	return t, nil
 }
 
 // runBlock plays one lockstep episode block over the first active envs

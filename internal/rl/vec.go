@@ -20,15 +20,15 @@ import (
 // streams are independently seeded and stepped env-ascending, each into
 // its own staging buffer; and the merge replays the staged transitions
 // env-ascending. With a single environment the collector reproduces the
-// serial collect loop (SelectAction / pre-step-obs Add / Step) bit for
-// bit.
+// serial collect loop (SelectActionWithMean / pre-step-obs Add / Step)
+// bit for bit.
 
-// VecCollector drives lockstep episode collection over a VecEnv with a
+// VecCollector drives lockstep episode collection over an EnvSlice with a
 // shared PPO policy. It is created by the Trainer (or directly, for
 // benchmarks) and reused across episode blocks; steady-state collection is
 // allocation-free after the first block has grown the scratch.
 type VecCollector struct {
-	vec   VecEnv
+	vec   *EnvSlice
 	agent *PPO
 
 	// per-env state, sized to NumEnvs.
@@ -59,9 +59,9 @@ type VecCollector struct {
 	bootEnvs []int
 }
 
-// NewVecCollector wires a vectorized environment and a PPO learner
+// NewVecCollector wires a set of environments and a PPO learner
 // together.
-func NewVecCollector(vec VecEnv, agent *PPO) *VecCollector {
+func NewVecCollector(vec *EnvSlice, agent *PPO) *VecCollector {
 	if vec.ObsDim() != agent.net.ObsDim() || vec.ActDim() != agent.net.ActDim() {
 		panic(fmt.Sprintf("rl: VecCollector env dims (%d, %d) do not match agent (%d, %d)",
 			vec.ObsDim(), vec.ActDim(), agent.net.ObsDim(), agent.net.ActDim()))
@@ -86,7 +86,7 @@ func NewVecCollector(vec VecEnv, agent *PPO) *VecCollector {
 	return c
 }
 
-// NumEnvs returns the size of the underlying VecEnv.
+// NumEnvs returns the size of the underlying EnvSlice.
 func (c *VecCollector) NumEnvs() int { return c.vec.NumEnvs() }
 
 // Begin starts a new episode block over the first active environments:

@@ -123,7 +123,7 @@ func serialLoop(env Env, agent *PPO, cfg TrainerConfig) []float64 {
 		var ret float64
 		sinceUpdate := 0
 		for k := 0; k < cfg.RoundsPerEpisode; k++ {
-			raw, envAct, logP, value := agent.SelectAction(obs)
+			raw, envAct, logP, value, _ := agent.SelectActionWithMean(obs)
 			copy(preObs, obs)
 			next, reward, done := env.Step(envAct)
 			terminal := done || k == cfg.RoundsPerEpisode-1
@@ -362,8 +362,9 @@ func TestVecCollectAllocationFree(t *testing.T) {
 }
 
 // TestSelectActionBatchMatchesSerial pins the batched action sampler: row
-// r must be bit-identical to a serial SelectAction call sequence on the
-// same observations — same forwards, same RNG stream.
+// r must be bit-identical to a serial SelectActionWithMean call sequence
+// on the same observations, one row each — same forwards, same RNG
+// stream, and the sampler left at the same stream position.
 func TestSelectActionBatchMatchesSerial(t *testing.T) {
 	pcfg := DefaultPPOConfig()
 	pcfg.Seed = 77
@@ -381,7 +382,7 @@ func TestSelectActionBatchMatchesSerial(t *testing.T) {
 	batched.SelectActionBatch(obs, &raw, &envAct, logP, values)
 
 	for r := 0; r < rows; r++ {
-		sRaw, sEnv, sLogP, sV := serial.SelectAction(obs.Row(r))
+		sRaw, sEnv, sLogP, sV, _ := serial.SelectActionWithMean(obs.Row(r))
 		for d := 0; d < 2; d++ {
 			if math.Float64bits(sRaw[d]) != math.Float64bits(raw.At(r, d)) {
 				t.Fatalf("row %d raw[%d]: %v vs %v", r, d, raw.At(r, d), sRaw[d])
@@ -397,6 +398,9 @@ func TestSelectActionBatchMatchesSerial(t *testing.T) {
 			t.Fatalf("row %d value: %v vs %v", r, values[r], sV)
 		}
 	}
+	if serial.src.Calls() != batched.src.Calls() {
+		t.Fatalf("RNG draws: serial %d, batched %d", serial.src.Calls(), batched.src.Calls())
+	}
 
 	if n := testing.AllocsPerRun(20, func() {
 		batched.SelectActionBatch(obs, &raw, &envAct, logP, values)
@@ -405,9 +409,11 @@ func TestSelectActionBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestSelectActionWithMeanMatchesPair pins the combined readout against
-// the MeanAction + SelectAction pair it replaces: same mean, same sample,
-// same RNG stream, no allocation once warm.
+// TestSelectActionWithMeanMatchesPair pins the one-row act against the
+// pair of batch entries it combines, each run on a batch of one: its mean
+// equals MeanActionBatch's row, and its sample, log-prob and value equal
+// SelectActionBatch's, with the same RNG stream. It does not allocate
+// once warm.
 func TestSelectActionWithMeanMatchesPair(t *testing.T) {
 	pcfg := DefaultPPOConfig()
 	pcfg.Seed = 19
@@ -416,12 +422,16 @@ func TestSelectActionWithMeanMatchesPair(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(6))
 	obs := make([]float64, 4)
+	obsM := mat.FromSlice(1, 4, obs)
+	var meanM, rawM, envM mat.Matrix
+	logPs, values := make([]float64, 1), make([]float64, 1)
 	for step := 0; step < 5; step++ {
 		for i := range obs {
 			obs[i] = rng.Float64()
 		}
-		wantMean := append([]float64(nil), pair.MeanAction(obs)...)
-		wantRaw, wantEnv, wantLogP, wantV := pair.SelectAction(obs)
+		pair.MeanActionBatch(obsM, &meanM)
+		pair.SelectActionBatch(obsM, &rawM, &envM, logPs, values)
+		wantMean, wantRaw, wantEnv, wantLogP, wantV := meanM.Row(0), rawM.Row(0), envM.Row(0), logPs[0], values[0]
 
 		raw, env, logP, v, meanEnv := comb.SelectActionWithMean(obs)
 		if math.Float64bits(meanEnv[0]) != math.Float64bits(wantMean[0]) {
@@ -431,7 +441,10 @@ func TestSelectActionWithMeanMatchesPair(t *testing.T) {
 			math.Float64bits(env[0]) != math.Float64bits(wantEnv[0]) ||
 			math.Float64bits(logP) != math.Float64bits(wantLogP) ||
 			math.Float64bits(v) != math.Float64bits(wantV) {
-			t.Fatalf("step %d sample diverged from SelectAction", step)
+			t.Fatalf("step %d sample diverged from SelectActionBatch", step)
+		}
+		if pair.src.Calls() != comb.src.Calls() {
+			t.Fatalf("step %d RNG draws: batch %d, one-row %d", step, pair.src.Calls(), comb.src.Calls())
 		}
 	}
 	if n := testing.AllocsPerRun(20, func() { comb.SelectActionWithMean(obs) }); n != 0 {

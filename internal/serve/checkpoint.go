@@ -102,7 +102,7 @@ func loadCheckpoint(path string) (*nn.Checkpoint, uint32, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ck, err := nn.LoadCheckpoint(bytes.NewReader(data))
+	ck, err := nn.LoadCheckpoint(data)
 	if err != nil {
 		return nil, 0, fmt.Errorf("serve: loading checkpoint %s: %w", path, err)
 	}

@@ -11,6 +11,13 @@ import "context"
 // serial intake, so batching only amortizes journal writes under load
 // while an idle server still answers every quote alone.
 
+// queueDepth bounds the intake queue: a Quote blocks while this many
+// quotes wait ahead of it. It holds sixteen default-sized batches, more
+// than a saturated closed loop keeps in flight (the serving benchmark
+// runs four batches' worth of clients), so the send blocks only under
+// overload.
+const queueDepth = 256
+
 type quoteJob struct {
 	req   QuoteRequest
 	reply chan quoteReply

@@ -157,8 +157,6 @@ type Config struct {
 	// keeps only that bound checkpoint, and each more keeps one older
 	// checkpoint for the audit trail. Zero selects 2.
 	KeepCheckpoints int
-	// QueueDepth bounds the intake queue. Zero selects 256.
-	QueueDepth int
 	// BatchMax caps how many queued quotes one intake batch may coalesce.
 	// Batching is a pure throughput knob — any value yields bit-identical
 	// responses, journal bytes, and learner weights (contract rule 8) —
@@ -178,9 +176,6 @@ func (c Config) withDefaults() Config {
 	if c.KeepCheckpoints == 0 {
 		c.KeepCheckpoints = 2
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 256
-	}
 	if c.BatchMax == 0 {
 		c.BatchMax = 16
 	}
@@ -192,8 +187,8 @@ func (c Config) Validate() error {
 	if c.Dir == "" {
 		return fmt.Errorf("serve: Config.Dir is required")
 	}
-	if c.SnapshotEvery < 0 || c.KeepCheckpoints < 0 || c.QueueDepth < 0 || c.BatchMax < 0 {
-		return fmt.Errorf("serve: negative SnapshotEvery/KeepCheckpoints/QueueDepth/BatchMax")
+	if c.SnapshotEvery < 0 || c.KeepCheckpoints < 0 || c.BatchMax < 0 {
+		return fmt.Errorf("serve: negative SnapshotEvery/KeepCheckpoints/BatchMax")
 	}
 	return nil
 }
@@ -257,7 +252,7 @@ func Open(cfg Config) (*Server, error) {
 	} else {
 		return nil, fmt.Errorf("serve: probing journal: %w", err)
 	}
-	s.jobs = make(chan quoteJob, cfg.QueueDepth)
+	s.jobs = make(chan quoteJob, queueDepth)
 	go s.intake()
 	return s, nil
 }

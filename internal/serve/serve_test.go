@@ -659,8 +659,8 @@ func TestServeConfigValidate(t *testing.T) {
 		t.Fatalf("Open without Dir: %v", err)
 	}
 	cfg := testConfig(t.TempDir())
-	cfg.QueueDepth = -1
+	cfg.BatchMax = -1
 	if _, err := serve.Open(cfg); err == nil {
-		t.Fatalf("Open with negative QueueDepth succeeded")
+		t.Fatalf("Open with negative BatchMax succeeded")
 	}
 }

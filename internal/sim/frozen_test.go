@@ -40,11 +40,11 @@ func quoteGameStream(t *testing.T, n int) []*stackelberg.Game {
 }
 
 // TestQuoteBatchMatchesSerial pins contract rule 8 at the pricer layer:
-// cutting the same game stream into batches of any size — with the pure
-// prework computed ahead of each batch, as the serving engine does —
-// yields bit-identical prices and bit-identical final learner state to
-// pricing
-// every game one at a time.
+// cutting the same game stream into batches of any size — the pure
+// prework (PrepQuote) computed for a whole batch first, then
+// PriceForPrepped over its rounds in arrival order, as the serving engine
+// does — yields bit-identical prices and bit-identical final learner
+// state to pricing every game one at a time.
 func TestQuoteBatchMatchesSerial(t *testing.T) {
 	const n = 40 // multiple of UpdateEvery(10): ends on a phase boundary
 	games := quoteGameStream(t, n)
@@ -77,7 +77,9 @@ func TestQuoteBatchMatchesSerial(t *testing.T) {
 		for j, g := range chunk {
 			preps[j] = batched.PrepQuote(g, &scratch)
 		}
-		batched.QuoteBatch(chunk, preps, got[i:i+size])
+		for j, g := range chunk {
+			got[i+j] = batched.PriceForPrepped(g, preps[j])
+		}
 		i += size
 	}
 
@@ -104,32 +106,6 @@ func mustSnapshot(t *testing.T, p *OnlinePricer) []byte {
 		t.Fatal(err)
 	}
 	return data
-}
-
-// TestFrozenViewMatchesNextPrice pins the replica contract at the sim
-// layer: a frozen view captured between rounds answers exactly the price
-// the live pricer posts for its next quote, for any quoted game, without
-// touching the live pricer's RNG or state.
-func TestFrozenViewMatchesNextPrice(t *testing.T) {
-	games := quoteGameStream(t, 14)
-	p, err := NewOnlinePricer(onlineCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range games[:12] {
-		p.PriceFor(g)
-	}
-	fv := p.FrozenView()
-	if fv.Rounds() != 12 || fv.Updates() != p.Updates() {
-		t.Fatalf("frozen view counters (rounds=%d updates=%d), live (12, %d)", fv.Rounds(), fv.Updates(), p.Updates())
-	}
-	frozenA, frozenB := fv.PriceFor(games[12]), fv.PriceFor(games[13])
-	if frozenA != frozenB {
-		t.Fatalf("frozen price depends on the quoted game: %v vs %v", frozenA, frozenB)
-	}
-	if next := p.PriceFor(games[12]); frozenA != next {
-		t.Fatalf("frozen price %v, live pricer's next price %v", frozenA, next)
-	}
 }
 
 // TestFrozenPricerFromCheckpoint pins the checkpoint-fed replica path:

@@ -13,9 +13,9 @@ import (
 // FrozenPricer is a read-only deployment view of an online pricer's
 // state: it posts the deterministic (mean) price of a frozen belief
 // window and never learns. The readout is evaluated once at construction
-// through the batched evaluation entry (rl.PPO.MeanActionBatch, which
-// consumes no RNG and reproduces the serial forward pass bit for bit —
-// contract rule 1), so every quote afterwards is a constant read: the
+// through the no-RNG evaluation entry (rl.PPO.MeanActionBatch on one
+// row, the same forward pass as the live pricer's one-row act — contract
+// rule 1), so every quote afterwards is a constant read: the
 // pricer is immutable, safe for unbounded concurrent use, and answers
 // with exactly the price the live pricer would post next at the same
 // state. That is what lets checkpoint-fed read replicas
@@ -99,21 +99,6 @@ func NewFrozenPricerFromCheckpoint(cfg OnlinePricerConfig, ck *nn.Checkpoint) (*
 		updates:   ps.Updates,
 		snapshots: ps.Snapshots,
 	}, nil
-}
-
-// FrozenView freezes the pricer's current deterministic readout into a
-// FrozenPricer without going through a checkpoint. It consumes no
-// learner RNG and leaves the live pricer bit-identical, so interleaving
-// FrozenView with live serving is invisible to the training stream; the
-// view answers exactly the price the live pricer posts for its next
-// quote.
-func (p *OnlinePricer) FrozenView() *FrozenPricer {
-	return &FrozenPricer{
-		price:     frozenReadout(p.agent, p.obs),
-		rounds:    p.col.Total(),
-		updates:   p.col.Updates(),
-		snapshots: p.snapshots,
-	}
 }
 
 // frozenReadout evaluates the deterministic policy mean at obs through

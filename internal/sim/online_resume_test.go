@@ -144,7 +144,7 @@ func splitRun(t *testing.T, gmp1, gmp2 int) (Report, [][]float64, *OnlinePricer)
 		if err := ck.SaveBinary(&buf); err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := nn.LoadCheckpoint(&buf)
+		loaded, err := nn.LoadCheckpoint(buf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -291,25 +291,14 @@ func NewOnlinePricerFromCheckpoint(cfg OnlinePricerConfig, ck *nn.Checkpoint) (*
 }
 
 // checkAgent verifies a warm-start agent against the reference
-// interface. The dimension mismatches have named errors pointing at the
-// configuration knob that causes them; the recovering probe remains as a
-// backstop for anything else the first forward pass would panic on (the
-// probe consumes no learner RNG).
-func (p *OnlinePricer) checkAgent(cfg OnlinePricerConfig) (err error) {
+// interface. Each dimension mismatch has a named error pointing at the
+// configuration knob that causes it.
+func (p *OnlinePricer) checkAgent(cfg OnlinePricerConfig) error {
 	if got, want := p.agent.ObsDim(), p.enc.ObsDim(); got != want {
 		return fmt.Errorf("sim: warm-start agent expects observation dim %d, but history length %d over the reference game gives %d — HistoryLen (or the game size) differs from the agent's training configuration",
 			got, cfg.HistoryLen, want)
 	}
 	if got := p.agent.ActDim(); got != 1 {
-		return fmt.Errorf("sim: online pricer needs a 1-dimensional price action, agent has %d", got)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("sim: online pricer agent does not fit the reference game interface (obs dim %d, 1 action): %v",
-				p.enc.ObsDim(), r)
-		}
-	}()
-	if got := len(p.agent.MeanAction(p.obs)); got != 1 {
 		return fmt.Errorf("sim: online pricer needs a 1-dimensional price action, agent has %d", got)
 	}
 	return nil
@@ -400,32 +389,6 @@ func (p *OnlinePricer) PriceForPrepped(g *stackelberg.Game, prep QuotePrep) floa
 		p.maybeSnapshot()
 	}
 	return price
-}
-
-// QuoteBatch prices a batch of rounds in order — prices[i] answers
-// games[i] — bit-identically to calling PriceFor on each game in
-// sequence, for any way the same game stream is cut into batches
-// (contract rule 8). The belief window chains each round's observation
-// through the previous round's outcome, so the policy/belief/learning
-// core can never legally batch across quotes; only the pure prework
-// does. preps may be nil (the prework then runs inline) or carry one
-// PrepQuote result per game.
-func (p *OnlinePricer) QuoteBatch(games []*stackelberg.Game, preps []QuotePrep, prices []float64) {
-	if len(prices) != len(games) {
-		panic(fmt.Sprintf("sim: QuoteBatch prices length %d, want %d", len(prices), len(games)))
-	}
-	if preps != nil && len(preps) != len(games) {
-		panic(fmt.Sprintf("sim: QuoteBatch preps length %d, want %d", len(preps), len(games)))
-	}
-	for i, g := range games {
-		prep := QuotePrep{}
-		if preps != nil {
-			prep = preps[i]
-		} else {
-			prep = p.PrepQuote(g, &p.solveScratch)
-		}
-		prices[i] = p.PriceForPrepped(g, prep)
-	}
 }
 
 // maybeSnapshot fires the mid-run snapshot hook when an optimization

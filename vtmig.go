@@ -1,6 +1,7 @@
 package vtmig
 
 import (
+	"fmt"
 	"io"
 
 	"vtmig/internal/aotm"
@@ -234,7 +235,11 @@ func ResumeTraining(game *Game, cfg DRLConfig, ck *Checkpoint) (*TrainResult, er
 // parameter vectors, non-finite values, truncation, and bit corruption
 // (CRC-checked) are rejected with a descriptive error.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
-	return nn.LoadCheckpoint(r)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("vtmig: reading checkpoint: %w", err)
+	}
+	return nn.LoadCheckpoint(data)
 }
 
 // RunBaseline plays one K-round pricing episode with the named baseline
