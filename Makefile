@@ -15,18 +15,58 @@
 
 GO ?= go
 
+# Test selections: every -run or -bench regex a target below uses lives in
+# one of these variables, beside the packages it runs over. `make vet`
+# lists each alternative of each regex with `go test -list` and fails
+# when one selects no test, benchmark or fuzz target in those packages.
+# That catches an alternative that selects nothing, not a renamed test
+# that drops out while its alternative still matches others (Collect
+# also matches BenchmarkStreamCollect); for a rename, compare the
+# `go test -list` sets of the parent and the change.
+RACE_ONLINE_RUN  := Online|Stream
+RACE_ONLINE_PKGS := ./internal/rl ./internal/sim
+RACE_RESUME_RUN  := Resume|Snapshot|Checkpoint|Clone|CountingSource
+RACE_RESUME_PKGS := ./internal/rl ./internal/nn ./internal/pomdp ./internal/mathx ./internal/sim
+SERVE_RUN        := Serve|Journal|Quote|Loadgen|HTTP|Batch|Replica|Shutdown
+SERVE_PKGS       := ./internal/serve ./cmd/vtmig-serve ./cmd/vtmig-loadgen
+SERVE_RACE_RUN   := Rotation
+SERVE_RACE_PKGS  := ./internal/serve
+SERVE_SIM_RUN    := QuoteBatch|Frozen
+SERVE_SIM_PKGS   := ./internal/sim
+GOLDEN_RUN       := Golden
+GOLDEN_PKGS      := ./internal/experiments ./internal/sim ./internal/scenario
+BENCH_SMOKE_RUN  := PPOUpdate$$|PPOSelectAction|ActorCriticForward|MatMul|AdamStep|TanhTo|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointBinary|ServeQuote|SolveScratch|SimNew
+BENCH_SMOKE_PKGS := .
+
+# check-selection fails unless every alternative of the regex $(1)
+# selects a test, benchmark or fuzz target in the packages $(2).
+check-selection = for re in $$(echo '$(1)' | tr '|' ' '); do \
+		out="$$($(GO) test -list "$$re" $(2))" || exit 1; \
+		if ! echo "$$out" | grep -qv '^\(ok\|?\) '; then \
+			echo "vet: -run/-bench alternative '$$re' selects nothing in $(2)"; exit 1; \
+		fi; \
+	done
+
 .PHONY: all vet fmt-check build test race race-online race-resume serve-smoke bench-check bench-smoke golden golden-drift ci
 
 all: ci
 
 # vet also vets the kernel packages for arm64, so the scalar fallback that
-# replaces the amd64 assembly on other GOARCHes keeps compiling, and runs
+# replaces the amd64 assembly on other GOARCHes keeps compiling, runs
 # the kernel tests built for GOAMD64=v3, where FMA is in the baseline and
-# the GODEBUG=cpu.fma=off fallback test must skip rather than fail.
+# the GODEBUG=cpu.fma=off fallback test must skip rather than fail, and
+# checks that every test selection above still selects something.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/mat ./internal/nn
 	GOAMD64=v3 $(GO) test ./internal/mat
+	@$(call check-selection,$(RACE_ONLINE_RUN),$(RACE_ONLINE_PKGS))
+	@$(call check-selection,$(RACE_RESUME_RUN),$(RACE_RESUME_PKGS))
+	@$(call check-selection,$(SERVE_RUN),$(SERVE_PKGS))
+	@$(call check-selection,$(SERVE_RACE_RUN),$(SERVE_RACE_PKGS))
+	@$(call check-selection,$(SERVE_SIM_RUN),$(SERVE_SIM_PKGS))
+	@$(call check-selection,$(GOLDEN_RUN),$(GOLDEN_PKGS))
+	@$(call check-selection,$(BENCH_SMOKE_RUN),$(BENCH_SMOKE_PKGS))
 
 # fmt-check fails when any file needs gofmt (CI cleanliness gate).
 fmt-check:
@@ -52,7 +92,7 @@ race:
 # ordering bug anywhere in the online training path fails here even on
 # a single-core CI box.
 race-online:
-	$(GO) test -race -count=2 -run 'Online|Stream' ./internal/rl ./internal/sim
+	$(GO) test -race -count=2 -run '$(RACE_ONLINE_RUN)' $(RACE_ONLINE_PKGS)
 
 # race-resume re-runs the checkpoint/resume determinism tests under the
 # race detector. The rule-6 resume-equality tables pin snapshot-at-K-
@@ -61,7 +101,7 @@ race-online:
 # piece of checkpointed state anywhere in the snapshot/restore path
 # fails here even on a single-core CI box.
 race-resume:
-	$(GO) test -race -count=2 -run 'Resume|Snapshot|Checkpoint|Clone|CountingSource' ./internal/rl ./internal/nn ./internal/pomdp ./internal/mathx ./internal/sim
+	$(GO) test -race -count=2 -run '$(RACE_RESUME_RUN)' $(RACE_RESUME_PKGS)
 
 # serve-smoke pins the serving layer's crash-recovery story under the
 # race detector: quote against a live daemon, kill it mid-run, reopen the
@@ -79,9 +119,9 @@ race-resume:
 # the failed-rotation path, a replica refreshing while batches cross
 # rotation boundaries), so they run ten times over.
 serve-smoke:
-	$(GO) test -race -count=1 -run 'Serve|Journal|Quote|Loadgen|HTTP|Batch|Replica|Shutdown' ./internal/serve ./cmd/vtmig-serve ./cmd/vtmig-loadgen
-	$(GO) test -race -count=10 -run 'Rotation' ./internal/serve
-	$(GO) test -race -count=1 -run 'QuoteBatch|Frozen' ./internal/sim
+	$(GO) test -race -count=1 -run '$(SERVE_RUN)' $(SERVE_PKGS)
+	$(GO) test -race -count=10 -run '$(SERVE_RACE_RUN)' $(SERVE_RACE_PKGS)
+	$(GO) test -race -count=1 -run '$(SERVE_SIM_RUN)' $(SERVE_SIM_PKGS)
 
 # bench-check vets and race-tests the benchmark program. bench/ is a
 # module of its own (bench/go.mod), so the root-module vet and race
@@ -101,15 +141,13 @@ bench-check:
 # forward shapes), and SimNew prints the metro-10k set-up's time and
 # bytes.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'PPOUpdate$$|PPOSelectAction|ActorCriticForward|MatMul|AdamStep|TanhTo|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointBinary|ServeQuote|SolveScratch|SimNew' -benchmem -benchtime 100x .
+	$(GO) test -run '^$$' -bench '$(BENCH_SMOKE_RUN)' -benchmem -benchtime 100x $(BENCH_SMOKE_PKGS)
 
 # golden regenerates the fixed-seed golden files after an intentional
 # numeric change: the experiment figure pipelines, the per-pricer
 # simulator reports, and the scenario-matrix reports.
 golden:
-	$(GO) test ./internal/experiments -run Golden -update
-	$(GO) test ./internal/sim -run Golden -update
-	$(GO) test ./internal/scenario -run Golden -update
+	for pkg in $(GOLDEN_PKGS); do $(GO) test $$pkg -run '$(GOLDEN_RUN)' -update || exit 1; done
 
 # golden-drift regenerates every golden suite and fails when the result
 # differs from the committed files — i.e. when a numeric change landed

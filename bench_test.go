@@ -639,7 +639,9 @@ func BenchmarkMatMulATBAddTo(b *testing.B) {
 // BenchmarkAdamStep measures one Adam step over the paper network's
 // parameters (the PPO actor-critic for the two-VMU game: 12 inputs, two
 // 64-unit tanh layers, mean and value heads, log-std), the optimizer half
-// of every PPO minibatch.
+// of every PPO minibatch, at a clip factor below 1. A step resets the
+// gradients it consumes, so the timed steps read zero gradients through
+// the same arithmetic.
 func BenchmarkAdamStep(b *testing.B) {
 	env := newBenchEnv(b)
 	lo, hi := env.ActionBounds()
@@ -652,11 +654,11 @@ func BenchmarkAdamStep(b *testing.B) {
 		}
 	}
 	opt := nn.NewAdam(cfg.LR)
-	opt.Step(params) // warm-up: allocates the moment estimates
+	opt.Step(params, 0.5) // warm-up: allocates the moment estimates
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		opt.Step(params)
+		opt.Step(params, 0.5)
 	}
 }
 

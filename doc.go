@@ -58,22 +58,38 @@
 // live envs, a PPO minibatch — runs through one A·Bᵀ kernel,
 // mat.MulABTBiasTo, reading the weights in place. On amd64 CPUs with
 // AVX2 (probed once from CPUID, with no flag or build tag) that kernel,
-// the GEMMs of the backward pass and the Adam step run as AVX2 assembly
-// that gives the same bits as the Go loops, which every other CPU runs
-// instead. The A·Bᵀ kernel computes four
+// the GEMMs of the backward pass, the tanh derivative and the Adam step
+// run as AVX2 assembly that gives the same bits as the Go loops, which
+// every other CPU runs instead. The A·Bᵀ kernel computes four
 // destination columns per vector from 4×4 blocks of the weights
-// transposed in registers. The first trunk layer's backward pass
-// accumulates only its weight and bias gradients; nothing reads the
-// observation gradient.
+// transposed in registers. A one-unit head (the value head, and the
+// policy-mean head of the paper's one-price action) over four or more
+// rows runs the same kernel with its operands swapped: the head's weight
+// row against the batch, four batch rows per vector, with an all-zero
+// bias block and the head's bias added after (a sum from +0 is never −0,
+// so adding +0 changes nothing). One-row acts keep the Go loop. In the backward pass, a layer's bias
+// gradient is the GEMM db += 1ᵀ·dY on the same kernel as the weight
+// gradient, the two heads accumulate their input gradients into one
+// buffer (the mean head's product from +0, then the value head's one
+// term added to it), and the first trunk layer accumulates only its
+// weight and bias gradients; nothing reads the observation gradient.
 // The tanh activations — the hidden layers and the squashed policy
 // mean — run through mat.TanhTo, an AVX2 kernel that evaluates four
-// lanes at a time and returns math.Tanh's bits: it follows math/tanh.go's branches and, for e^(2|x|), the
-// fused instruction sequence of math.Exp's amd64 assembly. It runs only
-// where CPUID shows AVX2 and FMA and a check at package init finds it
-// equal to math.Tanh in the running process (a process started with
-// GODEBUG=cpu.fma=off fails the check, because math.Exp then stops
-// fusing); elsewhere TanhTo is the math.Tanh loop. The tanh layer's
-// backward pass is one g·(1−out²) loop over its cached outputs.
+// lanes at a time and returns math.Tanh's bits: it follows
+// math/tanh.go's branches and, for e^(2|x|), the fused instruction
+// sequence of math.Exp's amd64 assembly. It runs only where CPUID shows
+// AVX2 and FMA and a check at package init finds it equal to math.Tanh
+// in the running process (a process started with GODEBUG=cpu.fma=off
+// fails the check, because math.Exp then stops fusing); elsewhere TanhTo
+// is the math.Tanh loop. The tanh derivative g·(1−out²) over the cached
+// outputs is mat.TanhGradTo, the Go loop's multiply, subtract and
+// multiply four lanes at a time. The optimizer tail of a PPO minibatch
+// is one pass over the parameters after the norm: nn.ClipGradNorm only
+// computes the clip factor, and Adam.Step (mat.AdamStep) multiplies each
+// gradient by it as it loads it, steps the parameter and its moments,
+// and stores +0 back, so no separate rescale or zeroing pass runs. Its
+// kernel skips the division by the bias correction c1 = 1−0.9ᵗ once it
+// is exactly 1, from Adam step 356 on.
 // The Stackelberg evaluation is destination-passing as well
 // (Game.EvaluateInto / Game.SolveInto over an EvalScratch), which keeps
 // the per-round follower response inside the POMDP's Step free of report
@@ -301,11 +317,14 @@
 //     Vector lanes span only independent destination elements; an
 //     in-register transpose only moves operands into them. In the GEMM,
 //     A·Bᵀ and Adam kernels a multiply-add is a separate multiply and
-//     add, never fused. An element-wise kernel reproduces the
-//     standard-library function it replaces bit for bit in the running
-//     process — fused multiply-adds included, exactly where math.Exp
-//     uses them — and runs only where a check at package init proves it
-//     (mat.TanhTo against math.Tanh).
+//     add, never fused. A kernel may drop or add an operation only where
+//     IEEE 754 makes it exact — a multiplication or division by 1, or
+//     adding +0 to a sum that started at +0 and so cannot be −0 — and
+//     the tests keep the textbook form with the operation in place. An
+//     element-wise kernel reproduces the standard-library function it
+//     replaces bit for bit in the running process — fused multiply-adds
+//     included, exactly where math.Exp uses them — and runs only where a
+//     check at package init proves it (mat.TanhTo against math.Tanh).
 //  2. Parallel experiment tasks are independently seeded with results
 //     assembled in input order.
 //  3. Retired with sharded PPO updates; the number stays so that later

@@ -19,24 +19,37 @@ import (
 //     form reads both row-major operands at unit stride in a 2×4 register
 //     tile; its AVX2 form computes four destination columns per vector,
 //     transposing 4×4 blocks of B in registers, in 4×4 tiles that let one
-//     transposed block serve four rows of A. Every forward pass of an
+//     transposed block serve four rows of A. A one-unit layer (one row of
+//     B) over four or more rows runs the same kernel with the operands
+//     swapped, so its lanes are four batch rows. Every forward pass of an
 //     nn.Linear, one row or a batch, runs through it.
 //   - MulATBAddTo accumulates Aᵀ·B directly into dst, preserving the
 //     element-wise accumulation order of the textbook rank-1 update loop
 //     (dst[i][j] += a[k][i]·b[k][j], one k at a time, k ascending), which
 //     gradient accumulation relies on.
+//   - AddColSumTo, a bias gradient, is the GEMM db += 1ᵀ·dY.
+//   - AdamStep is the optimizer's one pass over a parameter: it reads each
+//     gradient times the clip factor, steps the parameter and its moments,
+//     and resets the gradient to +0.
 //
 // On amd64 CPUs with AVX2 (probed once from CPUID), MulAddTo, MulTo,
-// MulABTBiasTo, MulATBAddTo and AdamStep run the assembly in
-// simd_amd64.s. Its vector lanes span only independent destination
-// elements, each still summed in its own k-ascending accumulator, and
-// each multiply-add is a separate VMULPD and VADDPD. An in-register
-// transpose only moves operands into those lanes; it never combines two
-// elements' sums. These kernels never use FMA: a fused multiply-add
-// rounds once where the Go loops round twice, so its bits would differ.
-// The assembly therefore reproduces the Go loops below bit for bit; they
-// stay the fallback on every other CPU and GOARCH and the reference the
-// tests compare against.
+// MulABTBiasTo, MulATBAddTo, AddColSumTo, AdamStep and TanhGradTo run the
+// assembly in simd_amd64.s. Its vector lanes span only independent
+// destination elements, each still summed in its own k-ascending
+// accumulator, and each multiply-add is a separate VMULPD and VADDPD. An
+// in-register transpose only moves operands into those lanes; it never
+// combines two elements' sums. These kernels never use FMA: a fused
+// multiply-add rounds once where the Go loops round twice, so its bits
+// would differ. The assembly therefore reproduces the Go loops below bit
+// for bit; they stay the fallback on every other CPU and GOARCH and the
+// reference the tests compare against.
+//
+// A kernel may drop or add an operation only where IEEE 754 makes it
+// exact, and the Go loop keeps the textbook form with the operation in
+// place: AdamStep's kernel skips the division by the bias correction c1
+// once it is exactly 1, AddColSumTo multiplies each term by 1, and the
+// one-unit MulABTBiasTo adds a +0 bias to a sum that started at +0 and so
+// cannot be −0.
 //
 // TanhTo is the element-wise exception. Its kernel reproduces math.Tanh,
 // the function it replaces, and math.Exp's amd64 assembly fuses its
@@ -130,7 +143,8 @@ func MulAddTo(dst, a, b *Matrix) *Matrix {
 // "y = W·x then y += b" loop. Where useAVX2 holds, mulABTAVX2 computes
 // four destination columns per vector from 4×4 blocks of b transposed in
 // registers; the last n mod 4 columns, and every column elsewhere, run
-// mulABTCols.
+// mulABTCols. A one-unit b (n = 1) instead runs mulABTAVX2 over the
+// first m &^ 3 rows with a and b swapped (see mulABTUnit).
 func MulABTBiasTo(dst, a, b *Matrix, bias []float64) *Matrix {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: MulABTBiasTo inner dims %d vs %d", a.Cols, b.Cols))
@@ -147,16 +161,65 @@ func MulABTBiasTo(dst, a, b *Matrix, bias []float64) *Matrix {
 // bounds checks the Go loop gets from slicing.
 func mulABT(dst, a, b *Matrix, bias []float64) {
 	m, kk, n := a.Rows, a.Cols, b.Rows
-	j0 := 0
-	if useAVX2 && m > 0 && kk > 0 && n >= 4 {
-		if len(dst.Data) < m*n || len(a.Data) < m*kk || len(b.Data) < n*kk {
-			panic(fmt.Sprintf("mat: matrix data shorter than its shape (%d, %d, %d elements for %dx%d = %dx%d · (%dx%d)ᵀ)",
-				len(dst.Data), len(a.Data), len(b.Data), m, n, m, kk, n, kk))
-		}
-		mulABTAVX2(&dst.Data[0], &a.Data[0], &b.Data[0], &bias[0], m, kk, n)
-		j0 = n &^ 3
+	if !useAVX2 || m == 0 || kk == 0 || n < 4 && !(n == 1 && m >= 4) {
+		mulABTCols(dst, a, b, bias, 0)
+		return
 	}
-	mulABTCols(dst, a, b, bias, j0)
+	if len(dst.Data) < m*n || len(a.Data) < m*kk || len(b.Data) < n*kk {
+		panic(fmt.Sprintf("mat: matrix data shorter than its shape (%d, %d, %d elements for %dx%d = %dx%d · (%dx%d)ᵀ)",
+			len(dst.Data), len(a.Data), len(b.Data), m, n, m, kk, n, kk))
+	}
+	if n == 1 {
+		mulABTUnit(dst, a, b, bias)
+		return
+	}
+	mulABTAVX2(&dst.Data[0], &a.Data[0], &b.Data[0], &bias[0], m, kk, n)
+	mulABTCols(dst, a, b, bias, n&^3)
+}
+
+// unitBlock is the length of the constant blocks ones and zeroBias: the
+// most batch rows one kernel call of AddColSumTo or mulABTUnit covers.
+// Longer batches run in chunks of it.
+const unitBlock = 256
+
+// ones and zeroBias are read-only operands of the AVX2 kernels. They are
+// package data, fixed at init, because batches train concurrently: a
+// block grown on demand would be a data race.
+var (
+	ones = func() (o [unitBlock]float64) {
+		for i := range o {
+			o[i] = 1
+		}
+		return o
+	}()
+	zeroBias [unitBlock]float64
+)
+
+// mulABTUnit is mulABT for a one-unit b over m ≥ 4 rows of a: a column
+// of dot products, one per row, which the A·Bᵀ kernel would leave to the
+// Go loop as an n mod 4 column. mulABTAVX2 runs with the operands
+// swapped instead, b's one row against up to unitBlock rows of a at a
+// time, writing the m×1 destination as a 1×m row. Row i's lane is then
+// Σₖ b[k]·a[i][k] from +0, k ascending, and b[k]·a[i][k] = a[i][k]·b[k]
+// exactly. The kernel adds its bias per destination column, here per
+// row, so it gets zeroBias: a sum that started at +0 is never −0, and
+// adding +0 leaves it unchanged. bias[0] is added after, and the m mod 4
+// rows the kernel leaves run mulABTCols.
+func mulABTUnit(dst, a, b *Matrix, bias []float64) {
+	m, kk := a.Rows, a.Cols
+	rows := m &^ 3
+	for i := 0; i < rows; i += unitBlock {
+		mulABTAVX2(&dst.Data[i], &b.Data[0], &a.Data[i*kk], &zeroBias[0], 1, kk, min(unitBlock, rows-i))
+	}
+	w := bias[0]
+	for i, c := range dst.Data[:rows] {
+		dst.Data[i] = c + w
+	}
+	if rows < m {
+		rest := Matrix{Rows: m - rows, Cols: kk, Data: a.Data[rows*kk:]}
+		restDst := Matrix{Rows: m - rows, Cols: 1, Data: dst.Data[rows:]}
+		mulABTCols(&restDst, &rest, b, bias, 0)
+	}
 }
 
 // mulABTCols is the Go form of mulABT for the destination columns j0…n−1:
@@ -298,14 +361,22 @@ func gemmAccSIMD(c, a, b *Matrix, m, kk, n, ars, aks int) {
 }
 
 // AdamStep applies one bias-corrected Adam update to the parameter
-// values p from the gradients g, updating the moment estimates m and v in
-// place. c1 and c2 are the bias corrections 1−β1ᵗ and 1−β2ᵗ. The four
-// slices must have equal length. Per element, in this order:
+// values p from the gradients g scaled by gradScale, updating the moment
+// estimates m and v in place, and then resets every gradient to +0. c1
+// and c2 are the bias corrections 1−β1ᵗ and 1−β2ᵗ; gradScale is the
+// clip factor, or 1. The four slices must have equal length. Per
+// element, in this order:
 //
-//	m = β1·m + (1−β1)·g
-//	v = β2·v + (1−β2)·g·g
+//	ĝ = g·gradScale, then g = +0
+//	m = β1·m + (1−β1)·ĝ
+//	v = β2·v + (1−β2)·ĝ·ĝ
 //	p −= lr·(m/c1) / (√(v/c2) + ε)
-func AdamStep(p, g, m, v []float64, beta1, beta2, lr, c1, c2, eps float64) {
+//
+// ĝ is the product an in-place rescale of g would store, and g·1 = g.
+// The AVX2 kernel skips the division by c1 once c1 is exactly 1 (x/1 = x
+// for every float64), which it is at β1 = 0.9 from step 356 on; the Go
+// loop keeps it.
+func AdamStep(p, g, m, v []float64, gradScale, beta1, beta2, lr, c1, c2, eps float64) {
 	n := len(p)
 	if len(g) != n || len(m) != n || len(v) != n {
 		panic(fmt.Sprintf("mat: AdamStep length mismatch p=%d g=%d m=%d v=%d", n, len(g), len(m), len(v)))
@@ -313,10 +384,11 @@ func AdamStep(p, g, m, v []float64, beta1, beta2, lr, c1, c2, eps float64) {
 	i := 0
 	if useAVX2 && n >= 4 {
 		i = n &^ 3
-		adamAVX2(&p[0], &g[0], &m[0], &v[0], i, beta1, 1-beta1, beta2, 1-beta2, lr, c1, c2, eps)
+		adamAVX2(&p[0], &g[0], &m[0], &v[0], i, gradScale, beta1, 1-beta1, beta2, 1-beta2, lr, c1, c2, eps, c1 == 1)
 	}
 	for ; i < n; i++ {
-		gi := g[i]
+		gi := g[i] * gradScale
+		g[i] = 0
 		m[i] = beta1*m[i] + (1-beta1)*gi
 		v[i] = beta2*v[i] + (1-beta2)*gi*gi
 		mHat := m[i] / c1
@@ -381,23 +453,46 @@ func TanhTo(dst, src []float64) {
 	}
 }
 
-// AddTo computes dst = a + b element-wise. Shapes must match; dst may
-// alias either operand. It returns dst.
-func AddTo(dst, a, b *Matrix) *Matrix {
-	checkShape("AddTo b", b.Rows, b.Cols, a.Rows, a.Cols)
-	checkShape("AddTo dst", dst.Rows, dst.Cols, a.Rows, a.Cols)
-	for i, v := range a.Data {
-		dst.Data[i] = v + b.Data[i]
+// TanhGradTo sets dst[i] = grad[i]·(1 − out[i]·out[i]) for every i: the
+// gradient through a tanh, given its outputs. The slices must have equal
+// length; dst may be grad or out, but must not overlap them otherwise.
+// Where useAVX2 holds, the elements run four at a time through
+// tanhGradAVX2, which performs the same three operations in the same
+// order, and the n mod 4 left over finish in the Go loop.
+func TanhGradTo(dst, grad, out []float64) {
+	n := len(dst)
+	if len(grad) != n || len(out) != n {
+		panic(fmt.Sprintf("mat: TanhGradTo length mismatch dst=%d grad=%d out=%d", n, len(grad), len(out)))
 	}
-	return dst
+	i := 0
+	if useAVX2 && n >= 4 {
+		i = n &^ 3
+		tanhGradAVX2(&dst[0], &grad[0], &out[0], i)
+	}
+	for ; i < n; i++ {
+		o := out[i]
+		dst[i] = grad[i] * (1 - o*o)
+	}
 }
 
 // AddColSumTo accumulates the column sums of a into dst: dst[j] += Σᵢ
 // a[i][j], rows ascending — the batched form of repeated bias-gradient
-// adds. dst must have length a.Cols.
+// adds. dst must have length a.Cols. Where useAVX2 holds it is the GEMM
+// dst += 1ᵀ·a on gemmAccSIMD, up to unitBlock rows per call: each
+// column's single accumulator starts from dst[j] and takes the rows
+// ascending, and 1·x = x.
 func AddColSumTo(dst []float64, a *Matrix) []float64 {
 	if len(dst) != a.Cols {
 		panic(fmt.Sprintf("mat: AddColSumTo dst length %d, want %d", len(dst), a.Cols))
+	}
+	if useAVX2 {
+		cols := a.Cols
+		for i := 0; i < a.Rows; i += unitBlock {
+			rows := min(unitBlock, a.Rows-i)
+			gemmAccSIMD(&Matrix{Rows: 1, Cols: cols, Data: dst}, &Matrix{Rows: 1, Cols: rows, Data: ones[:rows]},
+				&Matrix{Rows: rows, Cols: cols, Data: a.Data[i*cols:]}, 1, rows, cols, rows, 1)
+		}
+		return dst
 	}
 	for i := 0; i < a.Rows; i++ {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]

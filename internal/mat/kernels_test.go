@@ -210,18 +210,143 @@ func TestMulToMatchesMulVecT(t *testing.T) {
 	})
 }
 
-func TestAddToAddColSumTo(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	b := FromSlice(2, 2, []float64{10, 20, 30, 40})
-	sum := AddTo(New(2, 2), a, b)
-	if sum.At(1, 1) != 44 {
-		t.Errorf("AddTo = %v, want 44", sum.At(1, 1))
-	}
-	cs := []float64{1, 1}
-	AddColSumTo(cs, a)
-	if cs[0] != 5 || cs[1] != 7 {
-		t.Errorf("AddColSumTo = %v, want [5 7]", cs)
-	}
+// TestAddColSumToBitwise compares AddColSumTo with the rows-ascending
+// textbook loop, from starting sums and rows laced with ±0, subnormals,
+// ±Inf and NaN, over widths of every residue mod 4 and row counts up to
+// and past the kernel's unitBlock-row chunks.
+func TestAddColSumToBitwise(t *testing.T) {
+	rowsSet := []int{1, 2, 3, 4, 5, 8, 9, 20, unitBlock - 1, unitBlock, unitBlock + 1, 2*unitBlock + 3}
+	colsSet := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 17, 64}
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for _, mix := range valueMixes {
+			for _, rows := range rowsSet {
+				for _, cols := range colsSet {
+					a, dst := New(rows, cols), make([]float64, cols)
+					mix.fill(rng, a.Data)
+					mix.fill(rng, dst)
+					want := append([]float64(nil), dst...)
+					for i := 0; i < rows; i++ {
+						for j, v := range a.Row(i) {
+							want[j] += v
+						}
+					}
+					requireSameBits(t, fmt.Sprintf("AddColSumTo %s %dx%d", mix.name, rows, cols), AddColSumTo(dst, a), want)
+				}
+			}
+		}
+		// Rows without columns have nothing to sum.
+		if got := AddColSumTo(nil, &Matrix{Rows: 3}); len(got) != 0 {
+			t.Fatalf("AddColSumTo over 3x0 = %v, want empty", got)
+		}
+	})
+}
+
+// TestHeadsInputGradOneBuffer pins the exactness the actor-critic's two
+// heads rely on when they accumulate their input gradients into one
+// buffer: MulTo for the mean head (actDim terms from +0) and then
+// MulAddTo for the one-unit value head give the bits of two separate
+// MulTo products added element-wise, dx = dM·Wm + (+0 + dv·wv). The
+// operands are laced with ±0 (so −0 products occur), subnormals, ±Inf
+// and NaN.
+func TestHeadsInputGradOneBuffer(t *testing.T) {
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		for _, mix := range valueMixes {
+			for _, rows := range []int{1, 2, 3, 4, 5, 9, 20} {
+				for _, act := range []int{1, 2, 3} {
+					for _, in := range []int{1, 3, 4, 5, 8, 13, 64} {
+						dm, wm := New(rows, act), New(act, in)
+						dv, wv := New(rows, 1), New(1, in)
+						for _, m := range []*Matrix{dm, wm, dv, wv} {
+							mix.fill(rng, m.Data)
+						}
+						want := make([]float64, rows*in)
+						for i := 0; i < rows; i++ {
+							for j := 0; j < in; j++ {
+								var mean float64
+								for k := 0; k < act; k++ {
+									mean += dm.At(i, k) * wm.At(k, j)
+								}
+								var value float64
+								value += dv.At(i, 0) * wv.At(0, j)
+								want[i*in+j] = mean + value
+							}
+						}
+						dx := New(rows, in)
+						mix.fill(rng, dx.Data)
+						MulTo(dx, dm, wm)
+						MulAddTo(dx, dv, wv)
+						requireSameBits(t, fmt.Sprintf("%s rows=%d act=%d in=%d", mix.name, rows, act, in), dx.Data, want)
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestTanhGradToBitwise compares TanhGradTo with the textbook g·(1 − o·o)
+// loop over every valueMixes fill, over outputs that are ±0, ±1, ±Inf
+// and NaN, at every length from 0 to 9 and at 67, and in place over the
+// gradient.
+func TestTanhGradToBitwise(t *testing.T) {
+	specials := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(), 5e-324}
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		for _, mix := range valueMixes {
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 67} {
+				grad, out := make([]float64, n), make([]float64, n)
+				mix.fill(rng, grad)
+				mix.fill(rng, out)
+				for i := range out {
+					if rng.Intn(4) == 0 {
+						out[i] = specials[rng.Intn(len(specials))]
+					}
+				}
+				want := make([]float64, n)
+				for i, g := range grad {
+					o := out[i]
+					want[i] = g * (1 - o*o)
+				}
+				what := fmt.Sprintf("TanhGradTo %s n=%d", mix.name, n)
+				dst := make([]float64, n)
+				TanhGradTo(dst, grad, out)
+				requireSameBits(t, what, dst, want)
+				TanhGradTo(grad, grad, out)
+				requireSameBits(t, what+" in place", grad, want)
+			}
+		}
+	})
+}
+
+// TestMulABTUnitBitwise sweeps MulABTBiasTo at one output column, the
+// shape of the actor-critic's heads, which the AVX2 path runs with its
+// operands swapped: 1–9 and 20 rows, row counts up to and past the
+// unitBlock-row chunks, inner dimensions of every residue mod 4, and
+// biases of +0 and −0 as well as every valueMixes fill.
+func TestMulABTUnitBitwise(t *testing.T) {
+	rowsSet := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 20, unitBlock, unitBlock + 3, 2*unitBlock + 5}
+	kSet := []int{1, 2, 3, 4, 5, 7, 8, 12, 13, 64}
+	biases := []float64{0, math.Copysign(0, -1), 1.5}
+	forEachKernelPath(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(24))
+		for _, mix := range valueMixes {
+			for _, m := range rowsSet {
+				for _, kk := range kSet {
+					a, w := New(m, kk), New(1, kk)
+					mix.fill(rng, a.Data)
+					mix.fill(rng, w.Data)
+					for _, bias := range append(biases, a.Data[0]) {
+						b := []float64{bias}
+						dst := New(m, 1)
+						mix.fill(rng, dst.Data)
+						what := fmt.Sprintf("MulABTBiasTo %s m=%d k=%d bias=%v", mix.name, m, kk, bias)
+						requireSameBits(t, what, MulABTBiasTo(dst, a, w, b).Data, refABT(a, w, b))
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestKernelShapePanics(t *testing.T) {
@@ -233,11 +358,12 @@ func TestKernelShapePanics(t *testing.T) {
 		"MulTo":              func() { MulTo(New(2, 5), a, b) },
 		"MulABTBiasTo":       func() { MulABTBiasTo(New(2, 4), a, b, make([]float64, 4)) },
 		"MulATBAddTo":        func() { MulATBAddTo(New(3, 5), a, b) },
-		"AddTo":              func() { AddTo(New(2, 3), a, b) },
 		"Resize":             func() { New(1, 1).Resize(0, 2) },
 		"MulABTBiasTo/bias":  func() { MulABTBiasTo(New(2, 4), a, New(4, 3), two) },
-		"AdamStep":           func() { AdamStep(two, three, two, two, 0.9, 0.999, 1, 1, 1, 1e-8) },
+		"AdamStep":           func() { AdamStep(two, three, two, two, 1, 0.9, 0.999, 1, 1, 1, 1e-8) },
 		"TanhTo":             func() { TanhTo(two, three) },
+		"TanhGradTo":         func() { TanhGradTo(two, two, three) },
+		"AddColSumTo":        func() { AddColSumTo(two, a) },
 		"MulAddTo/short":     func() { MulAddTo(New(2, 4), short, New(3, 4)) },
 		"MulATBAddTo/short":  func() { MulATBAddTo(New(3, 4), short, New(2, 4)) },
 		"MulABTBiasTo/short": func() { MulABTBiasTo(New(2, 4), short, New(4, 3), make([]float64, 4)) },
@@ -284,18 +410,21 @@ func TestKernelsAllocationFree(t *testing.T) {
 		dstMul := New(20, 16)
 		dstATB := New(20, 16)
 		row, dstRow := randMat(rng, 1, 24), New(1, 64)
+		head, dstHead := randMat(rng, 1, 24), New(20, 1)
 		bias := make([]float64, 64)
 		cs := make([]float64, 24)
 		dy := randMat(rng, 24, 20)
 		p, g, m, v := make([]float64, 30), make([]float64, 30), make([]float64, 30), make([]float64, 30)
 		for name, fn := range map[string]func(){
-			"MulTo":            func() { MulTo(dstMul, a, b) },
-			"MulABTBiasTo":     func() { MulABTBiasTo(dstABT, a, w, bias) },
-			"MulATBAddTo":      func() { MulATBAddTo(dstATB, dy, b) },
-			"AddColSumTo":      func() { AddColSumTo(cs, a) },
-			"MulABTBiasTo/row": func() { MulABTBiasTo(dstRow, row, w, bias) },
-			"AdamStep":         func() { AdamStep(p, g, m, v, 0.9, 0.999, 1e-3, 0.1, 0.001, 1e-8) },
-			"TanhTo":           func() { TanhTo(m, p) },
+			"MulTo":             func() { MulTo(dstMul, a, b) },
+			"MulABTBiasTo":      func() { MulABTBiasTo(dstABT, a, w, bias) },
+			"MulATBAddTo":       func() { MulATBAddTo(dstATB, dy, b) },
+			"AddColSumTo":       func() { AddColSumTo(cs, a) },
+			"MulABTBiasTo/row":  func() { MulABTBiasTo(dstRow, row, w, bias) },
+			"MulABTBiasTo/unit": func() { MulABTBiasTo(dstHead, a, head, bias[:1]) },
+			"AdamStep":          func() { AdamStep(p, g, m, v, 0.5, 0.9, 0.999, 1e-3, 0.1, 0.001, 1e-8) },
+			"TanhTo":            func() { TanhTo(m, p) },
+			"TanhGradTo":        func() { TanhGradTo(g, p, m) },
 		} {
 			if n := testing.AllocsPerRun(10, fn); n != 0 {
 				t.Errorf("%s allocates %v times per call, want 0", name, n)

@@ -44,10 +44,13 @@ func gemmAccAVX2(c, a, b *float64, m, kk, n, ars, aks int)
 func mulABTAVX2(c, a, b, bias *float64, m, kk, n int)
 
 //go:noescape
-func adamAVX2(p, grad, m, v *float64, n int, beta1, omb1, beta2, omb2, lr, c1, c2, eps float64)
+func adamAVX2(p, grad, m, v *float64, n int, scale, beta1, omb1, beta2, omb2, lr, c1, c2, eps float64, c1One bool)
 
 //go:noescape
 func tanhAVX2(dst, src *float64, n int)
+
+//go:noescape
+func tanhGradAVX2(dst, grad, out *float64, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

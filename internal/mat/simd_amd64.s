@@ -1,17 +1,20 @@
 #include "textflag.h"
 
 // AVX2 kernels for the actor-critic's hot loops: the GEMMs of the PPO
-// update, the A·Bᵀ product behind every forward pass, Adam and tanh. In
-// the GEMM, A·Bᵀ and Adam kernels every lane is one independent
-// destination element, every multiply-add is a VMULPD then a VADDPD
-// (never a fused VFMADD, which rounds once), and every destination
-// element keeps its single k-ascending accumulator, so each result is
-// bit-identical to the scalar Go loops in kernels.go and optim.go. The
-// A·Bᵀ kernel's shuffles (VINSERTF128, VUNPCKLPD/VUNPCKHPD) only move
-// operands into those lanes. The tanh kernel instead mirrors
-// math.Tanh lane by lane, fusing exactly the multiply-adds math.Exp's
-// amd64 assembly fuses on an AVX+FMA CPU; kernels.go runs it only where a
-// check at package init finds it equal to math.Tanh.
+// update (the bias gradient 1ᵀ·dY among them), the A·Bᵀ product behind
+// every forward pass (a one-unit head's too, with its operands swapped),
+// Adam, tanh and the tanh derivative. In the GEMM, A·Bᵀ, Adam and
+// tanh-derivative kernels every lane is one independent destination
+// element, every multiply-add is a VMULPD then a VADDPD (never a fused
+// VFMADD, which rounds once), and every destination element keeps its
+// single k-ascending accumulator, so each result is bit-identical to the
+// scalar Go loops in kernels.go. The A·Bᵀ kernel's shuffles
+// (VINSERTF128, VUNPCKLPD/VUNPCKHPD) only move operands into those
+// lanes. The Adam kernel drops only a division that IEEE 754 makes
+// exact: by the bias correction c1 once it is exactly 1. The tanh kernel
+// instead mirrors math.Tanh lane by lane, fusing exactly the multiply-adds
+// math.Exp's amd64 assembly fuses on an AVX+FMA CPU; kernels.go runs it
+// only where a check at package init finds it equal to math.Tanh.
 
 // func gemmAccAVX2(c, a, b *float64, m, kk, n, ars, aks int)
 //
@@ -503,45 +506,55 @@ abtDone:
 	VZEROUPPER
 	RET
 
-// func adamAVX2(p, grad, m, v *float64, n int, beta1, omb1, beta2, omb2, lr, c1, c2, eps float64)
+// func adamAVX2(p, grad, m, v *float64, n int, scale, beta1, omb1, beta2, omb2, lr, c1, c2, eps float64, c1One bool)
 //
 // One bias-corrected Adam step over the first n elements, n a positive
-// multiple of 4, in optim.go's operation order:
+// multiple of 4, in kernels.go's operation order:
 //
-//	m = (β1·m) + ((1−β1)·g)
-//	v = (β2·v) + (((1−β2)·g)·g)
+//	ĝ = g·scale, then g = +0
+//	m = (β1·m) + ((1−β1)·ĝ)
+//	v = (β2·v) + (((1−β2)·ĝ)·ĝ)
 //	p = p − ((lr·(m/c1)) / (√(v/c2) + ε))
 //
-// with omb1 = 1−β1 and omb2 = 1−β2 computed by the caller. VDIVPD and
-// VSQRTPD round correctly, so each lane equals DIVSD/SQRTSD.
-TEXT ·adamAVX2(SB), NOSPLIT, $0-104
+// with omb1 = 1−β1 and omb2 = 1−β2 computed by the caller. The division
+// by c1 is skipped when c1One holds (c1 is exactly 1, so m/c1 = m).
+// VDIVPD and VSQRTPD round correctly, so each lane equals DIVSD/SQRTSD.
+TEXT ·adamAVX2(SB), NOSPLIT, $0-113
 	MOVQ p+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ m+16(FP), DX
 	MOVQ v+24(FP), R8
 	MOVQ n+32(FP), CX
-	VBROADCASTSD beta1+40(FP), Y8
-	VBROADCASTSD omb1+48(FP), Y9
-	VBROADCASTSD beta2+56(FP), Y10
-	VBROADCASTSD omb2+64(FP), Y11
-	VBROADCASTSD lr+72(FP), Y12
-	VBROADCASTSD c1+80(FP), Y13
-	VBROADCASTSD c2+88(FP), Y14
-	VBROADCASTSD eps+96(FP), Y15
+	VBROADCASTSD scale+40(FP), Y6
+	VBROADCASTSD beta1+48(FP), Y8
+	VBROADCASTSD omb1+56(FP), Y9
+	VBROADCASTSD beta2+64(FP), Y10
+	VBROADCASTSD omb2+72(FP), Y11
+	VBROADCASTSD lr+80(FP), Y12
+	VBROADCASTSD c1+88(FP), Y13
+	VBROADCASTSD c2+96(FP), Y14
+	VBROADCASTSD eps+104(FP), Y15
+	MOVBQZX      c1One+112(FP), R9
+	VXORPD       Y7, Y7, Y7
 	XORQ         AX, AX
 
 adamLoop:
-	VMOVUPD (SI)(AX*8), Y0         // g
+	VMULPD  (SI)(AX*8), Y6, Y0     // ĝ = g·scale
+	VMOVUPD Y7, (SI)(AX*8)         // g = +0
 	VMULPD  (DX)(AX*8), Y8, Y1     // β1·m
-	VMULPD  Y0, Y9, Y2             // (1−β1)·g
+	VMULPD  Y0, Y9, Y2             // (1−β1)·ĝ
 	VADDPD  Y2, Y1, Y1             // m
 	VMOVUPD Y1, (DX)(AX*8)
 	VMULPD  (R8)(AX*8), Y10, Y3    // β2·v
-	VMULPD  Y0, Y11, Y4            // (1−β2)·g
-	VMULPD  Y0, Y4, Y4             // ((1−β2)·g)·g
+	VMULPD  Y0, Y11, Y4            // (1−β2)·ĝ
+	VMULPD  Y0, Y4, Y4             // ((1−β2)·ĝ)·ĝ
 	VADDPD  Y4, Y3, Y3             // v
 	VMOVUPD Y3, (R8)(AX*8)
+	TESTQ   R9, R9
+	JNZ     adamC2
 	VDIVPD  Y13, Y1, Y1            // m/c1
+
+adamC2:
 	VDIVPD  Y14, Y3, Y3            // v/c2
 	VSQRTPD Y3, Y3
 	VADDPD  Y15, Y3, Y3            // √(v/c2) + ε
@@ -713,6 +726,33 @@ tanhStore:
 	ADDQ    $4, AX
 	CMPQ    AX, CX
 	JLT     tanhLoop
+
+	VZEROUPPER
+	RET
+
+// func tanhGradAVX2(dst, grad, out *float64, n int)
+//
+// dst[i] = grad[i]·(1 − out[i]·out[i]) for the first n elements, n a
+// positive multiple of 4, four lanes at a time: VMULPD, VSUBPD and
+// VMULPD, kernels.go's TanhGradTo loop operation for operation. dst may
+// be grad or out.
+TEXT ·tanhGradAVX2(SB), NOSPLIT, $0-32
+	MOVQ    dst+0(FP), DI
+	MOVQ    grad+8(FP), SI
+	MOVQ    out+16(FP), DX
+	MOVQ    n+24(FP), CX
+	VMOVUPD tanhconst<>+T_ONE(SB), Y2
+	XORQ    AX, AX
+
+tanhGradLoop:
+	VMOVUPD (DX)(AX*8), Y0
+	VMULPD  Y0, Y0, Y0         // o·o
+	VSUBPD  Y0, Y2, Y0         // 1 − o·o
+	VMULPD  (SI)(AX*8), Y0, Y0 // g·(1 − o·o)
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JLT     tanhGradLoop
 
 	VZEROUPPER
 	RET

@@ -16,10 +16,14 @@ func mulABTAVX2(c, a, b, bias *float64, m, kk, n int) {
 	panic("mat: AVX2 kernel called on a non-amd64 build")
 }
 
-func adamAVX2(p, grad, m, v *float64, n int, beta1, omb1, beta2, omb2, lr, c1, c2, eps float64) {
+func adamAVX2(p, grad, m, v *float64, n int, scale, beta1, omb1, beta2, omb2, lr, c1, c2, eps float64, c1One bool) {
 	panic("mat: AVX2 kernel called on a non-amd64 build")
 }
 
 func tanhAVX2(dst, src *float64, n int) {
+	panic("mat: AVX2 kernel called on a non-amd64 build")
+}
+
+func tanhGradAVX2(dst, grad, out *float64, n int) {
 	panic("mat: AVX2 kernel called on a non-amd64 build")
 }

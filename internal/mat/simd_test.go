@@ -138,10 +138,13 @@ func TestMulABTKernelsBitwise(t *testing.T) {
 	})
 }
 
-// refAdam is optim.go's scalar Adam loop, the order AdamStep's SIMD lanes
-// must reproduce.
-func refAdam(p, grad, m, v []float64, beta1, beta2, lr, c1, c2, eps float64) {
+// refAdam is the textbook Adam loop AdamStep's SIMD lanes must
+// reproduce: the gradient times gradScale, then every division in place,
+// and the gradient reset to +0.
+func refAdam(p, grad, m, v []float64, gradScale, beta1, beta2, lr, c1, c2, eps float64) {
 	for i, g := range grad {
+		g *= gradScale
+		grad[i] = 0
 		m[i] = beta1*m[i] + (1-beta1)*g
 		v[i] = beta2*v[i] + (1-beta2)*g*g
 		mHat := m[i] / c1
@@ -150,42 +153,81 @@ func refAdam(p, grad, m, v []float64, beta1, beta2, lr, c1, c2, eps float64) {
 	}
 }
 
-// TestAdamStepMatchesScalarLoop runs AdamStep and the scalar reference
-// side by side for hundreds of steps, on lengths that leave every
-// remainder mod 4, with gradients that are all zero on some steps, zero
-// per element on others, and span many magnitudes (subnormals included),
-// comparing parameters and both moments bit for bit after every step.
+// adamTestSteps lists the Adam steps TestAdamStepMatchesScalarLoop
+// takes: 1–300, then the steps around 356, from which c1 = 1−0.9ᵗ is
+// exactly 1.
+func adamTestSteps() []int {
+	var steps []int
+	for s := 1; s <= 300; s++ {
+		steps = append(steps, s)
+	}
+	for s := 350; s <= 362; s++ {
+		steps = append(steps, s)
+	}
+	return steps
+}
+
+// TestAdamStepMatchesScalarLoop runs AdamStep and the textbook loop side
+// by side over adamTestSteps, on lengths that leave every remainder mod
+// 4, at gradient scales 1 (no clipping), a clip factor, 0 and a
+// subnormal, with gradients drawn from every valueMixes fill, all zero on
+// some steps and spanning many magnitudes, subnormals included. After
+// every step parameters and both moments must match bit for bit, and
+// every gradient must read +0. From step 350 on the parameters restart
+// at +0 before each step, so they read back the step itself.
 func TestAdamStepMatchesScalarLoop(t *testing.T) {
 	const beta1, beta2, eps = 0.9, 0.999, 1e-8
+	steps := adamTestSteps()
+	if c355, c356 := 1-math.Pow(beta1, 355), 1-math.Pow(beta1, 356); c355 == 1 || c356 != 1 {
+		t.Fatalf("c1 at steps 355/356 = %v/%v, want <1 then exactly 1", c355, c356)
+	}
 	forEachKernelPath(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(12))
-		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 64, 67} {
-			for _, lr := range []float64{1e-5, 3e-4} {
-				p, m, v := make([]float64, n), make([]float64, n), make([]float64, n)
-				for i := range p {
-					p[i] = rng.NormFloat64()
-				}
-				refP, refM, refV := append([]float64(nil), p...), make([]float64, n), make([]float64, n)
-				g := make([]float64, n)
-				for step := 1; step <= 300; step++ {
-					for i := range g {
-						switch {
-						case step%7 == 0, rng.Intn(5) == 0:
-							g[i] = 0
-						case rng.Intn(10) == 0:
-							g[i] = 5e-324 * float64(rng.Intn(100))
-						default:
-							g[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(13)-8))
+		for _, mix := range valueMixes {
+			for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 64, 67} {
+				for _, lr := range []float64{1e-5, 3e-4} {
+					for _, scale := range []float64{1, 0.37, 0, 5e-324} {
+						p, m, v := make([]float64, n), make([]float64, n), make([]float64, n)
+						for i := range p {
+							p[i] = rng.NormFloat64()
+						}
+						refP, refM, refV := append([]float64(nil), p...), make([]float64, n), make([]float64, n)
+						g, refG := make([]float64, n), make([]float64, n)
+						for _, step := range steps {
+							mix.fill(rng, g)
+							for i := range g {
+								switch {
+								case step%7 == 0, rng.Intn(5) == 0:
+									g[i] = 0
+								case rng.Intn(10) == 0:
+									g[i] = 5e-324 * float64(rng.Intn(100))
+								default:
+									g[i] *= math.Pow(10, float64(rng.Intn(13)-8))
+								}
+							}
+							copy(refG, g)
+							if step >= 350 {
+								// Read the step itself back: a division by c1
+								// skipped one step early changes m/c1 by an ulp,
+								// which p of magnitude 1 would round away.
+								clear(p)
+								clear(refP)
+							}
+							c1 := 1 - math.Pow(beta1, float64(step))
+							c2 := 1 - math.Pow(beta2, float64(step))
+							AdamStep(p, g, m, v, scale, beta1, beta2, lr, c1, c2, eps)
+							refAdam(refP, refG, refM, refV, scale, beta1, beta2, lr, c1, c2, eps)
+							what := fmt.Sprintf("%s n=%d lr=%g scale=%g step %d", mix.name, n, lr, scale, step)
+							requireSameBits(t, "p "+what, p, refP)
+							requireSameBits(t, "m "+what, m, refM)
+							requireSameBits(t, "v "+what, v, refV)
+							for i, gi := range g {
+								if math.Float64bits(gi) != 0 {
+									t.Fatalf("g %s: element %d = %v after the step, want +0", what, i, gi)
+								}
+							}
 						}
 					}
-					c1 := 1 - math.Pow(beta1, float64(step))
-					c2 := 1 - math.Pow(beta2, float64(step))
-					AdamStep(p, g, m, v, beta1, beta2, lr, c1, c2, eps)
-					refAdam(refP, g, refM, refV, beta1, beta2, lr, c1, c2, eps)
-					what := fmt.Sprintf("n=%d lr=%g step %d", n, lr, step)
-					requireSameBits(t, "p "+what, p, refP)
-					requireSameBits(t, "m "+what, m, refM)
-					requireSameBits(t, "v "+what, v, refV)
 				}
 			}
 		}

@@ -103,13 +103,10 @@ func (a *activationLayer) apply(dst, x []float64) {
 
 // backward writes grad times the derivative into dst, reading the cached
 // inputs in (ReLU, softplus) or outputs out (the others). Tanh, the
-// paper's hidden activation, is one g·(1−out²) loop.
+// paper's hidden activation, is mat.TanhGradTo's g·(1−out²).
 func (a *activationLayer) backward(dst, grad, in, out []float64) {
 	if a.kind == ActTanh {
-		for i, g := range grad {
-			o := out[i]
-			dst[i] = g * (1 - o*o)
-		}
+		mat.TanhGradTo(dst, grad, out)
 		return
 	}
 	cached := out
@@ -150,7 +147,7 @@ func activate(kind Activation, v float64) float64 {
 
 // activateDeriv evaluates d activate/dv from the cached value c its kind
 // reads: the input v for ReLU and softplus, the output for identity and
-// sigmoid. Tanh's derivative is inlined in backward.
+// sigmoid. Tanh's derivative is mat.TanhGradTo, in backward.
 func activateDeriv(kind Activation, c float64) float64 {
 	switch kind {
 	case ActIdentity:

@@ -251,7 +251,7 @@ func TestForwardBatchTracksWeightChanges(t *testing.T) {
 				p.Grad[i] = rng.NormFloat64()
 			}
 		}
-		opt.Step(l.Params())
+		opt.Step(l.Params(), 1)
 		l.w.Value[round] = math.Copysign(0, -1)
 	}
 }

@@ -28,7 +28,7 @@ func fullCheckpoint(t testing.TB) *Checkpoint {
 				p.Grad[i] = rng.NormFloat64()
 			}
 		}
-		opt.Step(params)
+		opt.Step(params, 1)
 	}
 	ck, err := Snapshot(params)
 	if err != nil {
@@ -74,7 +74,7 @@ func largeCheckpoint(t testing.TB) *Checkpoint {
 			p.Grad[i] = rng.NormFloat64()
 		}
 	}
-	opt.Step(params)
+	opt.Step(params, 1)
 	ck, err := Snapshot(params)
 	if err != nil {
 		t.Fatal(err)

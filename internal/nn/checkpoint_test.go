@@ -49,7 +49,7 @@ func TestFullCheckpointRoundTrip(t *testing.T) {
 				p.Grad[i] = rng.NormFloat64()
 			}
 		}
-		opt.Step(params)
+		opt.Step(params, 1)
 	}
 
 	ck, err := Snapshot(params)
@@ -135,7 +135,7 @@ func TestAdamRestoredStateContinuesIdentically(t *testing.T) {
 	}
 	apply := func(opt *Adam, params []*Param, g []float64) {
 		copy(params[0].Grad, g)
-		opt.Step(params)
+		opt.Step(params, 1)
 	}
 	for i := 0; i < 10; i++ {
 		apply(contOpt, cont, grads[i])

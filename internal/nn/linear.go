@@ -53,18 +53,32 @@ func (l *Linear) ForwardBatch(x *mat.Matrix) *mat.Matrix {
 	return &l.outMat
 }
 
-// BackwardBatch accumulates dW += dYᵀ·X and db += column sums of dY, and
-// returns dX = dY·W. Gradient contributions are accumulated row-ascending
-// (dW += dy⊗x and db += dy one row at a time, each element k-ascending
-// from its current value), so one call over a batch is bit-identical to
-// one-row calls over its rows in order. Element (i, j) of dX sums
-// dy[i][k]·W[k][j] over k ascending from +0. The returned matrix is owned
-// by the layer.
+// BackwardBatch accumulates dW += dYᵀ·X and db += 1ᵀ·dY (the column sums
+// of dY), and returns dX = dY·W. Gradient contributions are accumulated
+// row-ascending (dW += dy⊗x and db += dy one row at a time, each element
+// k-ascending from its current value), so one call over a batch is
+// bit-identical to one-row calls over its rows in order. Element (i, j)
+// of dX sums dy[i][k]·W[k][j] over k ascending from +0. The returned
+// matrix is owned by the layer.
 func (l *Linear) BackwardBatch(grad *mat.Matrix) *mat.Matrix {
 	l.AccumulateGradsBatch(grad)
 	l.gradMat.Resize(grad.Rows, l.in)
 	mat.MulTo(&l.gradMat, grad, &l.wView)
 	return &l.gradMat
+}
+
+// BackwardBatchAdd is BackwardBatch that adds the input gradient into
+// dx, dx += dY·W, instead of returning it in a layer-owned matrix; the
+// parameter gradients get the same bits. Each element of dx takes the
+// out terms k-ascending from its current value. For a one-output layer
+// and a dx that a MulTo computed from +0 (another layer's
+// BackwardBatch), that is dx + y for the single product y, which has the
+// bits of dx + (+0 + y), the sum of the two separately computed input
+// gradients: they differ only at y = −0, and x + (−0) = x + (+0) = x for
+// every x ≠ −0, which a sum from +0 never is.
+func (l *Linear) BackwardBatchAdd(grad, dx *mat.Matrix) {
+	l.AccumulateGradsBatch(grad)
+	mat.MulAddTo(dx, grad, &l.wView)
 }
 
 // AccumulateGradsBatch is BackwardBatch without the input gradient: it

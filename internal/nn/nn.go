@@ -6,8 +6,9 @@
 // policy acting on one observation runs it as a batch of one, and a
 // learner runs it over a minibatch and then BackwardBatch over the same
 // rows. Gradients are computed only by BackwardBatch, and a one-row
-// batch is the per-sample case. Gradients accumulate across calls until
-// ZeroGrads; an optimizer step then applies them.
+// batch is the per-sample case. Gradients start at zero and accumulate
+// across calls until an optimizer step (Adam.Step) applies them and
+// resets them to +0.
 package nn
 
 import (
@@ -17,8 +18,8 @@ import (
 )
 
 // Param is one learnable tensor: a flat value slice and its accumulated
-// gradient. Optimizers mutate Value in place; BackwardBatch accumulates
-// into Grad; ZeroGrads resets Grad.
+// gradient. BackwardBatch accumulates into Grad; Adam.Step updates Value
+// in place and resets Grad to +0.
 type Param struct {
 	// Name identifies the parameter for checkpoints, e.g. "trunk.l0.W".
 	Name string
@@ -32,15 +33,6 @@ type Param struct {
 // gradient.
 func newParam(name string, n int) *Param {
 	return &Param{Name: name, Value: make([]float64, n), Grad: make([]float64, n)}
-}
-
-// ZeroGrads resets the gradient of every parameter to zero.
-func ZeroGrads(params []*Param) {
-	for _, p := range params {
-		for i := range p.Grad {
-			p.Grad[i] = 0
-		}
-	}
 }
 
 // Module is a differentiable computation with learnable parameters.

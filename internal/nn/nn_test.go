@@ -56,9 +56,14 @@ func TestLinearGradAccumulates(t *testing.T) {
 	if got := l.Params()[0].Grad[0]; got != 4 {
 		t.Errorf("accumulated dW = %v, want 4", got)
 	}
-	ZeroGrads(l.Params())
-	if got := l.Params()[0].Grad[0]; got != 0 {
-		t.Errorf("after ZeroGrads dW = %v, want 0", got)
+	// An optimizer step consumes the gradients and leaves them at +0.
+	NewAdam(0.1).Step(l.Params(), 1)
+	for _, p := range l.Params() {
+		for i, g := range p.Grad {
+			if math.Float64bits(g) != 0 {
+				t.Errorf("after Adam.Step %s grad[%d] = %v, want +0", p.Name, i, g)
+			}
+		}
 	}
 }
 
@@ -126,8 +131,7 @@ func TestMLPGradCheck(t *testing.T) {
 		return c[0]*out[0] + c[1]*out[1]
 	}
 
-	// Analytic gradients.
-	ZeroGrads(m.Params())
+	// Analytic gradients, accumulated into the fresh stack's zeros.
 	backwardRow(m, x, c)
 
 	const h = 1e-6
@@ -178,8 +182,7 @@ func TestAdamDecreasesQuadratic(t *testing.T) {
 	opt := NewAdam(0.1)
 	for i := 0; i < 2000; i++ {
 		p.Grad[0] = 2 * (p.Value[0] - 3)
-		opt.Step([]*Param{p})
-		ZeroGrads([]*Param{p})
+		opt.Step([]*Param{p}, 1)
 	}
 	if !mathx.AlmostEqual(p.Value[0], 3, 1e-2) {
 		t.Errorf("Adam converged to %v, want 3", p.Value[0])
@@ -192,7 +195,7 @@ func TestAdamFirstStepIsLR(t *testing.T) {
 	for _, g := range []float64{1e-4, 1, 1e4} {
 		p := newParam("p", 1)
 		p.Grad[0] = g
-		NewAdam(0.01).Step([]*Param{p})
+		NewAdam(0.01).Step([]*Param{p}, 1)
 		if !mathx.AlmostEqual(-p.Value[0], 0.01, 1e-3) {
 			t.Errorf("first step with grad %v moved %v, want ~0.01", g, -p.Value[0])
 		}
@@ -208,22 +211,25 @@ func TestAdamValidation(t *testing.T) {
 	NewAdam(0)
 }
 
+// TestClipGradNorm checks the clip factor maxNorm/norm and that computing
+// it leaves the gradients alone: Adam.Step applies it.
 func TestClipGradNorm(t *testing.T) {
 	p := newParam("p", 2)
 	p.Grad[0], p.Grad[1] = 3, 4 // norm 5
-	pre := ClipGradNorm([]*Param{p}, 1)
-	if pre != 5 {
-		t.Errorf("pre-clip norm = %v, want 5", pre)
+	if got := ClipGradNorm([]*Param{p}, 1); got != 1.0/5 {
+		t.Errorf("clip factor = %v, want 1/5", got)
 	}
-	if got := math.Hypot(p.Grad[0], p.Grad[1]); !mathx.AlmostEqual(got, 1, 1e-12) {
-		t.Errorf("post-clip norm = %v, want 1", got)
+	if p.Grad[0] != 3 || p.Grad[1] != 4 {
+		t.Errorf("ClipGradNorm modified the gradients: %v", p.Grad)
 	}
 }
 
 func TestClipGradNormNoopBelowThreshold(t *testing.T) {
 	p := newParam("p", 2)
 	p.Grad[0], p.Grad[1] = 0.3, 0.4
-	ClipGradNorm([]*Param{p}, 1)
+	if got := ClipGradNorm([]*Param{p}, 1); got != 1 {
+		t.Errorf("clip factor below threshold = %v, want 1", got)
+	}
 	if p.Grad[0] != 0.3 || p.Grad[1] != 0.4 {
 		t.Errorf("clip modified gradients below threshold: %v", p.Grad)
 	}
@@ -232,9 +238,8 @@ func TestClipGradNormNoopBelowThreshold(t *testing.T) {
 func TestClipGradNormDisabled(t *testing.T) {
 	p := newParam("p", 1)
 	p.Grad[0] = 100
-	ClipGradNorm([]*Param{p}, 0)
-	if p.Grad[0] != 100 {
-		t.Error("maxNorm=0 must disable clipping")
+	if got := ClipGradNorm([]*Param{p}, 0); got != 1 {
+		t.Errorf("maxNorm=0 must disable clipping: factor %v, want 1", got)
 	}
 }
 
@@ -308,14 +313,13 @@ func TestTrainXORWithAdam(t *testing.T) {
 	targets := []float64{0, 1, 1, 0}
 	dy := mat.New(4, 1)
 	for epoch := 0; epoch < 2000; epoch++ {
-		ZeroGrads(m.Params())
 		out := m.ForwardBatch(inputs)
 		for i, target := range targets {
 			// L = (out - target)^2, dL/dout = 2(out-target)
 			dy.Data[i] = 2 * (out.Data[i] - target)
 		}
 		m.BackwardBatch(dy)
-		opt.Step(m.Params())
+		opt.Step(m.Params(), 1)
 	}
 	for i, target := range targets {
 		x := inputs.Row(i)

@@ -39,10 +39,12 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step applies one Adam update to every parameter from the gradients
-// currently stored in it. It does not zero the gradients; call ZeroGrads
-// after.
-func (a *Adam) Step(params []*Param) {
+// Step applies one Adam update to every parameter from its accumulated
+// gradient times gradScale, and resets every gradient to +0, so the next
+// BackwardBatch accumulates from zero. gradScale is ClipGradNorm's
+// factor, or 1 to apply the gradients as they are: each gradient is read
+// once, in mat.AdamStep's single pass over the parameter.
+func (a *Adam) Step(params []*Param, gradScale float64) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
@@ -53,7 +55,7 @@ func (a *Adam) Step(params []*Param) {
 			a.m[p] = m
 			a.v[p] = make([]float64, len(p.Value))
 		}
-		mat.AdamStep(p.Value, p.Grad, m, a.v[p], a.Beta1, a.Beta2, a.LR, c1, c2, a.Eps)
+		mat.AdamStep(p.Value, p.Grad, m, a.v[p], gradScale, a.Beta1, a.Beta2, a.LR, c1, c2, a.Eps)
 	}
 }
 
@@ -131,9 +133,12 @@ func (a *Adam) RestoreState(params []*Param, st *OptState) error {
 	return nil
 }
 
-// ClipGradNorm rescales all gradients in place so that their global L2 norm
-// does not exceed maxNorm, and returns the pre-clip norm. A maxNorm <= 0
-// disables clipping.
+// ClipGradNorm returns the factor that clips the gradients' global L2
+// norm to maxNorm: maxNorm/norm when the norm exceeds maxNorm, and 1 when
+// it does not, when it is 0, or when maxNorm <= 0 disables clipping. It
+// leaves the gradients unchanged; Adam.Step applies the factor as it
+// reads them, which stores the products an in-place rescale would. The
+// squares are summed serially, parameter by parameter in order.
 func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	var ss float64
 	for _, p := range params {
@@ -143,13 +148,7 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	}
 	norm := math.Sqrt(ss)
 	if maxNorm <= 0 || norm <= maxNorm || norm == 0 {
-		return norm
+		return 1
 	}
-	scale := maxNorm / norm
-	for _, p := range params {
-		for i := range p.Grad {
-			p.Grad[i] *= scale
-		}
-	}
-	return norm
+	return maxNorm / norm
 }

@@ -24,10 +24,9 @@ type ActorCritic struct {
 	params []*nn.Param
 
 	// scratch reused across calls, grown to the largest batch seen
-	meanOutB   mat.Matrix // batch×actDim, tanh-squashed means
-	meanGradB  mat.Matrix // batch×actDim
-	valueDyB   mat.Matrix // batch×1
-	trunkGradB mat.Matrix // batch×trunkOut
+	meanOutB  mat.Matrix // batch×actDim, tanh-squashed means
+	meanGradB mat.Matrix // batch×actDim
+	valueDyB  mat.Matrix // batch×1
 }
 
 // NewActorCritic builds the network. hidden lists the hidden-layer widths
@@ -106,17 +105,14 @@ func (ac *ActorCritic) BackwardBatch(dMean, dLogStd *mat.Matrix, dValue []float6
 			dMean.Rows, dLogStd.Rows, len(dValue), batch))
 	}
 	ac.meanGradB.Resize(batch, ac.actDim)
-	for i, g := range dMean.Data {
-		sq := ac.meanOutB.Data[i]
-		ac.meanGradB.Data[i] = g * (1 - sq*sq)
-	}
-	gm := ac.meanHd.BackwardBatch(&ac.meanGradB)
+	mat.TanhGradTo(ac.meanGradB.Data, dMean.Data, ac.meanOutB.Data)
+	g := ac.meanHd.BackwardBatch(&ac.meanGradB)
 	ac.valueDyB.Resize(batch, 1)
 	copy(ac.valueDyB.Data, dValue)
-	gv := ac.valueHd.BackwardBatch(&ac.valueDyB)
-	ac.trunkGradB.Resize(batch, gm.Cols)
-	mat.AddTo(&ac.trunkGradB, gm, gv)
-	g := &ac.trunkGradB
+	// The one-unit value head adds its input gradient into the mean
+	// head's, which has the bits of adding the two (nn.Linear's
+	// BackwardBatchAdd says why).
+	ac.valueHd.BackwardBatchAdd(&ac.valueDyB, g)
 	for i := len(ac.trunk) - 1; i > 0; i-- {
 		g = ac.trunk[i].BackwardBatch(g)
 	}

@@ -42,8 +42,14 @@ func (e *allocEnv) Step(action []float64) ([]float64, float64, bool) {
 // newAllocAgent builds a paper-sized learner plus a filled rollout buffer.
 func newAllocAgent(tb testing.TB) (*PPO, *Rollout, *allocEnv) {
 	tb.Helper()
+	return newAllocAgentWith(tb, DefaultPPOConfig())
+}
+
+// newAllocAgentWith is newAllocAgent with the learner built from cfg.
+func newAllocAgentWith(tb testing.TB, cfg PPOConfig) (*PPO, *Rollout, *allocEnv) {
+	tb.Helper()
 	env := newAllocEnv(12)
-	agent := NewPPO(12, 1, []float64{0}, []float64{1}, DefaultPPOConfig())
+	agent := NewPPO(12, 1, []float64{0}, []float64{1}, cfg)
 	buf := NewRollout(100)
 	obs := env.Reset()
 	for k := 0; k < 100; k++ {

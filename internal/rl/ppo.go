@@ -143,6 +143,9 @@ func (c PPOConfig) validate() {
 // normalized samples.
 type PPO struct {
 	cfg PPOConfig
+	// fp is cfg.Fingerprint(), formatted once: every Snapshot and
+	// Restore compares or records it, and cfg never changes.
+	fp  string
 	net *ActorCritic
 	opt *nn.Adam
 	// rng draws exclusively from src, a counting source, so the whole
@@ -185,10 +188,12 @@ func NewPPO(obsDim, actDim int, actLo, actHi []float64, cfg PPOConfig) *PPO {
 			panic(fmt.Sprintf("rl: action bound %d inverted: [%g, %g]", i, actLo[i], actHi[i]))
 		}
 	}
+	cfg.Hidden = append([]int(nil), cfg.Hidden...)
 	src := mathx.NewCountingSource(cfg.Seed)
 	rng := rand.New(src)
 	return &PPO{
 		cfg:     cfg,
+		fp:      cfg.Fingerprint(),
 		net:     NewActorCritic(obsDim, actDim, cfg.Hidden, cfg.Activation, cfg.InitLogStd, rng),
 		opt:     nn.NewAdam(cfg.LR),
 		rng:     rng,
@@ -230,7 +235,7 @@ func (p *PPO) Snapshot() (*nn.Checkpoint, error) {
 		return nil, err
 	}
 	ck.RNG = &nn.RNGState{Seed: p.rngSeed, Calls: p.src.Calls(), State: p.src.StateSnapshot()}
-	ck.Meta = &nn.TrainMeta{PPO: p.cfg.Fingerprint()}
+	ck.Meta = &nn.TrainMeta{PPO: p.fp}
 	return ck, nil
 }
 
@@ -248,8 +253,8 @@ func (p *PPO) Restore(ck *nn.Checkpoint) error {
 	if err := ck.Validate(); err != nil {
 		return err
 	}
-	if ck.Meta.PPO != "" && ck.Meta.PPO != p.cfg.Fingerprint() {
-		return fmt.Errorf("rl: checkpoint was trained under different learner hyper-parameters\n  checkpoint: %s\n  learner:    %s", ck.Meta.PPO, p.cfg.Fingerprint())
+	if ck.Meta.PPO != "" && ck.Meta.PPO != p.fp {
+		return fmt.Errorf("rl: checkpoint was trained under different learner hyper-parameters\n  checkpoint: %s\n  learner:    %s", ck.Meta.PPO, p.fp)
 	}
 	// Validate the optimizer section against the live parameters before
 	// touching them, so a failed restore leaves the learner unchanged.
@@ -472,10 +477,13 @@ func (p *PPO) Update(buf *Rollout) UpdateStats {
 // every selected rollout step at once, and no other forward pass runs
 // between the two — with gradient accumulation ordered row-ascending, so
 // the result is bit-identical to one-row passes over the minibatch in
-// order (contract rule 1).
+// order (contract rule 1). Every gradient is +0 on entry: a new network
+// starts so, and each Adam step resets what it consumed. The clip factor
+// is applied inside that step, so after the backward pass the optimizer
+// reads each gradient twice (the norm, then the step) and writes it once
+// (the reset).
 func (p *PPO) updateMiniBatch(steps []Transition, batch []int, stats *UpdateStats) {
 	params := p.net.Params()
-	nn.ZeroGrads(params)
 	scale := 1 / float64(len(batch))
 
 	b := len(batch)
@@ -506,8 +514,7 @@ func (p *PPO) updateMiniBatch(steps []Transition, batch []int, stats *UpdateStat
 
 	p.net.BackwardBatch(&p.dMeanB, &p.dLogStdB, p.dValueB)
 
-	nn.ClipGradNorm(params, p.cfg.MaxGradNorm)
-	p.opt.Step(params)
+	p.opt.Step(params, nn.ClipGradNorm(params, p.cfg.MaxGradNorm))
 	p.clampLogStd()
 }
 

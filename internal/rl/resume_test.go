@@ -398,4 +398,15 @@ func TestPPOFingerprintStable(t *testing.T) {
 	if got := cfg.Fingerprint(); got != custom {
 		t.Errorf("custom fingerprint\n  got:  %s\n  want: %s", got, custom)
 	}
+	// A learner formats its fingerprint once, at construction; snapshots
+	// carry that string, and the caller's Hidden slice is not shared.
+	agent := NewPPO(3, 1, []float64{0}, []float64{1}, cfg)
+	cfg.Hidden[0] = 9
+	ck, err := agent.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := ck.Meta.PPO, agent.Config().Fingerprint(); got != want || got != custom {
+		t.Errorf("Snapshot().Meta.PPO = %s, want Config().Fingerprint() = %s = %s", got, want, custom)
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 
 	"vtmig/internal/nn"
 )
@@ -17,11 +19,33 @@ import (
 // ".tmp", which neither recovery nor replicas ever open. The journal
 // header names the ordinal it extends, so recovery never guesses which
 // checkpoint a journal belongs to.
-const checkpointPattern = "checkpoint-%06d.bin"
+const (
+	checkpointPrefix  = "checkpoint-"
+	checkpointSuffix  = ".bin"
+	checkpointPattern = checkpointPrefix + "%06d" + checkpointSuffix
+)
 
 // checkpointPath returns the file a given snapshot ordinal lives at.
 func checkpointPath(dir string, snapshots int) string {
 	return filepath.Join(dir, fmt.Sprintf(checkpointPattern, snapshots))
+}
+
+// checkpointOrdinal parses the snapshot ordinal out of a checkpoint file
+// name. checkpointPattern pads to six digits but does not stop there:
+// ordinal 1,000,000 is checkpoint-1000000.bin, so the digits run from
+// the prefix to the suffix, however many there are. ok is false for any
+// other name.
+func checkpointOrdinal(name string) (n int, ok bool) {
+	digits, ok := strings.CutPrefix(name, checkpointPrefix)
+	if !ok {
+		return 0, false
+	}
+	digits, ok = strings.CutSuffix(digits, checkpointSuffix)
+	if !ok || digits == "" || digits[0] < '0' || digits[0] > '9' {
+		return 0, false
+	}
+	n, err := strconv.Atoi(digits)
+	return n, err == nil
 }
 
 // checkpointCRC returns the value a journal header binds a checkpoint
@@ -123,8 +147,8 @@ func pruneCheckpoints(dir string, bound, keep int) error {
 	}
 	var firstErr error
 	for _, m := range matches {
-		var n int
-		if _, err := fmt.Sscanf(filepath.Base(m), checkpointPattern, &n); err != nil {
+		n, ok := checkpointOrdinal(filepath.Base(m))
+		if !ok {
 			continue // not ours
 		}
 		if n <= bound-keep {

@@ -271,8 +271,8 @@ func latestCheckpoint(dir string) (string, int, error) {
 	}
 	best, bestOrdinal := "", -1
 	for _, p := range paths {
-		var n int
-		if _, err := fmt.Sscanf(filepath.Base(p), checkpointPattern, &n); err != nil {
+		n, ok := checkpointOrdinal(filepath.Base(p))
+		if !ok {
 			continue
 		}
 		if n > bestOrdinal {
