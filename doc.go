@@ -185,9 +185,12 @@
 //     journal to it and prunes. So the journal extends the checkpoint one
 //     rotation back, and both the switch and a checkpoint's publication
 //     fall on a round fixed by the request stream, never on goroutine
-//     timing. A failed rotation is counted in Stats.RotateErrors at the
-//     next boundary, and the journal keeps extending the checkpoint it
-//     binds. The journal header binds its checkpoint by snapshot
+//     timing. The switch and the prune only drop names: the persistence
+//     goroutine closes the superseded journal and the pruned checkpoint,
+//     freeing their inodes, after its next job. A failed rotation is
+//     counted in Stats.RotateErrors at the next boundary, and the
+//     journal keeps extending the checkpoint it binds. The journal
+//     header binds its checkpoint by snapshot
 //     ordinal and body CRC-32 plus a fingerprint of the reference game,
 //     so recovery is rule 6's strictly-or-not-at-all: reopening the state
 //     directory restores the bound checkpoint and replays the journaled
@@ -225,10 +228,12 @@
 // /v1/stats, /healthz surface; a quote body must be exactly one JSON
 // object. `make serve-smoke` pins the batched crash-recovery
 // bit-identity, the rule-8 batch-size tables, the replica identity, and
-// — ten times over — the rotation pipeline's crash-window table and
-// failure path under the race detector; cmd/vtmig-loadgen records
-// serving throughput and latency percentiles — per target, across a
-// primary and its replicas — into the BENCH_pr*.json files.
+// — ten times over — the rotation pipeline's crash-window table,
+// failure path and file lifecycle under the race detector.
+// cmd/vtmig-loadgen measures serving throughput and latency percentiles
+// per target, across a primary and its replicas, and prints a report or
+// writes it to -out; the BENCH_pr*.json recordings come from
+// `bash bench/run.sh`.
 //
 // # Scenarios
 //
@@ -416,5 +421,7 @@
 //
 // The repository's end-to-end benchmark is the separate module in bench/
 // (`bash bench/run.sh`, declared by BENCHMARK.json). BENCH_seed.json and
-// BENCH_pr*.json are earlier microbenchmark recordings, kept as history.
+// BENCH_pr1–10.json are earlier microbenchmark recordings, and
+// BENCH_pr18.json on record `bash bench/run.sh` runs; all are kept as
+// history.
 package vtmig

@@ -4,10 +4,9 @@
 // migration, together with the immersion function that maps AoTM to VMU
 // benefit.
 //
-// Units follow the reproduction's calibration (see DESIGN.md): data sizes
-// are expressed in units of 100 MB and bandwidth in MHz, so that the
-// paper's reported equilibrium prices, demands, and utilities are
-// reproduced exactly.
+// Units: data sizes are expressed in units of 100 MB and bandwidth in
+// MHz; the figures plot bandwidth on the paper's 10 kHz axis, multiplied
+// by experiments.BandwidthDisplayScale (100).
 package aotm
 
 import (

@@ -12,8 +12,8 @@ import (
 )
 
 // BandwidthDisplayScale converts model-unit bandwidth (MHz) into the
-// paper's plotted bandwidth unit (10 kHz); see the calibration note in
-// DESIGN.md.
+// paper's plotted bandwidth unit (10 kHz): 1 MHz is 100 × 10 kHz. Data
+// sizes stay in the model's units of 100 MB.
 const BandwidthDisplayScale = 100
 
 // baselineSeeds is the number of random/greedy episodes averaged per sweep

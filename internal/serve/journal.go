@@ -178,12 +178,12 @@ func (w *journalWriter) count() int { return len(w.ends) }
 // up to cut are dropped: the checkpoint next's header binds covers them.
 // The carried entries are written, so the new journal needs no flush for
 // them, and the bytes match what a writer created at that checkpoint
-// would hold after staging and flushing the same rounds. The old file is
-// closed only after the rename; on error w stays the live journal,
-// unchanged, and the caller discards next.
-func (w *journalWriter) carry(next *os.File, nextPath string, cut int) (*journalWriter, error) {
+// would hold after staging and flushing the same rounds. It returns the
+// old journal's file still open, and the caller owns it. On error w
+// stays the live journal, unchanged, and the caller discards next.
+func (w *journalWriter) carry(next *os.File, nextPath string, cut int) (*journalWriter, *os.File, error) {
 	if w.failed {
-		return nil, fmt.Errorf("serve: journal writer failed earlier; refusing the journal switch")
+		return nil, nil, fmt.Errorf("serve: journal writer failed earlier; refusing the journal switch")
 	}
 	nw := &journalWriter{f: next, path: w.path}
 	start := 0
@@ -198,13 +198,12 @@ func (w *journalWriter) carry(next *os.File, nextPath string, cut int) (*journal
 		start = end
 	}
 	if err := nw.flush(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := os.Rename(nextPath, w.path); err != nil {
-		return nil, fmt.Errorf("serve: committing journal: %w", err)
+		return nil, nil, fmt.Errorf("serve: committing journal: %w", err)
 	}
-	w.f.Close()
-	return nw, nil
+	return nw, w.f, nil
 }
 
 // Close flushes staged entries and releases the file handle, syncing as

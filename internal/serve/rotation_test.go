@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -255,6 +257,93 @@ func TestServeRotationFailureKeepsServing(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stateFDs counts the entries of /proc/self/fd that name a file in dir,
+// unlinked ones included (their link reads "<path> (deleted)"). Other
+// descriptors of the test process never count. dir must hold no
+// symlink, since the links name resolved paths.
+func stateFDs(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestServeRotationReleasesFiles pins the pipeline's file descriptors.
+// A boundary leaves the superseded journal and the pruned checkpoint
+// open, and the persistence goroutine closes them after its next job, so
+// the count of open state files must stay bounded by one constant,
+// whatever KeepCheckpoints is: sampled after every batch across 26
+// rotations, it never rises more than maxHeld above its value before
+// Open. Close must bring it back to that value, also after Abandon —
+// which keeps the live journal open, as a kill would, so that one fd
+// stays — and a recovering Open.
+func TestServeRotationReleasesFiles(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("counts /proc/self/fd entries")
+	}
+	// The most the store holds at once: the live journal, the journal its
+	// job prepared, the checkpoint that job holds for the next prune, and
+	// the superseded journal and pruned checkpoint it closes once done.
+	const maxHeld = 5
+	reqs := reqStream(260) // 26 rotations at testConfig's 10 rounds each
+	phases := []struct {
+		name    string
+		reqs    []serve.QuoteRequest
+		abandon bool
+	}{
+		{"boot, then Close", reqs[:130], false},
+		{"recovering Open, then Abandon", reqs[130:195], true},
+		{"recovering Open, then Close", reqs[195:], false},
+	}
+	for _, keep := range []int{1, 2, 100} {
+		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
+			dir, err := filepath.EvalSymlinks(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig(dir)
+			cfg.KeepCheckpoints = keep
+			base := stateFDs(t, dir)
+			var servers []*serve.Server
+			for _, ph := range phases {
+				s := mustOpen(t, cfg)
+				servers = append(servers, s)
+				peak := 0
+				for _, req := range ph.reqs {
+					quoteAll(t, s, []serve.QuoteRequest{req})
+					peak = max(peak, stateFDs(t, dir)-base)
+				}
+				if peak < 1 || peak > maxHeld {
+					s.Close()
+					t.Fatalf("%s: state files open after a batch peaked at %d above the %d before Open, want 1 to %d", ph.name, peak, base, maxHeld)
+				}
+				t.Logf("%s: peak %d", ph.name, peak)
+				if ph.abandon {
+					s.Abandon()
+					base++ // the abandoned live journal
+				} else if err := s.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if got := stateFDs(t, dir); got != base {
+					t.Fatalf("%s: %d state files open afterwards, want %d", ph.name, got, base)
+				}
+			}
+			// The abandoned server's journal stays open only while the
+			// server is reachable: the GC finalizes an unreachable *os.File.
+			runtime.KeepAlive(servers)
+		})
 	}
 }
 

@@ -521,24 +521,93 @@ func TestServeRefusesCheckpointsWithoutJournal(t *testing.T) {
 // TestServePrunesOldCheckpoints pins what KeepCheckpoints retains: the
 // keep newest published ordinals, the journal's bound checkpoint among
 // them, so 1 leaves the bound file alone. Zero selects the default, 2.
+// Three more inputs edit the directory by hand, and every boundary from
+// the edit on must still switch the journal. A retained checkpoint
+// deleted before the boundary that prunes it costs that boundary no
+// error. A non-empty directory at the name the next boundary prunes
+// fails that prune: one RotateErrors. Once the directory is emptied, the
+// next boundary retries the name and removes it without another error.
+// While the directory stays, every boundary fails on that name alone,
+// one RotateErrors each, and still prunes every later ordinal.
 func TestServePrunesOldCheckpoints(t *testing.T) {
-	for _, keep := range []int{0, 1, 2, 3} {
-		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
+	// Checkpoint 2 is kept after round 40, when rotation 4's boundary has
+	// published checkpoint 3, and pruned at rotation 5's, at round 50.
+	ck2 := func(dir string) string { return serve.CheckpointPathFor(dir, 2) }
+	dirAtCk2 := func(t *testing.T, dir string) {
+		if err := os.Remove(ck2(dir)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(ck2(dir), "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := []struct {
+		name string
+		keep int
+		// edit runs after round 40 and mend after round 50.
+		edit, mend func(t *testing.T, dir string)
+		// errs is RotateErrors after the boundaries at rounds 50, 60, 70
+		// and 80; stuck leaves the directory at ck2's name to the end.
+		errs  [4]int
+		stuck bool
+	}{
+		{name: "keep=0"},
+		{name: "keep=1", keep: 1},
+		{name: "keep=2", keep: 2},
+		{name: "keep=3", keep: 3},
+		{name: "retained checkpoint deleted by hand", keep: 2, edit: func(t *testing.T, dir string) {
+			if err := os.Remove(ck2(dir)); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "directory at the pruned name", keep: 2, errs: [4]int{1, 1, 1, 1}, edit: dirAtCk2, mend: func(t *testing.T, dir string) {
+			if err := os.Remove(filepath.Join(ck2(dir), "x")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{name: "directory left at the pruned name", keep: 2, errs: [4]int{1, 2, 3, 4}, edit: dirAtCk2, stuck: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := testConfig(dir)
-			cfg.KeepCheckpoints = keep
+			cfg.KeepCheckpoints = tc.keep
 			s := mustOpen(t, cfg)
 			defer s.Close()
-			// 12 phases → snapshots 1..6. Rotation 6's boundary published
-			// checkpoint 5, switched the journal to it and pruned the
-			// older ones; checkpoint 6 is not published yet.
-			quoteAll(t, s, reqStream(60))
-			const bound = 5
-			kept := keep
+			reqs := reqStream(80)
+			quoteAll(t, s, reqs[:40])
+			if tc.edit != nil {
+				tc.edit(t, dir)
+			}
+			for i, round := range []int{50, 60, 70, 80} {
+				quoteAll(t, s, reqs[round-10:round])
+				st := s.Stats()
+				if st.RotateErrors != tc.errs[i] {
+					t.Fatalf("after round %d: RotateErrors = %d (%q), want %d", round, st.RotateErrors, st.LastRotateError, tc.errs[i])
+				}
+				if st.RotateErrors > 0 && !strings.Contains(st.LastRotateError, ck2(dir)) {
+					t.Fatalf("after round %d: last rotate error %q does not name %s", round, st.LastRotateError, ck2(dir))
+				}
+				// Rotation k's boundary, at round 10k, binds checkpoint k − 1.
+				if got, want := boundOrdinal(t, dir), round/10-1; got != want {
+					t.Fatalf("journal binds checkpoint %d after round %d, want %d", got, round, want)
+				}
+				if round == 50 && tc.mend != nil {
+					tc.mend(t, dir)
+				}
+			}
+			// 16 phases → snapshots 1..8. Rotation 8's boundary published
+			// checkpoint 7, switched the journal to it and pruned the
+			// older ones; checkpoint 8 is not published yet.
+			const bound = 7
+			kept := tc.keep
 			if kept == 0 {
 				kept = 2
 			}
 			var want []string
+			if tc.stuck {
+				want = append(want, ck2(dir))
+			}
 			for n := bound - kept + 1; n <= bound; n++ {
 				want = append(want, serve.CheckpointPathFor(dir, n))
 			}
@@ -547,7 +616,7 @@ func TestServePrunesOldCheckpoints(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("KeepCheckpoints=%d left %v, want %v", keep, got, want)
+				t.Fatalf("KeepCheckpoints=%d left %v, want %v", tc.keep, got, want)
 			}
 		})
 	}

@@ -10,8 +10,9 @@
 // Problem 2, an iterated-best-response solver for the followers' subgame,
 // and an equilibrium verifier for Definition 1.
 //
-// Units: bandwidth in MHz, data sizes in units of 100 MB, matching the
-// calibration in DESIGN.md that reproduces the paper's reported numbers.
+// Units: bandwidth in MHz and data sizes in units of 100 MB; the figures
+// plot bandwidth on the paper's 10 kHz axis, multiplied by
+// experiments.BandwidthDisplayScale (100).
 package stackelberg
 
 import (
@@ -56,8 +57,8 @@ type Game struct {
 	// PMax is the maximum bandwidth price (paper: 50).
 	PMax float64
 	// BMax is the MSP's total bandwidth in MHz; zero or negative means
-	// unconstrained. The paper's "50 MHz" corresponds to 0.5 MHz in model
-	// units (see DESIGN.md calibration).
+	// unconstrained. The paper's "50 MHz" corresponds to 0.5 MHz in the
+	// model's units.
 	BMax float64
 }
 
