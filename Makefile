@@ -35,7 +35,7 @@ SERVE_SIM_RUN    := QuoteBatch|Frozen
 SERVE_SIM_PKGS   := ./internal/sim
 GOLDEN_RUN       := Golden
 GOLDEN_PKGS      := ./internal/experiments ./internal/sim ./internal/scenario
-BENCH_SMOKE_RUN  := PPOUpdate$$|PPOSelectAction|ActorCriticForward|MatMul|AdamStep|TanhTo|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointBinary|ServeQuote|SolveScratch|SimNew
+BENCH_SMOKE_RUN  := PPOUpdate$$|PPOSelectAction|ActorCriticForward|MatMul|AdamStep|TanhTo|Collect|StreamCollect|SimRoundOnline|Snapshot|Resume|CheckpointBinary|ServeQuote|JournalEncode|SolveScratch|SimNew
 BENCH_SMOKE_PKGS := .
 
 # check-selection fails unless every alternative of the regex $(1)
@@ -138,8 +138,8 @@ bench-check:
 # size, SolveScratch covers the equilibrium solver at the paper's 2 VMUs
 # and at fleet size, MatMul, AdamStep and TanhTo cover the kernels the
 # PPO update spends its time in (MatMulABTTo at the one-row and 20-row
-# forward shapes), and SimNew prints the metro-10k set-up's time and
-# bytes.
+# forward shapes), JournalEncode times the journal's request encoder at
+# 0 allocs/op, and SimNew prints the metro-10k set-up's time and bytes.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_SMOKE_RUN)' -benchmem -benchtime 100x $(BENCH_SMOKE_PKGS)
 

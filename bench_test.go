@@ -965,6 +965,29 @@ func BenchmarkServeQuote(b *testing.B) {
 	}
 }
 
+// BenchmarkJournalEncode times the journal's request encoder
+// (QuoteRequest.AppendJSON, which stages every served write) on a
+// two-VMU request at a distance, with full-precision draws like the
+// serving workloads': 0 allocs/op into a buffer already grown.
+func BenchmarkJournalEncode(b *testing.B) {
+	req := serve.QuoteRequest{
+		VMUs: []serve.QuoteVMU{
+			{ID: 0, Alpha: 7.318230940362413, DataMB: 243.88123070527355},
+			{ID: 1, Alpha: 16.042916583045296, DataMB: 118.40260918164806},
+		},
+		DistanceM: 612.4539201948376,
+	}
+	buf, err := req.AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = req.AppendJSON(buf[:0])
+	}
+}
+
 // BenchmarkServeQuoteBatched measures the same serving path under
 // concurrent clients, so the intake loop actually coalesces batches:
 // the journal is flushed once per batch and the per-request prework and

@@ -173,7 +173,11 @@
 //     holds against a process crash only: the flush is a write(2) with
 //     no fsync, and no rename syncs the state directory, so a machine
 //     crash can lose acknowledged rounds (checkpoint files and journal
-//     headers are fsynced before their renames). The pricer's
+//     headers are fsynced before their renames). An entry's request is
+//     encoded by hand (QuoteRequest.AppendJSON), without reflection or
+//     allocation, into exactly the bytes encoding/json writes for it;
+//     FuzzJournalEntryEncoding pins the two byte for byte, the errors on
+//     NaN and ±Inf included. The pricer's
 //     SnapshotEvery hook rotates full binary checkpoints at
 //     optimization-phase boundaries, and the rotation stays off the
 //     serial path: at rotation k's boundary the serial core only hands
@@ -200,13 +204,16 @@
 //     missing, mismatched, or corrupt refuses loudly instead of
 //     cold-starting (FuzzJournalRecover drives hostile journal bytes
 //     through the full recovery path). The only tolerated irregularity is
-//     a torn trailing journal line (a crash mid-append): that quote was
-//     never acknowledged, so dropping it reconstructs exactly the state
-//     every answered quote saw. The binding is the checkpoint body's
-//     CRC-32 (the file's trailer), so a swapped-in checkpoint from
-//     another run with the same counters is refused too. One crash
-//     window of first start is known and not closed: the boot
-//     checkpoint is written before the journal is created, so a crash
+//     a torn trailing journal line, a final entry line cut off before its
+//     newline by a crash mid-append: every flush writes whole lines
+//     before any acknowledgement, so that quote was never acknowledged,
+//     and dropping it reconstructs exactly the state every answered
+//     quote saw. A newline-terminated line that fails to parse, the last
+//     one included, refuses and names the line. The binding is the
+//     checkpoint body's CRC-32 (the file's trailer), so a swapped-in
+//     checkpoint from another run with the same counters is refused
+//     too. One crash window of first start is known and not closed: the
+//     boot checkpoint is written before the journal is created, so a crash
 //     between the two leaves a checkpoint with no journal, which every
 //     later Open refuses until the directory is emptied. (When journal
 //     creation merely fails, boot removes the checkpoint it wrote.)
@@ -226,7 +233,9 @@
 // The HTTP front end (serve.NewHTTPServer) bounds header reads and idle
 // connections, and both primary and replica serve the same /v1/quote,
 // /v1/stats, /healthz surface; a quote body must be exactly one JSON
-// object. `make serve-smoke` pins the batched crash-recovery
+// object, and must arrive within 10 s of its headers (a read deadline
+// the handler sets and clears once the body is decoded; a body that
+// misses it gets 408). `make serve-smoke` pins the batched crash-recovery
 // bit-identity, the rule-8 batch-size tables, the replica identity, and
 // — ten times over — the rotation pipeline's crash-window table,
 // failure path and file lifecycle under the race detector.
@@ -279,7 +288,7 @@
 // and bisection probes walks the followers once, accumulating their
 // floored best responses without materializing a demand vector, and the
 // equilibrium report evaluates the channel's spectral efficiency once
-// rather than once per follower (aotm.ImmersionForRate). The
+// per gather rather than once per follower (aotm.ImmersionForRate). The
 // per-vehicle bookkeeping lives on the vehicle instead of in maps keyed
 // by vehicle id: its serving RSU, its in-flight flag, its slot in the
 // pending queue, and the round stamp of the duplicate-follower guard;
@@ -303,8 +312,10 @@
 // vehicles under churn and generated outages — runs end to end in
 // seconds (vtmig-sim -scenario testdata/scenarios/metro-10k.json), is
 // pinned by the scenario golden matrix like every other committed
-// scenario, and is measured by BenchmarkSimFleet with the steady-state
-// allocation and byte gates in internal/sim/steady_alloc_test.go.
+// scenario, and is measured end to end by the sim-metro workload of the
+// repository benchmark (bash bench/run.sh --workload sim-metro), with
+// the steady-state allocation and byte gates in
+// internal/sim/steady_alloc_test.go.
 // FuzzGridSimSteps steps randomized grids under churn and outages,
 // checking fleet conservation and the bandwidth pool after every tick.
 //

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -200,5 +201,29 @@ func TestBatchedQuoteCrashRecovery(t *testing.T) {
 	}
 	if string(b1) != string(b2) {
 		t.Fatal("recovered learner state differs from the abandoned server's")
+	}
+}
+
+// TestBatchFlushFailureRepliesPerRound breaks the journal's file under a
+// server whose engine has just served a full batch, then sends a batch of
+// one valid and one invalid request. The flush fails: the valid round,
+// in the learner but not durable, must get the flush error, and the
+// invalid one its RequestError. The per-round buffers the engine reuses
+// carry nothing from the previous batch into this one.
+func TestBatchFlushFailureRepliesPerRound(t *testing.T) {
+	s := mustOpen(t, testConfig(t.TempDir()))
+	defer s.Abandon()
+	reqs := reqStream(3)
+	if _, errs := s.ProcessBatch(reqs[:2]); errs[0] != nil || errs[1] != nil {
+		t.Fatalf("first batch: %v", errs)
+	}
+	s.BreakJournal()
+	_, errs := s.ProcessBatch([]serve.QuoteRequest{reqs[2], {}})
+	var reqErr *serve.RequestError
+	if errs[0] == nil || errors.As(errs[0], &reqErr) {
+		t.Fatalf("valid round whose flush failed: error %v, want the flush error", errs[0])
+	}
+	if !errors.As(errs[1], &reqErr) {
+		t.Fatalf("invalid round in the same batch: error %v, want its RequestError", errs[1])
 	}
 }

@@ -30,6 +30,14 @@ type engine struct {
 	// scratch is the prework's evaluation scratch, reused across rounds
 	// and batches; a QuotePrep never aliases it.
 	scratch stackelberg.EvalScratch
+	// slots, replies, gens and applied are processBatch's per-round
+	// buffers, cleared and reused by every batch. That is safe because
+	// intake sends every reply before it takes the next batch, and
+	// recovery reads its one reply at once.
+	slots   []prepped
+	replies []quoteReply
+	gens    []int
+	applied []bool
 }
 
 // prepped is one batch slot after the prework: the round's validated game
@@ -64,13 +72,17 @@ func (e *engine) prework(reqs []QuoteRequest, slots []prepped) {
 // flushed nor written out by a journal switch is replaced with the flush
 // error: those rounds are in the learner but not durable, and
 // acknowledging them would break the recovery invariant (the writer
-// refuses further work until a restart replays the journal).
+// refuses further work until a restart replays the journal). The
+// returned replies are the engine's own buffer, overwritten by the next
+// batch.
 func (e *engine) processBatch(reqs []QuoteRequest) []quoteReply {
-	slots := make([]prepped, len(reqs))
+	n := len(reqs)
+	e.slots = reuse(e.slots, n)
+	e.replies = reuse(e.replies, n)
+	e.gens = reuse(e.gens, n)
+	e.applied = reuse(e.applied, n)
+	slots, replies, gens, applied := e.slots, e.replies, e.gens, e.applied
 	e.prework(reqs, slots)
-	replies := make([]quoteReply, len(reqs))
-	gens := make([]int, len(reqs))
-	applied := make([]bool, len(reqs))
 	for i, p := range slots {
 		if p.err != nil {
 			replies[i] = quoteReply{err: p.err}
@@ -93,6 +105,17 @@ func (e *engine) processBatch(reqs []QuoteRequest) []quoteReply {
 		}
 	}
 	return replies
+}
+
+// reuse returns buf resized to n zero values, in place when its
+// capacity allows.
+func reuse[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // buildQuoteGame assembles a round's game from a request over the

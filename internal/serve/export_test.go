@@ -1,6 +1,12 @@
 package serve
 
-import "vtmig/internal/nn"
+import (
+	"context"
+	"net/http"
+	"time"
+
+	"vtmig/internal/nn"
+)
 
 // Abandon simulates a crash for tests: the intake goroutine stops, but
 // none of Close's graceful-shutdown work happens — no journal sync, no
@@ -29,6 +35,10 @@ func (s *Server) AgentCheckpoint() (*nn.Checkpoint, error) {
 // tests.
 func (s *Server) JournalPath() string { return s.st.journal.path }
 
+// BreakJournal closes the live journal's file under its writer, so the
+// next flush fails as a failing disk would make it.
+func (s *Server) BreakJournal() { s.st.journal.f.Close() }
+
 // CheckpointPathFor exposes the checkpoint naming scheme to tests.
 func CheckpointPathFor(dir string, snapshots int) string { return checkpointPath(dir, snapshots) }
 
@@ -51,3 +61,12 @@ func (s *Server) ProcessBatch(reqs []QuoteRequest) ([]QuoteResponse, []error) {
 // the checkpoint it picked, before reading that file. Set it only while
 // no refresh runs.
 func (r *Replica) SetTestHookPicked(hook func(path string)) { r.testHookPicked = hook }
+
+// QuoteHandler is the POST /v1/quote handler over q with its body
+// deadline set to bodyTimeout, so a test can trickle a body past it
+// quickly.
+func QuoteHandler(q interface {
+	Quote(context.Context, QuoteRequest) (QuoteResponse, error)
+}, bodyTimeout time.Duration) http.Handler {
+	return handleQuote(q, bodyTimeout)
+}

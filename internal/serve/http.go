@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+	"os"
 	"time"
 )
 
@@ -12,12 +13,19 @@ import (
 // followers yet small enough that a hostile client cannot balloon memory.
 const maxQuoteBody = 1 << 20
 
+// quoteBodyTimeout bounds how long a quote body may take to arrive after
+// its headers, so a client that trickles its body holds a handler and a
+// connection no longer than this. It covers the body only: the quote
+// wait that follows honors the request context instead.
+const quoteBodyTimeout = 10 * time.Second
+
 // NewHTTPServer wraps a handler (Server.Handler or Replica.Handler) in
 // an http.Server with the hardening a long-running public daemon needs:
 // header-read and idle timeouts so slow-loris clients cannot pin
-// connections forever. Quote bodies are already bounded (maxQuoteBody)
-// and quote waits honor the request context, so no write timeout is
-// imposed on legitimate slow learning phases.
+// connections forever. Quote bodies are already bounded in size
+// (maxQuoteBody) and in time (quoteBodyTimeout), and quote waits honor
+// the request context, so no write timeout is imposed on legitimate slow
+// learning phases.
 func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	return &http.Server{
 		Addr:              addr,
@@ -40,7 +48,8 @@ type quoter interface {
 //	GET  /healthz   — liveness probe
 //
 // Malformed or invalid requests get 400 — a body must hold exactly one
-// JSON object, with nothing but white space after it — a shut-down
+// JSON object, with nothing but white space after it — a body that
+// takes longer than quoteBodyTimeout to arrive 408, and a shut-down
 // server 503; quotes
 // themselves honor the request context, so client disconnects stop the
 // wait (not the learning — an accepted round is journaled regardless).
@@ -59,7 +68,7 @@ func (r *Replica) Handler() http.Handler {
 // stats payload.
 func newQuoteMux(q quoter, stats func() any) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/quote", handleQuote(q))
+	mux.HandleFunc("POST /v1/quote", handleQuote(q, quoteBodyTimeout))
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, stats())
 	})
@@ -71,13 +80,28 @@ func newQuoteMux(q quoter, stats func() any) http.Handler {
 	return mux
 }
 
-func handleQuote(q quoter) http.HandlerFunc {
+// handleQuote serves POST /v1/quote, reading the body under a deadline
+// bodyTimeout from now. A body that misses it gets 408; the deadline
+// then stays, so net/http's discard of the unread rest fails at once and
+// closes the connection. A decoded body clears it, because a read that
+// ends at the deadline during the quote wait cancels the request's
+// context. (net/http also clears it when it starts its background read
+// after the body; clearing here does not depend on that.) A writer that
+// cannot set deadlines serves without one.
+func handleQuote(q quoter, bodyTimeout time.Duration) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		rc := http.NewResponseController(w)
+		_ = rc.SetReadDeadline(time.Now().Add(bodyTimeout))
 		var req QuoteRequest
 		if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxQuoteBody), &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "decoding quote request: " + err.Error()})
+			status := http.StatusBadRequest
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				status = http.StatusRequestTimeout
+			}
+			writeJSON(w, status, errorBody{Error: "decoding quote request: " + err.Error()})
 			return
 		}
+		_ = rc.SetReadDeadline(time.Time{})
 		resp, err := q.Quote(r.Context(), req)
 		if err != nil {
 			var reqErr *RequestError

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 )
@@ -56,6 +57,76 @@ func appendEntry(dst []byte, seq int, req []byte) []byte {
 	dst = append(dst, `,"req":`...)
 	dst = append(dst, req...)
 	return append(dst, "}\n"...)
+}
+
+// AppendJSON appends r's JSON encoding to dst and returns the extended
+// slice: exactly json.Marshal(r)'s bytes, written by hand instead of
+// through reflection, so the journal stages an entry without
+// allocating. The fields follow the struct's order, DistanceM and
+// AvailableMHz are omitted at ±0 (omitempty), nil VMUs encode as null,
+// and floats take encoding/json's form (see appendJSONFloat).
+// FuzzJournalEntryEncoding compares the two byte for byte, and
+// TestJournalEncoderCoversEveryField fails when either struct gains a
+// field this does not write. A NaN or an infinity anywhere returns
+// json.Marshal's error and dst as it was.
+func (r QuoteRequest) AppendJSON(dst []byte) ([]byte, error) {
+	var err error
+	b := append(dst, `{"vmus":`...)
+	if r.VMUs == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, v := range r.VMUs {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"id":`...)
+			b = strconv.AppendInt(b, int64(v.ID), 10)
+			b = append(b, `,"alpha":`...)
+			if b, err = appendJSONFloat(b, v.Alpha); err != nil {
+				return dst, err
+			}
+			b = append(b, `,"data_mb":`...)
+			if b, err = appendJSONFloat(b, v.DataMB); err != nil {
+				return dst, err
+			}
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	if r.DistanceM != 0 {
+		b = append(b, `,"distance_m":`...)
+		if b, err = appendJSONFloat(b, r.DistanceM); err != nil {
+			return dst, err
+		}
+	}
+	if r.AvailableMHz != 0 {
+		b = append(b, `,"available_mhz":`...)
+		if b, err = appendJSONFloat(b, r.AvailableMHz); err != nil {
+			return dst, err
+		}
+	}
+	return append(b, '}'), nil
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest decimal that round-trips, in 'e' form below 1e-6 or from
+// 1e21 in magnitude (zero excluded) and 'f' form otherwise, with a
+// two-digit negative exponent shortened (e-07 → e-7).
+func appendJSONFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return dst, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return dst, nil
 }
 
 // journalWriter stages entries in memory and flushes them to the live
@@ -137,13 +208,14 @@ func (w *journalWriter) stage(req QuoteRequest) error {
 		return fmt.Errorf("serve: journal writer failed earlier; refusing further appends (restart the server to recover)")
 	}
 	seq := len(w.ends) + 1
-	enc, err := json.Marshal(req)
+	start := len(w.reqs)
+	reqs, err := req.AppendJSON(w.reqs)
 	if err != nil {
 		return fmt.Errorf("serve: encoding journal entry %d: %w", seq, err)
 	}
-	w.reqs = append(w.reqs, enc...)
+	w.reqs = reqs
 	w.ends = append(w.ends, len(w.reqs))
-	w.buf = appendEntry(w.buf, seq, enc)
+	w.buf = appendEntry(w.buf, seq, w.reqs[start:])
 	return nil
 }
 
@@ -224,12 +296,15 @@ func (w *journalWriter) Close() error {
 }
 
 // readJournal parses a journal file into its header and ordered entries.
-// A torn trailing line — the partial record of an append cut off by a
-// crash — is dropped and counted: its quote was journaled but never
+// Every flush and journal switch writes whole lines before any quote of
+// theirs is acknowledged, so only a final entry line that lacks its
+// newline can be a torn append — the partial record of a write cut off
+// by a crash. It is dropped and counted: its quote was never
 // acknowledged, so dropping it reconstructs exactly the state every
 // answered quote saw. Every other irregularity (missing or malformed
-// header, malformed or out-of-order entry anywhere before the last line)
-// refuses loudly instead of guessing.
+// header, a malformed or out-of-order entry line that ends in its
+// newline, the last one included) refuses loudly, naming the line,
+// instead of guessing.
 func readJournal(path string) (journalHeader, []journalEntry, int, error) {
 	var h journalHeader
 	data, err := os.ReadFile(path)
@@ -241,9 +316,12 @@ func readJournal(path string) (journalHeader, []journalEntry, int, error) {
 	}
 	lines := bytes.Split(data, []byte("\n"))
 	// A well-formed journal ends in a newline, so the final split element
-	// is empty; anything non-empty there is a torn trailing line candidate.
-	last := len(lines) - 1
-	if len(lines[last]) == 0 {
+	// is empty; an entry line there was cut off before its newline.
+	torn := 0
+	if last := len(lines) - 1; last > 0 {
+		if len(lines[last]) > 0 {
+			torn = 1
+		}
 		lines = lines[:last]
 	}
 	if err := decodeStrict(bytes.NewReader(lines[0]), &h); err != nil {
@@ -256,15 +334,10 @@ func readJournal(path string) (journalHeader, []journalEntry, int, error) {
 		return h, nil, 0, fmt.Errorf("serve: journal %s has version %d, this build reads %d", path, h.Version, journalVersion)
 	}
 	var entries []journalEntry
-	torn := 0
 	for i, line := range lines[1:] {
 		var e journalEntry
 		if err := decodeStrict(bytes.NewReader(line), &e); err != nil {
-			if i == len(lines)-2 { // final line: torn by a crash mid-append
-				torn = 1
-				break
-			}
-			return h, nil, 0, fmt.Errorf("serve: journal %s entry line %d is corrupt mid-file: %w", path, i+2, err)
+			return h, nil, 0, fmt.Errorf("serve: journal %s entry line %d is corrupt mid-file (a newline-terminated line, not a torn append): %w", path, i+2, err)
 		}
 		if e.Seq != i+1 {
 			return h, nil, 0, fmt.Errorf("serve: journal %s entry line %d has sequence %d, want %d — entries are missing or reordered", path, i+2, e.Seq, i+1)

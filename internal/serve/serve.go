@@ -117,7 +117,8 @@ type Stats struct {
 	// the checkpoint it binds, which trails the latest rotation by one.
 	JournalEntries int `json:"journal_entries"`
 	// ReplayedRounds counts journal entries replayed at the last Open;
-	// TornDropped counts torn trailing lines dropped there.
+	// TornDropped counts torn trailing lines dropped there: a final
+	// entry line without its newline, so 0 or 1.
 	ReplayedRounds int `json:"replayed_rounds"`
 	TornDropped    int `json:"torn_dropped"`
 	// RotateErrors counts failed checkpoint rotations, each counted at

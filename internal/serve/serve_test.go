@@ -277,6 +277,49 @@ func TestServeTornTrailingLineDropped(t *testing.T) {
 	}
 }
 
+// TestServeRefusesGarbledLastEntry damages the journal's last complete
+// entry line and keeps its newline. A flush writes whole lines before any
+// quote of theirs is acknowledged, so that round was acknowledged:
+// reopening must refuse and name the line, not drop it as a torn append.
+// The same entry intact but cut off before its newline was never
+// acknowledged, and only that is dropped as torn.
+func TestServeRefusesGarbledLastEntry(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, testConfig(dir))
+	quoteAll(t, s, reqStream(4))
+	jpath := s.JournalPath()
+	s.Abandon()
+	data, err := os.ReadFile(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(data, []byte("\n"))
+	if len(lines) != 6 || len(lines[5]) != 0 {
+		t.Fatalf("journal has %d lines, want a header and 4 entries, newline-terminated", len(lines)-1)
+	}
+	garbled := bytes.Replace(lines[4], []byte(`"alpha":`), []byte(`"alpha":=`), 1)
+	if bytes.Equal(garbled, lines[4]) {
+		t.Fatalf("entry line 5 has no alpha to garble: %s", lines[4])
+	}
+	lines[4] = garbled
+	if err := os.WriteFile(jpath, bytes.Join(lines, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = serve.Open(testConfig(dir))
+	if err == nil || !strings.Contains(err.Error(), "entry line 5 is corrupt") {
+		t.Fatalf("Open with the last complete entry garbled: %v, want a refusal naming entry line 5", err)
+	}
+
+	if err := os.WriteFile(jpath, bytes.TrimSuffix(data, []byte("\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, testConfig(dir))
+	defer s2.Close()
+	if st := s2.Stats(); st.TornDropped != 1 || st.Rounds != 3 {
+		t.Fatalf("last entry without its newline: torn_dropped %d, rounds %d; want 1 and 3", st.TornDropped, st.Rounds)
+	}
+}
+
 // TestJournalLinesAreCanonicalJSON pins the journal's entry encoding:
 // every line — staged at its round or carried into a new journal by a
 // switch, renumbered — is exactly json.Marshal of the entry, so the

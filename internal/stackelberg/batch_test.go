@@ -246,6 +246,25 @@ func TestSolveMatchesSerialReference(t *testing.T) {
 	}
 }
 
+// TestScratchAcrossChannels reuses one scratch over games on different
+// channels, alternating SolveInto and EvaluateInto. Every report must
+// equal, bit for bit, the serial reference (which re-derives the
+// spectral efficiency per follower) or Evaluate on a fresh scratch: the
+// report's utilities read the spectral efficiency of the game just
+// gathered, never one a previous game left in the scratch.
+func TestScratchAcrossChannels(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var s EvalScratch
+	for trial := 0; trial < 40; trial++ {
+		g := randomBatchGame(rng, 1+rng.Intn(6))
+		g.Channel.DistanceM = 100 + 900*rng.Float64()
+		label := fmt.Sprintf("trial %d at %.0f m", trial, g.Channel.DistanceM)
+		requireSameEquilibrium(t, label+": SolveInto", g.SolveInto(&s), solveSerialReference(g))
+		price := g.Cost + (g.PMax-g.Cost)*rng.Float64()
+		requireSameEquilibrium(t, label+": EvaluateInto", g.EvaluateInto(&s, price), g.Evaluate(price))
+	}
+}
+
 func TestBatchPanicsOnNonPositivePrice(t *testing.T) {
 	g := DefaultGame()
 	var s EvalScratch

@@ -47,10 +47,11 @@ func (eq Equilibrium) Clone() Equilibrium {
 //
 // Besides the result buffers, the scratch carries a structure-of-arrays
 // mirror of the followers (α_n and D_n/e) that the best-response kernels
-// and the solver's single-pass objective probes read. The mirror is
+// and the solver's single-pass objective probes read, and the channel's
+// spectral efficiency e that the report's utilities read. The mirror is
 // re-gathered from the game on every SolveInto/EvaluateInto entry — never
-// cached across calls — so a scratch can serve games whose VMUs change
-// between rounds.
+// cached across calls — so a scratch can serve games whose VMUs or
+// channel change between rounds.
 type EvalScratch struct {
 	demands   []float64
 	utilities []float64
@@ -58,6 +59,8 @@ type EvalScratch struct {
 	// alphas and dOverE are the SoA follower mirror.
 	alphas []float64
 	dOverE []float64
+	// e is the spectral efficiency of the last game gathered.
+	e float64
 }
 
 // grow sizes every buffer to n followers, reusing capacity. A scratch
@@ -79,12 +82,14 @@ func (s *EvalScratch) grow(n int) {
 }
 
 // gather refreshes the SoA follower mirror from the game: alphas[i] = α_i
-// and dOverE[i] = D_i/e with e hoisted once. The serial path divides
-// D_n/e with the same e on every call, so precomputing the quotient here
-// is bit-identical to recomputing it per element.
+// and dOverE[i] = D_i/e with e hoisted once, and keeps e itself for the
+// report (equilibriumInto). The serial path divides D_n/e with the same
+// e on every call, so precomputing the quotient here is bit-identical to
+// recomputing it per element.
 func (s *EvalScratch) gather(g *Game) {
 	s.grow(g.N())
 	e := g.SpectralEfficiency()
+	s.e = e
 	for i, v := range g.VMUs {
 		s.alphas[i] = v.Alpha
 		s.dOverE[i] = v.DataSize / e
@@ -262,15 +267,14 @@ func (g *Game) EvaluateInto(s *EvalScratch, price float64) Equilibrium {
 	return g.equilibriumInto(s, price, bound)
 }
 
-// equilibriumInto assembles the report struct over the scratch buffers
-// (s.demands already holds the admitted demand vector). The spectral
-// efficiency is evaluated once for the whole report rather than once per
-// follower utility; VMUUtility computes the same e, so the utilities are
-// bit-identical.
+// equilibriumInto assembles the report struct over the scratch buffers,
+// which a gather of g has filled (s.demands already holds the admitted
+// demand vector). Every follower utility reads the spectral efficiency
+// that gather kept instead of evaluating it again; VMUUtility computes
+// the same e, so the utilities are bit-identical.
 func (g *Game) equilibriumInto(s *EvalScratch, price float64, bound bool) Equilibrium {
-	e := g.SpectralEfficiency()
 	for n := range g.VMUs {
-		s.utilities[n] = g.vmuUtility(n, s.demands[n], price, e)
+		s.utilities[n] = g.vmuUtility(n, s.demands[n], price, s.e)
 	}
 	return Equilibrium{
 		Price:          price,
